@@ -15,6 +15,7 @@ the geometry integrals are propagated as ODEs for log Theta and log J.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -323,10 +324,6 @@ class _Segment:
     m_fun: object  # callable r -> psi''/psi >= 0
     dense: object  # solve_ivp dense output for (log psi, psi'/psi)
 
-    def state(self, r):
-        out = self.dense(np.atleast_1d(np.asarray(r, dtype=float)))
-        return out[0], out[1]
-
 
 class Glued(ModelFunction):
     """Convex C^2 model built from a base piece plus curvature continuations.
@@ -344,11 +341,12 @@ class Glued(ModelFunction):
         self.segments = tuple(segments)
         self.meta = dict(meta or {})
         self.valid_to = self.segments[-1].end if self.segments else base.valid_to
+        self._joins = [seg.start for seg in self.segments]
 
     def params(self):
         return {
             "base": self.base.descriptor(),
-            "joins": [s.start for s in self.segments],
+            "joins": list(self._joins),
             "meta": self.meta,
         }
 
@@ -356,28 +354,45 @@ class Glued(ModelFunction):
         return self.segments[0].start if self.segments else math.inf
 
     def _segment_for(self, r):
-        for seg in reversed(self.segments):
-            if r >= seg.start:
-                return seg
-        return None
+        """The last segment starting at or before scalar r, or None (base)."""
+        k = bisect.bisect_right(self._joins, r) - 1
+        return self.segments[k] if k >= 0 else None
 
-    def _state_scalar(self, r):
-        seg = self._segment_for(r)
-        if seg is None:
-            return float(self.base.log_psi(r)), float(self.base.slope_ratio(r))
-        L, s = seg.state(min(r, seg.end))
-        return float(L[0]), float(s[0])
+    def _state(self, r):
+        """(log psi, psi'/psi) at r; radii past a segment's end read its end.
 
-    def _vectorize(self, f, r):
-        arr = np.asarray(r, dtype=float)
-        out = np.array([f(x) for x in np.atleast_1d(arr)])
-        return out.reshape(arr.shape) if arr.shape else out[0]
+        Cost model: a scalar r costs one bisect on the join radii plus one
+        scalar dense-output lookup and comes back as two Python floats. An
+        array r costs one searchsorted plus one dense-output call per segment
+        its points fall in (one base-model call for the points below the
+        first join); both results keep the shape of r.
+        """
+        if np.ndim(r) == 0:
+            r = float(r)
+            seg = self._segment_for(r)
+            if seg is None:
+                return float(self.base.log_psi(r)), float(self.base.slope_ratio(r))
+            L, s = seg.dense(min(r, seg.end))
+            return float(L), float(s)
+        r = np.asarray(r, dtype=float)
+        flat = r.ravel()
+        L, s = np.empty_like(flat), np.empty_like(flat)
+        idx = np.searchsorted(self._joins, flat, side="right") - 1
+        for k in np.unique(idx):
+            pick = idx == k
+            x = flat[pick]
+            if k < 0:
+                L[pick], s[pick] = self.base.log_psi(x), self.base.slope_ratio(x)
+            else:
+                seg = self.segments[k]
+                L[pick], s[pick] = seg.dense(np.minimum(x, seg.end))
+        return L.reshape(r.shape), s.reshape(r.shape)
 
     def log_psi(self, r):
-        return self._vectorize(lambda x: self._state_scalar(x)[0], r)
+        return self._state(r)[0]
 
     def slope_ratio(self, r):
-        return self._vectorize(lambda x: self._state_scalar(x)[1], r)
+        return self._state(r)[1]
 
     def psi(self, r):
         return np.exp(np.minimum(self.log_psi(r), _EXP_CAP))
@@ -395,7 +410,10 @@ class Glued(ModelFunction):
                 return float(self.base.curvature_ratio(x))
             return float(seg.m_fun(min(x, seg.end)))
 
-        return self._vectorize(one, r)
+        if np.ndim(r) == 0:
+            return one(float(r))
+        r = np.asarray(r, dtype=float)
+        return np.array([one(x) for x in r.ravel()], dtype=float).reshape(r.shape)
 
     def extended(self, m_fun, start, end, meta_update=None):
         """New Glued model equal to self on [0, start], with psi''/psi = m_fun beyond.
@@ -410,7 +428,7 @@ class Glued(ModelFunction):
             raise ConvexityViolation(
                 f"curvature ratio {m0:.3e} < 0 at join r={start:.6g}"
             )
-        L0, s0 = self._state_scalar(start)
+        L0, s0 = self._state(start)
 
         def rhs(r, y):
             m = m_fun(r)

@@ -8,6 +8,7 @@ outputs byte-identically. Floats are written with repr(), the shortest
 decimal that round-trips exactly.
 """
 
+import csv
 import hashlib
 import json
 import os
@@ -133,11 +134,22 @@ def write_csv(path, header, columns):
 
 
 def read_csv(path):
-    """Read a write_csv file back into a dict of float arrays."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(x) for x in row] for row in rows])
-    if data.size == 0:
-        data = data.reshape(0, len(header))
-    return {name: data[:, i] for i, name in enumerate(header)}
+    """Read a CSV file with a header row back into a dict of columns.
+
+    A column whose every field parses as a float comes back as a float
+    array (exact for write_csv output); any other column, such as the quoted
+    model descriptors of a sweep export, comes back as an array of str.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [row for row in reader if row]
+    columns = zip(*rows) if rows else [()] * len(header)
+    return {name: _parse_column(col) for name, col in zip(header, columns)}
+
+
+def _parse_column(fields):
+    try:
+        return np.array([float(x) for x in fields], dtype=float)
+    except ValueError:
+        return np.array(fields, dtype=str)

@@ -309,11 +309,12 @@ def integrate(prob, model, config):
 
     # Refine the output grid with dense-output midpoints so interpolation
     # between knots stays well inside the integration tolerance.
+    # Row i holds the same floats as np.linspace(knots[i], knots[i+1], 9)[1:].
     knots = sol.t
-    refined = [knots[0]]
-    for aa, bb in zip(knots[:-1], knots[1:]):
-        refined.extend(np.linspace(aa, bb, 9)[1:])
-    rr = np.asarray(refined)
+    lo, hi = knots[:-1, None], knots[1:, None]
+    rows = lo + np.arange(1, 9) * ((hi - lo) / 8)
+    rows[:, -1] = knots[1:]
+    rr = np.concatenate([knots[:1], rows.ravel()])
     uu, vv = sol.sol(rr)
     uu = np.maximum(uu, u_floor)
     lpsi = (n - 1) * np.asarray(model.log_psi(rr), dtype=float)

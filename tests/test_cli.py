@@ -124,6 +124,9 @@ def test_quotient_rows_above_reference(tmp_path):
     ref = sweep["reference"]["quotient"]
     assert len(sweep["rows"]) == 3
     assert all(row["quotient"] > ref for row in sweep["rows"])
+    back = pl.read_csv(os.path.join(latest_dir(tmp_path), "quotients.csv"))
+    assert back["model"].tolist() == ["hyperbolic"] * 3
+    assert np.array_equal(back["quotient"], [row["quotient"] for row in sweep["rows"]])
 
 
 def test_oscillate_bad_stage_count_exits_2(tmp_path):

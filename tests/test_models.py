@@ -133,6 +133,94 @@ def test_extension_refuses_negative_curvature():
 
 
 # ---------------------------------------------------------------------------
+# glued-model evaluation: scalar and array lookups
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def glued3():
+    """Euclidean base plus three continuations joined at r = 1, 2, 3."""
+    pieces = [(pl.make_model("euclidean"), 0.0), (pl.make_model("hyperbolic"), 1.0),
+              (pl.make_model("powerlike:k=2"), 2.0), (pl.make_model("hyperbolic"), 3.0)]
+    glued = pl.glue_models(pieces, blend_width=0.2, horizon=6.0)
+    assert len(glued.segments) == 3
+    return glued
+
+
+def _within_ulps(a, b, ulps):
+    return np.all(np.abs(a - b) <= ulps * np.spacing(np.abs(b)))
+
+
+def test_glued_scalar_and_array_agree(glued3):
+    r = np.concatenate([np.linspace(1e-3, 8.0, 997), [1.0, 2.0, 3.0, 6.0]])
+    for name in ("log_psi", "slope_ratio"):
+        f = getattr(glued3, name)
+        scalar = np.array([f(float(x)) for x in r])
+        assert _within_ulps(f(r), scalar, 4), name
+
+
+def test_glued_equals_base_below_first_join(glued3):
+    base = glued3.base
+    r = np.geomspace(1e-4, 1.0, 200, endpoint=False)
+    assert np.array_equal(glued3.log_psi(r), base.log_psi(r))
+    assert np.array_equal(glued3.slope_ratio(r), base.slope_ratio(r))
+    for x in r[::37]:
+        assert glued3.log_psi(float(x)) == base.log_psi(float(x))
+        assert glued3.slope_ratio(float(x)) == base.slope_ratio(float(x))
+
+
+def test_glued_joins_and_horizon_clamp(glued3):
+    for k, seg in enumerate(glued3.segments):
+        # a join radius reads the segment that starts there ...
+        at = seg.dense(seg.start)
+        assert glued3.log_psi(seg.start) == float(at[0])
+        assert glued3.slope_ratio(seg.start) == float(at[1])
+        # ... and the radius just below it the previous piece
+        below = np.nextafter(seg.start, 0.0)
+        prev = glued3.segments[k - 1].dense(below)[0] if k else glued3.base.log_psi(below)
+        assert glued3.log_psi(below) == float(prev)
+    end = glued3.segments[-1].end
+    for x in (end + 1e-9, end + 1.0, 1e3):
+        assert glued3.log_psi(x) == glued3.log_psi(end)
+        assert glued3.slope_ratio(x) == glued3.slope_ratio(end)
+    past = glued3.log_psi(np.array([end, end + 1.0, 1e3]))
+    assert _within_ulps(past, np.full(3, glued3.log_psi(end)), 4)
+
+
+def test_glued_output_shapes(glued3):
+    for r in (2.5, np.float64(2.5), np.array(2.5), 0.5, np.array(7.0)):
+        assert type(glued3.log_psi(r)) is float
+        assert type(glued3.slope_ratio(r)) is float
+        assert type(glued3.curvature_ratio(r)) is float
+    flat = np.linspace(0.5, 7.0, 12)
+    grid = flat.reshape(3, 4)
+    for name in ("log_psi", "slope_ratio", "curvature_ratio"):
+        f = getattr(glued3, name)
+        assert f(flat).shape == (12,)
+        assert f(grid).shape == (3, 4)
+        assert np.array_equal(f(grid), f(flat).reshape(3, 4))
+        assert f(np.empty(0)).shape == (0,)
+
+
+def test_glued_array_lookup_is_one_call_per_segment(glued3, monkeypatch):
+    from scipy.integrate import OdeSolution
+
+    calls = []
+    original = OdeSolution.__call__
+
+    def counting(self, t):
+        calls.append(self)
+        return original(self, t)
+
+    monkeypatch.setattr(OdeSolution, "__call__", counting)
+    dense = [seg.dense for seg in glued3.segments]
+    for lo, hi, touched in ((0.1, 0.9, []), (0.5, 2.5, dense[:2]),
+                            (0.5, 9.0, dense), (3.5, 9.0, dense[2:])):
+        calls.clear()
+        glued3.log_psi(np.linspace(lo, hi, 10_000))
+        assert calls == touched, (lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # geometry profile
 # ---------------------------------------------------------------------------
 

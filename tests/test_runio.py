@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import plaplace as pl
-from plaplace import runio
+from plaplace import runio, sobolev
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -24,6 +24,20 @@ def test_csv_roundtrip_exact(tmp_path_factory, rows):
     back = pl.read_csv(path)
     assert np.array_equal(back["a"], a)
     assert np.array_equal(back["b"], b)
+
+
+def test_sweep_csv_reads_back_with_text_column(tmp_path):
+    descs = ["powerlike:k=2", "expgamma:c=1,gamma=0.5"]  # the second has a comma
+    rows = [{"model": pl.descriptor_string(pl.make_model(d)), "n": 3, "p": 2.0,
+             "b": b, "quotient": 4.5 + b, "err": 1e-9 * b}
+            for d, b in zip(descs, (1.0, 0.1))]
+    path = sobolev.export_sweep_csv({"rows": rows}, tmp_path / "quotients.csv")
+    back = pl.read_csv(path)
+    assert list(back) == ["model", "n", "p", "b", "quotient", "err"]
+    assert back["model"].tolist() == descs
+    for key in ("n", "p", "b", "quotient", "err"):
+        assert back[key].dtype == float
+        assert np.array_equal(back[key], [row[key] for row in rows])
 
 
 def test_params_hash_deterministic():

@@ -146,3 +146,13 @@ def test_refinement_consistency(hy_run):
         pl.SolverConfig(20.0, rel_tol=5e-9, abs_tol=5e-12))
     for r in (1.0, 5.0, 15.0):
         assert abs(coarse.eval_u(r) - fine.eval_u(r)) < 1e-6 * fine.eval_u(r)
+
+
+def test_refined_grid_matches_linspace_loop(hy_run):
+    """The broadcast refinement gives the floats of the per-step linspace loop."""
+    knots = hy_run.sol._dense.ts
+    reference = [knots[0]]
+    for aa, bb in zip(knots[:-1], knots[1:]):
+        reference.extend(np.linspace(aa, bb, 9)[1:])
+    assert hy_run.sol.r[0] == 0.0
+    assert np.array_equal(hy_run.sol.r[1:], np.asarray(reference))
