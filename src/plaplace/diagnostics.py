@@ -94,7 +94,10 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     P and its multiplier grow with psi^{n-1}, so differences on the raw
     solution grid lose digits; instead P is rebuilt from the interpolated
     trajectory at r(1 +- 1e-3) where the truncation error of a central
-    difference is ~1e-6 of the derivative.
+    difference is ~1e-6 of the derivative. All radii are evaluated at once.
+
+    Returns (max_rel_defect, resolved_radii, audited_radii): only radii
+    whose defect exceeds the resolution limit below contribute.
     """
     prob = sol.problem
     n, p, q = prob.n, prob.p, prob.q
@@ -104,44 +107,40 @@ def _pohozaev_identity_defect(sol, profile, num=80):
         u = sol._u_accurate(x)
         du = sol.eval_du(x)
         w = sol.eval_w(x)
-        F = ((p - 1.0) / p) * abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
+        F = ((p - 1.0) / p) * np.abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
         return profile.I(x) * F, w * u / (q + 1.0)
 
     r_first = sol.r[1]
     lo = max(10.0 * r_first, 2e-3 * sol.r_last)
     hi = 0.99 * sol.r_last
-    radii = np.geomspace(lo, hi, num)
-    worst = 0.0
-    for x in radii:
-        # step sized against the local logarithmic derivative of P, which
-        # is dominated by psi^{n-1} growth; keeps FD truncation ~1e-5
-        u_loc = sol.eval_u(x)
-        rate = (n - 1) * float(profile.model.slope_ratio(x)) \
-            + q * abs(sol.eval_du(x)) / u_loc + 2.0 / x
-        h = min(1e-3 * x, 1e-2 / rate)
-        ap, bp = pieces(x + h)
-        am, bm = pieces(x - h)
-        dP = ((ap - am) + (bp - bm)) / (2.0 * h)
-        # scale of the two piece derivatives whose near-cancellation forms
-        # P'; the check cannot resolve defects far below roundoff of these
-        S = (abs(ap - am) + abs(bp - bm)) / (2.0 * h)
-        f = float(profile.model.slope_ratio(x))
-        psi_pow = math.exp(min((n - 1) * float(profile.model.log_psi(x)),
-                               _EXP_CAP))
-        t = psi_pow * (c1 - (n - 1) * f * profile.theta(x)) \
-            * abs(sol.eval_du(x)) ** p
-        # resolution limit of the difference quotient: the interpolated
-        # piece values carry ~1e3 x rtol relative error, which the 1/(2h)
-        # amplifies; a defect below that scale cannot be distinguished
-        # from stepper noise (relevant where the exact derivative is 0)
-        resolution = 1e-8 * (abs(ap) + abs(am) + abs(bp) + abs(bm)) / (2.0 * h)
-        err = abs(dP - t)
-        if err <= resolution:
-            continue
-        # the S floor marks where P' emerges from an S-sized cancellation
-        rel = err / (abs(t) + 1e-2 * S + 1e-300)
-        worst = max(worst, rel)
-    return float(worst)
+    x = np.geomspace(lo, hi, num)
+    # step sized against the local logarithmic derivative of P, which
+    # is dominated by psi^{n-1} growth; keeps FD truncation ~1e-5
+    f = np.asarray(profile.model.slope_ratio(x), dtype=float)
+    du_abs = np.abs(sol.eval_du(x))
+    rate = (n - 1) * f + q * du_abs / sol.eval_u(x) + 2.0 / x
+    h = np.minimum(1e-3 * x, 1e-2 / rate)
+    ap, bp = pieces(x + h)
+    am, bm = pieces(x - h)
+    dP = ((ap - am) + (bp - bm)) / (2.0 * h)
+    # scale of the two piece derivatives whose near-cancellation forms
+    # P'; the check cannot resolve defects far below roundoff of these
+    S = (np.abs(ap - am) + np.abs(bp - bm)) / (2.0 * h)
+    psi_pow = np.exp(np.minimum(
+        (n - 1) * np.asarray(profile.model.log_psi(x), dtype=float), _EXP_CAP))
+    t = psi_pow * (c1 - (n - 1) * f * profile.theta(x)) * du_abs ** p
+    # resolution limit of the difference quotient: the interpolated
+    # piece values carry ~1e3 x rtol relative error, which the 1/(2h)
+    # amplifies; a defect below that scale cannot be distinguished
+    # from stepper noise (relevant where the exact derivative is 0)
+    resolution = 1e-8 * (np.abs(ap) + np.abs(am) + np.abs(bp) + np.abs(bm)) \
+        / (2.0 * h)
+    err = np.abs(dP - t)
+    resolved = err > resolution
+    # the S floor marks where P' emerges from an S-sized cancellation
+    rel = err[resolved] / (np.abs(t[resolved]) + 1e-2 * S[resolved] + 1e-300)
+    worst = float(np.max(rel)) if rel.size else 0.0
+    return worst, int(np.count_nonzero(resolved)), int(num)
 
 
 def functional_traces(sol, profile):
@@ -191,9 +190,10 @@ def functional_traces(sol, profile):
 
     report = DiagnosticsReport(sol, profile, r, F, P, K, Q, E)
 
-    defect = _pohozaev_identity_defect(sol, profile)
+    defect, resolved, audited = _pohozaev_identity_defect(sol, profile)
     report.add_verdict("pohozaev-identity", defect < 1e-3, 1e-3 - defect,
-                       max_rel_defect=defect)
+                       max_rel_defect=defect, resolved_radii=resolved,
+                       audited_radii=audited)
 
     # Monotonicity and sign claims.
     f_scale = float(F[0])

@@ -154,8 +154,7 @@ def _augmented_rhs(model, n, p, q, u_floor):
 
     def rhs(r, y):
         th, lJ, u, v = y
-        L = float(model.log_psi(r))
-        s = float(model.slope_ratio(r))
+        L, s = model._state(r)
         dth = math.exp(min(-th, _EXP_CAP)) - (n - 1) * s
         dlJ = math.exp(min(mu * th - lJ, _EXP_CAP))
         du = -math.exp(min(mu * (v - (n - 1) * L), _EXP_CAP))
@@ -216,7 +215,7 @@ def construct(n, p, q, alpha, stages, blend_width=0.5, rate_scale=2.0,
         grid = np.linspace(scan_lo, r_stop, scan_points)
         th_g, lJ_g, u_g, _ = sol.sol(grid)
         Q_g = np.exp(ex * lJ_g) * u_g
-        lpsi_g = np.array([float(model.log_psi(x)) for x in grid])
+        lpsi_g = model.log_psi(grid)
         hits = [i for i in range(len(grid))
                 if plan.fires(grid[i], Q_g[i], u_g[i], lpsi_g[i])]
         if not hits:

@@ -59,11 +59,6 @@ class AubinTalenti:
         return self.n * self.b * amp * (self.b + r ** self.s) ** (-k - 1.0)
 
 
-def at_eval(profile, r):
-    """Closed-form (u, u') of the extremal profile."""
-    return profile.u(r), profile.du(r)
-
-
 def euclidean_residual(profile, r_ref=1.0, grid=None):
     """Verify -Delta_p u = c u^{p*-1} in R^n for the extremal profile.
 

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 import plaplace as pl
+from plaplace.diagnostics import _pohozaev_identity_defect
+from plaplace.models import _EXP_CAP
+
+from conftest import make_run
 
 
 def test_constants():
@@ -22,6 +26,59 @@ def test_traces_verdicts_pass(hy_run, eu_crit_run, ep_run):
     for run in (hy_run, eu_crit_run, ep_run):
         rep = pl.functional_traces(run.sol, run.prof)
         assert rep.passed(), rep.verdicts
+        pohozaev = next(v for v in rep.verdicts
+                        if v["name"] == "pohozaev-identity")
+        assert pohozaev["audited_radii"] == 80
+        assert 0 <= pohozaev["resolved_radii"] <= 80
+
+
+def _pohozaev_defect_loop(sol, profile, num=80):
+    """The radius-by-radius Pohozaev FD audit, kept as reference."""
+    prob = sol.problem
+    n, p, q = prob.n, prob.p, prob.q
+    c1 = (p - 1.0) / p + 1.0 / (q + 1.0)
+
+    def pieces(x):
+        u = sol._u_accurate(x)
+        du = sol.eval_du(x)
+        w = sol.eval_w(x)
+        F = ((p - 1.0) / p) * abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
+        return profile.I(x) * F, w * u / (q + 1.0)
+
+    lo = max(10.0 * sol.r[1], 2e-3 * sol.r_last)
+    worst, resolved = 0.0, 0
+    for x in np.geomspace(lo, 0.99 * sol.r_last, num):
+        rate = (n - 1) * float(profile.model.slope_ratio(x)) \
+            + q * abs(sol.eval_du(x)) / sol.eval_u(x) + 2.0 / x
+        h = min(1e-3 * x, 1e-2 / rate)
+        ap, bp = pieces(x + h)
+        am, bm = pieces(x - h)
+        dP = ((ap - am) + (bp - bm)) / (2.0 * h)
+        S = (abs(ap - am) + abs(bp - bm)) / (2.0 * h)
+        f = float(profile.model.slope_ratio(x))
+        psi_pow = math.exp(min((n - 1) * float(profile.model.log_psi(x)),
+                               _EXP_CAP))
+        t = psi_pow * (c1 - (n - 1) * f * profile.theta(x)) \
+            * abs(sol.eval_du(x)) ** p
+        resolution = 1e-8 * (abs(ap) + abs(am) + abs(bp) + abs(bm)) / (2.0 * h)
+        err = abs(dP - t)
+        if err <= resolution:
+            continue
+        resolved += 1
+        worst = max(worst, err / (abs(t) + 1e-2 * S + 1e-300))
+    return float(worst), resolved
+
+
+def test_pohozaev_defect_matches_scalar_loop(eu_run, hy_run, ep_run):
+    # hyperbolic (4,3,11) to R=20 is a matrix case with a resolved radius
+    hy4 = make_run("hyperbolic", 4, 3.0, 11.0, 1.0, rmax=20.0)
+    for run in (eu_run, hy_run, ep_run, hy4):
+        worst, resolved, audited = _pohozaev_identity_defect(run.sol, run.prof)
+        ref_worst, ref_resolved = _pohozaev_defect_loop(run.sol, run.prof)
+        assert audited == 80
+        assert resolved == ref_resolved
+        assert abs(worst - ref_worst) <= 1e-12 * ref_worst
+    assert ref_resolved >= 1 and ref_worst > 0.0
 
 
 def test_euclidean_critical_K_and_P_vanish(eu_crit_run):

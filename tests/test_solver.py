@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import plaplace as pl
+from plaplace import solver
 
 
 def test_problem_validation():
@@ -94,6 +96,58 @@ def test_evaluate_at_zero_and_knots(hy_run):
 def test_flux_residual_small(hy_run, eu_crit_run):
     assert pl.flux_residual(hy_run.sol) < 1e-7
     assert pl.flux_residual(eu_crit_run.sol) < 1e-7
+
+
+def _flux_integrand(sol):
+    """Scalar psi^{n-1} u^q along the solution, for adaptive quadrature."""
+    n, q = sol.problem.n, sol.problem.q
+    return lambda s: math.exp(
+        (n - 1) * float(sol.model.log_psi(s))
+        + q * math.log(max(float(sol.eval_u(s)), 1e-300))
+    )
+
+
+def _flux_residual_quad_loop(sol, num=200):
+    """The per-segment adaptive-quadrature flux residual, kept as reference."""
+    idx = np.unique(np.linspace(1, len(sol.r) - 1, num).astype(int))
+    worst = 0.0
+    for i, j in zip(idx[:-1], idx[1:]):
+        val, _ = quad(_flux_integrand(sol), sol.r[i], sol.r[j], limit=100)
+        defect = abs(sol.w[j] - sol.w[i] + val)
+        worst = max(worst, defect / max(abs(sol.w[j]), 1e-300))
+    return worst
+
+
+def test_flux_residual_matches_quad_loop(hy_run, ep_run):
+    for run in (hy_run, ep_run):
+        assert abs(pl.flux_residual(run.sol)
+                   - _flux_residual_quad_loop(run.sol)) <= 1e-8
+
+
+def test_flux_rule_matches_tight_quadrature(hy_run, ep_run):
+    """Gauss-Legendre per knot interval against quad(epsrel=2e-14) on each."""
+    for run in (hy_run, ep_run):
+        sol = run.sol
+        integrand = _flux_integrand(sol)
+        idx = np.unique(np.linspace(1, len(sol.r) - 1, 200).astype(int))
+        for k in (0, len(idx) // 2, len(idx) - 2):
+            i, j = idx[k], idx[k + 1]
+            ref = sum(quad(integrand, sol.r[m], sol.r[m + 1], epsabs=0.0,
+                           epsrel=2e-14, limit=100)[0] for m in range(i, j))
+            assert abs(solver._flux_integral(sol, i, j) - ref) \
+                <= 1e-12 * abs(sol.w[j])
+
+
+def test_u_accurate_array_matches_scalars(hy_run):
+    sol = hy_run.sol
+    inside = np.geomspace(sol.r[1], sol.r_last, 500)
+    mixed = np.concatenate([[0.0, 0.5 * sol.r[1]], inside])
+    for x in (inside, mixed):
+        scalars = np.array([sol._u_accurate(v) for v in x])
+        assert np.array_equal(sol._u_accurate(x), scalars)
+    assert np.array_equal(sol._u_accurate(inside), sol._dense(inside)[0])
+    assert np.array_equal(sol._u_accurate(mixed[:2]), sol.eval_u(mixed[:2]))
+    assert isinstance(sol._u_accurate(inside[3]), float)
 
 
 def test_underflow_termination():
