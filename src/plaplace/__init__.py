@@ -43,7 +43,6 @@ from .solver import (
     StartupFailure,
     StepSizeCollapse,
     default_startup_radius,
-    evaluate,
     flux_residual,
     integrate,
     series_startup,

@@ -11,10 +11,10 @@ import json
 import math
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from . import extrapolate
 from .models import _EXP_CAP
+from .solver import gauss_legendre
 
 
 class GridMismatch(Exception):
@@ -91,9 +91,9 @@ class DiagnosticsReport:
 def _pohozaev_identity_defect(sol, profile, num=80):
     """Max relative defect of P' = K |u'|^p on interior audit radii.
 
-    P and its multiplier grow with psi^{n-1}, so differences on the raw
-    solution grid lose digits; instead P is rebuilt from the interpolated
-    trajectory at r(1 +- 1e-3) where the truncation error of a central
+    P and its multiplier grow with psi^{n-1}, so differences on the
+    solution rows lose digits; instead P is rebuilt from the stepper's
+    dense output at r(1 +- 1e-3) where the truncation error of a central
     difference is ~1e-6 of the derivative. All radii are evaluated at once.
 
     Returns (max_rel_defect, resolved_radii, audited_radii): only radii
@@ -104,9 +104,7 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     c1 = (p - 1.0) / p + 1.0 / (q + 1.0)
 
     def pieces(x):
-        u = sol._u_accurate(x)
-        du = sol.eval_du(x)
-        w = sol.eval_w(x)
+        u, du, w = sol._state(x)
         F = ((p - 1.0) / p) * np.abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
         return profile.I(x) * F, w * u / (q + 1.0)
 
@@ -117,8 +115,9 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     # step sized against the local logarithmic derivative of P, which
     # is dominated by psi^{n-1} growth; keeps FD truncation ~1e-5
     f = np.asarray(profile.model.slope_ratio(x), dtype=float)
-    du_abs = np.abs(sol.eval_du(x))
-    rate = (n - 1) * f + q * du_abs / sol.eval_u(x) + 2.0 / x
+    u, du, _ = sol._state(x)
+    du_abs = np.abs(du)
+    rate = (n - 1) * f + q * du_abs / u + 2.0 / x
     h = np.minimum(1e-3 * x, 1e-2 / rate)
     ap, bp = pieces(x + h)
     am, bm = pieces(x - h)
@@ -185,8 +184,14 @@ def functional_traces(sol, profile):
     Q = np.zeros_like(r)
     Q[1:] = profile.J(r[1:]) ** ((p - 1.0) / (q + 1.0 - p)) * u[1:]
 
-    integrand = n * unit_ball_volume(n) * np.abs(du) ** p * psi_pow
-    E = np.concatenate([[0.0], cumulative_trapezoid(integrand, r)])
+    # E' = n omega_n |u'|^p psi^{n-1} = n omega_n w u', from the dense output
+    # by Gauss-Legendre on each row interval
+    def energy_density(x):
+        _, du_x, w_x = sol._state(x)
+        return n * unit_ball_volume(n) * w_x * du_x
+
+    E = np.concatenate([[0.0], np.cumsum(gauss_legendre(energy_density,
+                                                        r[:-1], r[1:]))])
 
     report = DiagnosticsReport(sol, profile, r, F, P, K, Q, E)
 

@@ -94,6 +94,10 @@ class ModelFunction:
     def params(self):
         return {}
 
+    def joins(self):
+        """Radii where psi changes formula; smooth everywhere by default."""
+        return ()
+
     def descriptor(self):
         """JSON-serializable {kind, params} descriptor."""
         return {"kind": self.kind, "params": self.params()}
@@ -350,8 +354,8 @@ class Glued(ModelFunction):
             "meta": self.meta,
         }
 
-    def first_join(self):
-        return self.segments[0].start if self.segments else math.inf
+    def joins(self):
+        return tuple(self._joins)
 
     def _segment_for(self, r):
         """The last segment starting at or before scalar r, or None (base)."""

@@ -15,9 +15,14 @@ def run_cli(tmp_path, *args):
     return cli.main(["--out", str(tmp_path)] + list(args))
 
 
+def load_json(*parts):
+    with open(os.path.join(*parts)) as fh:
+        return json.load(fh)
+
+
 def latest_dir(tmp_path):
-    name = open(os.path.join(tmp_path, "latest")).read().strip()
-    return os.path.join(tmp_path, name)
+    with open(os.path.join(tmp_path, "latest")) as fh:
+        return os.path.join(tmp_path, fh.read().strip())
 
 
 def test_solve_smoke(tmp_path):
@@ -26,7 +31,7 @@ def test_solve_smoke(tmp_path):
     assert code == 0
     d = latest_dir(tmp_path)
     assert os.path.exists(os.path.join(d, "solution.csv"))
-    manifest = json.load(open(os.path.join(d, "manifest.json")))
+    manifest = load_json(d, "manifest.json")
     assert manifest["status"] == "ok"
     assert set(manifest["outputs"]) == {"solution.csv", "solution.json"}
 
@@ -64,22 +69,19 @@ def test_subcritical_q_exits_2(tmp_path):
 def test_classify_verdicts(tmp_path):
     assert run_cli(tmp_path, "classify", "--model", "euclidean",
                    "--n", "3", "--p", "2") == 0
-    verdict = json.load(open(os.path.join(latest_dir(tmp_path),
-                                          "verdict.json")))
+    verdict = load_json(latest_dir(tmp_path), "verdict.json")
     assert verdict["verdict"] == "pSC"
     assert verdict["regime"]["name"] == "power-like"
     assert verdict["regime"]["hp_fail"] is True
 
     assert run_cli(tmp_path, "classify", "--model", "exppower:c=1,m=3",
                    "--n", "3", "--p", "2") == 0
-    verdict = json.load(open(os.path.join(latest_dir(tmp_path),
-                                          "verdict.json")))
+    verdict = load_json(latest_dir(tmp_path), "verdict.json")
     assert verdict["verdict"] == "pSI"
 
     assert run_cli(tmp_path, "classify", "--model", "hyperbolic",
                    "--n", "3", "--p", "2") == 0
-    verdict = json.load(open(os.path.join(latest_dir(tmp_path),
-                                          "verdict.json")))
+    verdict = load_json(latest_dir(tmp_path), "verdict.json")
     assert verdict["verdict"] == "pSC"
     assert verdict["regime"]["name"] == "hp-add-1"
     assert abs(verdict["regime"]["ell"] - 1.0) < 1e-2
@@ -91,7 +93,7 @@ def test_diagnose_checks(tmp_path):
                    "--checks", "pohozaev,ratio-sc,envelope")
     assert code == 0
     d = latest_dir(tmp_path)
-    report = json.load(open(os.path.join(d, "report.json")))
+    report = load_json(d, "report.json")
     assert all(v["passed"] for v in report["verdicts"])
     assert report["ratio-sc"]["rel_deviation"] < 0.05
     assert report["envelope"]["violations"] == 0
@@ -103,8 +105,7 @@ def test_diagnose_regime_mismatch_exits_4(tmp_path):
                    "--n", "3", "--p", "2", "--q", "5", "--alpha", "1",
                    "--checks", "ratio-sc")
     assert code == 4
-    manifest = json.load(open(os.path.join(latest_dir(tmp_path),
-                                           "manifest.json")))
+    manifest = load_json(latest_dir(tmp_path), "manifest.json")
     assert manifest["status"] == "error"
     assert "RegimeMismatch" in manifest["error"]
 
@@ -120,7 +121,7 @@ def test_quotient_rows_above_reference(tmp_path):
     code = run_cli(tmp_path, "quotient", "--model", "hyperbolic", "--n", "3",
                    "--p", "2", "--b", "1,0.1,0.01")
     assert code == 0
-    sweep = json.load(open(os.path.join(latest_dir(tmp_path), "sweep.json")))
+    sweep = load_json(latest_dir(tmp_path), "sweep.json")
     ref = sweep["reference"]["quotient"]
     assert len(sweep["rows"]) == 3
     assert all(row["quotient"] > ref for row in sweep["rows"])
@@ -133,8 +134,7 @@ def test_oscillate_bad_stage_count_exits_2(tmp_path):
     code = run_cli(tmp_path, "oscillate", "--n", "3", "--p", "2", "--q", "5",
                    "--alpha", "1", "--stages", "3")
     assert code == 2
-    manifest = json.load(open(os.path.join(latest_dir(tmp_path),
-                                           "manifest.json")))
+    manifest = load_json(latest_dir(tmp_path), "manifest.json")
     assert manifest["status"] == "error"
 
 
@@ -144,15 +144,14 @@ def test_sweep_cartesian_product(tmp_path):
                    "--rmax", "20")
     assert code == 0
     d = latest_dir(tmp_path)
-    listing = json.load(open(os.path.join(d, "runs.json")))
+    listing = load_json(d, "runs.json")
     assert len(listing["runs"]) == 4
     assert listing["points"] == [
         {"alpha": 0.5, "q": 5.0}, {"alpha": 0.5, "q": 7.0},
         {"alpha": 1.0, "q": 5.0}, {"alpha": 1.0, "q": 7.0},
     ]
     for name in listing["runs"]:
-        manifest = json.load(open(os.path.join(tmp_path, name,
-                                               "manifest.json")))
+        manifest = load_json(tmp_path, name, "manifest.json")
         assert manifest["status"] == "ok"
 
 
@@ -161,9 +160,9 @@ def test_solve_rerun_is_byte_identical(tmp_path):
             "--q", "5", "--alpha", "1", "--rmax", "10")
     assert run_cli(tmp_path, *args) == 0
     d = latest_dir(tmp_path)
-    m1 = json.load(open(os.path.join(d, "manifest.json")))
+    m1 = load_json(d, "manifest.json")
     assert run_cli(tmp_path, *args) == 0
-    m2 = json.load(open(os.path.join(d, "manifest.json")))
+    m2 = load_json(d, "manifest.json")
     assert m1["outputs"] == m2["outputs"]
 
 

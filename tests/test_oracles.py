@@ -75,4 +75,4 @@ def test_aubin_talenti_ladder(n, p, alpha):
     rep = pl.functional_traces(run.sol, run.prof)
     keep = rep.r >= RADII[0]
     E_exact = aubin_talenti_energy(rep.r[keep], n, p, alpha)
-    assert np.max(np.abs(rep.E[keep] - E_exact) / E_exact) < 1e-5
+    assert np.max(np.abs(rep.E[keep] - E_exact) / E_exact) < 1e-8

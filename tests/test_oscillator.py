@@ -1,5 +1,6 @@
 """Staged construction of a geometry with persistently oscillating Q."""
 
+import numpy as np
 import pytest
 
 import plaplace as pl
@@ -21,6 +22,18 @@ def test_construct_validation():
         pl.construct(3, 2.0, 5.0, 1.0, 2)   # too few
     with pytest.raises(pl.ConvexityViolation):
         pl.construct(3, 2.0, 5.0, 1.0, 4, rate_scale=0.0)
+
+
+def test_rows_below_first_join_match_flat_profile(oscillation):
+    """Up to the first join the glued model is flat, so the re-solve must
+    reproduce u = (1 + r^2/3)^(-1/2); the stepper restarts at every join
+    rather than step across it."""
+    sol = oscillation.sol
+    r_join = oscillation.cert.stages[0]["r"]
+    assert r_join in sol._dense.ts
+    keep = (sol.r > 0.0) & (sol.r <= r_join)
+    exact = (1.0 + sol.r[keep] ** 2 / 3.0) ** -0.5
+    assert np.max(np.abs(sol.u[keep] - exact) / exact) < 1e-11
 
 
 def test_certificate_structure(oscillation):

@@ -53,22 +53,26 @@ def test_rundir_success(tmp_path):
         out = run.file("data.csv")
         pl.write_csv(out, ["v"], [[1.0, 2.0]])
         run.record(out)
-    manifest = json.load(open(run.file("manifest.json")))
+    with open(run.file("manifest.json")) as fh:
+        manifest = json.load(fh)
     assert manifest["status"] == "ok"
     assert manifest["error"] is None
     assert manifest["schema"] == runio.SCHEMA_VERSION
     assert manifest["deterministic"] is True
     # recorded hash matches an independent recomputation
-    digest = hashlib.sha256(open(out, "rb").read()).hexdigest()
+    with open(out, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     assert manifest["outputs"]["data.csv"] == digest
-    assert open(os.path.join(tmp_path, "latest")).read().strip() == run.name
+    with open(os.path.join(tmp_path, "latest")) as fh:
+        assert fh.read().strip() == run.name
 
 
 def test_rundir_failure_still_writes_manifest(tmp_path):
     with pytest.raises(ValueError):
         with runio.RunDir("demo", {"x": 2}, root=tmp_path) as run:
             raise ValueError("boom")
-    manifest = json.load(open(run.file("manifest.json")))
+    with open(run.file("manifest.json")) as fh:
+        manifest = json.load(fh)
     assert manifest["status"] == "error"
     assert "boom" in manifest["error"]
 

@@ -107,7 +107,8 @@ def test_export_sweep_csv(tmp_path):
     eu = pl.make_model("euclidean")
     sweep = pl.concentration_sweep(eu, 3, 2.0, [1.0, 0.1])
     path = sobolev.export_sweep_csv(sweep, tmp_path / "sweep.csv")
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "model,n,p,b,quotient,err"
     assert len(lines) == 3
     for line, row in zip(lines[1:], sweep["rows"]):

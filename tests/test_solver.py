@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 
 import plaplace as pl
 from plaplace import solver
@@ -84,8 +84,8 @@ def test_solution_monotone_and_signs(hy_run):
 
 def test_evaluate_at_zero_and_knots(hy_run):
     sol = hy_run.sol
-    u, du, w = pl.evaluate(sol, 0.0)
-    assert (u, du, w) == (sol.problem.alpha, 0.0, 0.0)
+    assert sol.eval_u(0.0) == sol.problem.alpha
+    assert sol.eval_du(0.0) == 0.0 and sol.eval_w(0.0) == 0.0
     i = len(sol.r) // 2
     assert sol.eval_u(sol.r[i]) == pytest.approx(sol.u[i], rel=1e-13)
     assert sol.eval_w(sol.r[i]) == pytest.approx(sol.w[i], rel=1e-12)
@@ -134,20 +134,34 @@ def test_flux_rule_matches_tight_quadrature(hy_run, ep_run):
             i, j = idx[k], idx[k + 1]
             ref = sum(quad(integrand, sol.r[m], sol.r[m + 1], epsabs=0.0,
                            epsrel=2e-14, limit=100)[0] for m in range(i, j))
-            assert abs(solver._flux_integral(sol, i, j) - ref) \
+            assert abs(solver._flux_integrals(sol, idx)[k] - ref) \
                 <= 1e-12 * abs(sol.w[j])
 
 
-def test_u_accurate_array_matches_scalars(hy_run):
+def test_eval_array_matches_scalars(hy_run):
+    """An array is evaluated point by point as its scalars would be, on both
+    sides of the startup radius r_1; a 0-d input gives a float."""
     sol = hy_run.sol
     inside = np.geomspace(sol.r[1], sol.r_last, 500)
     mixed = np.concatenate([[0.0, 0.5 * sol.r[1]], inside])
-    for x in (inside, mixed):
-        scalars = np.array([sol._u_accurate(v) for v in x])
-        assert np.array_equal(sol._u_accurate(x), scalars)
-    assert np.array_equal(sol._u_accurate(inside), sol._dense(inside)[0])
-    assert np.array_equal(sol._u_accurate(mixed[:2]), sol.eval_u(mixed[:2]))
-    assert isinstance(sol._u_accurate(inside[3]), float)
+    for ev in (sol.eval_u, sol.eval_du, sol.eval_w):
+        for x in (inside, mixed):
+            scalars = np.array([ev(v) for v in x])
+            assert np.allclose(ev(x), scalars, rtol=1e-15, atol=0.0)
+        assert isinstance(ev(inside[3]), float)
+    assert np.array_equal(sol.eval_u(sol.r), sol.u)
+
+
+def test_dense_table_matches_ode_solution():
+    """The array form of the DOP853 dense output gives OdeSolution's floats."""
+    ode = solve_ivp(lambda t, y: [y[1], -y[0] - 0.1 * y[1] ** 3], (0.0, 20.0),
+                    [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12,
+                    dense_output=True).sol
+    table = solver._DenseTable([ode])
+    t = np.concatenate([ode.ts, np.linspace(0.0, 20.0, 1001)])
+    assert np.array_equal(np.stack(table(t)), ode(t))
+    grid = np.linspace(0.0, 20.0, 1000).reshape(-1, 8)
+    assert np.array_equal(np.stack(table(grid)).reshape(2, -1), ode(grid.ravel()))
 
 
 def test_underflow_termination():
@@ -202,11 +216,20 @@ def test_refinement_consistency(hy_run):
         assert abs(coarse.eval_u(r) - fine.eval_u(r)) < 1e-6 * fine.eval_u(r)
 
 
-def test_refined_grid_matches_linspace_loop(hy_run):
-    """The broadcast refinement gives the floats of the per-step linspace loop."""
-    knots = hy_run.sol._dense.ts
-    reference = [knots[0]]
-    for aa, bb in zip(knots[:-1], knots[1:]):
-        reference.extend(np.linspace(aa, bb, 9)[1:])
-    assert hy_run.sol.r[0] == 0.0
-    assert np.array_equal(hy_run.sol.r[1:], np.asarray(reference))
+def test_rows_meet_interpolation_contract(hy_run, ep_run, oscillation):
+    """Linear interpolation of u mid-row is within ROW_TOL |u| of eval_u.
+
+    Checked on the hyperbolic and exppower runs and on the tail of the
+    oscillating construction past its first join, where the glued model
+    switches between power-like and exponential pieces.
+    """
+    r_join = oscillation.cert.stages[0]["r"]
+    for sol, r_min in ((hy_run.sol, 0.0), (ep_run.sol, 0.0),
+                       (oscillation.sol, r_join)):
+        r, u = sol.r[1:], sol.u[1:]
+        keep = r[:-1] >= r_min
+        mid = 0.5 * (r[:-1] + r[1:])[keep]
+        exact = sol.eval_u(mid)
+        linear = 0.5 * (u[:-1] + u[1:])[keep]
+        assert mid.size > 100
+        assert np.max(np.abs(linear - exact) / exact) <= solver.ROW_TOL
