@@ -147,7 +147,7 @@ def test_eval_array_matches_scalars(hy_run):
     for ev in (sol.eval_u, sol.eval_du, sol.eval_w):
         for x in (inside, mixed):
             scalars = np.array([ev(v) for v in x])
-            assert np.allclose(ev(x), scalars, rtol=1e-15, atol=0.0)
+            assert np.array_equal(ev(x), scalars)
         assert isinstance(ev(inside[3]), float)
     assert np.array_equal(sol.eval_u(sol.r), sol.u)
 
