@@ -193,15 +193,15 @@ class _DenseTable:
 
 
 def _row_radii(dense, u_min, tol=ROW_TOL):
-    """Output radii: every accepted step split into the fewest equal parts
-    for which linear interpolation of u stays within tol |u|.
+    """Output radii: every accepted step split into k equal parts, k close
+    to the least for which linear interpolation of u stays within tol |u|.
 
     On a step of length H the chord of u departs from u by
     x (1-x) H^2 |u''| / 2 at the fraction x of the step; read at
     x = 1/4, 1/2, 3/4 this gives M ~ H^2 |u''|. Cut into k equal parts, the
     chord error is largest mid-part, at M / (8 k^2). k starts from that
-    estimate and is raised on every step where the error read mid-part
-    still exceeds tol u.
+    estimate; on every step where the error read mid-part still exceeds
+    tol u, k is raised by the square root of the excess plus 10%.
     """
     t = dense.ts
     a, H = t[:-1], np.diff(t)
