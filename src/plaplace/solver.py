@@ -8,9 +8,16 @@ by propagating the pair (u, w) with w = psi^{n-1}|u'|^{p-2}u'. The flux w
 stays C^1 even where u' loses regularity across p, so it is the safe state
 variable; internally log(-w) is carried to survive exponentially growing
 psi. Startup at r = 0 uses the series w ~ -alpha^q I(r) (the degenerate
-point is regular for w) plus one Picard correction for u. The stepper is
-DOP853, and every value a RadialSolution returns inside the integrated
-range is read from its 7th-order dense output.
+point is regular for w) plus one Picard correction for u.
+
+Each smooth piece of the model starts on DOP853. Where v = log(-w) relaxes
+fast (on exponential stretches of psi, dv'/dv = -v' is the dominant
+eigenvalue of the Jacobian), the explicit stepper sits at its stability
+limit; once h v' > 6.1 on 15 consecutive accepted steps (the constants of
+Hairer's DOP853 stiffness test) the rest of that piece is handed to
+Radau IIA with the analytic Jacobian. Every value a RadialSolution returns
+inside the integrated range is read from the steppers' dense output: the
+7th-order DOP853 interpolant, or the cubic of a Radau step.
 """
 
 import json
@@ -27,6 +34,10 @@ from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
 ROW_TOL = 1e-7
 # integration stops where u falls to this fraction of alpha
 _U_FLOOR = 1e-12
+# DOP853 stiffness test (Hairer & Wanner, Solving ODEs II, IV.2): the run
+# hands over to Radau after _STIFF_STEPS consecutive steps with h v' > _STIFF_HV
+_STIFF_HV = 6.1
+_STIFF_STEPS = 15
 
 
 class StartupFailure(Exception):
@@ -156,16 +167,35 @@ def series_startup(prob, model, r0):
     raise StartupFailure(f"Picard correction never contracted (r0 floor {floor:g})")
 
 
+def _nested_coefficients(d):
+    """Coefficients F of one step's dense output in Dop853DenseOutput's form.
+
+    That form evaluates y_old + x (F0 + (1-x) (F1 + x (F2 + ...))) at the
+    fraction x of the step. A Radau step's cubic y_old + Q (x, x^2, x^3)
+    is the same polynomial with F0 = Q0+Q1+Q2, F1 = -Q1-Q2, F2 = -Q2 and
+    the remaining rows zero.
+    """
+    if hasattr(d, "F"):
+        return d.F
+    Q = d.Q.T
+    F = np.zeros((7, Q.shape[1]))
+    F[0] = Q[0] + Q[1] + Q[2]
+    F[1] = -Q[1] - Q[2]
+    F[2] = -Q[2]
+    return F
+
+
 class _DenseTable:
-    """The stepper's DOP853 dense output as arrays over all accepted steps.
+    """The steppers' dense output as arrays over all accepted steps.
 
     Built from the OdeSolutions of consecutive stepper runs, each starting
     where the previous one ended. Holds, per step, the data of scipy's
     Dop853DenseOutput (start t_old, length h, start state y_old,
-    coefficients F) and repeats its nested evaluation with array indexing.
-    A call over N radii is then a few array operations instead of one
-    Python call per step, and gives the floats of OdeSolution (same segment
-    choice, same operation order).
+    coefficients F; Radau steps rewritten into the same form) and repeats
+    its nested evaluation with array indexing. A call over N radii is then
+    a few array operations instead of one Python call per step; on DOP853
+    steps it gives the floats of OdeSolution (same segment choice, same
+    operation order), on Radau steps the same cubic to within rounding.
     """
 
     def __init__(self, pieces):
@@ -174,7 +204,7 @@ class _DenseTable:
         self.t_old = np.array([d.t_old for d in steps])
         self.h = np.array([d.h for d in steps])
         self.y_old = np.array([d.y_old for d in steps])
-        self.F = np.array([d.F for d in steps])
+        self.F = np.array([_nested_coefficients(d) for d in steps])
 
     def __call__(self, t):
         """(u, v) at radii t of any shape; each result has the shape of t."""
@@ -229,10 +259,10 @@ def _row_radii(dense, u_min, tol=ROW_TOL):
 
 
 class RadialSolution:
-    """Trajectory of one radial problem, read from the stepper's dense output.
+    """Trajectory of one radial problem, read from the steppers' dense output.
 
     Inside [r_1, r_last], r_1 being the startup radius, u and v = log(-w)
-    are the stepper's DOP853 dense output and u', w follow from v; on
+    are the steppers' dense output and u', w follow from v; on
     [0, r_1] monotone cubics through the first rows continue them to the
     pole. The rows r, u, du, w (prepended with r = 0) are values of the same
     evaluation at radii spaced so that linear interpolation of u between
@@ -349,7 +379,8 @@ def _scalar_or_array(x):
 
 
 class _RadialDOP853(DOP853):
-    """DOP853 whose steps stay below a tenth of the radius.
+    """DOP853 whose steps stay below a tenth of the radius, and which stops
+    where the problem turns stiff.
 
     Near the pole v = log(-w) ~ n log r, and its equation has the rate
     |dv'/dv| = v' ~ n/r. The error control accepts steps of about r/4
@@ -360,11 +391,26 @@ class _RadialDOP853(DOP853):
     make, drives the stages' v far off and overflows the error norm.
     Bounding h by r/10 keeps the dense output at the accuracy of the
     steps; away from the pole the bound rarely binds.
+
+    After each step, h v' is read from the derivative the step already
+    evaluated at its end. Once it exceeds _STIFF_HV on _STIFF_STEPS
+    consecutive steps, the run ends at that radius.
     """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.stiff_steps = 0
 
     def _step_impl(self):
         self.max_step = 0.1 * self.t
-        return super()._step_impl()
+        result = super()._step_impl()
+        if self.h_previous * self.f[1] > _STIFF_HV:
+            self.stiff_steps += 1
+            if self.stiff_steps == _STIFF_STEPS:
+                self.t_bound = self.t
+        else:
+            self.stiff_steps = 0
+        return result
 
 
 def integrate(prob, model, config):
@@ -373,7 +419,8 @@ def integrate(prob, model, config):
     State variables are (u, log(-w)); u' is recovered through
     -exp((log(-w) - (n-1) log psi)/(p-1)) so exponentially large psi never
     overflows. Terminates at the horizon or when u hits the underflow floor
-    1e-12 alpha (u = 0 is never attained in exact arithmetic).
+    1e-12 alpha (u = 0 is never attained in exact arithmetic). A piece on
+    which DOP853 stops for stiffness is finished by Radau.
     """
     if config.r_max > model.valid_to:
         raise GeometryOverflow(
@@ -397,6 +444,10 @@ def integrate(prob, model, config):
         dv = math.exp(min(lpsi + q * math.log(uu) - v, _EXP_CAP))
         return [du, dv]
 
+    def jac(r, y):
+        du, dv = rhs(r, y)
+        return [[0.0, mu * du], [q * dv / max(y[0], u_floor), -dv]]
+
     def underflow(r, y):
         return y[0] - u_floor
 
@@ -408,23 +459,33 @@ def integrate(prob, model, config):
     # but its dense output is not (1.6e-10 against 7e-13 in u next to the
     # first join of the oscillating construction)
     ends = [j for j in model.joins() if r0 < j < config.r_max] + [config.r_max]
-    pieces, start, y0 = [], r0, [u0, v0]
-    for end in ends:
+    pieces = []
+
+    def run(method, start, end, y0, **options):
         sol = solve_ivp(
             rhs,
             (start, end),
             y0,
-            method=_RadialDOP853,
+            method=method,
             rtol=config.rel_tol,
             atol=config.abs_tol,
             events=underflow,
             dense_output=True,
+            **options,
         )
         if not sol.success:
             raise StepSizeCollapse(
                 f"stepper failed at r={sol.t[-1]:g}: {sol.message}"
             )
         pieces.append(sol.sol)
+        return sol
+
+    start, y0 = r0, [u0, v0]
+    for end in ends:
+        sol = run(_RadialDOP853, start, end, y0)
+        # DOP853 ends a run short of `end` only on its stiffness test
+        if sol.status == 0 and sol.t[-1] < end:
+            sol = run("Radau", sol.t[-1], end, sol.y[:, -1], jac=jac)
         if sol.status == 1:
             break
         start, y0 = end, sol.y[:, -1]
@@ -453,21 +514,35 @@ def gauss_legendre(f, a, b):
     return half * (f(x) @ _GL_WEIGHTS)
 
 
-def _flux_integrals(sol, idx):
-    """int psi^{n-1} u^q between consecutive rows of idx, one per pair.
+def _flux_integrals(sol, idx, v_b):
+    """int psi^{n-1} u^q e^{-v_b} between consecutive rows of idx, one per
+    pair, v_b[k] being the shift of the k-th pair.
 
-    A 5-node Gauss-Legendre rule on every row interval in between, all in
-    one array call, with u read from the stepper's dense output.
+    The integrand is formed in log space, so it stays finite however large
+    psi^{n-1} grows. Each row interval in between is cut into
+    ceil((n-1) Delta log psi) equal panels (at least one), so the
+    exponential factor changes by at most e per panel, and each panel gets
+    the 5-node Gauss-Legendre rule; all panels go in one array call, with u
+    read from the steppers' dense output.
     """
     prob = sol.problem
+    lo, hi = idx[0], idx[-1]
+    edges = sol.r[lo:hi + 1]
+    lpsi = (prob.n - 1) * np.asarray(sol.model.log_psi(edges), dtype=float)
+    panels = np.maximum(np.ceil(np.diff(lpsi)), 1).astype(int)
+    row = np.repeat(np.arange(len(panels)), panels)
+    first = np.cumsum(panels) - panels  # first panel of each row interval
+    part = np.arange(panels.sum()) - first[row]
+    width = np.diff(edges)[row] / panels[row]
+    a = edges[row] + width * part
+    shift = np.repeat(v_b, np.diff(idx))[row]
 
     def density(x):
         return np.exp((prob.n - 1) * np.asarray(sol.model.log_psi(x), dtype=float)
-                      + prob.q * np.log(sol._uv(x)[0]))
+                      + prob.q * np.log(sol._uv(x)[0]) - shift[:, None])
 
-    lo, hi = idx[0], idx[-1]
-    per_row = gauss_legendre(density, sol.r[lo:hi], sol.r[lo + 1:hi + 1])
-    return np.add.reduceat(per_row, np.asarray(idx[:-1]) - lo)
+    per_panel = gauss_legendre(density, a, a + width)
+    return np.add.reduceat(per_panel, first[np.asarray(idx[:-1]) - lo])
 
 
 def flux_residual(sol, num=200):
@@ -475,13 +550,16 @@ def flux_residual(sol, num=200):
 
     This is the integrated form of the equation; it is the natural a
     posteriori check because it only involves quantities the solver carries.
-    The defect is read between `num` sampled rows; the integral between two
-    of them is a 5-node Gauss-Legendre rule on every row interval in
-    between. It agrees with adaptive quadrature at epsrel=2e-14 on each
-    row interval to about 1e-14 |w| (tests require 1e-12 |w|), so the
-    residual measures the solver rather than the quadrature.
+    The defect is read between `num` sampled rows, relative to |w(b)| and
+    in log space from v = log(-w):
+    -1 + e^{v_a - v_b} + int_a^b e^{(n-1) log psi + q log u - v_b}, so it
+    stays finite where w itself overflows. The integral is a 5-node
+    Gauss-Legendre rule on panels of every row interval in between. It
+    agrees with adaptive quadrature at epsrel=2e-14 on each row interval to
+    about 1e-14 |w| (tests require 1e-12 |w|), so the residual measures the
+    solver rather than the quadrature.
     """
     idx = np.unique(np.linspace(1, len(sol.r) - 1, num).astype(int))
-    w_a, w_b = sol.w[idx[:-1]], sol.w[idx[1:]]
-    defect = np.abs(w_b - w_a + _flux_integrals(sol, idx))
-    return float(np.max(defect / np.maximum(np.abs(w_b), 1e-300)))
+    v = sol._uv(sol.r[idx])[1]
+    defect = -1.0 + np.exp(v[:-1] - v[1:]) + _flux_integrals(sol, idx, v[1:])
+    return float(np.max(np.abs(defect)))

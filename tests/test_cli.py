@@ -166,6 +166,22 @@ def test_solve_rerun_is_byte_identical(tmp_path):
     assert m1["outputs"] == m2["outputs"]
 
 
+def test_oscillate_rerun_is_byte_identical(tmp_path):
+    args = ("oscillate", "--n", "3", "--p", "2", "--q", "5", "--alpha", "1",
+            "--stages", "4")
+    assert run_cli(tmp_path, *args) == 0
+    d = latest_dir(tmp_path)
+    m1 = load_json(d, "manifest.json")
+    assert set(m1["outputs"]) == {"certificate.json", "solution.csv",
+                                  "verification.json"}
+    data = pl.read_csv(os.path.join(d, "solution.csv"))
+    assert list(data) == ["r", "u", "du", "w"]
+    assert np.all(np.diff(data["u"]) <= 0.0)
+    assert run_cli(tmp_path, *args) == 0
+    m2 = load_json(d, "manifest.json")
+    assert m1["outputs"] == m2["outputs"]
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PLAPLACE_RUNS", str(tmp_path / "viaenv"))
     code = cli.main(["classify", "--model", "euclidean", "--n", "3",

@@ -36,6 +36,14 @@ def test_rows_below_first_join_match_flat_profile(oscillation):
     assert np.max(np.abs(sol.u[keep] - exact) / exact) < 1e-11
 
 
+def test_resolve_matches_stage_integration(oscillation):
+    """The re-solve agrees with the stage loop's own LSODA integration of
+    the augmented state at every trigger radius."""
+    for entry in oscillation.cert.stages:
+        u = oscillation.sol.eval_u(entry["r"])
+        assert abs(u - entry["u"]) <= 1e-8 * entry["u"]
+
+
 def test_certificate_structure(oscillation):
     cert = oscillation.cert
     assert len(cert.stages) == 4

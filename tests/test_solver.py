@@ -134,8 +134,17 @@ def test_flux_rule_matches_tight_quadrature(hy_run, ep_run):
             i, j = idx[k], idx[k + 1]
             ref = sum(quad(integrand, sol.r[m], sol.r[m + 1], epsabs=0.0,
                            epsrel=2e-14, limit=100)[0] for m in range(i, j))
-            assert abs(solver._flux_integrals(sol, idx)[k] - ref) \
-                <= 1e-12 * abs(sol.w[j])
+            # the rule returns the integrals relative to e^{v_b} = |w_b|
+            v_b = np.log(-sol.w[idx[1:]])
+            assert abs(solver._flux_integrals(sol, idx, v_b)[k]
+                       - ref / abs(sol.w[j])) <= 1e-12
+
+
+def test_flux_residual_on_exponential_tail(oscillation):
+    """Past the last join of the oscillating construction psi^{n-1} grows
+    like e^{12 r} and w overflows a double; the residual, formed in log
+    space, still reads the solver's accuracy."""
+    assert pl.flux_residual(oscillation.sol) < 5e-9
 
 
 def test_eval_array_matches_scalars(hy_run):
@@ -153,7 +162,9 @@ def test_eval_array_matches_scalars(hy_run):
 
 
 def test_dense_table_matches_ode_solution():
-    """The array form of the DOP853 dense output gives OdeSolution's floats."""
+    """The array form of the DOP853 dense output gives OdeSolution's floats;
+    a Radau step's cubic, rewritten into DOP853's nested form, is exact at
+    the knots and within 2 ulp between them."""
     ode = solve_ivp(lambda t, y: [y[1], -y[0] - 0.1 * y[1] ** 3], (0.0, 20.0),
                     [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True).sol
@@ -162,6 +173,36 @@ def test_dense_table_matches_ode_solution():
     assert np.array_equal(np.stack(table(t)), ode(t))
     grid = np.linspace(0.0, 20.0, 1000).reshape(-1, 8)
     assert np.array_equal(np.stack(table(grid)).reshape(2, -1), ode(grid.ravel()))
+
+    # a stiff pair: y1 relaxes onto y0^2 at rate 1e4
+    stiff = solve_ivp(lambda t, y: [-y[0], -1e4 * (y[1] - y[0] ** 2)],
+                      (0.0, 5.0), [1.0, 0.0], method="Radau", rtol=1e-10,
+                      atol=1e-12, dense_output=True).sol
+    table = solver._DenseTable([stiff])
+    assert np.array_equal(np.stack(table(stiff.ts)), stiff(stiff.ts))
+    mid = np.linspace(0.0, 5.0, 1001)
+    ref = stiff(mid)
+    assert np.all(np.abs(np.stack(table(mid)) - ref)
+                  <= 2 * np.spacing(np.abs(ref)))
+
+
+def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
+    """The switch to Radau is local: the oscillation hands over inside its
+    last piece (curvature 36, v relaxing at rate 12), and runs on catalog
+    models never do. A Radau step is the cubic, so its nested
+    coefficients past the third are zero."""
+    def radau_steps(sol):
+        return np.all(sol._dense.F[:, 3:] == 0.0, axis=(1, 2))
+
+    for run in (hy_run, ep_run, eu_crit_run):
+        assert not np.any(radau_steps(run.sol))
+    sol = oscillation.sol
+    radau = radau_steps(sol)
+    last_join = oscillation.model.joins()[-1]
+    assert np.any(radau)
+    assert np.all(sol._dense.t_old[radau] > last_join)
+    # once handed over, the piece is finished on Radau
+    assert np.all(radau[np.argmax(radau):])
 
 
 def test_underflow_termination():
