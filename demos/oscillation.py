@@ -5,7 +5,7 @@ each segment extended until the running value of Q crosses a threshold
 band; the result is a certificate that Q dips below T_low on even stages
 and climbs above T_high on odd ones, so the limit of Q does not exist.
 
-Takes about half a minute.
+Takes under two seconds.
 """
 
 import plaplace as pl
