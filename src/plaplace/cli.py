@@ -16,7 +16,6 @@ apply).
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import diagnostics, models, oscillator, runio, sobolev, solver
 
@@ -108,7 +107,7 @@ def cmd_classify(args):
     return EXIT_OK
 
 
-_CHECK_NAMES = ("energy", "pohozaev", "envelope", "ratio-sc", "ratio-si",
+_CHECK_NAMES = ("pohozaev", "envelope", "ratio-sc", "ratio-si",
                 "energy-divergence", "lemma-limits")
 
 
@@ -130,6 +129,9 @@ def cmd_diagnose(args):
         report = diagnostics.functional_traces(sol, prof)
         run.record(report.export_csv(run.file("traces.csv")))
         results = {"verdicts": report.verdicts}
+        if "pohozaev" in checks:
+            results["pohozaev"] = next(v for v in report.verdicts
+                                       if v["name"] == "pohozaev-identity")
         if "envelope" in checks:
             results["envelope"] = diagnostics.decay_envelope_check(sol, prof)
         if "ratio-sc" in checks:
@@ -138,7 +140,7 @@ def cmd_diagnose(args):
             si = diagnostics.asymptotic_ratio_si(sol, prof)
             report.lambda_hat = si["lambda_hat"]
             results["ratio-si"] = si
-        if "energy" in checks or "energy-divergence" in checks:
+        if "energy-divergence" in checks:
             results["energy-divergence"] = diagnostics.energy_divergence_probe(
                 sol, prof, report=report)
         if "lemma-limits" in checks:
@@ -207,11 +209,7 @@ def cmd_sweep(args):
         return run.name
 
     with runio.RunDir("sweep", params, root=args.out) as run:
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                names = list(pool.map(one, grid))
-        else:
-            names = [one(point) for point in grid]
+        names = [one(point) for point in grid]
         run.record(_write_json(run.file("runs.json"), {
             "points": [{"alpha": a, "q": q} for a, q in grid],
             "runs": names,
@@ -286,7 +284,6 @@ def build_parser():
     sp.add_argument("--rmax", type=float, default=None)
     sp.add_argument("--rtol", type=float, default=1e-11)
     sp.add_argument("--atol", type=float, default=1e-14)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
 
     return parser

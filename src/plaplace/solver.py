@@ -18,13 +18,25 @@ Hairer's DOP853 stiffness test) the rest of that piece is handed to
 Radau IIA with the analytic Jacobian. Every value a RadialSolution returns
 inside the integrated range is read from the steppers' dense output: the
 7th-order DOP853 interpolant, or the cubic of a Radau step.
+
+The DOP853 steps are scipy's method taken on Python floats instead of
+numpy 2-vectors (_RadialDOP853), with the equations written once as a
+scalar kernel (lpsi, u, v) -> (u', v'), lpsi = (n-1) log psi. The
+right-hand side depends on r only through log psi, and all fifteen radii
+a step reads it at (11 inner stages, the step end, 3 dense-output stages)
+are fixed by the step's start and length, so one model.log_psi array call
+per attempted step serves them all. nfev still counts 12 per attempted
+step and 3 per dense output, as scipy's DOP853 does.
 """
 
 import json
 import math
+from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import PchipInterpolator
 
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
@@ -378,9 +390,54 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+# scipy's DOP853 tableau as Python floats: the rows of A below the
+# diagonal for the 11 inner stages and the 3 dense-output stages (row 12
+# is B), the weights B, the error weights E3/E5 and the dense-output rows D
+_A = [row[:s] for s, row in enumerate(_dop.A.tolist())]
+_STAGE_ROWS, _DENSE_ROWS = _A[1:_dop.N_STAGES], _A[_dop.N_STAGES + 1:]
+_INNER = len(_STAGE_ROWS)
+_B = _dop.B.tolist()
+_E3 = _dop.E3.tolist()
+_E5 = _dop.E5.tolist()
+_D = _dop.D.tolist()
+# fractions of the step at which the right-hand side is read: the inner
+# stages, the step end (C[12] = 1) and the dense-output stages
+_FRACTIONS = _dop.C[1:]
+# scipy's step-size control (scipy.integrate._ivp.rk)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERROR_EXPONENT = -1.0 / 8.0
+
+
+def _add_stages(kernel, rows, lpsi, u, v, h, ku, kv):
+    """Append to the stage derivatives ku, kv those of the tableau rows,
+    each read at its lpsi from the start state (u, v) of a step h."""
+    for a, lp in zip(rows, lpsi):
+        du, dv = kernel(lp, u + sum(map(mul, a, ku)) * h,
+                        v + sum(map(mul, a, kv)) * h)
+        ku.append(du)
+        kv.append(dv)
+
+
 class _RadialDOP853(DOP853):
-    """DOP853 whose steps stay below a tenth of the radius, and which stops
-    where the problem turns stiff.
+    """DOP853 on Python floats, with steps below a tenth of the radius, that
+    stops where the problem turns stiff.
+
+    The step is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.5-II.6): its tableau, its blended err5/err3 error norm, its
+    step-size control (safety 0.9, factor bounds 0.2 and 10, exponent
+    -1/8, scipy's min_step) and its 7th-order dense output. Only the
+    arithmetic moves from numpy on 2-vectors to Python floats: the stages
+    call kernel(lpsi, u, v) -> (u', v'), with lpsi = (n-1) log psi.
+
+    The right-hand side depends on r only through log psi, and every radius
+    t + c_i h at which a step reads it is known before any stage value. So
+    one log_psi array call per attempted step covers all fifteen: the 11
+    inner stages, the step end and the 3 extra stages of the dense output
+    (spent for nothing when the attempt is rejected). On a glued model
+    these radii stay inside one piece, because integrate restarts the
+    stepper at every join. nfev grows as scipy's would: 12 per attempted
+    step and 3 per dense output, plus the two evaluations of fun made in
+    the constructor. Integration runs forward only.
 
     Near the pole v = log(-w) ~ n log r, and its equation has the rate
     |dv'/dv| = v' ~ n/r. The error control accepts steps of about r/4
@@ -397,56 +454,149 @@ class _RadialDOP853(DOP853):
     consecutive steps, the run ends at that radius.
     """
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._lpsi = lpsi
+        self._kernel = kernel
+        self.rtol, self.atol = float(self.rtol), float(self.atol)
+        self.h_abs = float(self.h_abs)
+        self.f = tuple(self.f.tolist())
         self.stiff_steps = 0
 
     def _step_impl(self):
-        self.max_step = 0.1 * self.t
-        result = super()._step_impl()
-        if self.h_previous * self.f[1] > _STIFF_HV:
+        t = self.t
+        u, v = self.y.tolist()
+        fu, fv = self.f
+        kernel, rtol, atol = self._kernel, self.rtol, self.atol
+        max_step = 0.1 * t
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = min(max(self.h_abs, min_step), max_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = h
+            lpsi = self._lpsi(t + h * _FRACTIONS).tolist()
+            ku, kv = [fu], [fv]
+            _add_stages(kernel, _STAGE_ROWS, lpsi, u, v, h, ku, kv)
+            u_new = u + h * sum(map(mul, _B, ku))
+            v_new = v + h * sum(map(mul, _B, kv))
+            fu_new, fv_new = kernel(lpsi[_INNER], u_new, v_new)
+            ku.append(fu_new)
+            kv.append(fv_new)
+            self.nfev += _INNER + 1
+
+            # scipy's blended norm of the 5th- and 3rd-order error estimates
+            su = atol + max(abs(u), abs(u_new)) * rtol
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            err5 = ((sum(map(mul, _E5, ku)) / su) ** 2
+                    + (sum(map(mul, _E5, kv)) / sv) ** 2)
+            err3 = ((sum(map(mul, _E3, ku)) / su) ** 2
+                    + (sum(map(mul, _E3, kv)) / sv) ** 2)
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
+
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR,
+                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+
+        self.h_previous = h
+        self.y_old = self.y
+        self.t = t_new
+        self.y = np.array([u_new, v_new])
+        self.h_abs = h_abs
+        self.f = (fu_new, fv_new)
+        self._stages = (ku, kv, lpsi[_INNER + 1:])
+
+        if h * fv_new > _STIFF_HV:
             self.stiff_steps += 1
             if self.stiff_steps == _STIFF_STEPS:
-                self.t_bound = self.t
+                self.t_bound = t_new
         else:
             self.stiff_steps = 0
-        return result
+        return True, None
+
+    def _dense_output_impl(self):
+        h = self.h_previous
+        ku, kv, lpsi = self._stages
+        ku, kv = list(ku), list(kv)
+        u_old, v_old = self.y_old.tolist()
+        _add_stages(self._kernel, _DENSE_ROWS, lpsi, u_old, v_old, h, ku, kv)
+        self.nfev += len(lpsi)
+
+        (u_new, v_new), (fu, fv) = self.y.tolist(), self.f
+        du, dv = u_new - u_old, v_new - v_old
+        F = [(du, dv), (h * ku[0] - du, h * kv[0] - dv),
+             (2 * du - h * (fu + ku[0]), 2 * dv - h * (fv + kv[0]))]
+        F += [(h * sum(map(mul, d, ku)), h * sum(map(mul, d, kv))) for d in _D]
+        return Dop853DenseOutput(self.t_old, self.t, self.y_old, np.array(F))
+
+
+def _radial_equations(prob, model):
+    """The radial equations in the state (u, v = log(-w)).
+
+    Returns (lpsi, kernel, rhs, jac). lpsi(r) is (n-1) log psi on an array
+    of radii. kernel(lpsi, u, v) -> (u', v') is the one place the equations
+    are written: u' = -exp((v - lpsi)/(p-1)), so exponentially large psi
+    never overflows, and v' = exp(lpsi + q log u - v), with u floored at
+    1e-12 alpha inside the logarithm. rhs(r, y) and its Jacobian jac(r, y)
+    evaluate the kernel at one radius, for scipy's steppers.
+    """
+    n, q = prob.n, prob.q
+    mu = 1.0 / (prob.p - 1.0)
+    u_floor = _U_FLOOR * prob.alpha
+
+    def lpsi(r):
+        return (n - 1) * model.log_psi(r)
+
+    def kernel(lp, u, v):
+        du = -math.exp(min(mu * (v - lp), _EXP_CAP))
+        dv = math.exp(min(lp + q * math.log(max(u, u_floor)) - v, _EXP_CAP))
+        return du, dv
+
+    def rhs(r, y):
+        return kernel(float(lpsi(r)), y[0], y[1])
+
+    def jac(r, y):
+        du, dv = rhs(r, y)
+        return [[0.0, mu * du], [q * dv / max(y[0], u_floor), -dv]]
+
+    return lpsi, kernel, rhs, jac
 
 
 def integrate(prob, model, config):
     """Integrate the radial problem from the pole to config.r_max.
 
-    State variables are (u, log(-w)); u' is recovered through
-    -exp((log(-w) - (n-1) log psi)/(p-1)) so exponentially large psi never
-    overflows. Terminates at the horizon or when u hits the underflow floor
-    1e-12 alpha (u = 0 is never attained in exact arithmetic). A piece on
-    which DOP853 stops for stiffness is finished by Radau.
+    State variables are (u, log(-w)), with the equations of
+    _radial_equations. Terminates at the horizon or when u hits the
+    underflow floor 1e-12 alpha (u = 0 is never attained in exact
+    arithmetic). Each piece runs on _RadialDOP853; a piece on which it
+    stops for stiffness is finished by Radau.
     """
     if config.r_max > model.valid_to:
         raise GeometryOverflow(
             f"horizon {config.r_max:g} exceeds model trusted range "
             f"{model.valid_to:g}"
         )
-    n, p, q, a = prob.n, prob.p, prob.q, prob.alpha
-    mu = 1.0 / (p - 1.0)
-    u_floor = _U_FLOOR * a
-
+    u_floor = _U_FLOOR * prob.alpha
     r0 = config.startup_radius or default_startup_radius(prob)
     r0 = min(r0, 0.01 * config.r_max)
     u0, w0 = series_startup(prob, model, r0)
     v0 = math.log(-w0)
-
-    def rhs(r, y):
-        u, v = y
-        lpsi = (n - 1) * float(model.log_psi(r))
-        du = -math.exp(min(mu * (v - lpsi), _EXP_CAP))
-        uu = max(u, u_floor)
-        dv = math.exp(min(lpsi + q * math.log(uu) - v, _EXP_CAP))
-        return [du, dv]
-
-    def jac(r, y):
-        du, dv = rhs(r, y)
-        return [[0.0, mu * du], [q * dv / max(y[0], u_floor), -dv]]
+    lpsi, kernel, rhs, jac = _radial_equations(prob, model)
 
     def underflow(r, y):
         return y[0] - u_floor
@@ -482,7 +632,7 @@ def integrate(prob, model, config):
 
     start, y0 = r0, [u0, v0]
     for end in ends:
-        sol = run(_RadialDOP853, start, end, y0)
+        sol = run(_RadialDOP853, start, end, y0, lpsi=lpsi, kernel=kernel)
         # DOP853 ends a run short of `end` only on its stiffness test
         if sol.status == 0 and sol.t[-1] < end:
             sol = run("Radau", sol.t[-1], end, sol.y[:, -1], jac=jac)

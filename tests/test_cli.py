@@ -97,6 +97,10 @@ def test_diagnose_checks(tmp_path):
     assert all(v["passed"] for v in report["verdicts"])
     assert report["ratio-sc"]["rel_deviation"] < 0.05
     assert report["envelope"]["violations"] == 0
+    pohozaev = report["pohozaev"]
+    assert pohozaev["name"] == "pohozaev-identity"
+    assert pohozaev["audited_radii"] > 0
+    assert 0 <= pohozaev["resolved_radii"] <= pohozaev["audited_radii"]
     assert os.path.exists(os.path.join(d, "traces.csv"))
 
 
@@ -111,10 +115,12 @@ def test_diagnose_regime_mismatch_exits_4(tmp_path):
 
 
 def test_diagnose_unknown_check_exits_2(tmp_path):
-    code = run_cli(tmp_path, "diagnose", "--model", "euclidean", "--n", "3",
-                   "--p", "2", "--q", "5", "--alpha", "1",
-                   "--checks", "nosuchcheck")
-    assert code == 2
+    # "energy" is not a second name for "energy-divergence"
+    for name in ("nosuchcheck", "energy"):
+        code = run_cli(tmp_path, "diagnose", "--model", "euclidean", "--n", "3",
+                       "--p", "2", "--q", "5", "--alpha", "1",
+                       "--checks", name)
+        assert code == 2
 
 
 def test_quotient_rows_above_reference(tmp_path):

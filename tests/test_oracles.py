@@ -4,13 +4,16 @@ On the flat model at the critical power q = p* - 1 the radial solution with
 u(0) = alpha is u = alpha (1 + c r^s)^(-m), s = p/(p-1), m = (n-p)/p and
 c = (alpha^q/n)^(1/(p-1)) / (alpha m s). Its gradient energy has the
 Beta-function closed form below, so u, u' and E are all pinned at p != 2
-as well as at p = 2.
+as well as at p = 2. At every critical and supercritical q the flat
+solutions also form a scaling family, checked as a property.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import beta, betainc
 
 import plaplace as pl
@@ -78,3 +81,32 @@ def test_aubin_talenti_ladder(n, p, alpha):
     keep = rep.r >= RADII[0]
     E_exact = aubin_talenti_energy(rep.r[keep], n, p, alpha)
     assert np.max(np.abs(rep.E[keep] - E_exact) / E_exact) < 1e-8
+
+
+# (n, p, q) on the flat model: critical q = p* - 1 first, then supercritical
+SCALING_CASES = ((3, 2.0, 5.0), (4, 2.0, 3.0), (4, 3.0, 11.0),
+                 (5, 1.5, 8.0 / 7.0), (3, 2.0, 7.0), (4, 3.0, 13.0),
+                 (5, 1.5, 2.0))
+
+
+@functools.cache
+def _unit_flat_solution(n, p, q):
+    return pl.integrate(pl.Problem(n, p, q, 1.0), pl.make_model("euclidean"),
+                        pl.SolverConfig(R))
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=st.sampled_from(SCALING_CASES), alpha=st.floats(0.3, 5.0))
+@example(case=(4, 2.0, 3.0), alpha=1.5)
+def test_flat_scaling_symmetry(case, alpha):
+    """u_alpha(r) = alpha u_1(lam r) with lam = alpha^((q+1-p)/p): the flat
+    equation -Delta_p u = u^q is invariant under this rescaling. u_1 is
+    read at RADII, u_alpha at RADII / lam, each integrated to its own
+    horizon R or R / lam."""
+    n, p, q = case
+    lam = alpha ** ((q + 1.0 - p) / p)
+    sol = pl.integrate(pl.Problem(n, p, q, alpha), pl.make_model("euclidean"),
+                       pl.SolverConfig(R / lam))
+    radii = np.array(RADII)
+    expected = alpha * _unit_flat_solution(n, p, q).eval_u(radii)
+    assert np.max(np.abs(sol.eval_u(radii / lam) - expected) / expected) < 1e-8

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import DOP853, quad, solve_ivp
 
 import plaplace as pl
 from plaplace import solver
@@ -54,23 +54,6 @@ def test_euclidean_critical_oracle():
     sol = pl.integrate(prob, pl.make_model("euclidean"), pl.SolverConfig(20.0))
     for r in (0.5, 1.0, 5.0):
         assert abs(sol.eval_u(r) - u_exact(r)) < 1e-6 * u_exact(r)
-
-
-def test_scaling_symmetry():
-    """Critical Euclidean solutions form a scaling family.
-
-    If u has u(0) = alpha then lam^{(n-p)/p} u(lam r) is the solution with
-    central value lam^{(n-p)/p} alpha.
-    """
-    n, p, q = 4, 2.0, 3.0
-    lam = 1.5
-    eu = pl.make_model("euclidean")
-    sol1 = pl.integrate(pl.Problem(n, p, q, 1.0), eu, pl.SolverConfig(15.0))
-    a2 = lam ** ((n - p) / p)
-    sol2 = pl.integrate(pl.Problem(n, p, q, a2), eu, pl.SolverConfig(10.0))
-    for r in (0.5, 1.0, 4.0):
-        assert abs(sol2.eval_u(r) - a2 * sol1.eval_u(lam * r)) \
-            < 1e-8 * a2 * sol1.eval_u(lam * r)
 
 
 def test_solution_monotone_and_signs(hy_run):
@@ -184,6 +167,78 @@ def test_dense_table_matches_ode_solution():
     ref = stiff(mid)
     assert np.all(np.abs(np.stack(table(mid)) - ref)
                   <= 2 * np.spacing(np.abs(ref)))
+
+
+# the largest weight of row k of F in the nested evaluation of the DOP853
+# dense output, max over x in [0, 1] of x^a (1-x)^b
+_ROW_A, _ROW_B = np.arange(7) // 2 + 1, (np.arange(7) + 1) // 2
+_ROW_WEIGHT = (_ROW_A ** _ROW_A * _ROW_B ** _ROW_B
+               / (_ROW_A + _ROW_B) ** (_ROW_A + _ROW_B))
+
+
+class _StockDOP853(DOP853):
+    """scipy's DOP853 with the one change _RadialDOP853 makes to its steps:
+    h <= r/10."""
+
+    def _step_impl(self):
+        self.max_step = 0.1 * self.t
+        return super()._step_impl()
+
+
+def _assert_stepper_matches_stock(prob, model, start, end, y0):
+    """_RadialDOP853 against stock DOP853 on one piece from (start, y0).
+
+    Whole runs take the same accepted steps with equal nfev. Step by step,
+    the stock stepper is started from the float stepper's state and asked
+    for its accepted step: the knot (t, y) agrees within 1e-13 of |y|, and
+    each row k of the dense-output coefficients F within 1e-12 of the
+    step's scale |y| / w_k, w_k being the row's largest weight in the
+    interpolant, so no row moves the dense output by more than 1e-12 |y|.
+    The comparison is made from a common state because rounding differs
+    (numpy's dot against sums of Python floats) and moves the error
+    estimate, a cancellation, by up to ~1e-5 relative; that shifts every
+    later knot by ~1e-7 and leaves the step count unchanged.
+    """
+    lpsi, kernel, rhs, _ = solver._radial_equations(prob, model)
+    tol = dict(rtol=1e-11, atol=1e-14)
+    ours = solve_ivp(rhs, (start, end), y0, method=solver._RadialDOP853,
+                     dense_output=True, lpsi=lpsi, kernel=kernel, **tol)
+    stock = solve_ivp(rhs, (start, end), y0, method=_StockDOP853,
+                      dense_output=True, **tol)
+    assert ours.t[-1] == end and len(ours.t) > 50
+    assert len(ours.t) == len(stock.t)
+    assert ours.nfev == stock.nfev
+
+    ours = solver._RadialDOP853(rhs, start, y0, end, lpsi=lpsi, kernel=kernel,
+                                **tol)
+    stock = _StockDOP853(rhs, start, y0, end, **tol)
+    while ours.status == "running":
+        t, y, f = ours.t, ours.y, np.array(ours.f)
+        ours.step()
+        stock.t, stock.y, stock.f, stock.h_abs = t, y, f, ours.step_size
+        stock.step()
+        F, F_stock = ours.dense_output().F, stock.dense_output().F
+        scale = np.maximum(np.abs(y), np.abs(stock.y))
+        assert ours.t == pytest.approx(stock.t, rel=1e-13, abs=0.0)
+        assert np.all(np.abs(ours.y - stock.y) <= 1e-13 * scale)
+        assert np.all(np.abs(F - F_stock) * _ROW_WEIGHT[:, None]
+                      <= 1e-12 * scale)
+
+
+def test_stepper_matches_stock_dop853(hy_run, ep_run, oscillation):
+    """The float stepper takes scipy's DOP853 steps: on the hyperbolic and
+    exppower runs and on the oscillation's glued model between its first
+    two joins. It reads scipy's private tableau, so this also guards
+    against a scipy release that renames or changes it."""
+    for run in (hy_run, ep_run):
+        dense = run.sol._dense
+        _assert_stepper_matches_stock(run.prob, run.model, dense.t_old[0],
+                                      run.sol.r_last, dense.y_old[0])
+    dense = oscillation.sol._dense
+    first, second = oscillation.model.joins()[:2]
+    k = np.flatnonzero(dense.t_old == first)[0]
+    _assert_stepper_matches_stock(oscillation.sol.problem, oscillation.model,
+                                  first, second, dense.y_old[k])
 
 
 def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
