@@ -81,7 +81,7 @@ from .oscillator import (
     thresholds,
     verify_certificate,
 )
-from .extrapolate import aitken, log_slope, richardson
+from .extrapolate import log_slope, richardson
 from .runio import RunDir, RunManifest, read_csv, write_csv
 
 __version__ = "0.1.0"

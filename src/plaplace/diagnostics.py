@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import extrapolate
+from . import extrapolate, runio
 from .models import _EXP_CAP
 from .solver import gauss_legendre
 
@@ -70,11 +70,8 @@ class DiagnosticsReport:
         return all(v["passed"] for v in self.verdicts)
 
     def export_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,F,P,K,Q,E\n")
-            for row in zip(self.r, self.F, self.P, self.K, self.Q, self.E):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        return path
+        return runio.write_csv(path, ["r", "F", "P", "K", "Q", "E"],
+                               [self.r, self.F, self.P, self.K, self.Q, self.E])
 
     def export_json(self, path):
         data = {

@@ -3,8 +3,8 @@
 All asymptotic statements in this package are limits at infinity; at a
 finite horizon the best one can do is sample at R, 2R, 4R, ... and
 accelerate. Richardson extrapolation assumes an algebraic error model
-f(R) = L + c R^{-s}; Aitken's delta-squared needs no model but is noisier.
-Every estimate comes with an error bar, never as an exact value.
+f(R) = L + c R^{-s}. Every estimate comes with an error bar, never as an
+exact value.
 """
 
 import math
@@ -37,18 +37,6 @@ def richardson(values):
     # geometric tail sum: remaining error = d1 * ratio / (1 - ratio)
     limit = f2 + d1 * ratio / (1.0 - ratio)
     return float(limit), abs(float(limit - f2)) + abs(d1) * ratio
-
-def aitken(values):
-    """Aitken delta-squared acceleration of the last three samples."""
-    v = np.asarray(values, dtype=float)
-    if v.size < 3:
-        return float(v[-1]), math.inf
-    f0, f1, f2 = v[-3], v[-2], v[-1]
-    denom = f2 - 2.0 * f1 + f0
-    if abs(denom) < 1e-300:
-        return float(f2), abs(float(f2 - f1))
-    acc = f2 - (f2 - f1) ** 2 / denom
-    return float(acc), abs(float(acc - f2))
 
 
 def log_slope(radii, values):

@@ -9,8 +9,10 @@ zero or plateau at a positive constant.
 
 All quantities that can overflow for fast-growing psi (psi^(n-1) reaches
 1e308 very quickly for exponential-power models) are handled in log space:
-each model exposes log_psi and the slope ratio psi'/psi in closed form, and
-the geometry integrals are propagated as ODEs for log Theta and log J.
+a model is its triple log_psi, slope ratio psi'/psi and curvature ratio
+psi''/psi, in closed form, from which psi, psi' and psi'' derive; the
+geometry integrals are propagated as ODEs for log Theta and log J, written
+once in geometry_equations.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from . import runio
 
 
 class InvalidParameter(ValueError):
@@ -55,24 +59,17 @@ def _smoothstep(x):
 
 
 class ModelFunction:
-    """Base class: evaluable psi with derivatives and log-space accessors.
+    """Base class: a model is its log-space triple.
 
-    Subclasses implement psi, dpsi, ddpsi, log_psi and slope_ratio as numpy
-    ufunc-compatible functions of r >= 0. Instances are immutable and safe
-    to share across threads.
+    Subclasses implement log_psi, slope_ratio = psi'/psi and
+    curvature_ratio = psi''/psi as numpy ufunc-compatible functions of
+    r >= 0, each in a form that never overflows. psi, psi' and psi'' derive
+    from them, with psi = exp(log psi) capped at e^700. Instances are
+    immutable and safe to share across threads.
     """
 
     kind = "abstract"
     valid_to = math.inf
-
-    def psi(self, r):
-        raise NotImplementedError
-
-    def dpsi(self, r):
-        raise NotImplementedError
-
-    def ddpsi(self, r):
-        raise NotImplementedError
 
     def log_psi(self, r):
         """log psi(r), finite wherever psi(r) > 0 even if psi overflows."""
@@ -83,13 +80,22 @@ class ModelFunction:
         raise NotImplementedError
 
     def curvature_ratio(self, r):
-        """psi''(r)/psi(r); subclasses override when the naive ratio overflows."""
-        r = np.asarray(r, dtype=float)
-        return self.ddpsi(r) / self.psi(r)
+        """psi''(r)/psi(r) in closed form (no overflow)."""
+        raise NotImplementedError
+
+    def psi(self, r):
+        return np.exp(np.minimum(self.log_psi(r), _EXP_CAP))
+
+    def dpsi(self, r):
+        return self.slope_ratio(r) * self.psi(r)
+
+    def ddpsi(self, r):
+        return self.curvature_ratio(r) * self.psi(r)
 
     def eval(self, r):
         """Return (psi, psi', psi'') at r."""
-        return self.psi(r), self.dpsi(r), self.ddpsi(r)
+        psi = self.psi(r)
+        return psi, self.slope_ratio(r) * psi, self.curvature_ratio(r) * psi
 
     def params(self):
         return {}
@@ -115,15 +121,6 @@ class Euclidean(ModelFunction):
 
     kind = "euclidean"
 
-    def psi(self, r):
-        return np.asarray(r, dtype=float)
-
-    def dpsi(self, r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
-    def ddpsi(self, r):
-        return np.zeros_like(np.asarray(r, dtype=float))
-
     def log_psi(self, r):
         return np.log(np.asarray(r, dtype=float))
 
@@ -139,20 +136,12 @@ class Hyperbolic(ModelFunction):
 
     kind = "hyperbolic"
 
-    def psi(self, r):
-        return np.sinh(np.asarray(r, dtype=float))
-
-    def dpsi(self, r):
-        return np.cosh(np.asarray(r, dtype=float))
-
-    def ddpsi(self, r):
-        return np.sinh(np.asarray(r, dtype=float))
-
     def log_psi(self, r):
         r = np.asarray(r, dtype=float)
-        # log sinh r = r + log(1 - e^{-2r}) - log 2, stable for all r > 0
+        # log sinh r = r + log(1 - e^{-2r}) - log 2; expm1 keeps the digits
+        # of 1 - e^{-2r} near the pole, where log1p(-exp(-2r)) loses them
         with np.errstate(divide="ignore"):
-            return r + np.log1p(-np.exp(-2.0 * r)) - math.log(2.0)
+            return r + np.log(-np.expm1(-2.0 * r)) - math.log(2.0)
 
     def slope_ratio(self, r):
         return 1.0 / np.tanh(np.asarray(r, dtype=float))
@@ -176,21 +165,6 @@ class ExpPower(ModelFunction):
 
     def params(self):
         return {"c": self.c, "m": self.m}
-
-    def psi(self, r):
-        r = np.asarray(r, dtype=float)
-        return r * np.exp(np.minimum(self.c * r**self.m, _EXP_CAP))
-
-    def dpsi(self, r):
-        r = np.asarray(r, dtype=float)
-        e = np.exp(np.minimum(self.c * r**self.m, _EXP_CAP))
-        return e * (1.0 + self.c * self.m * r**self.m)
-
-    def ddpsi(self, r):
-        r = np.asarray(r, dtype=float)
-        c, m = self.c, self.m
-        e = np.exp(np.minimum(c * r**m, _EXP_CAP))
-        return e * c * m * r ** (m - 1) * (1.0 + m + c * m * r**m)
 
     def log_psi(self, r):
         r = np.asarray(r, dtype=float)
@@ -218,27 +192,6 @@ class PowerLike(ModelFunction):
 
     def params(self):
         return {"k": self.k}
-
-    def psi(self, r):
-        r = np.asarray(r, dtype=float)
-        b = (self.k - 1.0) / 2.0
-        return r * (1.0 + r * r) ** b
-
-    def dpsi(self, r):
-        r = np.asarray(r, dtype=float)
-        b = (self.k - 1.0) / 2.0
-        return (1.0 + r * r) ** (b - 1.0) * (1.0 + self.k * r * r)
-
-    def ddpsi(self, r):
-        r = np.asarray(r, dtype=float)
-        k = self.k
-        b = (k - 1.0) / 2.0
-        return (
-            2.0
-            * r
-            * (1.0 + r * r) ** (b - 2.0)
-            * ((b - 1.0 + k) + k * b * r * r)
-        )
 
     def log_psi(self, r):
         r = np.asarray(r, dtype=float)
@@ -288,21 +241,6 @@ class ExpGamma(ModelFunction):
         return (
             2.0 * self.c * nu * (1.0 + r * r) ** (nu - 2.0)
             * (1.0 + (2.0 * nu - 1.0) * r * r)
-        )
-
-    def psi(self, r):
-        r = np.asarray(r, dtype=float)
-        return r * np.exp(np.minimum(self._phi(r), _EXP_CAP))
-
-    def dpsi(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.exp(np.minimum(self._phi(r), _EXP_CAP)) * (1.0 + r * self._dphi(r))
-
-    def ddpsi(self, r):
-        r = np.asarray(r, dtype=float)
-        dp, ddp = self._dphi(r), self._ddphi(r)
-        return np.exp(np.minimum(self._phi(r), _EXP_CAP)) * (
-            2.0 * dp + r * dp * dp + r * ddp
         )
 
     def log_psi(self, r):
@@ -397,15 +335,6 @@ class Glued(ModelFunction):
 
     def slope_ratio(self, r):
         return self._state(r)[1]
-
-    def psi(self, r):
-        return np.exp(np.minimum(self.log_psi(r), _EXP_CAP))
-
-    def dpsi(self, r):
-        return self.slope_ratio(r) * self.psi(r)
-
-    def ddpsi(self, r):
-        return self.curvature_ratio(r) * self.psi(r)
 
     def curvature_ratio(self, r):
         def one(x):
@@ -720,15 +649,9 @@ class GeometryProfile:
     def export_csv(self, path, num=400):
         """Write r, psi, dpsi, ddpsi, I, theta, J rows up to the user horizon."""
         r = np.geomspace(max(self.r_lo * 10, self.R * 1e-6), self.R, num)
-        psi, dpsi, ddpsi = self.model.eval(r)
-        I = self.I(r)
-        th = self.theta(r)
-        J = self.J(r)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,psi,dpsi,ddpsi,I,theta,J\n")
-            for row in zip(r, psi, dpsi, ddpsi, I, th, J):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        return path
+        return runio.write_csv(
+            path, ["r", "psi", "dpsi", "ddpsi", "I", "theta", "J"],
+            [r, *self.model.eval(r), self.I(r), self.theta(r), self.J(r)])
 
 
 def safe_horizon(model, n, margin=60.0):
@@ -749,6 +672,33 @@ def safe_horizon(model, n, margin=60.0):
     return lo
 
 
+def geometry_equations(n, p):
+    """The geometry quadratures as ODEs in r, in log variables:
+
+      (log Theta)' = 1/Theta - (n-1) psi'/psi
+      (log J)'     = Theta^(1/(p-1)) / J
+
+    Returns kernel(log Theta, log J, psi'/psi) -> ((log Theta)', (log J)'),
+    on Python floats, with every exponent capped so nothing overflows.
+    """
+    mu = 1.0 / (p - 1.0)
+
+    def kernel(th, lJ, f):
+        dth = math.exp(min(-th, _EXP_CAP)) - (n - 1) * f
+        dlJ = math.exp(min(mu * th - lJ, _EXP_CAP))
+        return dth, dlJ
+
+    return kernel
+
+
+def geometry_start(r, n, p):
+    """(log Theta, log J) at small r from the series where psi ~ r:
+    Theta ~ r/n and J ~ r^(1+mu) / (n^mu (1+mu)), mu = 1/(p-1)."""
+    mu = 1.0 / (p - 1.0)
+    return (math.log(r / n),
+            (1.0 + mu) * math.log(r) - mu * math.log(n) - math.log(1.0 + mu))
+
+
 def geometry_profile(model, n, p, R, tol=1e-9, extend_to=1e8):
     """Tabulate Theta, J (and the liminf proxy) for a model up to horizon R.
 
@@ -759,8 +709,10 @@ def geometry_profile(model, n, p, R, tol=1e-9, extend_to=1e8):
       W'     = Theta^(1/(p-1)) - Theta^{-1} W      (W = U/I)
 
     integrated in log variables so that exponentially growing models never
-    overflow. The range extends well past R (up to ``extend_to``) so the
-    convergence of int^inf Theta^(1/(p-1)) is decided by direct quadrature.
+    overflow; the Theta and J equations are geometry_equations' kernel times
+    dr/dt = r, started from geometry_start. The range extends well past R
+    (up to ``extend_to``) so the convergence of int^inf Theta^(1/(p-1)) is
+    decided by direct quadrature.
     """
     if n < 2 or int(n) != n:
         raise InvalidParameter(f"dimension n must be an integer >= 2, got {n}")
@@ -776,9 +728,8 @@ def geometry_profile(model, n, p, R, tol=1e-9, extend_to=1e8):
         r_hi = R
     mu = 1.0 / (p - 1.0)
 
-    # Series initial data at r_lo where psi ~ r: Theta ~ r/n, J ~ c r^(1+mu).
-    th0 = math.log(r_lo / n)
-    logJ0 = (1.0 + mu) * math.log(r_lo) - mu * math.log(n) - math.log(1.0 + mu)
+    th0, logJ0 = geometry_start(r_lo, n, p)
+    # W ~ r^(1+mu) / (n^mu (n+1+mu)) where psi ~ r
     logW0 = (1.0 + mu) * math.log(r_lo) - mu * math.log(n) - math.log(n + 1.0 + mu)
 
     # Stop the ODE once the relaxation rate r (n-1) psi'/psi gets large:
@@ -791,15 +742,14 @@ def geometry_profile(model, n, p, R, tol=1e-9, extend_to=1e8):
     stiff = np.nonzero(rates >= rate_cap)[0]
     r_switch = float(grid[stiff[0]]) if stiff.size else r_hi
 
+    geometry = geometry_equations(n, p)
+
     def rhs(t, y):
         r = math.exp(t)
         th, logJ, logW = y
-        f = float(model.slope_ratio(r))
-        dth = r * (math.exp(min(-th, _EXP_CAP)) - (n - 1) * f)
-        g_log = th * mu  # log Theta^(1/(p-1))
-        dlogJ = r * math.exp(min(g_log - logJ, _EXP_CAP))
-        dlogW = r * (math.exp(min(g_log - logW, _EXP_CAP)) - math.exp(min(-th, _EXP_CAP)))
-        return [dth, dlogJ, dlogW]
+        dth, dlogJ = geometry(th, logJ, float(model.slope_ratio(r)))
+        dlogW = r * (math.exp(min(th * mu - logW, _EXP_CAP)) - math.exp(min(-th, _EXP_CAP)))
+        return [r * dth, r * dlogJ, dlogW]
 
     sol = solve_ivp(
         rhs,

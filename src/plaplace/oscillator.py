@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp
 
 from . import models, solver
 from .diagnostics import q_limit_constant
-from .models import ConvexityViolation, InvalidParameter, _EXP_CAP, _smoothstep
+from .models import ConvexityViolation, InvalidParameter, _smoothstep
 
 
 class TriggerTimeout(Exception):
@@ -149,18 +149,16 @@ def _stage_budget(plan, n, p, q, J_now, r_here, stage_cap_factor):
     return max(stage_cap_factor * (r_here + 1.0), 4.0 * dr_est + 10.0)
 
 
-def _augmented_rhs(model, n, p, q, u_floor):
-    mu = 1.0 / (p - 1.0)
+def _augmented_rhs(prob, model):
+    """(log Theta, log J, u, log(-w))' on the glued model: the geometry
+    kernel followed by the radial kernel, both read from one model lookup."""
+    geometry = models.geometry_equations(prob.n, prob.p)
+    radial = solver._radial_equations(prob, model)[1]
 
     def rhs(r, y):
         th, lJ, u, v = y
         L, s = model._state(r)
-        dth = math.exp(min(-th, _EXP_CAP)) - (n - 1) * s
-        dlJ = math.exp(min(mu * th - lJ, _EXP_CAP))
-        du = -math.exp(min(mu * (v - (n - 1) * L), _EXP_CAP))
-        uu = max(u, u_floor)
-        dv = math.exp(min((n - 1) * L + q * math.log(uu) - v, _EXP_CAP))
-        return [dth, dlJ, du, dv]
+        return [*geometry(th, lJ, s), *radial((prob.n - 1) * L, u, v)]
 
     return rhs
 
@@ -184,16 +182,12 @@ def construct(n, p, q, alpha, stages, blend_width=0.5, rate_scale=2.0,
         )
     t_low, t_high = thresholds(n, p, q)
     ex = (p - 1.0) / (q + 1.0 - p)
-    mu = 1.0 / (p - 1.0)
-    u_floor = 1e-12 * alpha
 
     model = models.as_glued(models.Euclidean())
-    # series start for the augmented state (theta, log J, u, log(-w))
+    # series start for the augmented state (log Theta, log J, u, log(-w))
     r_start = 1e-6
     u0, w0 = solver.series_startup(prob, model, r_start)
-    y = [math.log(r_start / n),
-         (1.0 + mu) * math.log(r_start) - mu * math.log(n) - math.log(1.0 + mu),
-         u0, math.log(-w0)]
+    y = [*models.geometry_start(r_start, n, p), u0, math.log(-w0)]
     r_here = r_start
 
     stage_log = []
@@ -204,7 +198,7 @@ def construct(n, p, q, alpha, stages, blend_width=0.5, rate_scale=2.0,
         r_stop = r_here + cap
         if isinstance(model, models.Glued) and r_stop > model.valid_to:
             raise InvalidParameter("stage horizon exceeds glued model range")
-        sol = solve_ivp(_augmented_rhs(model, n, p, q, u_floor),
+        sol = solve_ivp(_augmented_rhs(prob, model),
                         (r_here, r_stop), y, method="LSODA",
                         rtol=1e-10, atol=1e-12, dense_output=True)
         if not sol.success:

@@ -124,13 +124,24 @@ class RunDir:
 
 
 def write_csv(path, header, columns):
-    """Write named float columns with repr() formatting (exact round-trip)."""
-    columns = [np.asarray(c, dtype=float) for c in columns]
+    """Write named columns as CSV, one value of each per row.
+
+    Numbers are written with repr(), the shortest decimal that reads back
+    exactly (a float column as floats, an int column as ints); a text column
+    is written quoted, since its values may contain commas.
+    """
+    fields = [_format_column(c) for c in columns]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
     return path
+
+
+def _format_column(column):
+    column = np.asarray(column)
+    if column.dtype.kind == "U":
+        return ['"%s"' % x for x in column.tolist()]
+    return map(repr, column.tolist())
 
 
 def read_csv(path):

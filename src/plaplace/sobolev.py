@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
+from . import runio
 from .diagnostics import unit_ball_volume
 from .models import InvalidParameter, descriptor_string, safe_horizon
 
@@ -193,13 +194,9 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
 
 def export_sweep_csv(sweep, path):
     """Write sweep rows as CSV: model,n,p,b,quotient,err."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("model,n,p,b,quotient,err\n")
-        for row in sweep["rows"]:
-            fh.write(",".join([
-                # quoted: descriptor strings may contain commas
-                '"%s"' % row["model"], repr(int(row["n"])), repr(float(row["p"])),
-                repr(float(row["b"])), repr(float(row["quotient"])),
-                repr(float(row["err"])),
-            ]) + "\n")
-    return path
+    rows = sweep["rows"]
+    floats = ("p", "b", "quotient", "err")
+    return runio.write_csv(
+        path, ["model", "n", *floats],
+        [[row["model"] for row in rows], [int(row["n"]) for row in rows],
+         *([float(row[k]) for row in rows] for k in floats)])

@@ -39,6 +39,7 @@ from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import PchipInterpolator
 
+from . import runio
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
 
 # solution.csv contract: linear interpolation of u between neighbouring
@@ -367,11 +368,8 @@ class RadialSolution:
         Linear interpolation of u between neighbouring rows is within
         ROW_TOL |u| of the solution's own u.
         """
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("r,u,du,w\n")
-            for row in zip(self.r, self.u, self.du, self.w):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-        return path
+        return runio.write_csv(path, ["r", "u", "du", "w"],
+                               [self.r, self.u, self.du, self.w])
 
     def export_json_sidecar(self, path):
         data = {

@@ -161,15 +161,35 @@ def test_sweep_cartesian_product(tmp_path):
         assert manifest["status"] == "ok"
 
 
+def assert_rerun_is_byte_identical(tmp_path, *args):
+    """Two runs of one command into one root record the same output hashes
+    in every manifest they write (a sweep writes one per solve)."""
+    recorded = []
+    for _ in range(2):
+        assert run_cli(tmp_path, *args) == 0
+        recorded.append({name: load_json(tmp_path, name, "manifest.json")["outputs"]
+                         for name in os.listdir(tmp_path) if name != "latest"})
+    assert all(recorded[0].values())
+    assert recorded[0] == recorded[1]
+
+
 def test_solve_rerun_is_byte_identical(tmp_path):
-    args = ("solve", "--model", "euclidean", "--n", "3", "--p", "2",
-            "--q", "5", "--alpha", "1", "--rmax", "10")
-    assert run_cli(tmp_path, *args) == 0
-    d = latest_dir(tmp_path)
-    m1 = load_json(d, "manifest.json")
-    assert run_cli(tmp_path, *args) == 0
-    m2 = load_json(d, "manifest.json")
-    assert m1["outputs"] == m2["outputs"]
+    assert_rerun_is_byte_identical(
+        tmp_path, "solve", "--model", "euclidean", "--n", "3", "--p", "2",
+        "--q", "5", "--alpha", "1", "--rmax", "10")
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--model", "hyperbolic", "--n", "4", "--p", "3"),
+    ("diagnose", "--model", "hyperbolic", "--n", "3", "--p", "2", "--q", "5",
+     "--alpha", "1", "--rmax", "10"),
+    ("quotient", "--model", "expgamma:c=1,gamma=0.5", "--n", "3", "--p", "2",
+     "--b", "1,0.5", "--num", "400"),
+    ("sweep", "--model", "hyperbolic", "--n", "3", "--p", "2",
+     "--alpha", "0.5,1", "--q", "5", "--rmax", "10"),
+], ids=lambda args: args[0])
+def test_rerun_is_byte_identical(tmp_path, args):
+    assert_rerun_is_byte_identical(tmp_path, *args)
 
 
 def test_oscillate_rerun_is_byte_identical(tmp_path):

@@ -36,13 +36,6 @@ def test_richardson_fallbacks():
     assert limit == 2.0 and err == 1.0
 
 
-@given(L=st.floats(-5.0, 5.0), c=st.floats(0.5, 2.0), rho=st.floats(0.1, 0.8))
-def test_aitken_geometric(L, c, rho):
-    vals = [L + c * rho ** k for k in range(3)]
-    limit, err = pl.aitken(vals)
-    assert abs(limit - L) < 1e-7 * (abs(L) + c)
-
-
 def test_log_slope_recovers_line():
     r = np.geomspace(1.0, 100.0, 20)
     v = 2.5 * np.log(r) - 1.0

@@ -51,11 +51,52 @@ def test_catalog_audit_passes():
         pl.audit_model(model)
 
 
+def _expgamma_closed_form(r):
+    # psi = r e^phi, phi = (1+r^2)^(1/4) - 1 (c = 1, gamma = 1/2)
+    e = np.exp((1 + r * r) ** 0.25 - 1)
+    d1 = 0.5 * r * (1 + r * r) ** -0.75
+    d2 = (0.5 - 0.25 * r * r) * (1 + r * r) ** -1.75
+    return r * e, e * (1 + r * d1), e * (2 * d1 + r * d1 * d1 + r * d2)
+
+
+# psi, psi', psi'' of each catalog model, written out by hand
+_CLOSED_FORMS = {
+    "euclidean": lambda r: (r, np.ones_like(r), np.zeros_like(r)),
+    "hyperbolic": lambda r: (np.sinh(r), np.cosh(r), np.sinh(r)),
+    "exppower:c=1,m=3": lambda r: (
+        r * np.exp(r ** 3), (1 + 3 * r ** 3) * np.exp(r ** 3),
+        3 * r ** 2 * (4 + 3 * r ** 3) * np.exp(r ** 3)),
+    "powerlike:k=2": lambda r: (
+        r * np.sqrt(1 + r * r), (1 + 2 * r * r) / np.sqrt(1 + r * r),
+        r * (3 + 2 * r * r) / (1 + r * r) ** 1.5),
+    "expgamma:c=1,gamma=0.5": _expgamma_closed_form,
+}
+
+
 def test_log_psi_consistent_with_psi():
-    for desc in ["hyperbolic", "exppower:c=1,m=2", "powerlike:k=2"]:
+    """The log-space triple of every catalog model, and the psi, psi', psi''
+    derived from it, match the closed forms."""
+    r = np.geomspace(1e-6, 5.0, 200)
+    for desc, closed_form in _CLOSED_FORMS.items():
         m = pl.make_model(desc)
-        r = np.geomspace(1e-3, 5.0, 40)
-        assert np.allclose(np.exp(m.log_psi(r)), m.psi(r), rtol=1e-12)
+        psi, dpsi, ddpsi = closed_form(r)
+        assert np.allclose(m.log_psi(r), np.log(psi), rtol=0.0, atol=1e-13), desc
+        assert np.allclose(m.slope_ratio(r), dpsi / psi, rtol=1e-13, atol=0.0), desc
+        assert np.allclose(m.curvature_ratio(r), ddpsi / psi, rtol=1e-13,
+                           atol=0.0), desc
+        derived = m.eval(r)
+        for got, want in zip(derived, (psi, dpsi, ddpsi)):
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0), desc
+        for got, alone in zip(derived, (m.psi(r), m.dpsi(r), m.ddpsi(r))):
+            assert np.array_equal(got, alone), desc
+
+
+def test_hyperbolic_log_psi_near_the_pole():
+    """log sinh r keeps its digits down to the geometry quadrature's first
+    radius, 1e-8."""
+    r = np.geomspace(1e-8, 300.0, 2000)
+    lp = pl.make_model("hyperbolic").log_psi(r)
+    assert np.max(np.abs(lp - np.log(np.sinh(r)))) <= 1e-14
 
 
 def test_descriptor_roundtrip():
