@@ -21,23 +21,30 @@ inside the integrated range is read from the steppers' dense output: the
 
 The DOP853 steps are scipy's method taken on Python floats instead of
 numpy 2-vectors (_RadialDOP853), with the equations written once as a
-scalar kernel (lpsi, u, v) -> (u', v'), lpsi = (n-1) log psi. The
+kernel (lpsi, u, v) -> (u', v'), lpsi = (n-1) log psi, instantiated on
+Python floats for the steps and on numpy arrays for the dense output. The
 right-hand side depends on r only through log psi, and all fifteen radii
 a step reads it at (11 inner stages, the step end, 3 dense-output stages)
 are fixed by the step's start and length, so one model.log_psi array call
-per attempted step serves them all. nfev still counts 12 per attempted
-step and 3 per dense output, as scipy's DOP853 does.
+per attempted step serves them all. Each accepted step is appended to a
+flat record; after the run the 3 dense-output stages and the interpolant's
+coefficients are formed for all steps at once in numpy. The stepper also
+ends its run where u falls to the underflow floor, and the radius of the
+crossing is then found on the last step's dense output by scipy's event
+rule. nfev still counts 12 per attempted step and 3 per accepted step, as
+scipy's DOP853 with dense output does.
 """
 
 import json
 import math
+from array import array
 from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
 from . import runio
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
@@ -181,15 +188,13 @@ def series_startup(prob, model, r0):
 
 
 def _nested_coefficients(d):
-    """Coefficients F of one step's dense output in Dop853DenseOutput's form.
+    """Coefficients F of one Radau step's cubic in the DOP853 nested form.
 
     That form evaluates y_old + x (F0 + (1-x) (F1 + x (F2 + ...))) at the
-    fraction x of the step. A Radau step's cubic y_old + Q (x, x^2, x^3)
-    is the same polynomial with F0 = Q0+Q1+Q2, F1 = -Q1-Q2, F2 = -Q2 and
-    the remaining rows zero.
+    fraction x of the step. The cubic y_old + Q (x, x^2, x^3) is the same
+    polynomial with F0 = Q0+Q1+Q2, F1 = -Q1-Q2, F2 = -Q2 and the remaining
+    rows zero.
     """
-    if hasattr(d, "F"):
-        return d.F
     Q = d.Q.T
     F = np.zeros((7, Q.shape[1]))
     F[0] = Q[0] + Q[1] + Q[2]
@@ -198,26 +203,37 @@ def _nested_coefficients(d):
     return F
 
 
+def _radau_piece(ode):
+    """(ts, h, y_old, F) of a Radau run from its OdeSolution."""
+    steps = ode.interpolants
+    return (ode.ts, np.array([d.h for d in steps]),
+            np.array([d.y_old for d in steps]),
+            np.array([_nested_coefficients(d) for d in steps]))
+
+
 class _DenseTable:
     """The steppers' dense output as arrays over all accepted steps.
 
-    Built from the OdeSolutions of consecutive stepper runs, each starting
-    where the previous one ended. Holds, per step, the data of scipy's
-    Dop853DenseOutput (start t_old, length h, start state y_old,
-    coefficients F; Radau steps rewritten into the same form) and repeats
-    its nested evaluation with array indexing. A call over N radii is then
-    a few array operations instead of one Python call per step; on DOP853
-    steps it gives the floats of OdeSolution (same segment choice, same
-    operation order), on Radau steps the same cubic to within rounding.
+    Built from pieces (ts, h, y_old, F), one per stepper run, each starting
+    where the previous one ended: the run's knots ts, and per step its
+    length h, start state y_old and the coefficients F of scipy's
+    Dop853DenseOutput (Radau steps rewritten into the same form). A step
+    starts at its knot; its h is kept apart because the last knot of a run
+    stopped on underflow lies inside the last step. The table repeats
+    Dop853DenseOutput's nested evaluation with array indexing, so a call
+    over N radii is a few array operations instead of one Python call per
+    step, with the floats of Dop853DenseOutput on the same coefficients
+    (same operation order), and on Radau steps the same cubic to within
+    rounding.
     """
 
     def __init__(self, pieces):
-        steps = [d for ode in pieces for d in ode.interpolants]
-        self.ts = np.concatenate([pieces[0].ts[:1]] + [ode.ts[1:] for ode in pieces])
-        self.t_old = np.array([d.t_old for d in steps])
-        self.h = np.array([d.h for d in steps])
-        self.y_old = np.array([d.y_old for d in steps])
-        self.F = np.array([_nested_coefficients(d) for d in steps])
+        ts, h, y_old, F = zip(*pieces)
+        self.ts = np.concatenate([ts[0][:1]] + [t[1:] for t in ts])
+        self.t_old = np.concatenate([t[:-1] for t in ts])
+        self.h = np.concatenate(h)
+        self.y_old = np.concatenate(y_old)
+        self.F = np.concatenate(F)
 
     def __call__(self, t):
         """(u, v) at radii t of any shape; each result has the shape of t."""
@@ -306,13 +322,18 @@ class RadialSolution:
         self._iv = PchipInterpolator(np.log(rows[:3]), v[:3], extrapolate=True)
 
     def _derived(self, r, v):
-        """(u', w) from v = log(-w); psi^{n-1} enters through its logarithm."""
+        """(u', w) from v = log(-w); psi^{n-1} enters through its logarithm.
+
+        w = -exp(v) wherever that is a double, and -inf where v exceeds
+        log(DBL_MAX).
+        """
         prob = self.problem
         mu = 1.0 / (prob.p - 1.0)
         lpsi = (prob.n - 1) * np.asarray(self.model.log_psi(
             np.maximum(r, 1e-300)), dtype=float)
         du = -np.exp(np.minimum(mu * (v - lpsi), _EXP_CAP))
-        w = -np.exp(np.minimum(v, _EXP_CAP))
+        with np.errstate(over="ignore"):
+            w = -np.exp(v)
         return du, w
 
     def _uv(self, r):
@@ -404,11 +425,21 @@ _FRACTIONS = _dop.C[1:]
 # scipy's step-size control (scipy.integrate._ivp.rk)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
+# an accepted step in a _RadialDOP853 record: t, h, the start state (u, v),
+# the end state, the 13 derivatives of u (at the step start, the 11 inner
+# stages and the step end), those of v, and lpsi at the 3 dense-output stages
+_NK = _INNER + 2
+_RECORD = 6 + 2 * _NK + len(_DENSE_ROWS)
+# scipy's tolerance for event roots (scipy.integrate._ivp.ivp)
+_EVENT_TOL = 4 * np.finfo(float).eps
 
 
 def _add_stages(kernel, rows, lpsi, u, v, h, ku, kv):
     """Append to the stage derivatives ku, kv those of the tableau rows,
-    each read at its lpsi from the start state (u, v) of a step h."""
+    each read at its lpsi from the start state (u, v) of a step h.
+
+    Works on Python floats (one step) and on numpy arrays (many steps at
+    once): the sums run term by term in the same order either way."""
     for a, lp in zip(rows, lpsi):
         du, dv = kernel(lp, u + sum(map(mul, a, ku)) * h,
                         v + sum(map(mul, a, kv)) * h)
@@ -418,14 +449,15 @@ def _add_stages(kernel, rows, lpsi, u, v, h, ku, kv):
 
 class _RadialDOP853(DOP853):
     """DOP853 on Python floats, with steps below a tenth of the radius, that
-    stops where the problem turns stiff.
+    records its steps and stops where u underflows or the problem turns
+    stiff.
 
     The step is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
-    II.5-II.6): its tableau, its blended err5/err3 error norm, its
+    II.5-II.6): its tableau, its blended err5/err3 error norm and its
     step-size control (safety 0.9, factor bounds 0.2 and 10, exponent
-    -1/8, scipy's min_step) and its 7th-order dense output. Only the
-    arithmetic moves from numpy on 2-vectors to Python floats: the stages
-    call kernel(lpsi, u, v) -> (u', v'), with lpsi = (n-1) log psi.
+    -1/8, scipy's min_step). Only the arithmetic moves from numpy on
+    2-vectors to Python floats: the stages call kernel(lpsi, u, v) ->
+    (u', v'), with lpsi = (n-1) log psi.
 
     The right-hand side depends on r only through log psi, and every radius
     t + c_i h at which a step reads it is known before any stage value. So
@@ -433,9 +465,17 @@ class _RadialDOP853(DOP853):
     inner stages, the step end and the 3 extra stages of the dense output
     (spent for nothing when the attempt is rejected). On a glued model
     these radii stay inside one piece, because integrate restarts the
-    stepper at every join. nfev grows as scipy's would: 12 per attempted
-    step and 3 per dense output, plus the two evaluations of fun made in
-    the constructor. Integration runs forward only.
+    stepper at every join.
+
+    The stepper makes no dense output itself. Each accepted step appends
+    to the flat record `steps` (an array('d'), _RECORD floats per step)
+    what its dense output needs: t, h, both states, the 13 stage
+    derivatives of u and of v, and lpsi at the 3 dense-output stages.
+    _dop853_piece forms the 7th-order interpolant from the record after
+    the run, for all steps at once. nfev grows as scipy's would with dense
+    output: 12 per attempted step and 3 per accepted step (the dense-output
+    stages, evaluated once each in that batch), plus the two evaluations
+    of fun made in the constructor. Integration runs forward only.
 
     Near the pole v = log(-w) ~ n log r, and its equation has the rate
     |dv'/dv| = v' ~ n/r. The error control accepts steps of about r/4
@@ -447,15 +487,20 @@ class _RadialDOP853(DOP853):
     Bounding h by r/10 keeps the dense output at the accuracy of the
     steps; away from the pole the bound rarely binds.
 
-    After each step, h v' is read from the derivative the step already
-    evaluated at its end. Once it exceeds _STIFF_HV on _STIFF_STEPS
-    consecutive steps, the run ends at that radius.
+    The run ends at the first step whose end state has u <= u_floor, the
+    test scipy's event scan makes for a terminal event of direction -1 on
+    u - u_floor. After each step, h v' is read from the derivative the step
+    already evaluated at its end; once it exceeds _STIFF_HV on
+    _STIFF_STEPS consecutive steps, the run also ends at that radius.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, **options):
+    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, steps, u_floor,
+                 **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._lpsi = lpsi
         self._kernel = kernel
+        self._steps = steps
+        self._u_floor = u_floor
         self.rtol, self.atol = float(self.rtol), float(self.atol)
         self.h_abs = float(self.h_abs)
         self.f = tuple(self.f.tolist())
@@ -511,14 +556,16 @@ class _RadialDOP853(DOP853):
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
             rejected = True
 
-        self.h_previous = h
-        self.y_old = self.y
         self.t = t_new
         self.y = np.array([u_new, v_new])
         self.h_abs = h_abs
         self.f = (fu_new, fv_new)
-        self._stages = (ku, kv, lpsi[_INNER + 1:])
+        self.nfev += len(_DENSE_ROWS)
+        self._steps.extend((t, h, u, v, u_new, v_new, *ku, *kv,
+                            *lpsi[_INNER + 1:]))
 
+        if u_new <= self._u_floor:
+            self.t_bound = t_new
         if h * fv_new > _STIFF_HV:
             self.stiff_steps += 1
             if self.stiff_steps == _STIFF_STEPS:
@@ -527,31 +574,54 @@ class _RadialDOP853(DOP853):
             self.stiff_steps = 0
         return True, None
 
-    def _dense_output_impl(self):
-        h = self.h_previous
-        ku, kv, lpsi = self._stages
-        ku, kv = list(ku), list(kv)
-        u_old, v_old = self.y_old.tolist()
-        _add_stages(self._kernel, _DENSE_ROWS, lpsi, u_old, v_old, h, ku, kv)
-        self.nfev += len(lpsi)
 
-        (u_new, v_new), (fu, fv) = self.y.tolist(), self.f
-        du, dv = u_new - u_old, v_new - v_old
-        F = [(du, dv), (h * ku[0] - du, h * kv[0] - dv),
-             (2 * du - h * (fu + ku[0]), 2 * dv - h * (fv + kv[0]))]
-        F += [(h * sum(map(mul, d, ku)), h * sum(map(mul, d, kv))) for d in _D]
-        return Dop853DenseOutput(self.t_old, self.t, self.y_old, np.array(F))
+def _dop853_piece(steps, kernel):
+    """(ts, h, y_old, F) of a _RadialDOP853 run from its step record.
+
+    The 3 extra stages and the coefficients F of the 7th-order dense output
+    (Hairer, Norsett & Wanner, Solving ODEs I, II.6, as scipy forms them)
+    depend only on each step's own data, so they are formed here for all
+    steps at once: kernel is the numpy instance of the equations, and every
+    sum runs in the term order of the stepper's. Against a per-step build
+    on Python floats the only difference is the last-bit rounding of
+    numpy's exp and log.
+    """
+    rec = np.frombuffer(steps).reshape(-1, _RECORD)
+    t, h, u, v, u_new, v_new = rec[:, :6].T
+    ku = list(rec[:, 6:6 + _NK].T)
+    kv = list(rec[:, 6 + _NK:6 + 2 * _NK].T)
+    _add_stages(kernel, _DENSE_ROWS, rec[:, 6 + 2 * _NK:].T, u, v, h, ku, kv)
+    du, dv = u_new - u, v_new - v
+    fu, fv = ku[_NK - 1], kv[_NK - 1]
+    F = [(du, dv), (h * ku[0] - du, h * kv[0] - dv),
+         (2 * du - h * (fu + ku[0]), 2 * dv - h * (fv + kv[0]))]
+    F += [(h * sum(map(mul, d, ku)), h * sum(map(mul, d, kv))) for d in _D]
+    # t + h is the step end exactly: h = t_new - t is exact for t_new < 2t
+    return (np.append(t, t[-1] + h[-1]), h, rec[:, 2:4],
+            np.array(F).transpose(2, 0, 1))
+
+
+def _trim_to_underflow(piece, u_floor):
+    """Move the last knot of a piece back to where the dense output of u
+    on its last step falls to u_floor, by scipy's rule for event roots
+    (brentq with xtol = rtol = 4 eps on the step's interpolant)."""
+    ts, h, y_old, F = piece
+    last = _DenseTable([(ts[-2:], h[-1:], y_old[-1:], F[-1:])])
+    ts[-1] = brentq(lambda r: last(r)[0] - u_floor, ts[-2], ts[-1],
+                    xtol=_EVENT_TOL, rtol=_EVENT_TOL)
 
 
 def _radial_equations(prob, model):
     """The radial equations in the state (u, v = log(-w)).
 
-    Returns (lpsi, kernel, rhs, jac). lpsi(r) is (n-1) log psi on an array
-    of radii. kernel(lpsi, u, v) -> (u', v') is the one place the equations
-    are written: u' = -exp((v - lpsi)/(p-1)), so exponentially large psi
+    Returns (lpsi, kernel, dense_kernel, rhs, jac). lpsi(r) is (n-1) log
+    psi on an array of radii. The equations are written once, in
+    `equations`: u' = -exp((v - lpsi)/(p-1)), so exponentially large psi
     never overflows, and v' = exp(lpsi + q log u - v), with u floored at
-    1e-12 alpha inside the logarithm. rhs(r, y) and its Jacobian jac(r, y)
-    evaluate the kernel at one radius, for scipy's steppers.
+    1e-12 alpha inside the logarithm. kernel(lpsi, u, v) -> (u', v') is
+    their instance on Python floats (math), dense_kernel the same on numpy
+    arrays. rhs(r, y) and its Jacobian jac(r, y) evaluate the kernel at one
+    radius, for scipy's steppers.
     """
     n, q = prob.n, prob.q
     mu = 1.0 / (prob.p - 1.0)
@@ -560,10 +630,15 @@ def _radial_equations(prob, model):
     def lpsi(r):
         return (n - 1) * model.log_psi(r)
 
-    def kernel(lp, u, v):
-        du = -math.exp(min(mu * (v - lp), _EXP_CAP))
-        dv = math.exp(min(lp + q * math.log(max(u, u_floor)) - v, _EXP_CAP))
-        return du, dv
+    def equations(exp, log, minimum, maximum):
+        def kernel(lp, u, v):
+            du = -exp(minimum(mu * (v - lp), _EXP_CAP))
+            dv = exp(minimum(lp + q * log(maximum(u, u_floor)) - v, _EXP_CAP))
+            return du, dv
+
+        return kernel
+
+    kernel = equations(math.exp, math.log, min, max)
 
     def rhs(r, y):
         return kernel(float(lpsi(r)), y[0], y[1])
@@ -572,7 +647,8 @@ def _radial_equations(prob, model):
         du, dv = rhs(r, y)
         return [[0.0, mu * du], [q * dv / max(y[0], u_floor), -dv]]
 
-    return lpsi, kernel, rhs, jac
+    return (lpsi, kernel, equations(np.exp, np.log, np.minimum, np.maximum),
+            rhs, jac)
 
 
 def integrate(prob, model, config):
@@ -581,8 +657,9 @@ def integrate(prob, model, config):
     State variables are (u, log(-w)), with the equations of
     _radial_equations. Terminates at the horizon or when u hits the
     underflow floor 1e-12 alpha (u = 0 is never attained in exact
-    arithmetic). Each piece runs on _RadialDOP853; a piece on which it
-    stops for stiffness is finished by Radau.
+    arithmetic); the last radius is then where the dense output of u
+    crosses the floor. Each piece runs on _RadialDOP853; a piece on which
+    it stops for stiffness is finished by Radau.
     """
     if config.r_max > model.valid_to:
         raise GeometryOverflow(
@@ -594,7 +671,7 @@ def integrate(prob, model, config):
     r0 = min(r0, 0.01 * config.r_max)
     u0, w0 = series_startup(prob, model, r0)
     v0 = math.log(-w0)
-    lpsi, kernel, rhs, jac = _radial_equations(prob, model)
+    lpsi, kernel, dense_kernel, rhs, jac = _radial_equations(prob, model)
 
     def underflow(r, y):
         return y[0] - u_floor
@@ -610,34 +687,34 @@ def integrate(prob, model, config):
     pieces = []
 
     def run(method, start, end, y0, **options):
-        sol = solve_ivp(
-            rhs,
-            (start, end),
-            y0,
-            method=method,
-            rtol=config.rel_tol,
-            atol=config.abs_tol,
-            events=underflow,
-            dense_output=True,
-            **options,
-        )
+        sol = solve_ivp(rhs, (start, end), y0, method=method,
+                        rtol=config.rel_tol, atol=config.abs_tol, **options)
         if not sol.success:
             raise StepSizeCollapse(
                 f"stepper failed at r={sol.t[-1]:g}: {sol.message}"
             )
-        pieces.append(sol.sol)
         return sol
 
     start, y0 = r0, [u0, v0]
+    termination = "reached-horizon"
     for end in ends:
-        sol = run(_RadialDOP853, start, end, y0, lpsi=lpsi, kernel=kernel)
-        # DOP853 ends a run short of `end` only on its stiffness test
-        if sol.status == 0 and sol.t[-1] < end:
-            sol = run("Radau", sol.t[-1], end, sol.y[:, -1], jac=jac)
-        if sol.status == 1:
+        steps = array("d")
+        sol = run(_RadialDOP853, start, end, y0, lpsi=lpsi, kernel=kernel,
+                  steps=steps, u_floor=u_floor)
+        pieces.append(_dop853_piece(steps, dense_kernel))
+        if sol.y[0, -1] <= u_floor:
+            _trim_to_underflow(pieces[-1], u_floor)
+            termination = "underflow"
             break
+        # otherwise DOP853 ends a run short of `end` only on its stiffness test
+        if sol.t[-1] < end:
+            sol = run("Radau", sol.t[-1], end, sol.y[:, -1], jac=jac,
+                      events=underflow, dense_output=True)
+            pieces.append(_radau_piece(sol.sol))
+            if sol.status == 1:
+                termination = "underflow"
+                break
         start, y0 = end, sol.y[:, -1]
-    termination = "underflow" if sol.status == 1 else "reached-horizon"
     return RadialSolution(prob, model, config, pieces, termination)
 
 

@@ -1,6 +1,8 @@
 """Radial IVP solver: startup series, oracle solutions, invariants."""
 
 import math
+import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -145,13 +147,17 @@ def test_eval_array_matches_scalars(hy_run):
 
 
 def test_dense_table_matches_ode_solution():
-    """The array form of the DOP853 dense output gives OdeSolution's floats;
-    a Radau step's cubic, rewritten into DOP853's nested form, is exact at
-    the knots and within 2 ulp between them."""
+    """The array form of the DOP853 dense output gives OdeSolution's floats
+    from the same coefficients; a Radau step's cubic, rewritten into
+    DOP853's nested form, is exact at the knots and within 2 ulp between
+    them."""
     ode = solve_ivp(lambda t, y: [y[1], -y[0] - 0.1 * y[1] ** 3], (0.0, 20.0),
                     [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True).sol
-    table = solver._DenseTable([ode])
+    steps = ode.interpolants
+    table = solver._DenseTable([(ode.ts, np.array([d.h for d in steps]),
+                                 np.array([d.y_old for d in steps]),
+                                 np.array([d.F for d in steps]))])
     t = np.concatenate([ode.ts, np.linspace(0.0, 20.0, 1001)])
     assert np.array_equal(np.stack(table(t)), ode(t))
     grid = np.linspace(0.0, 20.0, 1000).reshape(-1, 8)
@@ -161,7 +167,7 @@ def test_dense_table_matches_ode_solution():
     stiff = solve_ivp(lambda t, y: [-y[0], -1e4 * (y[1] - y[0] ** 2)],
                       (0.0, 5.0), [1.0, 0.0], method="Radau", rtol=1e-10,
                       atol=1e-12, dense_output=True).sol
-    table = solver._DenseTable([stiff])
+    table = solver._DenseTable([solver._radau_piece(stiff)])
     assert np.array_equal(np.stack(table(stiff.ts)), stiff(stiff.ts))
     mid = np.linspace(0.0, 5.0, 1001)
     ref = stiff(mid)
@@ -190,39 +196,46 @@ def _assert_stepper_matches_stock(prob, model, start, end, y0):
 
     Whole runs take the same accepted steps with equal nfev. Step by step,
     the stock stepper is started from the float stepper's state and asked
-    for its accepted step: the knot (t, y) agrees within 1e-13 of |y|, and
-    each row k of the dense-output coefficients F within 1e-12 of the
-    step's scale |y| / w_k, w_k being the row's largest weight in the
-    interpolant, so no row moves the dense output by more than 1e-12 |y|.
-    The comparison is made from a common state because rounding differs
-    (numpy's dot against sums of Python floats) and moves the error
-    estimate, a cancellation, by up to ~1e-5 relative; that shifts every
-    later knot by ~1e-7 and leaves the step count unchanged.
+    for its accepted step: the knot (t, y) agrees within 1e-13 of |y|. The
+    dense-output coefficients F that _dop853_piece builds for all steps at
+    once from the float stepper's record agree with the stock step's
+    dense_output().F, row k within 1e-12 of the step's scale |y| / w_k, w_k
+    being the row's largest weight in the interpolant, so no row moves the
+    dense output by more than 1e-12 |y|. The comparison is made from a
+    common state because rounding differs (numpy's dot against sums of
+    Python floats) and moves the error estimate, a cancellation, by up to
+    ~1e-5 relative; that shifts every later knot by ~1e-7 and leaves the
+    step count unchanged.
     """
-    lpsi, kernel, rhs, _ = solver._radial_equations(prob, model)
-    tol = dict(rtol=1e-11, atol=1e-14)
+    lpsi, kernel, dense_kernel, rhs, _ = solver._radial_equations(prob, model)
+    options = dict(rtol=1e-11, atol=1e-14, lpsi=lpsi, kernel=kernel,
+                   u_floor=solver._U_FLOOR * prob.alpha)
     ours = solve_ivp(rhs, (start, end), y0, method=solver._RadialDOP853,
-                     dense_output=True, lpsi=lpsi, kernel=kernel, **tol)
+                     steps=array("d"), **options)
     stock = solve_ivp(rhs, (start, end), y0, method=_StockDOP853,
-                      dense_output=True, **tol)
+                      dense_output=True, rtol=1e-11, atol=1e-14)
     assert ours.t[-1] == end and len(ours.t) > 50
     assert len(ours.t) == len(stock.t)
     assert ours.nfev == stock.nfev
 
-    ours = solver._RadialDOP853(rhs, start, y0, end, lpsi=lpsi, kernel=kernel,
-                                **tol)
-    stock = _StockDOP853(rhs, start, y0, end, **tol)
+    steps = array("d")
+    ours = solver._RadialDOP853(rhs, start, y0, end, steps=steps, **options)
+    stock = _StockDOP853(rhs, start, y0, end, rtol=1e-11, atol=1e-14)
+    F_stock, scales = [], []
     while ours.status == "running":
         t, y, f = ours.t, ours.y, np.array(ours.f)
         ours.step()
         stock.t, stock.y, stock.f, stock.h_abs = t, y, f, ours.step_size
         stock.step()
-        F, F_stock = ours.dense_output().F, stock.dense_output().F
         scale = np.maximum(np.abs(y), np.abs(stock.y))
         assert ours.t == pytest.approx(stock.t, rel=1e-13, abs=0.0)
         assert np.all(np.abs(ours.y - stock.y) <= 1e-13 * scale)
-        assert np.all(np.abs(F - F_stock) * _ROW_WEIGHT[:, None]
-                      <= 1e-12 * scale)
+        F_stock.append(stock.dense_output().F)
+        scales.append(scale)
+    F = solver._dop853_piece(steps, dense_kernel)[3]
+    assert F.shape == np.shape(F_stock)
+    assert np.all(np.abs(F - F_stock) * _ROW_WEIGHT[:, None]
+                  <= 1e-12 * np.array(scales)[:, None, :])
 
 
 def test_stepper_matches_stock_dop853(hy_run, ep_run, oscillation):
@@ -261,13 +274,30 @@ def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
 
 
 def test_underflow_termination():
-    """A deeply concentrated run stops at the u floor instead of stepping on."""
+    """A deeply concentrated run stops at the u floor instead of stepping on.
+
+    The last radius is where the dense output of u crosses the floor, to
+    within 4 eps of it, and u lies above the floor at every earlier knot.
+    Both read the dense output itself: eval_u clamps u at the floor.
+    On a flat model glued at r = 5 and r = 40, u crosses the floor in the
+    middle piece, and the run stops there rather than restarting at the
+    next join."""
     prob = pl.Problem(4, 2.0, 3.0, 1.4e5)
+    floor = solver._U_FLOOR * prob.alpha
     eu = pl.make_model("euclidean")
-    sol = pl.integrate(prob, eu, pl.SolverConfig(50.0))
-    assert sol.termination == "underflow"
-    assert sol.r_last < 50.0
-    assert sol.u[-1] <= 1e-11 * prob.alpha
+    glued = pl.glue_models([(eu, 0.0), (eu, 5.0), (eu, 40.0)], 0.1)
+    for model in (eu, glued):
+        sol = pl.integrate(prob, model, pl.SolverConfig(50.0))
+        assert sol.termination == "underflow"
+        assert 5.0 < sol.r_last < 40.0
+        assert sol.u[-1] <= 1e-11 * prob.alpha
+        knots = sol._dense.ts
+        assert knots[-1] == sol.r_last
+        assert (5.0 in knots) == (model is glued)
+        u_knots = sol._dense(knots)[0]
+        assert abs(u_knots[-1] - floor) <= 4 * np.finfo(float).eps * floor
+        assert np.all(u_knots[:-1] > floor)
+        assert sol.eval_u(sol.r_last) == max(u_knots[-1], floor)
 
 
 def test_large_alpha_accuracy():
@@ -298,6 +328,27 @@ def test_export_csv_roundtrip(tmp_path, hy_run):
     assert np.array_equal(data["r"], hy_run.sol.r)
     assert np.array_equal(data["u"], hy_run.sol.u)
     assert np.array_equal(data["w"], hy_run.sol.w)
+
+
+def test_w_column_past_double_range(tmp_path, oscillation):
+    """Past the last join of the oscillating construction v = log(-w) grows
+    beyond log(DBL_MAX). The w column holds -exp(v) wherever that is a
+    double, -inf beyond (never a capped value such as -e^700), is computed
+    without a RuntimeWarning, and reads back from solution.csv."""
+    sol = oscillation.sol
+    data = pl.read_csv(sol.export_csv(tmp_path / "solution.csv"))
+    r, w = data["r"][1:], data["w"][1:]
+    assert np.array_equal(data["r"], sol.r)
+    assert np.array_equal(w, sol.w[1:])
+    assert not np.any(w == -math.exp(solver._EXP_CAP))
+    v = sol._dense(r)[1]
+    finite = np.isfinite(w)
+    assert np.array_equal(w[finite], -np.exp(v[finite]))
+    assert np.all(v[~finite] > math.log(np.finfo(float).max))
+    assert np.all(w[~finite] == -np.inf) and np.any(~finite)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array_equal(sol.eval_w(r), w)
 
 
 def test_refinement_consistency(hy_run):
