@@ -14,7 +14,7 @@ import numpy as np
 
 from . import extrapolate, runio
 from .models import _EXP_CAP
-from .solver import gauss_legendre
+from .quadrature import gauss_legendre
 
 
 class GridMismatch(Exception):

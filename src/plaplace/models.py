@@ -10,9 +10,12 @@ zero or plateau at a positive constant.
 All quantities that can overflow for fast-growing psi (psi^(n-1) reaches
 1e308 very quickly for exponential-power models) are handled in log space:
 a model is its triple log_psi, slope ratio psi'/psi and curvature ratio
-psi''/psi, in closed form, from which psi, psi' and psi'' derive; the
-geometry integrals are propagated as ODEs for log Theta and log J, written
-once in geometry_equations.
+psi''/psi, in closed form, from which psi, psi' and psi'' derive. The
+geometry integrals Theta, J and W are cumulative panel quadratures of
+e^{(n-1) log psi} fitted to its exponential growth (quadrature.fitted_rule),
+tabulated once per profile. geometry_equations writes the same quantities
+as ODEs in log Theta and log J for the oscillating construction, which
+integrates them alongside the radial equation.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from . import runio
+from . import quadrature, runio
 
 
 class InvalidParameter(ValueError):
@@ -531,88 +534,274 @@ def glue_models(pieces, blend_width, horizon=None):
 # --------------------------------------------------------------------------
 
 
+# Far end of every profile, or the model's trusted range if that is
+# shorter: far past any user horizon, so the convergence of
+# int^inf Theta^(1/(p-1)) is decided by direct quadrature.
+_R_HI = 1e8
+# Geometric panels per decade: the coarse grid every profile starts from.
+_PANELS_PER_DECADE = 64
+# Relaxation rate r (n-1) psi'/psi past which Theta is read from its
+# quasi-equilibrium expansion. Below it the panels keep Delta G <= 1, so
+# their number grows like G at the switch; at 3e3 the expansion meets the
+# panels to 3e-12 in log Theta on exppower, the worst catalog case.
+_QE_RATE = 3e3
+# Panels per model call while tabulating (8 nodes each).
+_BLOCK = 512
+
+
+def _log_sum(x):
+    """log sum_j exp(x[..., j]); -inf for a row of -inf."""
+    top = np.max(x, axis=-1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore"):
+        return top + np.log(np.exp(x - top[..., None]).sum(axis=-1))
+
+
+def _row_dot(x, y):
+    """sum_j x[i, j] y[i, j] for every row i."""
+    return np.einsum("ij,ij->i", x, y)
+
+
+def _relax(x0, decay, inc):
+    """x_0 .. x_K of the recurrence x_{k+1} = x_k decay_k + inc_k.
+
+    A doubling scan: after the round with stride s, (a_k, b_k) is the
+    affine map x -> a x + b over the 2s steps ending at k. All terms are
+    positive, so each of the log2(K) rounds adds about one rounding error.
+    Products of decays are floored at 1e-200, which keeps every product
+    out of the subnormal range; the contribution they carry is below
+    1e-200 of x_0.
+    """
+    a, b = decay.copy(), inc.copy()
+    step = 1
+    while step < len(b):
+        b[step:] = a[step:] * b[:-step] + b[step:]
+        a[step:] = np.maximum(a[step:] * a[:-step], 1e-200)
+        step *= 2
+    return np.concatenate([[x0], a * x0 + b])
+
+
 class GeometryProfile:
-    """Cached geometry quadratures for one (model, n, p).
+    """Tabulated geometry quadratures for one (model, n, p).
 
-    Exposes Theta = I/psi^(n-1) (I = int_0^r psi^(n-1)), its primitive
-    J = int_0^r Theta^(1/(p-1)), and the liminf quotient W/J with
-    W = U/I, U = int_0^r Theta^(1/(p-1)) I ds.
+    With G = (n-1) log psi and mu = 1/(p-1), the profile gives
+    Theta = I/psi^(n-1) (I = int_0^r e^G), its primitive J = int_0^r Theta^mu,
+    and the liminf quotient W/J with W = U/I, U = int_0^r Theta^mu I.
 
-    Values come from an ODE integration in t = log r up to the radius where
-    the relaxation rate r (n-1) psi'/psi becomes large, and from a
-    quasi-equilibrium expansion of Theta beyond it (the ODE there is too
-    stiff for the requested accuracy, while the expansion error is
-    O(rate^-2)). The tabulated range [r_lo, r_hi] extends far beyond the
-    user horizon R so tail convergence of J is decided by direct quadrature.
+    Up to r_switch, where the relaxation rate r (n-1) psi'/psi reaches
+    _QE_RATE, all three are panel quadratures. The panels start as the
+    geometric grid (plus the model's joins) and are split until G grows by
+    at most 1 across each. On each panel [a, b]
+
+      Theta(b) = Theta(a) e^{-(G(b) - G(a))} + int_a^b e^{G(s) - G(b)} ds
+
+    with the integral by quadrature.fitted_rule, run as one recurrence
+    over the panels. Theta at the rule's nodes follows from the same node
+    values (quadrature.partial_integrals), and the same rule applied to
+    Theta^mu and Theta^mu I gives the increments of log J and log U.
+    Beyond r_switch Theta is the quasi-equilibrium expansion, J continues
+    by Gauss-Legendre in log r on the geometric panels, and W is read from
+    its quasi-equilibrium formula. The tabulated range [r_lo, r_hi]
+    extends far beyond the user horizon R so tail convergence of J is
+    decided by direct quadrature.
+
+    A lookup at any number of radii is one searchsorted into the panel
+    edges, then the same rule on the partial panel from the edge below
+    each radius: a fixed number of model array calls, none per radius.
     """
 
-    def __init__(self, model, n, p, R, tol, r_lo, r_hi, r_switch, dense1, dense2):
+    def __init__(self, model, n, p, R):
         self.model = model
         self.n = int(n)
         self.p = float(p)
         self.R = float(R)
-        self.tol = float(tol)
-        self.r_lo = float(r_lo)
-        self.r_hi = float(r_hi)
-        self.r_switch = float(r_switch)
-        self._dense1 = dense1  # t -> (log Theta, log J, log W) for r <= r_switch
-        self._dense2 = dense2  # t -> (log J,) for r > r_switch, or None
-        self.tail_converged = False
-        self.J_inf = math.inf
+        self.mu = 1.0 / (self.p - 1.0)
+        self.r_lo = 1e-8 * min(1.0, self.R)
+        self.r_hi = max(min(_R_HI, model.valid_to), self.R)
+        num = math.ceil(_PANELS_PER_DECADE * math.log10(self.r_hi / self.r_lo)) + 1
+        grid = np.union1d(np.geomspace(self.r_lo, self.r_hi, num),
+                          [j for j in model.joins() if self.r_lo < j < self.r_hi])
+        slope = (self.n - 1) * np.asarray(model.slope_ratio(grid), dtype=float)
+        stiff = np.nonzero(grid * slope >= _QE_RATE)[0]
+        k = max(int(stiff[0]), 1) if stiff.size else len(grid) - 1
+        self.r_switch = float(grid[k])
+        # G' = slope is monotone across a grid panel, so the larger of its
+        # end values bounds the growth of G on each equal part
+        self._tabulate(grid[:k + 1],
+                       np.diff(grid[:k + 1]) * np.maximum(slope[:k], slope[1:k + 1]))
+        self._tail = tail = grid[k:]
+        self._tail_logJ = np.logaddexp.accumulate(np.concatenate(
+            [self._logJ[-1:], self._tail_increments(tail[:-1], tail[1:])]))
+        if not np.all(np.isfinite(self._tail_logJ)):
+            raise QuadratureFailure("geometry quadrature: non-finite J beyond the switch")
+        J_end, J_half = self.J(self.r_hi), self.J(self.r_hi / 2.0)
+        self.tail_converged = bool(J_end - J_half < 1e-6 * J_end)
+        self.J_inf = J_end if self.tail_converged else math.inf
 
-    def _check_range(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        if np.any(r < self.r_lo * (1 - 1e-9)) or np.any(r > self.r_hi * (1 + 1e-9)):
-            raise GeometryOverflow(
-                f"radius outside tabulated range [{self.r_lo:g}, {self.r_hi:g}]"
-            )
-        return np.clip(r, self.r_lo, self.r_hi)
+    # -- tabulation ----------------------------------------------------
 
-    def _theta_qe(self, r, order=2):
-        """Quasi-equilibrium Theta for radii beyond the ODE switch."""
+    def _G(self, r):
+        return (self.n - 1) * np.asarray(self.model.log_psi(r), dtype=float)
+
+    def _tabulate(self, edges, growth):
+        """Theta, log J and log U at the fine panel edges below r_switch.
+
+        Each panel of `edges` is cut into ceil(growth) equal parts, and
+        again wherever G still grows by more than 1.
+        """
+        while True:
+            parts = np.maximum(np.ceil(growth), 1).astype(int)
+            first = np.repeat(np.cumsum(parts) - parts, parts)
+            step = np.repeat(np.diff(edges) / parts, parts)
+            edges = np.append(np.repeat(edges[:-1], parts)
+                              + step * (np.arange(parts.sum()) - first), edges[-1])
+            G = self._G(edges)
+            if not np.all(np.isfinite(G)):
+                raise QuadratureFailure("geometry quadrature: non-finite log psi")
+            growth = np.diff(G)
+            if growth.max() <= 1.0:
+                break
+        # the rule runs on blocks of panels, which bounds the memory of each
+        # model call (a glued model allocates about ten floats per point)
+        a, b, Ga, Gb = edges[:-1], edges[1:], G[:-1], G[1:]
+        blocks = [slice(i, i + _BLOCK) for i in range(0, len(a), _BLOCK)]
+        rules = [self._panels(a[k], b[k], Ga[k], Gb[k]) for k in blocks]
+        log_theta0, log_J0 = geometry_start(self.r_lo, self.n, self.p)
+        theta = _relax(math.exp(log_theta0), np.concatenate([rule[0] for rule in rules]),
+                       np.concatenate([rule[3] for rule in rules]))
+        moments = [self._moments(theta[:-1][k], *rule[:3], Gb[k])
+                   for k, rule in zip(blocks, rules)]
+        dlogJ, dlogU = (np.concatenate(m) for m in zip(*moments))
+        mu = self.mu
+        # U ~ r^(n+1+mu) / (n^(1+mu) (n+1+mu)) where psi ~ r
+        log_U0 = ((self.n + 1.0 + mu) * math.log(self.r_lo) - (1.0 + mu) * math.log(self.n)
+                  - math.log(self.n + 1.0 + mu))
+        self._edges, self._Gedge, self._theta = edges, G, theta
+        self._logJ = np.logaddexp.accumulate(np.concatenate([[log_J0], dlogJ]))
+        self._logU = np.logaddexp.accumulate(np.concatenate([[log_U0], dlogU]))
+        if not (np.all(np.isfinite(theta)) and np.all(np.isfinite(self._logJ))
+                and np.all(np.isfinite(self._logU))):
+            raise QuadratureFailure("geometry quadrature: non-finite panel sum")
+
+    def _panels(self, a, b, Ga, Gb):
+        """The fitted rule on panels [a, b] with e^{G(s) - G(b)} at its nodes.
+
+        Returns (decay, wt, ker, inc): Theta(b) = Theta(a) decay + inc.
+        """
+        dG = Gb - Ga
+        s, wt = quadrature.fitted_rule(a, b, dG)
+        ker = self._G(s)
+        ker -= Gb[:, None]
+        np.exp(ker, out=ker)
+        return np.exp(-dG), wt, ker, _row_dot(wt, ker)
+
+    def _moments(self, theta_a, decay, wt, ker, Gb):
+        """log int_a^b Theta^mu and log int_a^b Theta^mu I on each panel.
+
+        Theta at the nodes is Theta(a) times a ratio of order 1, so the
+        powers are taken of the ratio and Theta(a)^mu is added in log space.
+        """
+        ratio = quadrature.partial_integrals(wt * ker)
+        ratio += (theta_a * decay)[:, None]
+        ratio /= ker
+        ratio /= theta_a[:, None]
+        power = ratio ** self.mu
+        dJ = _row_dot(wt, power)
+        power *= wt
+        ratio *= ker
+        log_a = np.log(theta_a)
+        with np.errstate(divide="ignore"):
+            return (self.mu * log_a + np.log(dJ),
+                    Gb + (1.0 + self.mu) * log_a + np.log(_row_dot(power, ratio)))
+
+    def _tail_increments(self, a, b):
+        """log int_a^b Theta^mu by Gauss-Legendre in log r, Theta from the expansion."""
+        t, wt = quadrature.fitted_rule(np.log(a), np.log(b), np.zeros(len(a)))
+        r = np.exp(t)
+        with np.errstate(divide="ignore"):
+            log_wt = np.log(wt * r)
+        return _log_sum(log_wt + self.mu * np.log(self._theta_qe(r)))
+
+    def _theta_qe(self, r, order=3):
+        """Quasi-equilibrium Theta for radii beyond the switch.
+
+        Theta = (1 - Theta') / g with g = (n-1) psi'/psi, iterated `order`
+        times from 1/g, each Theta' by a central difference of step 1e-4 r.
+        """
 
         def it(rr, k):
             f = self.model.slope_ratio(rr)
             base = 1.0 / ((self.n - 1) * f)
             if k == 0:
                 return base
-            h = rr * 1e-3
+            h = rr * 1e-4
             d = (it(rr + h, k - 1) - it(rr - h, k - 1)) / (2.0 * h)
             return (1.0 - d) / ((self.n - 1) * f)
 
         return it(r, order)
 
-    def log_theta(self, r):
-        rr = self._check_range(r)
-        out = np.empty_like(rr)
-        lo = rr <= self.r_switch
+    # -- lookups -------------------------------------------------------
+
+    def _fine(self, r, moments=False):
+        """log Theta at radii r <= r_switch; with moments, also log J and log W."""
+        edges = self._edges
+        k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
+        Gr = self._G(r)
+        decay, wt, ker, inc = self._panels(edges[k], r, self._Gedge[k], Gr)
+        log_theta = np.log(self._theta[k] * decay + inc)
+        if not moments:
+            return log_theta
+        dlogJ, dlogU = self._moments(self._theta[k], decay, wt, ker, Gr)
+        return (log_theta, np.logaddexp(self._logJ[k], dlogJ),
+                np.logaddexp(self._logU[k], dlogU) - log_theta - Gr)
+
+    def _tail_log_J(self, r):
+        """log J at radii r > r_switch."""
+        tail = self._tail
+        k = np.clip(np.searchsorted(tail, r, side="right") - 1, 0, len(tail) - 2)
+        return np.logaddexp(self._tail_logJ[k], self._tail_increments(tail[k], r))
+
+    def _tail_log_proxy(self, r):
+        """log W/J at radii r > r_switch, with the quasi-equilibrium
+        W ~ g Theta - (g Theta)' Theta, g = Theta^mu."""
+        mu = self.mu
+        h = r * 1e-3
+        th = self._theta_qe(r)
+        dgth = (self._theta_qe(r + h) ** (mu + 1.0)
+                - self._theta_qe(r - h) ** (mu + 1.0)) / (2.0 * h)
+        return np.log(th ** (mu + 1.0) - dgth * th) - self._tail_log_J(r)
+
+    def _lookup(self, r, fine, tail):
+        """fine(x) on the radii up to r_switch, tail(x) beyond, in r's shape."""
+        x = np.asarray(r, dtype=float).ravel()
+        if np.any(x < self.r_lo * (1 - 1e-9)) or np.any(x > self.r_hi * (1 + 1e-9)):
+            raise GeometryOverflow(
+                f"radius outside tabulated range [{self.r_lo:g}, {self.r_hi:g}]"
+            )
+        x = np.clip(x, self.r_lo, self.r_hi)
+        out = np.empty_like(x)
+        lo = x <= self.r_switch
         if np.any(lo):
-            out[lo] = self._dense1(np.log(rr[lo]))[0]
-        if np.any(~lo):
-            out[~lo] = np.log(self._theta_qe(rr[~lo]))
-        shape = np.asarray(r).shape
-        return out.reshape(shape) if shape else float(out[0])
+            out[lo] = fine(x[lo])
+        if not np.all(lo):
+            out[~lo] = tail(x[~lo])
+        return out.reshape(np.shape(r)) if np.ndim(r) else float(out[0])
+
+    def log_theta(self, r):
+        return self._lookup(r, self._fine, lambda x: np.log(self._theta_qe(x)))
 
     def theta(self, r):
         return np.exp(self.log_theta(r))
 
     def logI(self, r):
-        lt = self.log_theta(r)
-        return lt + (self.n - 1) * self.model.log_psi(r)
+        return self._lookup(r, lambda x: self._fine(x) + self._G(x),
+                            lambda x: np.log(self._theta_qe(x)) + self._G(x))
 
     def I(self, r):
         return np.exp(np.minimum(self.logI(r), _EXP_CAP))
 
     def logJ(self, r):
-        rr = self._check_range(r)
-        out = np.empty_like(rr)
-        lo = rr <= self.r_switch
-        if np.any(lo):
-            out[lo] = self._dense1(np.log(rr[lo]))[1]
-        if np.any(~lo):
-            out[~lo] = self._dense2(np.log(rr[~lo]))[0]
-        shape = np.asarray(r).shape
-        return out.reshape(shape) if shape else float(out[0])
+        return self._lookup(r, lambda x: self._fine(x, moments=True)[1], self._tail_log_J)
 
     def J(self, r):
         return np.exp(self.logJ(r))
@@ -627,24 +816,12 @@ class GeometryProfile:
 
     def hp_fail_proxy(self, r):
         """The liminf quotient deciding failure of the sharp decay law: W/J."""
-        rr = self._check_range(r)
-        logW = np.empty_like(rr)
-        lo = rr <= self.r_switch
-        if np.any(lo):
-            logW[lo] = self._dense1(np.log(rr[lo]))[2]
-        if np.any(~lo):
-            # quasi-equilibrium W ~ g Theta - (g Theta)' Theta, g = Theta^mu
-            mu = 1.0 / (self.p - 1.0)
-            x = rr[~lo]
-            h = x * 1e-3
-            th = self._theta_qe(x)
-            gth = th ** (mu + 1.0)
-            dgth = (self._theta_qe(x + h) ** (mu + 1.0)
-                    - self._theta_qe(x - h) ** (mu + 1.0)) / (2.0 * h)
-            logW[~lo] = np.log(gth - dgth * th)
-        out = np.exp(logW - self.logJ(np.clip(rr, self.r_lo, self.r_hi)))
-        shape = np.asarray(r).shape
-        return out.reshape(shape) if shape else float(out[0])
+
+        def fine(x):
+            _, log_J, log_W = self._fine(x, moments=True)
+            return log_W - log_J
+
+        return np.exp(self._lookup(r, fine, self._tail_log_proxy))
 
     def export_csv(self, path, num=400):
         """Write r, psi, dpsi, ddpsi, I, theta, J rows up to the user horizon."""
@@ -699,20 +876,12 @@ def geometry_start(r, n, p):
             (1.0 + mu) * math.log(r) - mu * math.log(n) - math.log(1.0 + mu))
 
 
-def geometry_profile(model, n, p, R, tol=1e-9, extend_to=1e8):
+def geometry_profile(model, n, p, R):
     """Tabulate Theta, J (and the liminf proxy) for a model up to horizon R.
 
-    The quadratures are propagated as ODEs in t = log r:
-
-      Theta' = 1 - (n-1) (psi'/psi) Theta
-      J'     = Theta^(1/(p-1))
-      W'     = Theta^(1/(p-1)) - Theta^{-1} W      (W = U/I)
-
-    integrated in log variables so that exponentially growing models never
-    overflow; the Theta and J equations are geometry_equations' kernel times
-    dr/dt = r, started from geometry_start. The range extends well past R
-    (up to ``extend_to``) so the convergence of int^inf Theta^(1/(p-1)) is
-    decided by direct quadrature.
+    Theta = I/psi^(n-1), J = int_0^r Theta^(1/(p-1)) and W = U/I are
+    cumulative quadratures of functions the model evaluates as arrays; see
+    GeometryProfile for the panel rule and the range it covers.
     """
     if n < 2 or int(n) != n:
         raise InvalidParameter(f"dimension n must be an integer >= 2, got {n}")
@@ -722,86 +891,7 @@ def geometry_profile(model, n, p, R, tol=1e-9, extend_to=1e8):
         raise GeometryOverflow(
             f"horizon {R:g} exceeds the model's trusted range {model.valid_to:g}"
         )
-    r_lo = 1e-8 * min(1.0, R)
-    r_hi = min(extend_to, model.valid_to)
-    if r_hi < R:
-        r_hi = R
-    mu = 1.0 / (p - 1.0)
-
-    th0, logJ0 = geometry_start(r_lo, n, p)
-    # W ~ r^(1+mu) / (n^mu (n+1+mu)) where psi ~ r
-    logW0 = (1.0 + mu) * math.log(r_lo) - mu * math.log(n) - math.log(n + 1.0 + mu)
-
-    # Stop the ODE once the relaxation rate r (n-1) psi'/psi gets large:
-    # past that radius Theta hugs its quasi-equilibrium and the equation is
-    # too stiff to meet rtol (roundoff in the rhs amplifies by the rate),
-    # while the equilibrium expansion is accurate to O(rate^-2).
-    rate_cap = 1e6
-    grid = np.geomspace(max(r_lo, 1e-6), r_hi, 600)
-    rates = grid * (n - 1) * np.asarray(model.slope_ratio(grid), dtype=float)
-    stiff = np.nonzero(rates >= rate_cap)[0]
-    r_switch = float(grid[stiff[0]]) if stiff.size else r_hi
-
-    geometry = geometry_equations(n, p)
-
-    def rhs(t, y):
-        r = math.exp(t)
-        th, logJ, logW = y
-        dth, dlogJ = geometry(th, logJ, float(model.slope_ratio(r)))
-        dlogW = r * (math.exp(min(th * mu - logW, _EXP_CAP)) - math.exp(min(-th, _EXP_CAP)))
-        return [r * dth, r * dlogJ, dlogW]
-
-    sol = solve_ivp(
-        rhs,
-        (math.log(r_lo), math.log(r_switch)),
-        [th0, logJ0, logW0],
-        method="LSODA",
-        rtol=tol,
-        atol=1e-12,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise QuadratureFailure(f"geometry quadrature failed: {sol.message}")
-
-    prof = GeometryProfile(
-        model=model,
-        n=int(n),
-        p=float(p),
-        R=float(R),
-        tol=float(tol),
-        r_lo=r_lo,
-        r_hi=r_hi,
-        r_switch=r_switch,
-        dense1=sol.sol,
-        dense2=None,
-    )
-    if r_switch < r_hi:
-        # Continue J alone with Theta from the equilibrium expansion; this
-        # phase is not stiff because Theta is no longer a state variable.
-        def rhs2(t, y):
-            r = math.exp(t)
-            g_log = mu * math.log(prof._theta_qe(np.asarray(r))[()])
-            return [r * math.exp(min(g_log - y[0], _EXP_CAP))]
-
-        sol2 = solve_ivp(
-            rhs2,
-            (math.log(r_switch), math.log(r_hi)),
-            [float(sol.sol(math.log(r_switch))[1])],
-            method="LSODA",
-            rtol=tol,
-            atol=1e-12,
-            dense_output=True,
-        )
-        if not sol2.success:
-            raise QuadratureFailure(f"geometry quadrature failed: {sol2.message}")
-        prof._dense2 = sol2.sol
-    # Tail convergence of J at the extended horizon.
-    J_end = prof.J(r_hi)
-    J_half = prof.J(r_hi / 2.0)
-    if J_end - J_half < 1e-6 * J_end:
-        prof.tail_converged = True
-        prof.J_inf = J_end
-    return prof
+    return GeometryProfile(model, n, p, R)
 
 
 @dataclass

@@ -48,6 +48,7 @@ from scipy.optimize import brentq
 
 from . import runio
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
+from .quadrature import gauss_legendre
 
 # solution.csv contract: linear interpolation of u between neighbouring
 # rows is within ROW_TOL |u| (see _row_radii)
@@ -716,27 +717,6 @@ def integrate(prob, model, config):
                 break
         start, y0 = end, sol.y[:, -1]
     return RadialSolution(prob, model, config, pieces, termination)
-
-
-# 5-node Gauss-Legendre rule on [-1, 1], in closed form (leggauss would
-# load LAPACK at import); exact for degree 9, and the integrands are
-# smooth inside a row interval.
-_GL_X1 = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
-_GL_X2 = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
-_GL_W1 = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
-_GL_W2 = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
-_GL_NODES = np.array([-_GL_X2, -_GL_X1, 0.0, _GL_X1, _GL_X2])
-_GL_WEIGHTS = np.array([_GL_W2, _GL_W1, 128.0 / 225.0, _GL_W1, _GL_W2])
-
-
-def gauss_legendre(f, a, b):
-    """Integral of f over each interval [a_i, b_i] by the 5-node rule.
-
-    f is called once, on the (len(a), 5) array of all nodes.
-    """
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return half * (f(x) @ _GL_WEIGHTS)
 
 
 def _flux_integrals(sol, idx, v_b):

@@ -268,11 +268,11 @@ def test_glued_array_lookup_is_one_call_per_segment(glued3, monkeypatch):
 def test_euclidean_theta_is_r_over_n():
     eu = pl.make_model("euclidean")
     prof = pl.geometry_profile(eu, 3, 2.0, 10.0)
-    assert abs(prof.theta(2.0) - 2.0 / 3.0) < 1e-8
+    assert abs(prof.theta(2.0) - 2.0 / 3.0) < 1e-14
     r = np.geomspace(0.01, 10.0, 30)
-    assert np.allclose(prof.theta(r), r / 3.0, rtol=1e-7)
+    assert np.allclose(prof.theta(r), r / 3.0, rtol=1e-13, atol=0.0)
     # J = r^2 / (2n) for p = 2
-    assert np.allclose(prof.J(r), r ** 2 / 6.0, rtol=1e-7)
+    assert np.allclose(prof.J(r), r ** 2 / 6.0, rtol=1e-13, atol=0.0)
 
 
 def test_profile_range_guard():
@@ -285,8 +285,154 @@ def test_profile_range_guard():
 def test_hyperbolic_theta_saturates():
     hy = pl.make_model("hyperbolic")
     prof = pl.geometry_profile(hy, 3, 2.0, 50.0)
-    # Theta -> 1/(n-1) since psi'/psi -> 1
-    assert abs(prof.theta(40.0) - 0.5) < 1e-3
+    # Theta -> 1/(n-1) since psi'/psi -> 1; at r = 40 the gap is e^-80
+    assert abs(prof.theta(40.0) - 0.5) < 1e-13
+
+
+def _hyperbolic_theta(r, n):
+    """Theta = int_0^r sinh^(n-1) / sinh^(n-1) r in closed form, n = 3 or 5.
+
+    int sinh^2 = (sinh 2r - 2r)/4 and int sinh^4 = sinh 4r/32 - sinh 2r/4 +
+    3r/8. Below r = 1 the integral is summed from its Taylor series (the
+    closed forms cancel there); above, numerator and denominator are
+    scaled by e^{-(n-1) r} so nothing overflows.
+    """
+    r = np.asarray(r, dtype=float)
+    small = np.minimum(r, 1.0)
+    num = np.zeros_like(r)
+    for j in range(1 if n == 3 else 2, 30):
+        c = 2.0 ** (2 * j - 1) if n == 3 else 2.0 ** (4 * j - 3) - 2.0 ** (2 * j - 1)
+        num += c * small ** (2 * j + 1) / math.factorial(2 * j + 1)
+    e = np.exp(-2.0 * r)
+    if n == 3:
+        big = ((1.0 - e * e) / 2.0 - 2.0 * r * e) / (1.0 - e) ** 2
+    else:
+        big = ((1.0 - e ** 4) / 4.0 - 2.0 * (e - e ** 3) + 6.0 * r * e * e) / (1.0 - e) ** 4
+    return np.where(r < 1.0, num / np.sinh(small) ** (n - 1), big)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_hyperbolic_theta_and_I_oracle(n):
+    """Theta and log I against the elementary closed forms on [1e-3, 200],
+    at the accuracy the panel quadrature reaches (about 2e-14)."""
+    hy = pl.make_model("hyperbolic")
+    prof = pl.geometry_profile(hy, n, 2.0, 200.0)
+    r = np.geomspace(1e-3, 200.0, 400)
+    log_theta = np.log(_hyperbolic_theta(r, n))
+    log_sinh = r + np.log(-np.expm1(-2.0 * r)) - math.log(2.0)
+    assert np.max(np.abs(prof.log_theta(r) - log_theta)) < 1e-13
+    assert np.max(np.abs(prof.logI(r) - (log_theta + (n - 1) * log_sinh))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_exppower_theta_against_quad(n):
+    """Theta = int_0^r e^{G(s) - G(r)} ds by adaptive quadrature, with
+    breakpoints where G has dropped by 1, 2, 4, ... 32 below G(r), on both
+    sides of the switch to the quasi-equilibrium expansion."""
+    from scipy.integrate import quad
+
+    ep = pl.make_model("exppower:c=1,m=3")
+    prof = pl.geometry_profile(ep, n, 2.0, 5.0)
+
+    def G(s):
+        return (n - 1) * float(ep.log_psi(s))
+
+    def theta(x):
+        g = (n - 1) * float(ep.slope_ratio(x))
+        points = sorted(b for b in (x - k / g for k in (1, 2, 4, 8, 16, 32)) if 0 < b < x)
+        return quad(lambda s: math.exp(G(s) - G(x)), 0.0, x, points=points,
+                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    switch = prof.r_switch
+    panels = [0.01, 0.5, 1.0, 2.0, pl.safe_horizon(ep, n), 0.9 * switch]
+    expansion = [1.5 * switch, 3.0 * switch]
+    assert max(abs(prof.log_theta(x) - math.log(theta(x))) for x in panels) < 1e-12
+    assert max(abs(prof.log_theta(x) - math.log(theta(x))) for x in expansion) < 1e-10
+    # the expansion takes over from the panels without a visible step
+    assert abs(prof.log_theta(switch * (1 + 1e-12)) - prof.log_theta(switch)) < 1e-9
+
+
+def test_glued_theta_against_ode():
+    """Across the join of a euclidean -> hyperbolic gluing, Theta matches a
+    tight DOP853 solve of Theta' = 1 - (n-1) (psi'/psi) Theta."""
+    from scipy.integrate import solve_ivp
+
+    glued = pl.glue_models([(pl.make_model("euclidean"), 0.0),
+                            (pl.make_model("hyperbolic"), 2.0)], blend_width=0.5)
+    prof = pl.geometry_profile(glued, 3, 2.0, 20.0)
+    r0 = 1e-4  # Theta = r/3 there to 1e-16 on the flat piece
+    ref = solve_ivp(lambda t, y: [1.0 - 2.0 * float(glued.slope_ratio(t)) * y[0]],
+                    (r0, 6.0), [r0 / 3.0], method="DOP853", rtol=1e-13,
+                    atol=1e-16, dense_output=True)
+    r = np.linspace(0.5, 6.0, 56)
+    assert np.max(np.abs(prof.theta(r) / ref.sol(r)[0] - 1.0)) < 1e-9
+
+
+def test_non_finite_geometry_is_refused():
+    """A model whose log psi turns NaN inside the tabulated range makes
+    geometry_profile raise instead of returning a profile."""
+
+    class Broken(models.Euclidean):
+        def log_psi(self, r):
+            return np.where(np.asarray(r) > 5.0, np.nan, super().log_psi(r))
+
+    with pytest.raises(pl.QuadratureFailure):
+        pl.geometry_profile(Broken(), 3, 2.0, 1.0)
+
+
+def test_relax_scan_matches_loop():
+    """The doubling scan of x_{k+1} = x_k d_k + c_k against the plain loop,
+    with decays down to e^-1 as on the panels and some that underflow."""
+    rng = np.random.default_rng(5)
+    decay = np.exp(-rng.uniform(0.0, 1.0, 1000))
+    decay[::97] = 1e-250
+    inc = rng.uniform(0.0, 2.0, 1000)
+    x = [0.3]
+    for d, c in zip(decay, inc):
+        x.append(x[-1] * d + c)
+    assert np.allclose(models._relax(0.3, decay, inc), x, rtol=1e-14, atol=0.0)
+
+
+class _CountingHyperbolic(models.Hyperbolic):
+    """Hyperbolic model that records whether each evaluation got an array."""
+
+    def __init__(self):
+        self.calls = []
+
+    def log_psi(self, r):
+        self.calls.append(isinstance(r, np.ndarray) and r.ndim > 0)
+        return super().log_psi(r)
+
+    def slope_ratio(self, r):
+        self.calls.append(isinstance(r, np.ndarray) and r.ndim > 0)
+        return super().slope_ratio(r)
+
+
+def test_lookup_cost_is_independent_of_radii(monkeypatch):
+    """A lookup makes the same model array calls for 10 radii as for
+    10,000, and never evaluates the model at a scalar radius; the profile
+    is built without an ODE solve."""
+
+    def no_ode(*args, **kwargs):
+        raise AssertionError("geometry_profile called solve_ivp")
+
+    monkeypatch.setattr(models, "solve_ivp", no_ode)
+    model = _CountingHyperbolic()
+    prof = pl.geometry_profile(model, 3, 2.0, 10.0)
+    assert all(model.calls)
+    for lookup in (prof.theta, prof.logI, prof.J, prof.hp_fail_proxy):
+        counts = []
+        for num in (10, 10_000):
+            # both sizes reach past the switch to the expansion
+            r = np.geomspace(1e-3, prof.r_hi, num)
+            model.calls.clear()
+            lookup(r)
+            assert all(model.calls), lookup.__name__
+            counts.append(len(model.calls))
+        assert counts[0] == counts[1], lookup.__name__
+        model.calls.clear()
+        lookup(2.0)
+        assert all(model.calls), lookup.__name__
 
 
 @pytest.mark.parametrize("desc,n,p,verdict,regime", [
