@@ -13,9 +13,8 @@ a model is its triple log_psi, slope ratio psi'/psi and curvature ratio
 psi''/psi, in closed form, from which psi, psi' and psi'' derive. The
 geometry integrals Theta, J and W are cumulative panel quadratures of
 e^{(n-1) log psi} fitted to its exponential growth (quadrature.fitted_rule),
-tabulated once per profile. geometry_equations writes the same quantities
-as ODEs in log Theta and log J for the oscillating construction, which
-integrates them alongside the radial equation.
+tabulated once per profile; the oscillating construction reads its J
+from the same profile.
 """
 
 from __future__ import annotations
@@ -847,25 +846,6 @@ def safe_horizon(model, n, margin=60.0):
         else:
             lo = mid
     return lo
-
-
-def geometry_equations(n, p):
-    """The geometry quadratures as ODEs in r, in log variables:
-
-      (log Theta)' = 1/Theta - (n-1) psi'/psi
-      (log J)'     = Theta^(1/(p-1)) / J
-
-    Returns kernel(log Theta, log J, psi'/psi) -> ((log Theta)', (log J)'),
-    on Python floats, with every exponent capped so nothing overflows.
-    """
-    mu = 1.0 / (p - 1.0)
-
-    def kernel(th, lJ, f):
-        dth = math.exp(min(-th, _EXP_CAP)) - (n - 1) * f
-        dlJ = math.exp(min(mu * th - lJ, _EXP_CAP))
-        return dth, dlJ
-
-    return kernel
 
 
 def geometry_start(r, n, p):

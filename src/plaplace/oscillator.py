@@ -4,27 +4,35 @@ Starting from the flat cone psi = r, the model is extended stage by stage:
 even stages continue linearly (psi'' = 0, so psi'/psi ~ 1/r and Q drifts
 below its sharp limit), odd stages switch the curvature ratio to a
 constant (2s)^2 so psi'/psi ramps to the exponential rate 2s and Q climbs
-back above the limit. Stage s ends at the first radius (at least one unit
-past the previous join) where
+back above the limit. Stage s is one solver.integrate run from the pole on
+the model glued so far, and it ends at its trigger: the first accepted
+step end of that run, at least one unit past the previous trigger, where
 
   even s:  Q < T_low  and  u < 2^-s
   odd  s:  Q > T_high and  u < 2^-s  and  log psi >= s r
 
-with T_low = C (1 - 1/n)^{1/(q+1-p)}, T_high = C (1 - 1/(2n))^{1/(q+1-p)}
-and C the sharp limit constant of Q. The emitted certificate records every
-trigger; since the extension never touches psi below the join, re-running
-with more stages reproduces the earlier stage log exactly.
+with Q = J^{(p-1)/(q+1-p)} u, J read from the geometry profile of that
+model, T_low = C (1 - 1/n)^{1/(q+1-p)}, T_high = C (1 - 1/(2n))^{1/(q+1-p)}
+and C the sharp limit constant of Q. The model is then extended at the
+trigger. The emitted certificate records every trigger; since the
+extension never touches psi below the join, re-running with more stages
+reproduces the earlier stage log exactly.
 """
 
 import json
-import math
 
-import numpy as np
-from scipy.integrate import solve_ivp
+# kept importable: the benchmark tracer (perfbench/spans.py) wraps
+# oscillator.solve_ivp by name, although the construction no longer calls it
+from scipy.integrate import solve_ivp  # noqa: F401
 
 from . import models, solver
 from .diagnostics import q_limit_constant
 from .models import ConvexityViolation, InvalidParameter, _smoothstep
+
+# width of the smoothstep that ramps the curvature ratio at each join
+_BLEND_WIDTH = 0.5
+# a stage's radius budget is at least this factor times (its join + 1)
+_STAGE_CAP_FACTOR = 50.0
 
 
 class TriggerTimeout(Exception):
@@ -45,13 +53,12 @@ def thresholds(n, p, q):
 class StagePlan:
     """Trigger data for one construction stage."""
 
-    def __init__(self, index, n, p, q, blend_width=0.5, rate_scale=2.0):
+    def __init__(self, index, n, p, q, rate_scale=2.0):
         self.index = index
         self.kind = "power-like" if index % 2 == 0 else "exponential"
         self.rate_scale = rate_scale
         self.rate = 0.0 if index % 2 == 0 else rate_scale * index
         self.u_ceiling = 2.0 ** (-index)
-        self.blend_width = blend_width
         t_low, t_high = thresholds(n, p, q)
         self.t_low = t_low
         self.t_high = t_high
@@ -64,7 +71,7 @@ class StagePlan:
 
     def curvature(self, join):
         """m(r) = psi''/psi for the piece beginning at this stage's join."""
-        w = self.blend_width
+        w = _BLEND_WIDTH
         if self.index % 2 == 0:
             # ramp the previous exponential curvature back down to zero
             prev_rate = (self.rate_scale * (self.index - 1)
@@ -127,7 +134,7 @@ class OscillationCertificate:
                    [dict(s) for s in data["stages"]])
 
 
-def _stage_budget(plan, n, p, q, J_now, r_here, stage_cap_factor):
+def _stage_budget(plan, n, p, q, J_now, r_here):
     """Radius budget for one stage.
 
     The u < 2^-s trigger needs J to reach roughly
@@ -146,26 +153,22 @@ def _stage_budget(plan, n, p, q, J_now, r_here, stage_cap_factor):
         # linear piece: Theta ~ r/n so J ~ r^{1+mu} / (n^mu (1+mu))
         dr_est = (max(J_needed - J_now, 0.0) * n ** mu * (1.0 + mu)) \
             ** (1.0 / (1.0 + mu))
-    return max(stage_cap_factor * (r_here + 1.0), 4.0 * dr_est + 10.0)
+    return max(_STAGE_CAP_FACTOR * (r_here + 1.0), 4.0 * dr_est + 10.0)
 
 
-def _augmented_rhs(prob, model):
-    """(log Theta, log J, u, log(-w))' on the glued model: the geometry
-    kernel followed by the radial kernel, both read from one model lookup."""
-    geometry = models.geometry_equations(prob.n, prob.p)
-    radial = solver._radial_equations(prob, model)[1]
-
-    def rhs(r, y):
-        th, lJ, u, v = y
-        L, s = model._state(r)
-        return [*geometry(th, lJ, s), *radial((prob.n - 1) * L, u, v)]
-
-    return rhs
-
-
-def construct(n, p, q, alpha, stages, blend_width=0.5, rate_scale=2.0,
-              stage_cap_factor=50.0, scan_points=4000):
+def construct(n, p, q, alpha, stages, rate_scale=2.0):
     """Run the staged construction; returns (model, solution, certificate).
+
+    Each stage glues its piece at the previous trigger (stage 0 keeps the
+    flat cone), tabulates the geometry profile of the model glued so far,
+    and runs solver.integrate from the pole on that model with the stage's
+    trigger as the stop predicate, checked at every accepted step end:
+    first r >= previous trigger + 1 and u < 2^-s, which cost nothing, then
+    StagePlan.fires with J from the profile. The trigger is the step end
+    where the run stopped. The solver restarts at every join, so each run
+    retakes the earlier stages' steps as the same floats, and every
+    trigger is a knot of the last stage's run, which is the returned
+    solution.
 
     `stages` counts fired triggers and must be an even number >= 4 so the
     certificate ends with both bands populated. rate_scale = 0 would ask
@@ -184,66 +187,48 @@ def construct(n, p, q, alpha, stages, blend_width=0.5, rate_scale=2.0,
     ex = (p - 1.0) / (q + 1.0 - p)
 
     model = models.as_glued(models.Euclidean())
-    # series start for the augmented state (log Theta, log J, u, log(-w))
-    r_start = 1e-6
-    u0, w0 = solver.series_startup(prob, model, r_start)
-    y = [*models.geometry_start(r_start, n, p), u0, math.log(-w0)]
-    r_here = r_start
-
+    r_here, J_here = 0.0, 0.0
     stage_log = []
     for s_idx in range(stages):
-        plan = StagePlan(s_idx, n, p, q, blend_width, rate_scale)
-        cap = _stage_budget(plan, n, p, q, math.exp(y[1]), r_here,
-                            stage_cap_factor)
-        r_stop = r_here + cap
-        if isinstance(model, models.Glued) and r_stop > model.valid_to:
-            raise InvalidParameter("stage horizon exceeds glued model range")
-        sol = solve_ivp(_augmented_rhs(prob, model),
-                        (r_here, r_stop), y, method="LSODA",
-                        rtol=1e-10, atol=1e-12, dense_output=True)
-        if not sol.success:
-            raise TriggerTimeout(
-                f"stage {s_idx} integration failed at r={sol.t[-1]:g}"
+        plan = StagePlan(s_idx, n, p, q, rate_scale)
+        r_stop = r_here + _stage_budget(plan, n, p, q, J_here, r_here)
+        if s_idx > 0:
+            model = model.extended(
+                plan.curvature(r_here), r_here, r_stop + 10.0,
+                meta_update={"stage": s_idx, "kind": plan.kind,
+                             "rate": plan.rate, "join": r_here},
             )
-        scan_lo = max(r_here + 1.0, r_start + 1.0)
-        grid = np.linspace(scan_lo, r_stop, scan_points)
-        th_g, lJ_g, u_g, _ = sol.sol(grid)
-        Q_g = np.exp(ex * lJ_g) * u_g
-        lpsi_g = model.log_psi(grid)
-        hits = [i for i in range(len(grid))
-                if plan.fires(grid[i], Q_g[i], u_g[i], lpsi_g[i])]
-        if not hits:
+        prof = models.geometry_profile(model, n, p, r_stop)
+        r_min = r_here + 1.0
+
+        def stop(r, u):
+            return (r >= r_min and u < plan.u_ceiling
+                    and plan.fires(r, prof.J(r) ** ex * u, u,
+                                   float(model.log_psi(r))))
+
+        sol = solver.integrate(prob, model, solver.SolverConfig(r_max=r_stop),
+                               stop=stop)
+        r_here = sol.r_last
+        u = sol.eval_u(r_here)
+        J_here = float(prof.J(r_here))
+        Q = J_here ** ex * u
+        if sol.termination != "stopped":
             raise TriggerTimeout(
                 f"stage {s_idx} ({plan.kind}) trigger not reached by "
-                f"r={r_stop:.3g}; last Q={Q_g[-1]:.5f}, u={u_g[-1]:.3g}"
+                f"r={r_here:.3g} ({sol.termination}); last Q={Q:.5f}, u={u:.3g}"
             )
-        i0 = hits[0]
-        r_next = float(grid[i0])
-        y = [float(v) for v in sol.sol(r_next)]
         stage_log.append({
             "index": s_idx,
             "kind": plan.kind,
-            "r": r_next,
-            "Q": float(Q_g[i0]),
-            "u": float(u_g[i0]),
-            "log_psi": float(lpsi_g[i0]),
+            "r": r_here,
+            "Q": Q,
+            "u": u,
+            "log_psi": float(model.log_psi(r_here)),
             "threshold": plan.t_low if s_idx % 2 == 0 else plan.t_high,
         })
-        r_here = r_next
-        if s_idx + 1 < stages:
-            nxt = StagePlan(s_idx + 1, n, p, q, blend_width, rate_scale)
-            end = r_next + _stage_budget(nxt, n, p, q, math.exp(y[1]),
-                                         r_next, stage_cap_factor) + 10.0
-            model = models.as_glued(model).extended(
-                nxt.curvature(r_next), r_next, end,
-                meta_update={"stage": s_idx + 1, "kind": nxt.kind,
-                             "rate": nxt.rate, "join": r_next},
-            )
 
     cert = OscillationCertificate(n, p, q, alpha, t_low, t_high, stage_log)
-    final_sol = solver.integrate(prob, model,
-                                 solver.SolverConfig(r_max=r_here))
-    return model, final_sol, cert
+    return model, sol, cert
 
 
 def verify_certificate(cert, sol, profile, rel_tol=2e-3):

@@ -28,11 +28,14 @@ a step reads it at (11 inner stages, the step end, 3 dense-output stages)
 are fixed by the step's start and length, so one model.log_psi array call
 per attempted step serves them all. Each accepted step is appended to a
 flat record; after the run the 3 dense-output stages and the interpolant's
-coefficients are formed for all steps at once in numpy. The stepper also
-ends its run where u falls to the underflow floor, and the radius of the
-crossing is then found on the last step's dense output by scipy's event
-rule. nfev still counts 12 per attempted step and 3 per accepted step, as
-scipy's DOP853 with dense output does.
+coefficients are formed for all steps at once in numpy. nfev still counts
+12 per attempted step and 3 per accepted step, as scipy's DOP853 with
+dense output does.
+
+Both steppers end a run at the first accepted step end (r, u) where u has
+fallen to the underflow floor (the crossing is then located on the last
+step's dense output by scipy's event rule) or where the caller's
+predicate stop(r, u) holds.
 """
 
 import json
@@ -41,7 +44,7 @@ from array import array
 from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate import DOP853, Radau, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
@@ -450,8 +453,8 @@ def _add_stages(kernel, rows, lpsi, u, v, h, ku, kv):
 
 class _RadialDOP853(DOP853):
     """DOP853 on Python floats, with steps below a tenth of the radius, that
-    records its steps and stops where u underflows or the problem turns
-    stiff.
+    records its steps and stops where its stop predicate holds or the
+    problem turns stiff.
 
     The step is scipy's DOP853 (Hairer, Norsett & Wanner, Solving ODEs I,
     II.5-II.6): its tableau, its blended err5/err3 error norm and its
@@ -488,20 +491,21 @@ class _RadialDOP853(DOP853):
     Bounding h by r/10 keeps the dense output at the accuracy of the
     steps; away from the pole the bound rarely binds.
 
-    The run ends at the first step whose end state has u <= u_floor, the
-    test scipy's event scan makes for a terminal event of direction -1 on
-    u - u_floor. After each step, h v' is read from the derivative the step
-    already evaluated at its end; once it exceeds _STIFF_HV on
-    _STIFF_STEPS consecutive steps, the run also ends at that radius.
+    The run ends at the first accepted step end (r, u) where stop(r, u)
+    holds; integrate's predicate makes there the test scipy's event scan
+    makes for a terminal event of direction -1 on u - u_floor. After each
+    step, h v' is read from the derivative the step already evaluated at
+    its end; once it exceeds _STIFF_HV on _STIFF_STEPS consecutive steps,
+    the run also ends at that radius.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, steps, u_floor,
+    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, steps, stop,
                  **options):
         super().__init__(fun, t0, y0, t_bound, **options)
         self._lpsi = lpsi
         self._kernel = kernel
         self._steps = steps
-        self._u_floor = u_floor
+        self._stop = stop
         self.rtol, self.atol = float(self.rtol), float(self.atol)
         self.h_abs = float(self.h_abs)
         self.f = tuple(self.f.tolist())
@@ -565,7 +569,7 @@ class _RadialDOP853(DOP853):
         self._steps.extend((t, h, u, v, u_new, v_new, *ku, *kv,
                             *lpsi[_INNER + 1:]))
 
-        if u_new <= self._u_floor:
+        if self._stop(t_new, u_new):
             self.t_bound = t_new
         if h * fv_new > _STIFF_HV:
             self.stiff_steps += 1
@@ -574,6 +578,21 @@ class _RadialDOP853(DOP853):
         else:
             self.stiff_steps = 0
         return True, None
+
+
+class _RadialRadau(Radau):
+    """scipy's Radau IIA, ending its run at the first accepted step end
+    (r, y) where stop(r, u) holds, as _RadialDOP853 does."""
+
+    def __init__(self, fun, t0, y0, t_bound, *, stop, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        self._stop = stop
+
+    def _step_impl(self):
+        success, message = super()._step_impl()
+        if success and self._stop(self.t, self.y[0]):
+            self.t_bound = self.t
+        return success, message
 
 
 def _dop853_piece(steps, kernel):
@@ -652,15 +671,17 @@ def _radial_equations(prob, model):
             rhs, jac)
 
 
-def integrate(prob, model, config):
+def integrate(prob, model, config, stop=None):
     """Integrate the radial problem from the pole to config.r_max.
 
     State variables are (u, log(-w)), with the equations of
-    _radial_equations. Terminates at the horizon or when u hits the
-    underflow floor 1e-12 alpha (u = 0 is never attained in exact
-    arithmetic); the last radius is then where the dense output of u
-    crosses the floor. Each piece runs on _RadialDOP853; a piece on which
-    it stops for stiffness is finished by Radau.
+    _radial_equations. The run ends at the horizon ("reached-horizon"), or
+    at the first accepted step end where u hits the underflow floor
+    1e-12 alpha ("underflow"; u = 0 is never attained in exact arithmetic,
+    and the last radius is moved back to where the dense output of u
+    crosses the floor), or where stop(r, u) holds ("stopped", on that step
+    end). Each piece runs on _RadialDOP853; a piece on which it stops for
+    stiffness is finished by Radau.
     """
     if config.r_max > model.valid_to:
         raise GeometryOverflow(
@@ -673,12 +694,16 @@ def integrate(prob, model, config):
     u0, w0 = series_startup(prob, model, r0)
     v0 = math.log(-w0)
     lpsi, kernel, dense_kernel, rhs, jac = _radial_equations(prob, model)
+    termination = None
 
-    def underflow(r, y):
-        return y[0] - u_floor
-
-    underflow.terminal = True
-    underflow.direction = -1
+    def ends_run(r, u):
+        """Both steppers' check at every accepted step end."""
+        nonlocal termination
+        if u <= u_floor:
+            termination = "underflow"
+        elif stop is not None and stop(r, u):
+            termination = "stopped"
+        return termination is not None
 
     # one stepper run per smooth piece of the model: a step across a join,
     # where derivatives of psi past psi'' jump, is accepted at the knots
@@ -689,7 +714,8 @@ def integrate(prob, model, config):
 
     def run(method, start, end, y0, **options):
         sol = solve_ivp(rhs, (start, end), y0, method=method,
-                        rtol=config.rel_tol, atol=config.abs_tol, **options)
+                        rtol=config.rel_tol, atol=config.abs_tol,
+                        stop=ends_run, **options)
         if not sol.success:
             raise StepSizeCollapse(
                 f"stepper failed at r={sol.t[-1]:g}: {sol.message}"
@@ -697,26 +723,23 @@ def integrate(prob, model, config):
         return sol
 
     start, y0 = r0, [u0, v0]
-    termination = "reached-horizon"
     for end in ends:
         steps = array("d")
         sol = run(_RadialDOP853, start, end, y0, lpsi=lpsi, kernel=kernel,
-                  steps=steps, u_floor=u_floor)
+                  steps=steps)
         pieces.append(_dop853_piece(steps, dense_kernel))
-        if sol.y[0, -1] <= u_floor:
-            _trim_to_underflow(pieces[-1], u_floor)
-            termination = "underflow"
-            break
-        # otherwise DOP853 ends a run short of `end` only on its stiffness test
-        if sol.t[-1] < end:
-            sol = run("Radau", sol.t[-1], end, sol.y[:, -1], jac=jac,
-                      events=underflow, dense_output=True)
+        # a run that ends short of `end` otherwise stopped on its stiffness test
+        if termination is None and sol.t[-1] < end:
+            sol = run(_RadialRadau, sol.t[-1], end, sol.y[:, -1], jac=jac,
+                      dense_output=True)
             pieces.append(_radau_piece(sol.sol))
-            if sol.status == 1:
-                termination = "underflow"
-                break
+        if termination is not None:
+            break
         start, y0 = end, sol.y[:, -1]
-    return RadialSolution(prob, model, config, pieces, termination)
+    if termination == "underflow":
+        _trim_to_underflow(pieces[-1], u_floor)
+    return RadialSolution(prob, model, config, pieces,
+                          termination or "reached-horizon")
 
 
 def _flux_integrals(sol, idx, v_b):

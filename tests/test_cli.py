@@ -208,6 +208,19 @@ def test_oscillate_rerun_is_byte_identical(tmp_path):
     assert m1["outputs"] == m2["outputs"]
 
 
+def test_oscillate_triggers_are_solution_rows(tmp_path):
+    """Every trigger in certificate.json is a row of solution.csv, with the
+    same u: the certificate is read off the exported solution itself."""
+    assert run_cli(tmp_path, "oscillate", "--n", "3", "--p", "2", "--q", "5",
+                   "--alpha", "1", "--stages", "4") == 0
+    d = latest_dir(tmp_path)
+    cert = load_json(d, "certificate.json")
+    data = pl.read_csv(os.path.join(d, "solution.csv"))
+    for entry in cert["stages"]:
+        (row,) = np.flatnonzero(data["r"] == entry["r"])
+        assert data["u"][row] == entry["u"]
+
+
 def test_output_root_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("PLAPLACE_RUNS", str(tmp_path / "viaenv"))
     code = cli.main(["classify", "--model", "euclidean", "--n", "3",

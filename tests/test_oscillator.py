@@ -1,10 +1,13 @@
 """Staged construction of a geometry with persistently oscillating Q."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import plaplace as pl
-from plaplace import oscillator
+from plaplace import oscillator, solver
 
 
 def test_thresholds_formula():
@@ -36,12 +39,44 @@ def test_rows_below_first_join_match_flat_profile(oscillation):
     assert np.max(np.abs(sol.u[keep] - exact) / exact) < 1e-11
 
 
-def test_resolve_matches_stage_integration(oscillation):
-    """The re-solve agrees with the stage loop's own LSODA integration of
-    the augmented state at every trigger radius."""
-    for entry in oscillation.cert.stages:
-        u = oscillation.sol.eval_u(entry["r"])
-        assert abs(u - entry["u"]) <= 1e-8 * entry["u"]
+def test_triggers_match_independent_reference(oscillation):
+    """Q and u at every trigger agree within 1e-9 with a reference that
+    shares neither stepper nor quadrature with the construction: LSODA at
+    rtol 1e-12, atol 1e-14 on the state (log Theta, log J, u, v = log(-w)),
+    with the geometry as ODEs
+
+      (log Theta)' = 1/Theta - (n-1) psi'/psi,   (log J)' = Theta^mu / J,
+
+    started from the small-r series and restarted at each join of the final
+    glued model. The joins are the triggers before the last, so every piece
+    ends at a trigger."""
+    n, p, q = 3, 2.0, 5.0
+    prob = pl.Problem(n, p, q, 1.0)
+    model = oscillation.model
+    mu = 1.0 / (p - 1.0)
+    ex = (p - 1.0) / (q + 1.0 - p)
+
+    def rhs(r, y):
+        th, lJ, u, v = y
+        L, f = model._state(r)
+        G = (n - 1) * L
+        return [math.exp(-th) - (n - 1) * f, math.exp(mu * th - lJ),
+                -math.exp(mu * (v - G)), math.exp(G + q * math.log(u) - v)]
+
+    start = 1e-6
+    u0, w0 = solver.series_startup(prob, model, start)
+    y = [*pl.models.geometry_start(start, n, p), u0, math.log(-w0)]
+    stages = oscillation.cert.stages
+    assert list(model.joins()) == [entry["r"] for entry in stages[:-1]]
+    for entry in stages:
+        ref = solve_ivp(rhs, (start, entry["r"]), y, method="LSODA",
+                        rtol=1e-12, atol=1e-14)
+        assert ref.success
+        y = ref.y[:, -1]
+        Q = math.exp(ex * y[1]) * y[2]
+        assert abs(Q - entry["Q"]) <= 1e-9 * entry["Q"]
+        assert abs(y[2] - entry["u"]) <= 1e-9 * entry["u"]
+        start = entry["r"]
 
 
 def test_certificate_structure(oscillation):

@@ -208,8 +208,9 @@ def _assert_stepper_matches_stock(prob, model, start, end, y0):
     step count unchanged.
     """
     lpsi, kernel, dense_kernel, rhs, _ = solver._radial_equations(prob, model)
+    floor = solver._U_FLOOR * prob.alpha
     options = dict(rtol=1e-11, atol=1e-14, lpsi=lpsi, kernel=kernel,
-                   u_floor=solver._U_FLOOR * prob.alpha)
+                   stop=lambda r, u: u <= floor)
     ours = solve_ivp(rhs, (start, end), y0, method=solver._RadialDOP853,
                      steps=array("d"), **options)
     stock = solve_ivp(rhs, (start, end), y0, method=_StockDOP853,
@@ -242,7 +243,13 @@ def test_stepper_matches_stock_dop853(hy_run, ep_run, oscillation):
     """The float stepper takes scipy's DOP853 steps: on the hyperbolic and
     exppower runs and on the oscillation's glued model between its first
     two joins. It reads scipy's private tableau, so this also guards
-    against a scipy release that renames or changes it."""
+    against a scipy release that renames or changes it.
+
+    The second join is a trigger, which is one of the float stepper's own
+    step ends; stock DOP853, whose knots drift by ~1e-7 (see
+    _assert_stepper_matches_stock), would end short of it with one more
+    sliver step. So that comparison ends mid-way through the piece's last
+    step, a radius off either stepper's knots."""
     for run in (hy_run, ep_run):
         dense = run.sol._dense
         _assert_stepper_matches_stock(run.prob, run.model, dense.t_old[0],
@@ -250,8 +257,10 @@ def test_stepper_matches_stock_dop853(hy_run, ep_run, oscillation):
     dense = oscillation.sol._dense
     first, second = oscillation.model.joins()[:2]
     k = np.flatnonzero(dense.t_old == first)[0]
+    last = np.flatnonzero(dense.ts == second)[0]
+    end = 0.5 * (dense.ts[last - 1] + second)
     _assert_stepper_matches_stock(oscillation.sol.problem, oscillation.model,
-                                  first, second, dense.y_old[k])
+                                  first, end, dense.y_old[k])
 
 
 def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
@@ -271,6 +280,30 @@ def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
     assert np.all(sol._dense.t_old[radau] > last_join)
     # once handed over, the piece is finished on Radau
     assert np.all(radau[np.argmax(radau):])
+
+
+def test_stop_ends_run_at_first_step_end(oscillation):
+    """integrate(stop=...) ends the run at the first accepted step end where
+    stop(r, u) holds, having taken the same steps as the run without it.
+    On the oscillating construction the last stage stops on its exponential
+    tail, at the end of a Radau step (a cubic: nested coefficients past the
+    third are zero)."""
+    prob = pl.Problem(3, 2.0, 5.0, 1.0)
+    model = pl.make_model("euclidean")
+    full = pl.integrate(prob, model, pl.SolverConfig(50.0))
+    sol = pl.integrate(prob, model, pl.SolverConfig(50.0),
+                       stop=lambda r, u: u < 0.5)
+    assert sol.termination == "stopped"
+    knots = full._dense.ts
+    first = np.argmax(full._dense(knots)[0] < 0.5)
+    assert 0 < first < len(knots) - 1
+    assert sol.r_last == knots[first]
+    assert np.array_equal(sol._dense.ts, knots[:first + 1])
+
+    osc = oscillation.sol
+    assert osc.termination == "stopped"
+    assert oscillation.cert.stages[-1]["r"] == osc.r_last == osc._dense.ts[-1]
+    assert np.all(osc._dense.F[-1, 3:] == 0.0)
 
 
 def test_underflow_termination():
