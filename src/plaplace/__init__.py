@@ -68,7 +68,6 @@ from .sobolev import (
     TailDivergence,
     concentration_sweep,
     euclidean_reference,
-    euclidean_residual,
     sobolev_quotient,
     truncation_radius,
 )

@@ -587,10 +587,11 @@ class GeometryProfile:
     Theta = I/psi^(n-1) (I = int_0^r e^G), its primitive J = int_0^r Theta^mu,
     and the liminf quotient W/J with W = U/I, U = int_0^r Theta^mu I.
 
-    Up to r_switch, where the relaxation rate r (n-1) psi'/psi reaches
-    _QE_RATE, all three are panel quadratures. The panels start as the
-    geometric grid (plus the model's joins) and are split until G grows by
-    at most 1 across each. On each panel [a, b]
+    Up to r_switch, the first grid radius past the last one where the
+    relaxation rate r (n-1) psi'/psi is below _QE_RATE, all three are
+    panel quadratures. The panels start as the geometric grid (plus the
+    model's joins) and are split until G grows by at most 1 across each.
+    On each panel [a, b]
 
       Theta(b) = Theta(a) e^{-(G(b) - G(a))} + int_a^b e^{G(s) - G(b)} ds
 
@@ -621,8 +622,10 @@ class GeometryProfile:
         grid = np.union1d(np.geomspace(self.r_lo, self.r_hi, num),
                           [j for j in model.joins() if self.r_lo < j < self.r_hi])
         slope = (self.n - 1) * np.asarray(model.slope_ratio(grid), dtype=float)
-        stiff = np.nonzero(grid * slope >= _QE_RATE)[0]
-        k = max(int(stiff[0]), 1) if stiff.size else len(grid) - 1
+        # the switch follows the last radius below the rate, so a join where
+        # the rate falls back (a glued model turning flat) stays on the panels
+        calm = np.nonzero(grid * slope < _QE_RATE)[0]
+        k = min(int(calm[-1]) + 1, len(grid) - 1)
         self.r_switch = float(grid[k])
         # G' = slope is monotone across a grid panel, so the larger of its
         # end values bounds the growth of G on each equal part

@@ -1,7 +1,8 @@
 """Gauss-Legendre panel rules shared by the solver, the diagnostics and the
 geometry quadratures.
 
-`gauss_legendre` is the plain 5-node rule on each of many intervals.
+`panel_integrals` integrates a density between consecutive radii with the
+plain 5-node rule on panels across which psi^{n-1} grows by at most e.
 `fitted_rule` is the 8-node rule taken in y = e^{c (s - b)}, with c the
 chord slope of an exponent G across the panel: it integrates e^{G(s)} f(s)
 to near machine precision when G is smooth and grows by at most about 1
@@ -16,7 +17,7 @@ import math
 import numpy as np
 
 # 5-node Gauss-Legendre rule on [-1, 1], in closed form; exact for degree
-# 9, and the integrands are smooth inside a row interval.
+# 9, and the integrands are smooth inside an interval.
 _GL_X1 = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
 _GL_X2 = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
 _GL_W1 = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
@@ -25,14 +26,25 @@ _GL_NODES = np.array([-_GL_X2, -_GL_X1, 0.0, _GL_X1, _GL_X2])
 _GL_WEIGHTS = np.array([_GL_W2, _GL_W1, 128.0 / 225.0, _GL_W1, _GL_W2])
 
 
-def gauss_legendre(f, a, b):
-    """Integral of f over each interval [a_i, b_i] by the 5-node rule.
+def panel_integrals(density, x, G):
+    """int_{x_k}^{x_{k+1}} density for every k.
 
-    f is called once, on the (len(a), 5) array of all nodes.
+    G is (n-1) log psi at the radii x. Each interval is cut into
+    ceil(G(x_{k+1}) - G(x_k)) equal panels (at least one), so psi^{n-1}
+    changes by at most a factor e across a panel; an interval from the
+    pole x = 0 is one panel. Each panel gets the 5-node Gauss-Legendre
+    rule. density(s, k) is called once, on the (m, 5) array s of all
+    nodes and the (m,) interval index k of each panel.
     """
+    parts = np.where(x[:-1] > 0.0, np.maximum(np.ceil(np.diff(G)), 1), 1).astype(int)
+    k = np.repeat(np.arange(len(parts)), parts)
+    first = np.cumsum(parts) - parts  # first panel of each interval
+    width = (np.diff(x) / parts)[k]
+    a = x[k] + width * (np.arange(parts.sum()) - first[k])
+    b = a + width
     half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return half * (f(x) @ _GL_WEIGHTS)
+    s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+    return np.add.reduceat(half * (density(s, k) @ _GL_WEIGHTS), first)
 
 
 def _partial_matrix(x, w):

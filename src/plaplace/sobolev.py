@@ -1,12 +1,11 @@
 """Sobolev quotients of concentrating radial profiles on model manifolds.
 
 The optimizing Euclidean profile a (b + r^{p/(p-1)})^{-(n-p)/p} is evaluated
-in closed form, verified as an exact solution of -Delta_p u = c u^{p*-1} in
-R^n, and transplanted radially onto arbitrary models where its Rayleigh
-quotient ||grad f||_p / ||f||_{p*} is computed by quadrature. On any
-geometry that is not flat the quotient stays strictly above the Euclidean
-value and approaches it as the profile concentrates (b -> 0) -- the
-numerical shadow of non-attainment of the sharp constant.
+in closed form and transplanted radially onto arbitrary models, where its
+Rayleigh quotient ||grad f||_p / ||f||_{p*} is computed by quadrature. On
+any geometry that is not flat the quotient stays strictly above the
+Euclidean value and approaches it as the profile concentrates (b -> 0) --
+the numerical shadow of non-attainment of the sharp constant.
 """
 
 import math
@@ -46,37 +45,6 @@ class AubinTalenti:
         r = np.asarray(r, dtype=float)
         return (-self.a * self.m * self.s * r ** (self.s - 1.0)
                 * (self.b + r ** self.s) ** (-self.m - 1.0))
-
-    def p_laplacian(self, r):
-        """-Delta_p u in R^n, evaluated from the closed form.
-
-        The flux |u'|^{p-2}u' equals -(a m s)^{p-1} r (b + r^s)^{-k} with
-        k = (m+1)(p-1); since k s = n the divergence collapses to a single
-        clean term n b (a m s)^{p-1} (b + r^s)^{-k-1}.
-        """
-        r = np.asarray(r, dtype=float)
-        k = (self.m + 1.0) * (self.p - 1.0)
-        amp = (abs(self.a) * self.m * self.s) ** (self.p - 1.0)
-        return self.n * self.b * amp * (self.b + r ** self.s) ** (-k - 1.0)
-
-
-def euclidean_residual(profile, r_ref=1.0, grid=None):
-    """Verify -Delta_p u = c u^{p*-1} in R^n for the extremal profile.
-
-    Fits the unique constant c at r_ref, then reports the maximum relative
-    residual over the audit grid (three decades around r_ref by default).
-    """
-    n, p = profile.n, profile.p
-    p_star = n * p / (n - p)
-    if grid is None:
-        grid = np.geomspace(r_ref / 30.0, r_ref * 30.0, 200)
-    lhs_ref = float(profile.p_laplacian(r_ref))
-    rhs_ref = float(profile.u(r_ref)) ** (p_star - 1.0) * np.sign(profile.a)
-    c = lhs_ref / rhs_ref
-    lhs = profile.p_laplacian(grid)
-    rhs = c * np.sign(profile.a) * np.abs(profile.u(grid)) ** (p_star - 1.0)
-    rel = np.max(np.abs(lhs - rhs) / np.abs(rhs))
-    return {"c": c, "max_rel_residual": float(rel), "r_ref": r_ref}
 
 
 def _cutoff(r, R):

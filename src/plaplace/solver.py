@@ -51,7 +51,7 @@ from scipy.optimize import brentq
 
 from . import runio
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
-from .quadrature import gauss_legendre
+from .quadrature import panel_integrals
 
 # solution.csv contract: linear interpolation of u between neighbouring
 # rows is within ROW_TOL |u| (see _row_radii)
@@ -117,22 +117,20 @@ class Problem:
 
 
 class SolverConfig:
-    """Integration controls: horizon, tolerances, startup radius."""
+    """Integration controls: horizon and tolerances."""
 
-    def __init__(self, r_max, rel_tol=1e-11, abs_tol=1e-14, startup_radius=None):
+    def __init__(self, r_max, rel_tol=1e-11, abs_tol=1e-14):
         if r_max <= 0 or rel_tol <= 0 or abs_tol <= 0:
             raise InvalidParameter("r_max and tolerances must be positive")
         self.r_max = float(r_max)
         self.rel_tol = float(rel_tol)
         self.abs_tol = float(abs_tol)
-        self.startup_radius = startup_radius
 
     def to_dict(self):
         return {
             "r_max": self.r_max,
             "rel_tol": self.rel_tol,
             "abs_tol": self.abs_tol,
-            "startup_radius": self.startup_radius,
         }
 
 
@@ -689,8 +687,7 @@ def integrate(prob, model, config, stop=None):
             f"{model.valid_to:g}"
         )
     u_floor = _U_FLOOR * prob.alpha
-    r0 = config.startup_radius or default_startup_radius(prob)
-    r0 = min(r0, 0.01 * config.r_max)
+    r0 = min(default_startup_radius(prob), 0.01 * config.r_max)
     u0, w0 = series_startup(prob, model, r0)
     v0 = math.log(-w0)
     lpsi, kernel, dense_kernel, rhs, jac = _radial_equations(prob, model)
@@ -747,30 +744,22 @@ def _flux_integrals(sol, idx, v_b):
     pair, v_b[k] being the shift of the k-th pair.
 
     The integrand is formed in log space, so it stays finite however large
-    psi^{n-1} grows. Each row interval in between is cut into
-    ceil((n-1) Delta log psi) equal panels (at least one), so the
-    exponential factor changes by at most e per panel, and each panel gets
-    the 5-node Gauss-Legendre rule; all panels go in one array call, with u
-    read from the steppers' dense output.
+    psi^{n-1} grows, and integrated over every row interval in between by
+    quadrature.panel_integrals, with u read from the steppers' dense output.
     """
     prob = sol.problem
     lo, hi = idx[0], idx[-1]
     edges = sol.r[lo:hi + 1]
-    lpsi = (prob.n - 1) * np.asarray(sol.model.log_psi(edges), dtype=float)
-    panels = np.maximum(np.ceil(np.diff(lpsi)), 1).astype(int)
-    row = np.repeat(np.arange(len(panels)), panels)
-    first = np.cumsum(panels) - panels  # first panel of each row interval
-    part = np.arange(panels.sum()) - first[row]
-    width = np.diff(edges)[row] / panels[row]
-    a = edges[row] + width * part
-    shift = np.repeat(v_b, np.diff(idx))[row]
+    shift = np.repeat(v_b, np.diff(idx))
 
-    def density(x):
-        return np.exp((prob.n - 1) * np.asarray(sol.model.log_psi(x), dtype=float)
-                      + prob.q * np.log(sol._uv(x)[0]) - shift[:, None])
+    def lpsi(x):
+        return (prob.n - 1) * np.asarray(sol.model.log_psi(x), dtype=float)
 
-    per_panel = gauss_legendre(density, a, a + width)
-    return np.add.reduceat(per_panel, first[np.asarray(idx[:-1]) - lo])
+    def density(x, k):
+        return np.exp(lpsi(x) + prob.q * np.log(sol._uv(x)[0]) - shift[k][:, None])
+
+    rows = panel_integrals(density, edges, lpsi(edges))
+    return np.add.reduceat(rows, np.asarray(idx[:-1]) - lo)
 
 
 def flux_residual(sol, num=200):

@@ -368,6 +368,25 @@ def test_glued_theta_against_ode():
     assert np.max(np.abs(prof.theta(r) / ref.sol(r)[0] - 1.0)) < 1e-9
 
 
+def test_theta_past_a_late_flat_join():
+    """psi flat, then e^{6 r}-like from r = 1, then flat again from r = 300:
+    the rate r (n-1) psi'/psi passes _QE_RATE inside the exponential piece
+    and falls back at the late join, past which Theta must still come from
+    the panels and match a tight LSODA solve of
+    Theta' = 1 - (n-1)(psi'/psi) Theta."""
+    from scipy.integrate import solve_ivp
+
+    model = (models.as_glued(pl.make_model("euclidean"))
+             .extended(lambda r: 36.0, 1.0, 300.0)
+             .extended(lambda r: 0.0, 300.0, 400.0))
+    prof = pl.geometry_profile(model, 3, 2.0, 350.0)
+    ref = solve_ivp(lambda t, y: [1.0 - 2.0 * float(model.slope_ratio(t)) * y[0]],
+                    (1.0, 340.0), [1.0 / 3.0], method="LSODA", rtol=1e-13,
+                    atol=1e-15, dense_output=True)
+    r = np.array([301.0, 310.0, 340.0])
+    assert np.max(np.abs(prof.theta(r) / ref.sol(r)[0] - 1.0)) < 1e-9
+
+
 def test_non_finite_geometry_is_refused():
     """A model whose log psi turns NaN inside the tabulated range makes
     geometry_profile raise instead of returning a profile."""

@@ -1,7 +1,5 @@
 """Extremal profiles, Rayleigh quotients and concentration sweeps."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -14,22 +12,6 @@ def test_profile_validation():
         pl.AubinTalenti(3, 3.0)       # p = n
     with pytest.raises(pl.InvalidParameter):
         pl.AubinTalenti(3, 2.0, b=-1.0)
-
-
-def test_extremal_solves_equation():
-    out = pl.euclidean_residual(pl.AubinTalenti(3, 2.0))
-    assert out["max_rel_residual"] < 1e-8
-    # n=4, p=2, a=2 sqrt(2), b=1 is the unit-coefficient solution
-    out = pl.euclidean_residual(pl.AubinTalenti(4, 2.0, a=2.0 * math.sqrt(2.0)))
-    assert out["c"] == pytest.approx(1.0, rel=1e-12)
-    assert out["max_rel_residual"] < 1e-8
-
-
-def test_residual_scaling_homogeneity():
-    """Doubling the amplitude scales c by 2^{-(p*-2)} (here 1/4 for n=4)."""
-    c1 = pl.euclidean_residual(pl.AubinTalenti(4, 2.0, a=1.0))["c"]
-    c2 = pl.euclidean_residual(pl.AubinTalenti(4, 2.0, a=2.0))["c"]
-    assert c2 / c1 == pytest.approx(0.25, rel=1e-12)
 
 
 def test_euclidean_b_invariance():
