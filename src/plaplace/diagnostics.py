@@ -16,6 +16,8 @@ from . import extrapolate, runio
 from .models import _EXP_CAP
 from .quadrature import panel_integrals
 
+_ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
+
 
 class GridMismatch(Exception):
     """Solution and geometry profile disagree on model or dimension."""
@@ -214,15 +216,15 @@ def envelope_constant(p, q):
     return ex ** ex
 
 
-def decay_envelope_check(sol, profile, r_min=1.0, points_per_decade=64):
-    """Assert u(r) <= C J(r)^{-(p-1)/(q+1-p)} on audit radii r >= r_min."""
+def decay_envelope_check(sol, profile):
+    """Assert u(r) <= C J(r)^{-(p-1)/(q+1-p)} on audit radii r >= 1."""
     _check_pair(sol, profile)
     p, q = sol.problem.p, sol.problem.q
     r_hi = sol.r_last
-    if r_hi <= r_min:
-        raise GridMismatch(f"horizon {r_hi:g} does not reach r_min={r_min:g}")
-    num = max(8, int(points_per_decade * math.log10(r_hi / r_min)) + 1)
-    r = np.geomspace(r_min, r_hi, num)
+    if r_hi <= _ENVELOPE_R_MIN:
+        raise GridMismatch(f"horizon {r_hi:g} does not reach r = {_ENVELOPE_R_MIN:g}")
+    num = max(8, int(_ENVELOPE_PER_DECADE * math.log10(r_hi / _ENVELOPE_R_MIN)) + 1)
+    r = np.geomspace(_ENVELOPE_R_MIN, r_hi, num)
     env = envelope_constant(p, q) * profile.J(r) ** (-(p - 1.0) / (q + 1.0 - p))
     u = sol.eval_u(r)
     slack = env - u

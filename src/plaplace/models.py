@@ -52,6 +52,9 @@ class AmbiguousRegime(RuntimeError):
 
 # Exponent ceiling used before exp() to keep intermediate floats finite.
 _EXP_CAP = 700.0
+# audit grid, safe_horizon headroom, detect_regime window, geometry.csv rows
+_AUDIT_HORIZON, _AUDIT_PER_DECADE = 1e3, 64
+_HORIZON_MARGIN, _REGIME_WINDOW_DECADES, _CSV_ROWS = 60.0, 2.0, 400
 
 
 def _smoothstep(x):
@@ -435,7 +438,7 @@ def parse_descriptor(text):
     return {"kind": kind.strip().lower(), "params": params}
 
 
-def make_model(descriptor, audit=True):
+def make_model(descriptor):
     """Build a catalog ModelFunction from a descriptor (dict or CLI string).
 
     The returned model has passed the structural audit: psi(0)=0, psi'(0)=1
@@ -452,21 +455,18 @@ def make_model(descriptor, audit=True):
         model = _KINDS[kind](params)
     except KeyError as exc:
         raise InvalidParameter(f"missing parameter {exc} for kind {kind!r}") from exc
-    if audit:
-        audit_model(model)
+    audit_model(model)
     return model
 
 
-def audit_model(model, horizon=None, points_per_decade=64):
+def audit_model(model):
     """Check the structural invariants of a model function on a log grid.
 
     Raises ConvexityViolation or InvalidParameter on failure; returns the
     audit radii on success.
     """
-    if horizon is None:
-        horizon = min(model.valid_to, 1e3)
-    decades = math.log10(horizon) - (-6)
-    npts = max(16, int(points_per_decade * decades))
+    horizon = min(model.valid_to, _AUDIT_HORIZON)
+    npts = max(16, int(_AUDIT_PER_DECADE * (math.log10(horizon) + 6)))
     r = np.geomspace(1e-6, horizon * (1 - 1e-12), npts)
     with np.errstate(over="ignore"):
         psi, dpsi, ddpsi = model.eval(r)
@@ -825,17 +825,17 @@ class GeometryProfile:
 
         return np.exp(self._lookup(r, fine, self._tail_log_proxy))
 
-    def export_csv(self, path, num=400):
+    def export_csv(self, path):
         """Write r, psi, dpsi, ddpsi, I, theta, J rows up to the user horizon."""
-        r = np.geomspace(max(self.r_lo * 10, self.R * 1e-6), self.R, num)
+        r = np.geomspace(max(self.r_lo * 10, self.R * 1e-6), self.R, _CSV_ROWS)
         return runio.write_csv(
             path, ["r", "psi", "dpsi", "ddpsi", "I", "theta", "J"],
             [r, *self.model.eval(r), self.I(r), self.theta(r), self.J(r)])
 
 
-def safe_horizon(model, n, margin=60.0):
+def safe_horizon(model, n):
     """Largest radius where psi^(n-1) (plus headroom) stays representable."""
-    limit = (_EXP_CAP - margin) / max(n - 1, 1)
+    limit = (_EXP_CAP - _HORIZON_MARGIN) / max(n - 1, 1)
 
     lo, hi = 1.0, min(model.valid_to, 1e8)
     if model.log_psi(hi) <= limit:
@@ -923,7 +923,7 @@ class CompletenessVerdict:
         }
 
 
-def detect_regime(profile, window_decades=2.0):
+def detect_regime(profile):
     """Fit the asymptotic regime of psi'/psi near the extended horizon.
 
     Estimates gamma from the log-log slope of f = psi'/psi, distinguishes
@@ -933,7 +933,7 @@ def detect_regime(profile, window_decades=2.0):
     """
     model = profile.model
     r_hi = profile.r_hi
-    r = np.geomspace(r_hi / 10**window_decades, r_hi, 48)
+    r = np.geomspace(r_hi / 10**_REGIME_WINDOW_DECADES, r_hi, 48)
     f = np.asarray(model.slope_ratio(r), dtype=float)
     logr, logf = np.log(r), np.log(f)
     slopes = -np.gradient(logf, logr)  # local gamma estimate

@@ -33,6 +33,7 @@ from .models import ConvexityViolation, InvalidParameter, _smoothstep
 _BLEND_WIDTH = 0.5
 # a stage's radius budget is at least this factor times (its join + 1)
 _STAGE_CAP_FACTOR = 50.0
+_VERIFY_REL_TOL = 2e-3  # verify_certificate's tolerance on each Q
 
 
 class TriggerTimeout(Exception):
@@ -231,10 +232,10 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     return model, sol, cert
 
 
-def verify_certificate(cert, sol, profile, rel_tol=2e-3):
+def verify_certificate(cert, sol, profile):
     """Recompute every logged trigger from the solution and geometry.
 
-    Checks: Q values match within rel_tol; parity conditions hold at each
+    Checks: Q values match within _VERIFY_REL_TOL; parity conditions hold at each
     trigger; joins are spaced at least one unit apart; the two bands are
     separated; and psi(r_k) e^{-l r_k} increases along the odd stages for
     l in {1, 2}. Any mismatch raises Inconsistent naming the stage.
@@ -246,7 +247,7 @@ def verify_certificate(cert, sol, profile, rel_tol=2e-3):
     for entry in cert.stages:
         r = entry["r"]
         Q_re = profile.J(r) ** ex * sol.eval_u(r)
-        if abs(Q_re - entry["Q"]) > rel_tol * entry["Q"]:
+        if abs(Q_re - entry["Q"]) > _VERIFY_REL_TOL * entry["Q"]:
             raise Inconsistent(
                 f"stage {entry['index']}: recomputed Q={Q_re:.6f} deviates "
                 f"from logged {entry['Q']:.6f}"

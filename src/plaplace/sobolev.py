@@ -139,9 +139,9 @@ def euclidean_reference(n, p, R0=20.0, num=4000):
 def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
     """Quotients of the concentrating family b -> 0 on one model.
 
-    Returns the swept rows plus the Euclidean reference; rows at or below
-    the reference are flagged (on a genuinely curved model that would
-    indicate a numerics bug, not a counterexample).
+    Returns the swept rows plus the Euclidean reference; flagged are rows
+    at or below it (on a curved model a numerics bug) and rows with over
+    half their L^{p*} mass beyond R/2 (they measure the cutoff).
     """
     b_seq = list(b_seq)
     if any(b2 >= b1 for b1, b2 in zip(b_seq, b_seq[1:])):
@@ -154,8 +154,8 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
         rep = sobolev_quotient(prof.u, prof.du, model, n, p, R, num=num)
         rep["b"] = b
         rep["gap"] = rep["quotient"] - ref["quotient"]
-        rep["flagged"] = bool(rep["quotient"] <= ref["quotient"]
-                              and model.kind != "euclidean")
+        rep["flagged"] = bool(rep["outer_mass_fraction"] > 0.5 or (
+            rep["quotient"] <= ref["quotient"] and model.kind != "euclidean"))
         rows.append(rep)
     return {"rows": rows, "reference": ref}
 

@@ -7,8 +7,9 @@ Solves, in radial coordinates about the pole,
 by propagating the pair (u, w) with w = psi^{n-1}|u'|^{p-2}u'. The flux w
 stays C^1 even where u' loses regularity across p, so it is the safe state
 variable; internally log(-w) is carried to survive exponentially growing
-psi. Startup at r = 0 uses the series w ~ -alpha^q I(r) (the degenerate
-point is regular for w) plus one Picard correction for u.
+psi. Every run starts near the pole from the series u ~ alpha - alpha^{q mu} J,
+w ~ -alpha^q int psi^{n-1} (u/alpha)^q (mu = 1/(p-1); series_startup, on the
+8-node Gauss-Legendre rule), which also gives u and w below the startup radius.
 
 Each smooth piece of the model starts on DOP853. Where v = log(-w) relaxes
 fast (on exponential stretches of psi, dv'/dv = -v' is the dominant
@@ -44,14 +45,13 @@ from array import array
 from operator import mul
 
 import numpy as np
-from scipy.integrate import DOP853, Radau, quad, solve_ivp
+from scipy.integrate import DOP853, Radau, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from . import runio
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
-from .quadrature import panel_integrals
+from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
 
 # solution.csv contract: linear interpolation of u between neighbouring
 # rows is within ROW_TOL |u| (see _row_radii)
@@ -62,10 +62,13 @@ _U_FLOOR = 1e-12
 # hands over to Radau after _STIFF_STEPS consecutive steps with h v' > _STIFF_HV
 _STIFF_HV = 6.1
 _STIFF_STEPS = 15
+_FLUX_ROWS = 200  # rows flux_residual samples
+# the 8-node Gauss-Legendre rule on [0, 1]: nodes _T8 and weights _H8
+_T8, _H8 = 1.0 - _U8, _HALF_W8
 
 
 class StartupFailure(Exception):
-    """Series startup failed to contract even after shrinking r0."""
+    """The pole series is not valid at the radius asked (u drops >= 1e-3 alpha)."""
 
 
 class StepSizeCollapse(Exception):
@@ -146,47 +149,49 @@ def default_startup_radius(prob):
     return 1e-4 * prob.alpha ** (-(prob.q + 1.0 - prob.p) / prob.p)
 
 
-def series_startup(prob, model, r0):
-    """Series handoff at r0: returns (u(r0), w(r0)).
+def _node_sum(f, weights):
+    """sum_j weights[j] f[..., j] term by term: batch-invariant, as BLAS is not."""
+    return sum(f[..., j] * weights[j] for j in range(len(weights)))
 
-    Leading order w(r0) = -alpha^q I(r0) (from w'(0) = -alpha^q/n and
-    I' = psi^{n-1}), with u corrected by one Picard sweep
-    u(r0) = alpha - int_0^{r0} (-w/psi^{n-1})^{1/(p-1)}. r0 is halved until
-    the correction is < 1e-3 alpha.
+
+def _pole_series(prob, model, r):
+    """(u, v = log(-w)) of the pole series at radii r > 0, shaped as r.
+
+    u = alpha - alpha^{q mu} J and w = -alpha^q int_0^r psi^{n-1} (u/alpha)^q
+    on the 8-node Gauss-Legendre rule on [0, r], with Theta at each node s
+    by the same rule on [0, s]. J is (r/n)^mu r/(1+mu) plus the rule on
+    Theta^mu - (s/n)^mu, which vanishes like s^{mu+2}; its partial
+    integrals give J, and so u, at the nodes. Formed relative to alpha and
+    in log space; u == alpha, as near the pole in floating point, is valid.
     """
-    a, q, p, n = prob.alpha, prob.q, prob.p, prob.n
-    mu = 1.0 / (p - 1.0)
-    floor = 1e-14
+    a, q, n = prob.alpha, prob.q, prob.n
+    mu = 1.0 / (prob.p - 1.0)
+    r = np.asarray(r, dtype=float)
+    s = r[..., None] * _T8
+    G = (n - 1) * np.asarray(model.log_psi(np.concatenate(
+        [s[..., None] * _T8, s[..., None]], axis=-1)), dtype=float)
+    Gs = G[..., -1]
+    # Theta^mu - (s/n)^mu in units of (r/n)^mu, from n Theta(s) / s
+    excess = _T8 ** mu * np.expm1(mu * np.log(
+        n * _node_sum(np.exp(G[..., :-1] - Gs[..., None]), _H8)))
+    # 1 - u/alpha = rel J / ((r/n)^mu r), at r and at the nodes
+    rel = np.exp((q * mu - 1.0) * math.log(a) + mu * np.log(r / n)) * r
+    drop = rel * (1.0 / (1.0 + mu) + _node_sum(excess, _H8))
+    drop_s = rel[..., None] * (_T8 ** (1.0 + mu) / (1.0 + mu) + _node_sum(
+        excess[..., None, :], (_PARTIAL8 * _H8).T))
+    v = (q * math.log(a) + np.log(r) + Gs[..., -1]
+         + np.log(_node_sum(np.exp(Gs - Gs[..., -1:] + q * np.log1p(-drop_s)),
+                            _H8)))
+    if not np.all((drop >= 0.0) & (drop < 1e-3) & np.isfinite(v)):
+        raise StartupFailure(f"pole series drops u by {np.max(drop):g} alpha")
+    return a * (1.0 - drop), v
 
-    def I_of(r):
-        val, _ = quad(lambda s: math.exp((n - 1) * float(model.log_psi(s))), 0.0, r,
-                      limit=200)
-        return val
 
-    r0 = float(r0)
-    for _ in range(60):
-        if r0 < floor:
-            break
-        Ir0 = I_of(r0)
-        w0 = -(a ** q) * Ir0
-
-        def du_mag(s):
-            if s <= 0.0:
-                return 0.0
-            lg = (q * math.log(a) + math.log(I_of(s))
-                  - (n - 1) * float(model.log_psi(s)))
-            return math.exp(mu * lg)
-
-        corr, _ = quad(du_mag, 0.0, r0, limit=200)
-        if corr < 1e-3 * a:
-            u0 = a - corr
-            if not (0.0 < u0 < a and w0 < 0.0):
-                raise StartupFailure(
-                    f"startup state invalid at r0={r0:g}: u0={u0:g}, w0={w0:g}"
-                )
-            return u0, w0
-        r0 *= 0.5
-    raise StartupFailure(f"Picard correction never contracted (r0 floor {floor:g})")
+def series_startup(prob, model, r):
+    """The pole series (u, w) at radii r > 0 (floats for a scalar r) that
+    starts every run and gives RadialSolution on (0, r_1); see _pole_series."""
+    u, v = _pole_series(prob, model, r)
+    return _scalar_or_array(u), _scalar_or_array(-np.exp(v))
 
 
 def _nested_coefficients(d):
@@ -293,9 +298,9 @@ class RadialSolution:
     """Trajectory of one radial problem, read from the steppers' dense output.
 
     Inside [r_1, r_last], r_1 being the startup radius, u and v = log(-w)
-    are the steppers' dense output and u', w follow from v; on
-    [0, r_1] monotone cubics through the first rows continue them to the
-    pole. The rows r, u, du, w (prepended with r = 0) are values of the same
+    are the steppers' dense output and u', w follow from v; on (0, r_1)
+    they are the pole series that started the run (series_startup). The
+    rows r, u, du, w (prepended with r = 0) are values of the same
     evaluation at radii spaced so that linear interpolation of u between
     neighbouring rows is within ROW_TOL |u|.
     """
@@ -317,11 +322,6 @@ class RadialSolution:
         self.w = np.concatenate([[0.0], w])
         if np.any(np.diff(self.u) > 1e-14 * prob.alpha):
             raise NonMonotone("computed u fails to decrease along the grid")
-        # below r_1 only: u through (0, alpha) and the first rows, and
-        # log(-w), which is close to linear in log r near the pole
-        # (~ n log r), extrapolated from the first rows
-        self._iu = PchipInterpolator(self.r[:3], self.u[:3])
-        self._iv = PchipInterpolator(np.log(rows[:3]), v[:3], extrapolate=True)
 
     def _derived(self, r, v):
         """(u', w) from v = log(-w); psi^{n-1} enters through its logarithm.
@@ -341,18 +341,19 @@ class RadialSolution:
     def _uv(self, r):
         """(u, v) at radii r in [0, r_last], arrays of the shape of r.
 
-        u(0) = alpha exactly: the cubic below r_1 passes through (0, alpha).
+        At the pole u = alpha and v = -inf (w = 0) exactly.
         """
         r = np.asarray(r, dtype=float)
-        self._check(r)
+        if np.any(r < 0.0) or np.any(r > self.r[-1] * (1 + 1e-12)):
+            raise OutOfRange(f"radius outside [0, {self.r[-1]:g}]")
         inside = r >= self.r[1]
         if np.all(inside):
             u, v = self._dense(r)
         else:
-            u = self._iu(r)
-            v = self._iv(np.log(np.maximum(r, 1e-300)))
-            if np.any(inside):
-                u[inside], v[inside] = self._dense(r[inside])
+            u, v = np.full(r.shape, self.problem.alpha), np.full(r.shape, -np.inf)
+            u[inside], v[inside] = self._dense(r[inside])
+            series = ~inside & (r > 0.0)
+            u[series], v[series] = _pole_series(self.problem, self.model, r[series])
         return np.maximum(u, self._u_min), v
 
     def _state(self, r):
@@ -367,9 +368,6 @@ class RadialSolution:
     def r_last(self):
         return float(self.r[-1])
 
-    def __call__(self, r):
-        return self.eval_u(r)
-
     def eval_u(self, r):
         return _scalar_or_array(self._uv(r)[0])
 
@@ -378,12 +376,6 @@ class RadialSolution:
 
     def eval_w(self, r):
         return _scalar_or_array(self._state(r)[2])
-
-    def _check(self, r):
-        if np.any(r < 0.0) or np.any(r > self.r[-1] * (1 + 1e-12)):
-            raise OutOfRange(
-                f"radius outside [0, {self.r[-1]:g}]"
-            )
 
     def export_csv(self, path):
         """Write the rows as CSV with header r,u,du,w.
@@ -719,11 +711,13 @@ def integrate(prob, model, config, stop=None):
             )
         return sol
 
-    start, y0 = r0, [u0, v0]
+    # at a join, restart with the last step (scipy's guess overflows late joins)
+    start, y0, h_last = r0, [u0, v0], None
     for end in ends:
         steps = array("d")
+        first = None if h_last is None else min(h_last, end - start)
         sol = run(_RadialDOP853, start, end, y0, lpsi=lpsi, kernel=kernel,
-                  steps=steps)
+                  steps=steps, first_step=first)
         pieces.append(_dop853_piece(steps, dense_kernel))
         # a run that ends short of `end` otherwise stopped on its stiffness test
         if termination is None and sol.t[-1] < end:
@@ -732,7 +726,7 @@ def integrate(prob, model, config, stop=None):
             pieces.append(_radau_piece(sol.sol))
         if termination is not None:
             break
-        start, y0 = end, sol.y[:, -1]
+        start, y0, h_last = end, sol.y[:, -1], sol.t[-1] - sol.t[-2]
     if termination == "underflow":
         _trim_to_underflow(pieces[-1], u_floor)
     return RadialSolution(prob, model, config, pieces,
@@ -762,12 +756,12 @@ def _flux_integrals(sol, idx, v_b):
     return np.add.reduceat(rows, np.asarray(idx[:-1]) - lo)
 
 
-def flux_residual(sol, num=200):
+def flux_residual(sol):
     """Max relative defect of w(b) - w(a) + int_a^b psi^{n-1} u^q over rows.
 
     This is the integrated form of the equation; it is the natural a
     posteriori check because it only involves quantities the solver carries.
-    The defect is read between `num` sampled rows, relative to |w(b)| and
+    The defect is read between _FLUX_ROWS sampled rows, relative to |w(b)| and
     in log space from v = log(-w):
     -1 + e^{v_a - v_b} + int_a^b e^{(n-1) log psi + q log u - v_b}, so it
     stays finite where w itself overflows. The integral is a 5-node
@@ -776,7 +770,7 @@ def flux_residual(sol, num=200):
     about 1e-14 |w| (tests require 1e-12 |w|), so the residual measures the
     solver rather than the quadrature.
     """
-    idx = np.unique(np.linspace(1, len(sol.r) - 1, num).astype(int))
+    idx = np.unique(np.linspace(1, len(sol.r) - 1, _FLUX_ROWS).astype(int))
     v = sol._uv(sol.r[idx])[1]
     defect = -1.0 + np.exp(v[:-1] - v[1:]) + _flux_integrals(sol, idx, v[1:])
     return float(np.max(np.abs(defect)))

@@ -1,6 +1,7 @@
 """Staged construction of a geometry with persistently oscillating Q."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_verify_certificate(oscillation):
     for ell in (1, 2):
         seq = out["odd_growth_log"][ell]
         assert all(b > a for a, b in zip(seq, seq[1:]))
+
+
+def test_six_stages_verify_without_warnings():
+    """Six stages restart DOP853 at the late joins r ~ 11,373 and 11,576;
+    each restart begins with the previous piece's last step instead of
+    scipy's initial-step guess, which overflowed there. The run is
+    warning-free and its certificate verifies."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model, sol, cert = pl.construct(3, 2.0, 5.0, 1.0, 6)
+        prof = pl.geometry_profile(model, 3, 2.0, cert.stages[-1]["r"])
+        assert pl.verify_certificate(cert, sol, prof)["passed"]
+    assert len(cert.stages) == 6
 
 
 def test_tampered_certificate_detected(oscillation):

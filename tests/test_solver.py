@@ -36,6 +36,62 @@ def test_series_startup_leading_order():
     assert 0.0 < u0 < 1.0
 
 
+def _pole_series_reference(prob, model, r):
+    """u and log(-w) of the pole series by nested adaptive quadrature at
+    epsabs 0, epsrel 1e-13: Theta(s) = int_0^s e^{G(t) - G(s)},
+    J = int_0^r Theta^mu, u = alpha - alpha^{q mu} J and
+    -w = alpha^q int_0^r e^G (u/alpha)^q, G = (n-1) log psi."""
+    n, q, a = prob.n, prob.q, prob.alpha
+    mu = 1.0 / (prob.p - 1.0)
+
+    def integral(f, b):
+        return quad(f, 0.0, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+    def G(s):
+        return (n - 1) * float(model.log_psi(s))
+
+    def theta(s):
+        Gs = G(s)
+        return integral(lambda t: math.exp(G(t) - Gs), s)
+
+    def u(x):
+        return a - a ** (q * mu) * integral(lambda s: theta(s) ** mu, x)
+
+    I = integral(lambda s: math.exp(G(s)) * (u(s) / a) ** q, r)
+    return u(r), q * math.log(a) + math.log(I)
+
+
+def _assert_matches_series(prob, model, r, u, w):
+    u_ref, v_ref = _pole_series_reference(prob, model, r)
+    assert abs(u - u_ref) <= 1e-14 * u_ref
+    assert abs(math.log(-w) - v_ref) <= 1e-11
+
+
+def test_series_startup_matches_nested_quadrature():
+    """The 8-node pole series against nested adaptive quadrature, at the
+    startup radius of hyperbolic (4,3,11), alpha = 1, and at r = 0.2 on
+    exppower (4,3,11), alpha = 0.05; a scalar gives floats."""
+    for desc, alpha, r in (("hyperbolic", 1.0, 1e-4),
+                           ("exppower:c=1,m=3", 0.05, 0.2)):
+        prob, model = pl.Problem(4, 3.0, 11.0, alpha), pl.make_model(desc)
+        u, w = pl.series_startup(prob, model, r)
+        assert isinstance(u, float) and isinstance(w, float)
+        _assert_matches_series(prob, model, r, u, w)
+
+
+def test_eval_below_startup_radius_is_the_series():
+    """Below r_1 eval_u and eval_w read the pole series, within the bounds
+    of the startup; deep inside r_1 u equals alpha in floating point."""
+    prob, model = pl.Problem(4, 3.0, 11.0, 1.0), pl.make_model("hyperbolic")
+    sol = pl.integrate(prob, model, pl.SolverConfig(20.0))
+    r1 = sol.r[1]
+    for r in (0.1 * r1, 0.5 * r1, 0.9 * r1):
+        _assert_matches_series(prob, model, r, sol.eval_u(r), sol.eval_w(r))
+    # u' ~ -(r/n)^{1/(p-1)} alpha^{q/(p-1)} at the pole, however small r is
+    assert sol.eval_u(1e-9 * r1) == prob.alpha
+    assert sol.eval_du(1e-50) == pytest.approx(-(1e-50 / 4) ** 0.5, rel=1e-12)
+
+
 def test_euclidean_critical_oracle():
     """n=4, p=2, q=3: u = 2 sqrt(2)/(1+r^2) solves the radial equation."""
     alpha = 2.0 * math.sqrt(2.0)
