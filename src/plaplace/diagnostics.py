@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import extrapolate, runio
-from .models import _EXP_CAP
+from .models import GeometryOverflow
 from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
@@ -148,6 +148,10 @@ def functional_traces(sol, profile):
     identity P(b) - P(a) = int_a^b K |u'|^p, recorded as the
     "pohozaev-identity" verdict, are integrals of the dense output by
     quadrature.panel_integrals.
+
+    K, P (through I = Theta psi^{n-1}) and E grow with psi^{n-1}; where
+    one of them leaves the double range the traces are refused with
+    GeometryOverflow, naming the first such radius.
     """
     _check_pair(sol, profile)
     prob = sol.problem
@@ -161,37 +165,46 @@ def functional_traces(sol, profile):
 
     rr = np.maximum(r, 1e-300)
     lpsi_pow = (n - 1) * np.asarray(profile.model.log_psi(rr), dtype=float)
-    psi_pow = np.exp(np.minimum(lpsi_pow, _EXP_CAP))
-    psi_pow[0] = 0.0
-    theta = np.empty_like(r)
-    theta[0] = 0.0
-    theta[1:] = profile.theta(r[1:])
-    I = theta * psi_pow
-
-    P = I * F + w * u / (q + 1.0)
-
+    theta, J = np.zeros_like(r), np.zeros_like(r)
+    theta[1:], J[1:] = profile.theta_J(r[1:])
     slope = np.asarray(profile.model.slope_ratio(rr), dtype=float)
     bracket = (p - 1.0) / p + 1.0 / (q + 1.0) - (n - 1) * slope * theta
-    K = psi_pow * bracket
-    K[0] = 0.0
-
-    Q = np.zeros_like(r)
-    Q[1:] = profile.J(r[1:]) ** ((p - 1.0) / (q + 1.0 - p)) * u[1:]
+    Q = J ** ((p - 1.0) / (q + 1.0 - p)) * u
 
     # E' = n omega_n |u'|^p psi^{n-1} = n omega_n w u', from the dense output
     def energy_density(x, k):
         _, du_x, w_x = sol._state(x)
         return n * unit_ball_volume(n) * w_x * du_x
 
-    E = np.concatenate([[0.0],
-                        np.cumsum(panel_integrals(energy_density, r, lpsi_pow))])
+    # past the double range these turn inf or nan, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_pow = np.exp(lpsi_pow)
+        psi_pow[0] = 0.0
+        I = theta * psi_pow
+        P = I * F + w * u / (q + 1.0)
+        K = psi_pow * bracket
+        # E only up to the first row where K or P has left the range
+        out = ~(np.isfinite(K) & np.isfinite(P))
+        end = int(np.argmax(out)) + 1 if np.any(out) else len(r)
+        E = np.concatenate([[0.0], np.cumsum(
+            panel_integrals(energy_density, r[:end], lpsi_pow[:end]))])
+    traces = {"K": K[:end], "P": P[:end], "E": E}
+    finite = np.all([np.isfinite(x) for x in traces.values()], axis=0)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        names = [name for name, x in traces.items() if not np.isfinite(x[k])]
+        raise GeometryOverflow(
+            f"{', '.join(names)} leave the double range at r = {float(r[k])!r} "
+            f"((n-1) log psi = {lpsi_pow[k]:.6g})")
 
     report = DiagnosticsReport(sol, profile, r, F, P, K, Q, E)
 
     defect, scaled, resolved, audited = _pohozaev_identity_defect(sol, profile)
-    # margin: the share of the tighter of the two gates still unused
-    report.add_verdict("pohozaev-identity", defect < 1e-3 and scaled < 1e-9,
-                       min(1.0 - defect / 1e-3, 1.0 - scaled / 1e-9),
+    # margin: the share of the tighter of the two gates still unused; a nan
+    # defect fails its gate with no margin left
+    margin = min(-math.inf if math.isnan(m) else m
+                 for m in (1.0 - defect / 1e-3, 1.0 - scaled / 1e-9))
+    report.add_verdict("pohozaev-identity", defect < 1e-3 and scaled < 1e-9, margin,
                        max_rel_defect=defect, max_scaled_defect=scaled,
                        resolved_radii=resolved, audited_radii=audited)
 

@@ -773,21 +773,23 @@ class GeometryProfile:
                 - self._theta_qe(r - h) ** (mu + 1.0)) / (2.0 * h)
         return np.log(th ** (mu + 1.0) - dgth * th) - self._tail_log_J(r)
 
-    def _lookup(self, r, fine, tail):
-        """fine(x) on the radii up to r_switch, tail(x) beyond, in r's shape."""
+    def _lookup(self, r, fine, tail, outputs=1):
+        """fine(x) on the radii up to r_switch, tail(x) beyond, in r's shape;
+        with outputs > 1 both return that many arrays, and so does this."""
         x = np.asarray(r, dtype=float).ravel()
         if np.any(x < self.r_lo * (1 - 1e-9)) or np.any(x > self.r_hi * (1 + 1e-9)):
             raise GeometryOverflow(
                 f"radius outside tabulated range [{self.r_lo:g}, {self.r_hi:g}]"
             )
         x = np.clip(x, self.r_lo, self.r_hi)
-        out = np.empty_like(x)
+        out = np.empty((outputs, x.size))
         lo = x <= self.r_switch
         if np.any(lo):
-            out[lo] = fine(x[lo])
+            out[:, lo] = fine(x[lo])
         if not np.all(lo):
-            out[~lo] = tail(x[~lo])
-        return out.reshape(np.shape(r)) if np.ndim(r) else float(out[0])
+            out[:, ~lo] = tail(x[~lo])
+        out = [o.reshape(np.shape(r)) if np.ndim(r) else float(o[0]) for o in out]
+        return out[0] if outputs == 1 else out
 
     def log_theta(self, r):
         return self._lookup(r, self._fine, lambda x: np.log(self._theta_qe(x)))
@@ -807,6 +809,13 @@ class GeometryProfile:
 
     def J(self, r):
         return np.exp(self.logJ(r))
+
+    def theta_J(self, r):
+        """(Theta, J) at radii r from one lookup: the floats of theta(r) and J(r)."""
+        log_theta, log_J = self._lookup(
+            r, lambda x: self._fine(x, moments=True)[:2],
+            lambda x: (np.log(self._theta_qe(x)), self._tail_log_J(x)), outputs=2)
+        return np.exp(log_theta), np.exp(log_J)
 
     def tailJ(self, r):
         """int_r^inf Theta^(1/(p-1)); finite only when the tail converged."""

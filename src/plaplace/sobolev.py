@@ -18,6 +18,11 @@ from .diagnostics import unit_ball_volume
 from .models import InvalidParameter, descriptor_string, safe_horizon
 
 
+# a sweep row whose halved-grid error bar is this share of its quotient or
+# more is unresolved and flagged
+_UNRESOLVED = 1e-3
+
+
 class TailDivergence(Exception):
     """Truncated norm integrals overflow or fail to converge."""
 
@@ -140,8 +145,9 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
     """Quotients of the concentrating family b -> 0 on one model.
 
     Returns the swept rows plus the Euclidean reference; flagged are rows
-    at or below it (on a curved model a numerics bug) and rows with over
-    half their L^{p*} mass beyond R/2 (they measure the cutoff).
+    at or below it (on a curved model a numerics bug), rows with over half
+    their L^{p*} mass beyond R/2 (they measure the cutoff) and rows whose
+    halved-grid error bar is _UNRESOLVED or more of the quotient.
     """
     b_seq = list(b_seq)
     if any(b2 >= b1 for b1, b2 in zip(b_seq, b_seq[1:])):
@@ -154,17 +160,20 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
         rep = sobolev_quotient(prof.u, prof.du, model, n, p, R, num=num)
         rep["b"] = b
         rep["gap"] = rep["quotient"] - ref["quotient"]
-        rep["flagged"] = bool(rep["outer_mass_fraction"] > 0.5 or (
-            rep["quotient"] <= ref["quotient"] and model.kind != "euclidean"))
+        rep["flagged"] = bool(
+            rep["outer_mass_fraction"] > 0.5
+            or rep["err"] >= _UNRESOLVED * rep["quotient"]
+            or (rep["quotient"] <= ref["quotient"] and model.kind != "euclidean"))
         rows.append(rep)
     return {"rows": rows, "reference": ref}
 
 
 def export_sweep_csv(sweep, path):
-    """Write sweep rows as CSV: model,n,p,b,quotient,err."""
+    """Write sweep rows as CSV: model,n,p,b,quotient,err,flagged (0 or 1)."""
     rows = sweep["rows"]
     floats = ("p", "b", "quotient", "err")
     return runio.write_csv(
-        path, ["model", "n", *floats],
+        path, ["model", "n", *floats, "flagged"],
         [[row["model"] for row in rows], [int(row["n"]) for row in rows],
-         *([float(row[k]) for row in rows] for k in floats)])
+         *([float(row[k]) for row in rows] for k in floats),
+         [int(row["flagged"]) for row in rows]])

@@ -33,6 +33,13 @@ coefficients are formed for all steps at once in numpy. nfev still counts
 12 per attempted step and 3 per accepted step, as scipy's DOP853 with
 dense output does.
 
+The Radau steps are scipy's Radau IIA taken on Python floats the same way
+(_RadialRadau): its simplified Newton iteration, error estimate and
+step-size control, with the two 2x2 linear systems solved in closed form
+and one log_psi array call per attempted step for the three stage radii.
+Each accepted step records its collocation cubic, which is rewritten into
+the DOP853 dense output's nested form for all steps at once after the run.
+
 Both steppers end a run at the first accepted step end (r, u) where u has
 fallen to the underflow floor (the crossing is then located on the last
 step's dense output by scipy's event rule) or where the caller's
@@ -47,6 +54,7 @@ from operator import mul
 import numpy as np
 from scipy.integrate import DOP853, Radau, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as _dop
+from scipy.integrate._ivp import radau as _radau
 from scipy.optimize import brentq
 
 from . import runio
@@ -194,44 +202,21 @@ def series_startup(prob, model, r):
     return _scalar_or_array(u), _scalar_or_array(-np.exp(v))
 
 
-def _nested_coefficients(d):
-    """Coefficients F of one Radau step's cubic in the DOP853 nested form.
-
-    That form evaluates y_old + x (F0 + (1-x) (F1 + x (F2 + ...))) at the
-    fraction x of the step. The cubic y_old + Q (x, x^2, x^3) is the same
-    polynomial with F0 = Q0+Q1+Q2, F1 = -Q1-Q2, F2 = -Q2 and the remaining
-    rows zero.
-    """
-    Q = d.Q.T
-    F = np.zeros((7, Q.shape[1]))
-    F[0] = Q[0] + Q[1] + Q[2]
-    F[1] = -Q[1] - Q[2]
-    F[2] = -Q[2]
-    return F
-
-
-def _radau_piece(ode):
-    """(ts, h, y_old, F) of a Radau run from its OdeSolution."""
-    steps = ode.interpolants
-    return (ode.ts, np.array([d.h for d in steps]),
-            np.array([d.y_old for d in steps]),
-            np.array([_nested_coefficients(d) for d in steps]))
-
-
 class _DenseTable:
     """The steppers' dense output as arrays over all accepted steps.
 
     Built from pieces (ts, h, y_old, F), one per stepper run, each starting
     where the previous one ended: the run's knots ts, and per step its
     length h, start state y_old and the coefficients F of scipy's
-    Dop853DenseOutput (Radau steps rewritten into the same form). A step
-    starts at its knot; its h is kept apart because the last knot of a run
-    stopped on underflow lies inside the last step. The table repeats
-    Dop853DenseOutput's nested evaluation with array indexing, so a call
-    over N radii is a few array operations instead of one Python call per
-    step, with the floats of Dop853DenseOutput on the same coefficients
-    (same operation order), and on Radau steps the same cubic to within
-    rounding.
+    Dop853DenseOutput (_dop853_piece), or a Radau step's cubic rewritten
+    into the same form (_radau_piece), both formed from the steppers'
+    step records. A step starts at its knot; its h is kept apart because
+    the last knot of a run stopped on underflow lies inside the last step.
+    The table repeats Dop853DenseOutput's nested evaluation with array
+    indexing, so a call over N radii is a few array operations instead of
+    one Python call per step, with the floats of Dop853DenseOutput on the
+    same coefficients (same operation order), and on Radau steps the floats
+    of RadauDenseOutput's cubic to within 2 ulp.
     """
 
     def __init__(self, pieces):
@@ -416,7 +401,8 @@ _D = _dop.D.tolist()
 # fractions of the step at which the right-hand side is read: the inner
 # stages, the step end (C[12] = 1) and the dense-output stages
 _FRACTIONS = _dop.C[1:]
-# scipy's step-size control (scipy.integrate._ivp.rk)
+# scipy's step-size control (scipy.integrate._ivp.rk; its Radau bounds
+# the factor alike)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERROR_EXPONENT = -1.0 / 8.0
 # an accepted step in a _RadialDOP853 record: t, h, the start state (u, v),
@@ -424,6 +410,20 @@ _ERROR_EXPONENT = -1.0 / 8.0
 # stages and the step end), those of v, and lpsi at the 3 dense-output stages
 _NK = _INNER + 2
 _RECORD = 6 + 2 * _NK + len(_DENSE_ROWS)
+# scipy's Radau IIA (scipy.integrate._ivp.radau) as Python floats: the
+# collocation nodes C (an array, for the stage radii t + C h), the error
+# weights E, the eigenvalues of A^-1, the transformations T and TI (its
+# complex pair as one complex row), the columns of the cubic's P
+_RADAU_C = _radau.C
+_RADAU_E = _radau.E.tolist()
+_MU_REAL, _MU_COMPLEX = _radau.MU_REAL, _radau.MU_COMPLEX
+_T = _radau.T.tolist()
+_TI_REAL, _TI_COMPLEX = _radau.TI_REAL.tolist(), _radau.TI_COMPLEX.tolist()
+_P_COLUMNS = _radau.P.T.tolist()
+_NEWTON_MAXITER = _radau.NEWTON_MAXITER
+# an accepted step in a _RadialRadau record: t, h, the start state (u, v)
+# and the cubic's coefficients Q, three for u then three for v
+_RADAU_RECORD = 10
 # scipy's tolerance for event roots (scipy.integrate._ivp.ivp)
 _EVENT_TOL = 4 * np.finfo(float).eps
 
@@ -570,19 +570,254 @@ class _RadialDOP853(DOP853):
         return True, None
 
 
-class _RadialRadau(Radau):
-    """scipy's Radau IIA, ending its run at the first accepted step end
-    (r, y) where stop(r, u) holds, as _RadialDOP853 does."""
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    """scipy's radau.predict_factor (Gustafsson's predictive control) on floats."""
+    if error_norm == 0.0:
+        return math.inf
+    multiplier = 1.0
+    if error_norm_old is not None and h_abs_old is not None:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    return min(1.0, multiplier) * error_norm ** -0.25
 
-    def __init__(self, fun, t0, y0, t_bound, *, stop, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
+
+def _sum_squares(*x):
+    """sum x_i^2, inf past the double range (where a float's ** 2 raises)."""
+    return sum(a * a for a in x)
+
+
+def _factor(M, J):
+    """The inverse of M I - J for J = [[0, a], [b, c]], as its four entries
+    (real or complex): the closed form of the 2x2 LU solve."""
+    (_, a), (b, c) = J
+    det = M * (M - c) - a * b
+    return (M - c) / det, a / det, b / det, M / det
+
+
+class _RadialRadau(Radau):
+    """Radau IIA on Python floats that records its steps and ends its run at
+    the first accepted step end (r, u) where stop(r, u) holds, as
+    _RadialDOP853 does.
+
+    The step is scipy's Radau (Hairer & Wanner, Solving ODEs II, IV.8): its
+    constants, the simplified Newton iteration with its rate test and
+    newton_tol, started from the previous step's collocation cubic (zero on
+    the first step), the error estimate solve(LU_real, f + ZE) refined on a
+    rejected step, the predictive step-size control with the safety factor
+    set by the Newton iterations, LU reuse while the step factor stays
+    below 1.2, the Jacobian refresh rule (n_iter > 2 and rate > 1e-3) and
+    halving h when Newton fails. Only the arithmetic moves from numpy to
+    Python floats: the systems mu_real/h - J and mu_complex/h - J are
+    inverted in closed form (_factor, on float and complex), the stages
+    call kernel(lpsi, u, v) and J is jacobian(u, u', v').
+
+    One log_psi array call per attempted step, at t + C h, covers the three
+    stage radii (C[2] = 1 is the step end), which every Newton iteration
+    reuses; lpsi at the step start, for the refined error estimate, is
+    carried over from the previous step. Each accepted step appends to the
+    flat record `steps` (an array('d'), _RADAU_RECORD floats per step) t,
+    h, the start state (u, v) and the cubic's coefficients Q = Z^T P, rows u
+    then v; _radau_piece forms the dense output from it. nfev, njev and nlu
+    count as scipy's do, nlu once for each of the two systems factored.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, jacobian, steps,
+                 stop, **options):
+        super().__init__(fun, t0, y0, t_bound,
+                         jac=lambda r, y: jacobian(y[0], *fun(r, y)), **options)
+        self._lpsi = lpsi
+        self._kernel = kernel
+        self._jacobian = jacobian
+        self._steps = steps
         self._stop = stop
+        self._lpsi_t = float(lpsi(t0))
+        self.rtol, self.atol = float(self.rtol), float(self.atol)
+        self.h_abs = float(self.h_abs)
+        self.f = tuple(self.f.tolist())
+        self.J = self.J.tolist()
+        # the step h of the factored systems (None: factor again) and the
+        # previous step's (t, h, u, v, Q), which starts Newton
+        self.lu_h = self._lu = None
+        self.cubic = None
 
     def _step_impl(self):
-        success, message = super()._step_impl()
-        if success and self._stop(self.t, self.y[0]):
-            self.t_bound = self.t
-        return success, message
+        t = self.t
+        u, v = self.y.tolist()
+        fu, fv = self.f
+        kernel, rtol, atol, tol = self._kernel, self.rtol, self.atol, self.newton_tol
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs, h_abs_old, error_norm_old = self.max_step, None, None
+        elif self.h_abs < min_step:
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
+        else:
+            h_abs, h_abs_old = self.h_abs, self.h_abs_old
+            error_norm_old = self.error_norm_old
+        J, lu_h, lu, current_jac = self.J, self.lu_h, self._lu, self.current_jac
+        su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = min(t + h_abs, self.t_bound)
+            h = t_new - t
+            h_abs = h
+            radii = t + h * _RADAU_C
+            lp = self._lpsi(radii).tolist()
+            if self.cubic is None:
+                Z0 = [(0.0, 0.0)] * 3
+            else:
+                t_o, h_o, u_o, v_o, qu0, qu1, qu2, qv0, qv1, qv2 = self.cubic
+                Z0 = []
+                for s in radii.tolist():
+                    x = (s - t_o) / h_o
+                    x2 = x * x
+                    x3 = x2 * x
+                    Z0.append((qu0 * x + qu1 * x2 + qu2 * x3 + u_o - u,
+                               qv0 * x + qv1 * x2 + qv2 * x3 + v_o - v))
+
+            while True:
+                if lu is None:
+                    lu_h = h
+                    lu = (_factor(_MU_REAL / h, J), _factor(_MU_COMPLEX / h, J))
+                    self.nlu += 2
+                converged, n_iter, Z, rate = self._newton(lp, u, v, h, Z0, su, sv,
+                                                          tol, lu)
+                if converged or current_jac:
+                    break
+                J = self._jacobian(u, fu, fv)
+                self.njev += 1
+                current_jac = True
+                lu = None
+            if not converged:
+                h_abs *= 0.5
+                lu = None
+                continue
+
+            (zu0, zv0), (zu1, zv1), (zu2, zv2) = Z
+            u_new, v_new = u + zu2, v + zv2
+            e0, e1, e2 = _RADAU_E
+            zeu = (zu0 * e0 + zu1 * e1 + zu2 * e2) / h
+            zev = (zv0 * e0 + zv1 * e1 + zv2 * e2) / h
+            r00, r01, r10, r11 = lu[0]
+            eu, ev = fu + zeu, fv + zev
+            eu, ev = r00 * eu + r01 * ev, r10 * eu + r11 * ev
+            eu_scale = atol + max(abs(u), abs(u_new)) * rtol
+            ev_scale = atol + max(abs(v), abs(v_new)) * rtol
+            error_norm = math.sqrt(_sum_squares(eu / eu_scale, ev / ev_scale) / 2)
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            if rejected and error_norm > 1.0:
+                gu, gv = kernel(self._lpsi_t, u + eu, v + ev)
+                self.nfev += 1
+                eu, ev = gu + zeu, gv + zev
+                eu, ev = r00 * eu + r01 * ev, r10 * eu + r11 * ev
+                error_norm = math.sqrt(_sum_squares(eu / eu_scale, ev / ev_scale) / 2)
+            if error_norm <= 1.0:
+                break
+            factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+            h_abs *= max(_MIN_FACTOR, safety * factor)
+            lu = None
+            rejected = True
+
+        recompute_jac = n_iter > 2 and rate > 1e-3
+        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = min(_MAX_FACTOR, safety * factor)
+        if not recompute_jac and factor < 1.2:
+            factor = 1.0
+        else:
+            lu = None
+        f_new = kernel(lp[2], u_new, v_new)
+        self.nfev += 1
+        if recompute_jac:
+            J = self._jacobian(u_new, *f_new)
+            self.njev += 1
+        current_jac = recompute_jac
+
+        self.h_abs_old = self.h_abs
+        self.error_norm_old = error_norm
+        self.h_abs = h_abs * factor
+        self.t = t_new
+        self.y = np.array([u_new, v_new])
+        self.f = f_new
+        self.J, self.current_jac = J, current_jac
+        self.lu_h, self._lu = (None, None) if lu is None else (lu_h, lu)
+        self._lpsi_t = lp[2]
+        Q = [sum(map(mul, z, p)) for z in ((zu0, zu1, zu2), (zv0, zv1, zv2))
+             for p in _P_COLUMNS]
+        self.cubic = (t, h, u, v, *Q)
+        self._steps.extend(self.cubic)
+
+        if self._stop(t_new, u_new):
+            self.t_bound = t_new
+        return True, None
+
+    def _newton(self, lp, u, v, h, Z0, su, sv, tol, lu):
+        """scipy's radau.solve_collocation_system on floats: the simplified
+        Newton iteration for the stage increments Z from Z0, in the
+        transformed variables W = TI Z (its complex pair as one complex)."""
+        kernel = self._kernel
+        (r00, r01, r10, r11), (c00, c01, c10, c11) = lu
+        (t00, t01, t02), (t10, t11, t12), (t20, t21, t22) = _T
+        i0, i1, i2 = _TI_REAL
+        j0, j1, j2 = _TI_COMPLEX
+        lp0, lp1, lp2 = lp
+        m_real, m_complex = _MU_REAL / h, _MU_COMPLEX / h
+        Z = Z0
+        (z0u, z0v), (z1u, z1v), (z2u, z2v) = Z0
+        wu, wv = i0 * z0u + i1 * z1u + i2 * z2u, i0 * z0v + i1 * z1v + i2 * z2v
+        cu, cv = j0 * z0u + j1 * z1u + j2 * z2u, j0 * z0v + j1 * z1v + j2 * z2v
+        dw_norm_old = rate = None
+        converged = False
+        for k in range(_NEWTON_MAXITER):
+            f0u, f0v = kernel(lp0, u + z0u, v + z0v)
+            f1u, f1v = kernel(lp1, u + z1u, v + z1v)
+            f2u, f2v = kernel(lp2, u + z2u, v + z2v)
+            self.nfev += 3
+            if not all(map(math.isfinite, (f0u, f0v, f1u, f1v, f2u, f2v))):
+                break
+            fu = i0 * f0u + i1 * f1u + i2 * f2u - m_real * wu
+            fv = i0 * f0v + i1 * f1v + i2 * f2v - m_real * wv
+            gu = j0 * f0u + j1 * f1u + j2 * f2u - m_complex * cu
+            gv = j0 * f0v + j1 * f1v + j2 * f2v - m_complex * cv
+            du, dv = r00 * fu + r01 * fv, r10 * fu + r11 * fv
+            dcu, dcv = c00 * gu + c01 * gv, c10 * gu + c11 * gv
+            dw_norm = math.sqrt(_sum_squares(du / su, dcu.real / su, dcu.imag / su,
+                                             dv / sv, dcv.real / sv, dcv.imag / sv) / 6)
+            if dw_norm_old is not None:
+                rate = dw_norm / dw_norm_old
+            if rate is not None and (rate >= 1.0 or rate ** (_NEWTON_MAXITER - k)
+                                     / (1.0 - rate) * dw_norm > tol):
+                break
+            wu, wv, cu, cv = wu + du, wv + dv, cu + dcu, cv + dcv
+            cur, cui, cvr, cvi = cu.real, cu.imag, cv.real, cv.imag
+            z0u, z0v = t00 * wu + t01 * cur + t02 * cui, t00 * wv + t01 * cvr + t02 * cvi
+            z1u, z1v = t10 * wu + t11 * cur + t12 * cui, t10 * wv + t11 * cvr + t12 * cvi
+            z2u, z2v = t20 * wu + t21 * cur + t22 * cui, t20 * wv + t21 * cvr + t22 * cvi
+            Z = ((z0u, z0v), (z1u, z1v), (z2u, z2v))
+            if dw_norm == 0.0 or rate is not None and rate / (1.0 - rate) * dw_norm < tol:
+                converged = True
+                break
+            dw_norm_old = dw_norm
+        return converged, k + 1, Z, rate
+
+
+def _radau_piece(steps):
+    """(ts, h, y_old, F) of a _RadialRadau run from its step record.
+
+    A step's cubic y_old + Q (x, x^2, x^3) at the fraction x of the step is
+    rewritten, for all steps at once, into the nested form of
+    _DenseTable, y_old + x (F0 + (1-x) (F1 + x (F2 + ...))), with
+    F0 = Q0+Q1+Q2, F1 = -Q1-Q2, F2 = -Q2 and the remaining rows zero.
+    """
+    rec = np.frombuffer(steps).reshape(-1, _RADAU_RECORD)
+    t, h = rec[:, 0], rec[:, 1]
+    Q = rec[:, 4:].reshape(-1, 2, 3).transpose(2, 0, 1)
+    F = np.zeros((7, len(t), 2))
+    F[0] = Q[0] + Q[1] + Q[2]
+    F[1] = -Q[1] - Q[2]
+    F[2] = -Q[2]
+    # t + h is the step end exactly while h = t_new - t is, i.e. t_new <= 2t
+    return np.append(t, t[-1] + h[-1]), h, rec[:, 2:4], F.transpose(1, 0, 2)
 
 
 def _dop853_piece(steps, kernel):
@@ -624,14 +859,15 @@ def _trim_to_underflow(piece, u_floor):
 def _radial_equations(prob, model):
     """The radial equations in the state (u, v = log(-w)).
 
-    Returns (lpsi, kernel, dense_kernel, rhs, jac). lpsi(r) is (n-1) log
-    psi on an array of radii. The equations are written once, in
+    Returns (lpsi, kernel, dense_kernel, rhs, jacobian). lpsi(r) is (n-1)
+    log psi on an array of radii. The equations are written once, in
     `equations`: u' = -exp((v - lpsi)/(p-1)), so exponentially large psi
     never overflows, and v' = exp(lpsi + q log u - v), with u floored at
     1e-12 alpha inside the logarithm. kernel(lpsi, u, v) -> (u', v') is
     their instance on Python floats (math), dense_kernel the same on numpy
-    arrays. rhs(r, y) and its Jacobian jac(r, y) evaluate the kernel at one
-    radius, for scipy's steppers.
+    arrays. rhs(r, y) evaluates the kernel at one radius, for scipy's
+    steppers, and jacobian(u, u', v') is the Jacobian at a state from its
+    derivative, on floats.
     """
     n, q = prob.n, prob.q
     mu = 1.0 / (prob.p - 1.0)
@@ -653,12 +889,11 @@ def _radial_equations(prob, model):
     def rhs(r, y):
         return kernel(float(lpsi(r)), y[0], y[1])
 
-    def jac(r, y):
-        du, dv = rhs(r, y)
-        return [[0.0, mu * du], [q * dv / max(y[0], u_floor), -dv]]
+    def jacobian(u, du, dv):
+        return [[0.0, mu * du], [q * dv / max(u, u_floor), -dv]]
 
     return (lpsi, kernel, equations(np.exp, np.log, np.minimum, np.maximum),
-            rhs, jac)
+            rhs, jacobian)
 
 
 def integrate(prob, model, config, stop=None):
@@ -682,7 +917,7 @@ def integrate(prob, model, config, stop=None):
     r0 = min(default_startup_radius(prob), 0.01 * config.r_max)
     u0, w0 = series_startup(prob, model, r0)
     v0 = math.log(-w0)
-    lpsi, kernel, dense_kernel, rhs, jac = _radial_equations(prob, model)
+    lpsi, kernel, dense_kernel, rhs, jacobian = _radial_equations(prob, model)
     termination = None
 
     def ends_run(r, u):
@@ -721,9 +956,10 @@ def integrate(prob, model, config, stop=None):
         pieces.append(_dop853_piece(steps, dense_kernel))
         # a run that ends short of `end` otherwise stopped on its stiffness test
         if termination is None and sol.t[-1] < end:
-            sol = run(_RadialRadau, sol.t[-1], end, sol.y[:, -1], jac=jac,
-                      dense_output=True)
-            pieces.append(_radau_piece(sol.sol))
+            steps = array("d")
+            sol = run(_RadialRadau, sol.t[-1], end, sol.y[:, -1], lpsi=lpsi,
+                      kernel=kernel, jacobian=jacobian, steps=steps)
+            pieces.append(_radau_piece(steps))
         if termination is not None:
             break
         start, y0, h_last = end, sol.y[:, -1], sol.t[-1] - sol.t[-2]

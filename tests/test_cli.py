@@ -134,6 +134,8 @@ def test_quotient_rows_above_reference(tmp_path):
     back = pl.read_csv(os.path.join(latest_dir(tmp_path), "quotients.csv"))
     assert back["model"].tolist() == ["hyperbolic"] * 3
     assert np.array_equal(back["quotient"], [row["quotient"] for row in sweep["rows"]])
+    assert np.array_equal(back["flagged"], [int(row["flagged"]) for row in sweep["rows"]])
+    assert back["flagged"].tolist() == [1.0, 0.0, 0.0]
 
 
 def test_oscillate_bad_stage_count_exits_2(tmp_path):

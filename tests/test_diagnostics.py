@@ -2,13 +2,14 @@
 
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import plaplace as pl
-from plaplace import quadrature
+from plaplace import diagnostics, quadrature
 
 from conftest import make_run
 
@@ -48,6 +49,26 @@ def test_pohozaev_fails_on_perturbed_power(hy_run, eu_crit_run):
         sol.problem = copy.copy(run.sol.problem)
         sol.problem.q *= 1.01
         assert not _pohozaev(pl.functional_traces(sol, run.prof))["passed"]
+
+
+def test_traces_refused_past_double_range(oscillation):
+    """On the oscillation's exponential tail psi^{n-1} leaves the double
+    range; the traces are refused there, naming the first such knot,
+    without a warning (the suite turns RuntimeWarnings into errors)."""
+    sol = oscillation.sol
+    lpsi = 2 * np.asarray(oscillation.model.log_psi(sol.r[1:]))
+    first = float(sol.r[1:][np.argmax(lpsi > math.log(np.finfo(float).max))])
+    with pytest.raises(pl.GeometryOverflow, match=re.escape(f"at r = {first!r} ")):
+        pl.functional_traces(sol, oscillation.prof)
+
+
+def test_pohozaev_margin_negative_on_nan(hy_run, monkeypatch):
+    """A nan defect fails the verdict and leaves it a negative margin."""
+    monkeypatch.setattr(diagnostics, "_pohozaev_identity_defect",
+                        lambda sol, profile: (1e-5, math.nan, 10, 80))
+    pohozaev = _pohozaev(pl.functional_traces(hy_run.sol, hy_run.prof))
+    assert not pohozaev["passed"]
+    assert pohozaev["margin"] < 0.0
 
 
 def test_pohozaev_sees_solver_error():

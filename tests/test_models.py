@@ -387,6 +387,17 @@ def test_theta_past_a_late_flat_join():
     assert np.max(np.abs(prof.theta(r) / ref.sol(r)[0] - 1.0)) < 1e-9
 
 
+def test_theta_J_matches_separate_lookups(oscillation):
+    """One joint lookup gives the floats of theta() and J(), on the
+    oscillation's knots on both sides of its profile's r_switch."""
+    prof, r = oscillation.prof, oscillation.sol.r[1:]
+    assert np.any(r < prof.r_switch) and np.any(r > prof.r_switch)
+    theta, J = prof.theta_J(r)
+    assert np.array_equal(theta, prof.theta(r))
+    assert np.array_equal(J, prof.J(r))
+    assert prof.theta_J(r[5]) == (prof.theta(r[5]), prof.J(r[5]))
+
+
 def test_non_finite_geometry_is_refused():
     """A model whose log psi turns NaN inside the tabulated range makes
     geometry_profile raise instead of returning a profile."""

@@ -29,13 +29,13 @@ def test_csv_roundtrip_exact(tmp_path_factory, rows):
 def test_sweep_csv_reads_back_with_text_column(tmp_path):
     descs = ["powerlike:k=2", "expgamma:c=1,gamma=0.5"]  # the second has a comma
     rows = [{"model": pl.descriptor_string(pl.make_model(d)), "n": 3, "p": 2.0,
-             "b": b, "quotient": 4.5 + b, "err": 1e-9 * b}
+             "b": b, "quotient": 4.5 + b, "err": 1e-9 * b, "flagged": b == 1.0}
             for d, b in zip(descs, (1.0, 0.1))]
     path = sobolev.export_sweep_csv({"rows": rows}, tmp_path / "quotients.csv")
     back = pl.read_csv(path)
-    assert list(back) == ["model", "n", "p", "b", "quotient", "err"]
+    assert list(back) == ["model", "n", "p", "b", "quotient", "err", "flagged"]
     assert back["model"].tolist() == descs
-    for key in ("n", "p", "b", "quotient", "err"):
+    for key in ("n", "p", "b", "quotient", "err", "flagged"):
         assert back[key].dtype == float
         assert np.array_equal(back[key], [row[key] for row in rows])
 

@@ -52,6 +52,17 @@ def test_powerlike_sweep_above_reference():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def test_unresolved_row_flagged():
+    """A row whose halved-grid error bar reaches 1e-3 of its quotient is
+    flagged although its mass sits well inside the cutoff: exppower at
+    b = 0.01 reads err/quotient 1.4e-3 with outer mass 0.017."""
+    ep = pl.make_model("exppower:c=1,m=3")
+    row = pl.concentration_sweep(ep, 3, 2.0, [0.01])["rows"][0]
+    assert row["outer_mass_fraction"] < 0.5
+    assert row["err"] >= 1e-3 * row["quotient"]
+    assert row["flagged"]
+
+
 def test_euclidean_sweep_equals_reference():
     eu = pl.make_model("euclidean")
     sweep = pl.concentration_sweep(eu, 3, 2.0, [1.0, 0.1])
@@ -93,10 +104,11 @@ def test_export_sweep_csv(tmp_path):
     path = sobolev.export_sweep_csv(sweep, tmp_path / "sweep.csv")
     with open(path) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "model,n,p,b,quotient,err"
+    assert lines[0] == "model,n,p,b,quotient,err,flagged"
     assert len(lines) == 3
     for line, row in zip(lines[1:], sweep["rows"]):
         fields = line.split(",")
         assert fields[0] == '"euclidean"'
         assert float(fields[3]) == row["b"]
         assert float(fields[4]) == row["quotient"]
+        assert fields[6] == "0" and not row["flagged"]

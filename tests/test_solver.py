@@ -6,7 +6,9 @@ from array import array
 
 import numpy as np
 import pytest
-from scipy.integrate import DOP853, quad, solve_ivp
+from scipy.integrate import DOP853, OdeSolution, Radau, quad, solve_ivp
+from scipy.integrate._ivp.radau import MU_COMPLEX, MU_REAL, RadauDenseOutput
+from scipy.linalg import lu_factor
 
 import plaplace as pl
 from plaplace import solver
@@ -202,11 +204,28 @@ def test_eval_array_matches_scalars(hy_run):
     assert np.array_equal(sol.eval_u(sol.r), sol.u)
 
 
-def test_dense_table_matches_ode_solution():
+def _radau_tail(oscillation):
+    """(prob, model, r, y) at the oscillation's hand-off to Radau."""
+    dense = oscillation.sol._dense
+    k = np.argmax(np.all(dense.F[:, 3:] == 0.0, axis=(1, 2)))
+    return (oscillation.sol.problem, oscillation.model, dense.t_old[k],
+            dense.y_old[k])
+
+
+def _radau_options(prob, model):
+    """The solver's equations and tolerances as _RadialRadau options."""
+    lpsi, kernel, _, rhs, jacobian = solver._radial_equations(prob, model)
+    floor = solver._U_FLOOR * prob.alpha
+    return rhs, dict(rtol=1e-11, atol=1e-14, lpsi=lpsi, kernel=kernel,
+                     jacobian=jacobian, stop=lambda r, u: u <= floor)
+
+
+def test_dense_table_matches_ode_solution(oscillation):
     """The array form of the DOP853 dense output gives OdeSolution's floats
     from the same coefficients; a Radau step's cubic, rewritten into
     DOP853's nested form, is exact at the knots and within 2 ulp between
-    them."""
+    them (against scipy's RadauDenseOutput on the same cubics, taken from
+    the float stepper's record on the oscillation's stiff tail)."""
     ode = solve_ivp(lambda t, y: [y[1], -y[0] - 0.1 * y[1] ** 3], (0.0, 20.0),
                     [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True).sol
@@ -219,13 +238,20 @@ def test_dense_table_matches_ode_solution():
     grid = np.linspace(0.0, 20.0, 1000).reshape(-1, 8)
     assert np.array_equal(np.stack(table(grid)).reshape(2, -1), ode(grid.ravel()))
 
-    # a stiff pair: y1 relaxes onto y0^2 at rate 1e4
-    stiff = solve_ivp(lambda t, y: [-y[0], -1e4 * (y[1] - y[0] ** 2)],
-                      (0.0, 5.0), [1.0, 0.0], method="Radau", rtol=1e-10,
-                      atol=1e-12, dense_output=True).sol
-    table = solver._DenseTable([solver._radau_piece(stiff)])
-    assert np.array_equal(np.stack(table(stiff.ts)), stiff(stiff.ts))
-    mid = np.linspace(0.0, 5.0, 1001)
+    prob, model, start, y0 = _radau_tail(oscillation)
+    rhs, options = _radau_options(prob, model)
+    steps = array("d")
+    solve_ivp(rhs, (start, start + 100.0), y0, method=solver._RadialRadau,
+              steps=steps, **options)
+    piece = solver._radau_piece(steps)
+    ts, rec = piece[0], np.frombuffer(steps).reshape(len(piece[1]), -1)
+    assert len(ts) > 20
+    stiff = OdeSolution(ts, [RadauDenseOutput(a, b, y, Q.reshape(2, 3))
+                             for a, b, y, Q in zip(ts[:-1], ts[1:], rec[:, 2:4],
+                                                   rec[:, 4:])])
+    table = solver._DenseTable([piece])
+    assert np.array_equal(np.stack(table(ts)), stiff(ts))
+    mid = np.linspace(ts[0], ts[-1], 1001)
     ref = stiff(mid)
     assert np.all(np.abs(np.stack(table(mid)) - ref)
                   <= 2 * np.spacing(np.abs(ref)))
@@ -317,6 +343,114 @@ def test_stepper_matches_stock_dop853(hy_run, ep_run, oscillation):
     end = 0.5 * (dense.ts[last - 1] + second)
     _assert_stepper_matches_stock(oscillation.sol.problem, oscillation.model,
                                   first, end, dense.y_old[k])
+
+
+def _radau_state(ours):
+    """The state _RadialRadau starts its next step from, as the attributes
+    of a stock Radau stepper."""
+    J = np.array(ours.J)
+    state = dict(t=ours.t, y=ours.y, f=np.array(ours.f), h_abs=ours.h_abs,
+                 h_abs_old=ours.h_abs_old, error_norm_old=ours.error_norm_old,
+                 J=J, current_jac=ours.current_jac, LU_real=None,
+                 LU_complex=None, sol=None, status="running")
+    if ours.lu_h is not None:
+        state["LU_real"] = lu_factor(MU_REAL / ours.lu_h * np.identity(2) - J)
+        state["LU_complex"] = lu_factor(MU_COMPLEX / ours.lu_h * np.identity(2) - J)
+    if ours.cubic is not None:
+        t_o, _, u_o, v_o, *Q = ours.cubic
+        state["sol"] = RadauDenseOutput(t_o, ours.t, np.array([u_o, v_o]),
+                                        np.reshape(Q, (2, 3)))
+    return state
+
+
+def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
+    """_RadialRadau against stock Radau on one piece from (start, y0).
+
+    The whole run takes within 1% of stock Radau's steps and function
+    evaluations. Step by step, the stock stepper is started from the float
+    stepper's state (t, y, f, h_abs, the controller's history, J, the LU's
+    h and the previous cubic) and asked for its accepted step: nfev, njev
+    and nlu grow alike, both keep or drop the LU and the Jacobian alike,
+    the next trial step agrees within 1%, the knot within 1e-12 of |y| and
+    the cubic's coefficients within 1e-12 of the step's scale. A common
+    state is
+    needed because the error estimate solve(LU_real, f + ZE) is a
+    cancellation: LAPACK's rounding and the closed form's move error_norm
+    by up to ~1e-3 relative, and every later knot with it. So a step on
+    which either error_norm lies within 1e-3 of 1, which one stepper may
+    accept and the other reject, is exempt; and after a rejected attempt,
+    whose error_norm sets the next trial h, the stock stepper is started
+    again from the same state with the h the float stepper accepted.
+    Returns the number of steps pinned and of those with a rejection.
+    """
+    rhs, options = _radau_options(prob, model)
+    options["first_step"] = first_step
+    jacobian = options["jacobian"]
+
+    def jac(r, y):
+        return jacobian(y[0], *rhs(r, y))
+
+    ours = solve_ivp(rhs, (start, end), y0, method=solver._RadialRadau,
+                     steps=array("d"), **options)
+    stock = solve_ivp(rhs, (start, end), y0, method=Radau, rtol=1e-11,
+                      atol=1e-14, jac=jac, first_step=first_step)
+    assert ours.t[-1] == end
+    assert abs(len(ours.t) - len(stock.t)) <= 0.01 * len(stock.t)
+    assert abs(ours.nfev - stock.nfev) <= 0.01 * stock.nfev
+
+    steps = array("d")
+    ours = solver._RadialRadau(rhs, start, y0, end, steps=steps, **options)
+    stock = Radau(rhs, start, y0, end, rtol=1e-11, atol=1e-14, jac=jac,
+                  first_step=first_step)
+    assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
+    pinned = rejected = 0
+    while ours.status == "running":
+        t, y, state = ours.t, ours.y, _radau_state(ours)
+        vars(stock).update(state)
+        counts = np.array([ours.nfev, ours.njev, ours.nlu,
+                           stock.nfev, stock.njev, stock.nlu])
+        ours.step()
+        stock.step()
+        if min(abs(ours.error_norm_old - 1.0), abs(stock.error_norm_old - 1.0)) < 1e-3:
+            continue
+        grown = np.array([ours.nfev, ours.njev, ours.nlu,
+                          stock.nfev, stock.njev, stock.nlu]) - counts
+        assert np.array_equal(grown[:3], grown[3:])
+        # the controller's next trial step, from error norms ~1e-3 apart
+        assert ours.h_abs == pytest.approx(stock.h_abs, rel=1e-2, abs=0.0)
+        assert (ours.lu_h is None) == (stock.LU_real is None)
+        assert ours.current_jac == stock.current_jac
+        if ours.step_size < state["h_abs"]:
+            rejected += 1
+            vars(stock).update(state, h_abs=ours.t - t, LU_real=None,
+                               LU_complex=None)
+            stock.step()
+        scale = np.maximum(np.abs(y), np.abs(stock.y))
+        assert ours.t == stock.t
+        assert np.all(np.abs(ours.y - stock.y) <= 1e-12 * scale)
+        Q = np.reshape(ours.cubic[4:], (2, 3))
+        assert np.all(np.abs(Q - stock.sol.Q) <= 1e-12 * scale[:, None])
+        pinned += 1
+    assert pinned > 0.95 * len(steps) / solver._RADAU_RECORD
+    return pinned, rejected
+
+
+def test_stepper_matches_stock_radau(oscillation, hy_run):
+    """The float stepper takes scipy's Radau IIA steps on the oscillation's
+    exponential tail, from the hand-off to mid-way through its last step.
+    It reads scipy's private constants, so this also guards against a
+    scipy release that renames or changes them. The tail's steps are
+    almost all accepted at once, so a second run, on the hyperbolic model
+    over r in [1, 2] from a first trial step of 1, starts on steps rejected
+    by the error estimate, refined and rejected again."""
+    prob, model, start, y0 = _radau_tail(oscillation)
+    end = 0.5 * (oscillation.sol._dense.ts[-2] + oscillation.sol.r_last)
+    pinned, _ = _assert_radau_matches_stock(prob, model, start, end, y0)
+    assert pinned > 500
+    y0 = np.array(hy_run.sol._uv(1.0))
+    _, rejected = _assert_radau_matches_stock(hy_run.prob, hy_run.model, 1.0, 2.0,
+                                              y0, first_step=1.0)
+    assert rejected > 0
 
 
 def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
