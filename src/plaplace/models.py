@@ -10,7 +10,11 @@ zero or plateau at a positive constant.
 All quantities that can overflow for fast-growing psi (psi^(n-1) reaches
 1e308 very quickly for exponential-power models) are handled in log space:
 a model is its triple log_psi, slope ratio psi'/psi and curvature ratio
-psi''/psi, in closed form, from which psi, psi' and psi'' derive. The
+psi''/psi, in closed form, from which psi, psi' and psi'' derive. A glued
+model continues psi'' = m psi past each join, with m ramped by a smoothstep
+between two ends; where m is constant its triple is in closed form too, and
+only the ramp windows (or a whole segment blending into a catalog model)
+are tabulated, by one stock DOP853 run each, read as dense output. The
 geometry integrals Theta, J and W are cumulative panel quadratures of
 e^{(n-1) log psi} fitted to its exponential growth (quadrature.fitted_rule),
 tabulated once per profile; the oscillating construction reads its J
@@ -28,6 +32,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import quadrature, runio
+from .dense import _DenseTable, _ode_solution_piece
 
 
 class InvalidParameter(ValueError):
@@ -262,33 +267,121 @@ class ExpGamma(ModelFunction):
         return (2.0 * dp + r * dp * dp + r * ddp) / r
 
 
+# tolerances of the stock DOP853 runs that tabulate a glued model's windows
+_TABLE_RTOL, _TABLE_ATOL = 1e-13, 1e-15
+
+
+def _curvature(m, r):
+    """psi''/psi at r of a segment end: the float itself, or the model's."""
+    return m if isinstance(m, float) else m.curvature_ratio(r)
+
+
 @dataclass(frozen=True)
 class _Segment:
-    """One continuation segment of a glued model: psi'' = m(r) psi on [start, end]."""
+    """One continuation of a glued model: psi'' = m psi on [start, end] with
+
+      m = (1 - S) m_from + S m_to,   S = _smoothstep((r - start) / width),
+
+    where m_from and m_to are each a float >= 0 or a catalog model, whose
+    curvature_ratio is used.
+    """
 
     start: float
     end: float
-    m_fun: object  # callable r -> psi''/psi >= 0
-    dense: object  # solve_ivp dense output for (log psi, psi'/psi)
+    width: float
+    m_from: object
+    m_to: object
+
+    def curvature(self, r):
+        S = _smoothstep((r - self.start) / self.width)
+        return (1.0 - S) * _curvature(self.m_from, r) + S * _curvature(self.m_to, r)
+
+
+class _Window:
+    """(log psi, psi'/psi) of a segment from its start, as the dense output
+    of one stock DOP853 run of (L, s)' = (s, m - s^2)."""
+
+    def __init__(self, seg, table):
+        self.seg, self.table = seg, table
+
+    def log_psi(self, r):
+        return self.table(r)[0]
+
+    def slope_ratio(self, r):
+        return self.table(r)[1]
+
+    def curvature_ratio(self, r):
+        return self.seg.curvature(r)
+
+
+class _Tail:
+    """(log psi, psi'/psi) of a segment past its window, where m is the
+    constant m_to = sigma^2, in closed form from (L1, s1) at the window's
+    end r1. With x = r - r1:
+
+      sigma = 0:  L = L1 + log1p(s1 x),  s = s1 / (1 + s1 x);
+      sigma > 0:  L = L1 + sigma x + log(a + b e^{-2 sigma x}),
+                  s = sigma (a - b e^{-2 sigma x}) / (a + b e^{-2 sigma x}),
+
+    with a, b = (1 +- s1/sigma) / 2: psi = e^L1 (cosh + (s1/sigma) sinh)
+    of sigma x, written so that nothing overflows (a > 0 since s1 > 0).
+    """
+
+    def __init__(self, seg, r1, L1, s1):
+        self.seg, self.r1, self.L1, self.s1 = seg, r1, L1, s1
+        self.sigma = sigma = math.sqrt(seg.m_to)
+        if sigma > 0.0:
+            self.a, self.b = 0.5 * (1.0 + s1 / sigma), 0.5 * (1.0 - s1 / sigma)
+
+    def log_psi(self, r):
+        x = r - self.r1
+        if self.sigma == 0.0:
+            return self.L1 + np.log1p(self.s1 * x)
+        return (self.L1 + self.sigma * x
+                + np.log(self.a + self.b * np.exp(-2.0 * self.sigma * x)))
+
+    def slope_ratio(self, r):
+        x = r - self.r1
+        if self.sigma == 0.0:
+            return self.s1 / (1.0 + self.s1 * x)
+        e = self.b * np.exp(-2.0 * self.sigma * x)
+        return self.sigma * (self.a - e) / (self.a + e)
+
+    def curvature_ratio(self, r):
+        return np.full(np.shape(r), self.seg.m_to)
 
 
 class Glued(ModelFunction):
     """Convex C^2 model built from a base piece plus curvature continuations.
 
-    Each continuation prescribes a nonnegative curvature ratio m(r) and
-    integrates psi'' = m psi forward (as log psi and psi'/psi, so values
-    never overflow); convexity holds structurally, and psi, psi' are
-    continuous at every join by construction.
+    Each continuation (a _Segment) prescribes the curvature ratio
+    m = psi''/psi >= 0 on [start, end] and continues psi'' = m psi from the
+    model glued so far, as (L, s) = (log psi, psi'/psi), so values never
+    overflow; convexity holds structurally, and psi, psi' are continuous at
+    every join by construction. Past the blend window of a segment whose
+    m_to is a float, m is constant and (L, s) is in closed form (_Tail);
+    the window itself, or all of a segment that blends into a catalog
+    model, is the dense output of one stock DOP853 run (_Window).
+
+    A lookup bisects the piece starts (base, windows, closed-form
+    stretches) at the smallest and the largest of its radii; only an array
+    that spans several pieces is grouped, with one call per piece it
+    touches. log_psi, slope_ratio and curvature_ratio each compute only
+    their own quantity; radii past the last segment's end read its end.
     """
 
     kind = "glued"
 
-    def __init__(self, base, segments, meta=None):
+    def __init__(self, base, segments, meta=None, pieces=()):
         self.base = base
         self.segments = tuple(segments)
         self.meta = dict(meta or {})
         self.valid_to = self.segments[-1].end if self.segments else base.valid_to
         self._joins = [seg.start for seg in self.segments]
+        # (start radius, reader) of every piece past the base, in order
+        self._pieces = tuple(pieces)
+        self._starts = [r for r, _ in self._pieces]
+        self._readers = (base,) + tuple(reader for _, reader in self._pieces)
 
     def params(self):
         return {
@@ -300,98 +393,89 @@ class Glued(ModelFunction):
     def joins(self):
         return tuple(self._joins)
 
-    def _segment_for(self, r):
-        """The last segment starting at or before scalar r, or None (base)."""
-        k = bisect.bisect_right(self._joins, r) - 1
-        return self.segments[k] if k >= 0 else None
-
-    def _state(self, r):
-        """(log psi, psi'/psi) at r; radii past a segment's end read its end.
-
-        Cost model: a scalar r costs one bisect on the join radii plus one
-        scalar dense-output lookup and comes back as two Python floats. An
-        array r costs one searchsorted plus one dense-output call per segment
-        its points fall in (one base-model call for the points below the
-        first join); both results keep the shape of r.
-        """
+    def _read(self, name, r):
+        """The pieces' method `name` at r, radii past valid_to read there: a
+        float for a scalar r, else an array of the shape of r."""
+        starts, readers = self._starts, self._readers
         if np.ndim(r) == 0:
-            r = float(r)
-            seg = self._segment_for(r)
-            if seg is None:
-                return float(self.base.log_psi(r)), float(self.base.slope_ratio(r))
-            L, s = seg.dense(min(r, seg.end))
-            return float(L), float(s)
+            r = min(float(r), self.valid_to)
+            return float(getattr(readers[bisect.bisect_right(starts, r)], name)(r))
         r = np.asarray(r, dtype=float)
-        flat = r.ravel()
-        L, s = np.empty_like(flat), np.empty_like(flat)
-        idx = np.searchsorted(self._joins, flat, side="right") - 1
+        if r.size == 0:
+            return np.empty(r.shape)
+        lo, hi = r.min(), r.max()
+        if hi > self.valid_to:
+            r = np.minimum(r, self.valid_to)
+        k = bisect.bisect_right(starts, lo)
+        if k == bisect.bisect_right(starts, hi):
+            return getattr(readers[k], name)(r)
+        out = np.empty(r.shape)
+        idx = np.searchsorted(starts, r, side="right")
         for k in np.unique(idx):
             pick = idx == k
-            x = flat[pick]
-            if k < 0:
-                L[pick], s[pick] = self.base.log_psi(x), self.base.slope_ratio(x)
-            else:
-                seg = self.segments[k]
-                L[pick], s[pick] = seg.dense(np.minimum(x, seg.end))
-        return L.reshape(r.shape), s.reshape(r.shape)
+            out[pick] = getattr(readers[k], name)(r[pick])
+        return out
 
     def log_psi(self, r):
-        return self._state(r)[0]
+        return self._read("log_psi", r)
 
     def slope_ratio(self, r):
-        return self._state(r)[1]
+        return self._read("slope_ratio", r)
 
     def curvature_ratio(self, r):
-        def one(x):
-            seg = self._segment_for(x)
-            if seg is None:
-                return float(self.base.curvature_ratio(x))
-            return float(seg.m_fun(min(x, seg.end)))
+        return self._read("curvature_ratio", r)
 
-        if np.ndim(r) == 0:
-            return one(float(r))
-        r = np.asarray(r, dtype=float)
-        return np.array([one(x) for x in r.ravel()], dtype=float).reshape(r.shape)
+    def extended(self, start, end, m_from, m_to, width, meta_update=None):
+        """New Glued model equal to self on [0, start], continued on
+        [start, end] by psi'' = m psi with m = (1 - S) m_from + S m_to and
+        S = _smoothstep((r - start) / width).
 
-    def extended(self, m_fun, start, end, meta_update=None):
-        """New Glued model equal to self on [0, start], with psi''/psi = m_fun beyond.
-
-        The prefix (base and earlier segments) is shared, so evaluations below
-        `start` are bit-identical to the parent model's.
+        m_from and m_to are each a float >= 0 or a catalog model (its
+        curvature_ratio). With a float m_to, m is that constant past
+        start + width and the model is in closed form there; the window
+        before it, or with a model m_to the whole segment, is tabulated by
+        one stock DOP853 run. The pieces below `start` are shared, so
+        evaluations below `start` are bit-identical to the parent model's.
+        Refuses (InvalidParameter) a start at or before the last join or
+        past the model's range, an end at or before the start and a width
+        <= 0, and (ConvexityViolation) a negative float m_from or m_to.
         """
-        if start < (self.segments[-1].start if self.segments else 0.0):
-            raise InvalidParameter("continuation must start after the last join")
-        m0 = float(m_fun(start))
-        if m0 < 0:
-            raise ConvexityViolation(
-                f"curvature ratio {m0:.3e} < 0 at join r={start:.6g}"
-            )
-        L0, s0 = self._state(start)
-
-        def rhs(r, y):
-            m = m_fun(r)
-            if m < 0:
-                raise ConvexityViolation(
-                    f"curvature ratio {m:.3e} < 0 at r={r:.6g}"
-                )
-            return [y[1], m - y[1] * y[1]]
-
-        sol = solve_ivp(
-            rhs,
-            (start, end),
-            [L0, s0],
-            method="LSODA",
-            rtol=1e-11,
-            atol=1e-12,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise QuadratureFailure(f"continuation integration failed: {sol.message}")
-        seg = _Segment(start=start, end=end, m_fun=m_fun, dense=sol.sol)
+        start, end, width = float(start), float(end), float(width)
+        last = self._joins[-1] if self._joins else 0.0
+        if not last < start <= self.valid_to:
+            raise InvalidParameter(
+                f"continuation must start after the last join r={last:g} and "
+                f"within the model's range, got start={start:g}")
+        if not end > start:
+            raise InvalidParameter(
+                f"continuation must end after its start, got [{start:g}, {end:g}]")
+        if not width > 0.0:
+            raise InvalidParameter("blend width must be positive")
+        ends = []
+        for m in (m_from, m_to):
+            if not isinstance(m, ModelFunction):
+                m = float(m)
+                if not m >= 0.0:
+                    raise ConvexityViolation(
+                        f"curvature ratio {m:.3e} < 0 on the continuation "
+                        f"from r={start:.6g}")
+            ends.append(m)
+        seg = _Segment(start, end, width, *ends)
+        stop = min(start + width, end) if isinstance(seg.m_to, float) else end
+        ode = solve_ivp(lambda r, y: [y[1], seg.curvature(r) - y[1] * y[1]],
+                        (start, stop), [self.log_psi(start), self.slope_ratio(start)],
+                        method="DOP853", rtol=_TABLE_RTOL, atol=_TABLE_ATOL,
+                        dense_output=True)
+        if not ode.success:
+            raise QuadratureFailure(f"continuation integration failed: {ode.message}")
+        pieces = [piece for piece in self._pieces if piece[0] < start]
+        pieces.append((start, _Window(seg, _DenseTable([_ode_solution_piece(ode.sol)]))))
+        if stop < end:
+            pieces.append((stop, _Tail(seg, stop, *ode.y[:, -1].tolist())))
         meta = dict(self.meta)
         if meta_update:
             meta.update(meta_update)
-        return Glued(self.base, self.segments + (seg,), meta)
+        return Glued(self.base, self.segments + (seg,), meta, pieces)
 
 
 def as_glued(model):
@@ -496,9 +580,13 @@ def glue_models(pieces, blend_width, horizon=None):
     ``pieces`` is a sequence of (ModelFunction, start_radius): each piece
     takes over at its start radius (the first entry's start is 0 and is
     ignored); a single piece returns the piece itself. The glued psi follows
-    the first piece exactly up to the second piece's start, then integrates
-    psi'' = m(r) psi where m blends between the consecutive pieces'
-    curvature ratios over ``blend_width``.
+    the first piece exactly up to the second piece's start; from each later
+    join it continues psi'' = m psi with m blending from the previous
+    piece's curvature ratio to the next one's over ``blend_width``
+    (Glued.extended with the two models as m_from and m_to), up to the next
+    join or, for the last piece, to ``horizon``, which must lie past the
+    last join. These segments never have a constant curvature, so each is
+    tabulated whole by one DOP853 run.
     """
     if blend_width <= 0:
         raise InvalidParameter("blend width must be positive")
@@ -512,19 +600,8 @@ def glue_models(pieces, blend_width, horizon=None):
         horizon = 10.0 * joins[-1] + 100.0
 
     glued = as_glued(models[0])
-    bounds = joins + [horizon]
-    for idx in range(1, len(models)):
-        prev, nxt = models[idx - 1], models[idx]
-        join, end = joins[idx - 1], bounds[idx]
-        w = blend_width
-
-        def m_fun(r, prev=prev, nxt=nxt, join=join, w=w):
-            s = _smoothstep((r - join) / w)
-            return (1.0 - s) * float(prev.curvature_ratio(r)) + s * float(
-                nxt.curvature_ratio(r)
-            )
-
-        glued = glued.extended(m_fun, join, end)
+    for prev, nxt, join, end in zip(models, models[1:], joins, joins[1:] + [horizon]):
+        glued = glued.extended(join, end, prev, nxt, blend_width)
     return glued
 
 
@@ -664,7 +741,7 @@ class GeometryProfile:
             if growth.max() <= 1.0:
                 break
         # the rule runs on blocks of panels, which bounds the memory of each
-        # model call (a glued model allocates about ten floats per point)
+        # model call and of the (panels, 8) node arrays
         a, b, Ga, Gb = edges[:-1], edges[1:], G[:-1], G[1:]
         blocks = [slice(i, i + _BLOCK) for i in range(0, len(a), _BLOCK)]
         rules = [self._panels(a[k], b[k], Ga[k], Gb[k]) for k in blocks]

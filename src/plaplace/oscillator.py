@@ -4,7 +4,10 @@ Starting from the flat cone psi = r, the model is extended stage by stage:
 even stages continue linearly (psi'' = 0, so psi'/psi ~ 1/r and Q drifts
 below its sharp limit), odd stages switch the curvature ratio to a
 constant (2s)^2 so psi'/psi ramps to the exponential rate 2s and Q climbs
-back above the limit. Stage s is one solver.integrate run from the pole on
+back above the limit. Each extension ramps psi''/psi between the two
+constants over a window of width 0.5 at its join (Glued.extended with
+float ends): the model is tabulated by DOP853 across the window and in
+closed form past it. Stage s is one solver.integrate run from the pole on
 the model glued so far, and it ends at its trigger: the first accepted
 step end of that run, at least one unit past the previous trigger, where
 
@@ -16,10 +19,14 @@ model, T_low = C (1 - 1/n)^{1/(q+1-p)}, T_high = C (1 - 1/(2n))^{1/(q+1-p)}
 and C the sharp limit constant of Q. The model is then extended at the
 trigger. The emitted certificate records every trigger; since the
 extension never touches psi below the join, re-running with more stages
-reproduces the earlier stage log exactly.
+reproduces the earlier stage log exactly. Each trigger is also logged as
+it fires, at INFO on the "plaplace.oscillator" logger (silent unless the
+caller configures logging).
 """
 
 import json
+import logging
+import time
 
 # kept importable: the benchmark tracer (perfbench/spans.py) wraps
 # oscillator.solve_ivp by name, although the construction no longer calls it
@@ -27,13 +34,15 @@ from scipy.integrate import solve_ivp  # noqa: F401
 
 from . import models, solver
 from .diagnostics import q_limit_constant
-from .models import ConvexityViolation, InvalidParameter, _smoothstep
+from .models import ConvexityViolation, InvalidParameter
 
 # width of the smoothstep that ramps the curvature ratio at each join
 _BLEND_WIDTH = 0.5
 # a stage's radius budget is at least this factor times (its join + 1)
 _STAGE_CAP_FACTOR = 50.0
 _VERIFY_REL_TOL = 2e-3  # verify_certificate's tolerance on each Q
+
+_log = logging.getLogger(__name__)
 
 
 class TriggerTimeout(Exception):
@@ -70,23 +79,15 @@ class StagePlan:
         return (Q > self.t_high and u < self.u_ceiling
                 and log_psi >= self.index * r)
 
-    def curvature(self, join):
-        """m(r) = psi''/psi for the piece beginning at this stage's join."""
-        w = _BLEND_WIDTH
+    def curvature(self):
+        """(m_from, m_to): the curvature ratios psi''/psi that this stage's
+        piece ramps between across the blend window at its join."""
         if self.index % 2 == 0:
             # ramp the previous exponential curvature back down to zero
             prev_rate = (self.rate_scale * (self.index - 1)
                          if self.index > 0 else 0.0)
-
-            def m_fun(r):
-                return prev_rate ** 2 * (1.0 - _smoothstep((r - join) / w))
-        else:
-            sigma = self.rate
-
-            def m_fun(r):
-                return sigma ** 2 * _smoothstep((r - join) / w)
-
-        return m_fun
+            return prev_rate ** 2, 0.0
+        return 0.0, self.rate ** 2
 
 
 class OscillationCertificate:
@@ -169,7 +170,9 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     where the run stopped. The solver restarts at every join, so each run
     retakes the earlier stages' steps as the same floats, and every
     trigger is a knot of the last stage's run, which is the returned
-    solution.
+    solution. Each trigger is logged at INFO as it fires, with its index,
+    kind, r, Q, u, the accepted steps of its run and the seconds elapsed
+    since the construction began.
 
     `stages` counts fired triggers and must be an even number >= 4 so the
     certificate ends with both bands populated. rate_scale = 0 would ask
@@ -187,6 +190,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     t_low, t_high = thresholds(n, p, q)
     ex = (p - 1.0) / (q + 1.0 - p)
 
+    began = time.perf_counter()
     model = models.as_glued(models.Euclidean())
     r_here, J_here = 0.0, 0.0
     stage_log = []
@@ -195,7 +199,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
         r_stop = r_here + _stage_budget(plan, n, p, q, J_here, r_here)
         if s_idx > 0:
             model = model.extended(
-                plan.curvature(r_here), r_here, r_stop + 10.0,
+                r_here, r_stop + 10.0, *plan.curvature(), _BLEND_WIDTH,
                 meta_update={"stage": s_idx, "kind": plan.kind,
                              "rate": plan.rate, "join": r_here},
             )
@@ -227,6 +231,9 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
             "log_psi": float(model.log_psi(r_here)),
             "threshold": plan.t_low if s_idx % 2 == 0 else plan.t_high,
         })
+        _log.info("stage %d (%s) fired at r=%r: Q=%r, u=%r; %d accepted "
+                  "steps, %.3f s elapsed", s_idx, plan.kind, r_here, Q, u,
+                  len(sol._dense.h), time.perf_counter() - began)
 
     cert = OscillationCertificate(n, p, q, alpha, t_low, t_high, stage_log)
     return model, sol, cert

@@ -58,6 +58,7 @@ from scipy.integrate._ivp import radau as _radau
 from scipy.optimize import brentq
 
 from . import runio
+from .dense import _DenseTable
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
 from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
 
@@ -200,47 +201,6 @@ def series_startup(prob, model, r):
     starts every run and gives RadialSolution on (0, r_1); see _pole_series."""
     u, v = _pole_series(prob, model, r)
     return _scalar_or_array(u), _scalar_or_array(-np.exp(v))
-
-
-class _DenseTable:
-    """The steppers' dense output as arrays over all accepted steps.
-
-    Built from pieces (ts, h, y_old, F), one per stepper run, each starting
-    where the previous one ended: the run's knots ts, and per step its
-    length h, start state y_old and the coefficients F of scipy's
-    Dop853DenseOutput (_dop853_piece), or a Radau step's cubic rewritten
-    into the same form (_radau_piece), both formed from the steppers'
-    step records. A step starts at its knot; its h is kept apart because
-    the last knot of a run stopped on underflow lies inside the last step.
-    The table repeats Dop853DenseOutput's nested evaluation with array
-    indexing, so a call over N radii is a few array operations instead of
-    one Python call per step, with the floats of Dop853DenseOutput on the
-    same coefficients (same operation order), and on Radau steps the floats
-    of RadauDenseOutput's cubic to within 2 ulp.
-    """
-
-    def __init__(self, pieces):
-        ts, h, y_old, F = zip(*pieces)
-        self.ts = np.concatenate([ts[0][:1]] + [t[1:] for t in ts])
-        self.t_old = np.concatenate([t[:-1] for t in ts])
-        self.h = np.concatenate(h)
-        self.y_old = np.concatenate(y_old)
-        self.F = np.concatenate(F)
-
-    def __call__(self, t):
-        """(u, v) at radii t of any shape; each result has the shape of t."""
-        t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        seg = np.searchsorted(self.ts, flat, side="left") - 1
-        seg = np.clip(seg, 0, len(self.h) - 1)
-        x = ((flat - self.t_old[seg]) / self.h[seg])[:, None]
-        xm = 1 - x
-        y = np.zeros((flat.size, self.y_old.shape[1]))
-        for i in range(self.F.shape[1]):
-            y += self.F[seg, -1 - i]
-            y *= x if i % 2 == 0 else xm
-        y += self.y_old[seg]
-        return y[:, 0].reshape(t.shape), y[:, 1].reshape(t.shape)
 
 
 def _row_radii(dense, u_min, tol=ROW_TOL):

@@ -159,18 +159,43 @@ def test_glue_rejects_bad_joins():
         pl.glue_models([(eu, 0.0), (hy, 1.0)], blend_width=0.0)
 
 
+def test_glue_refuses_horizon_before_last_join():
+    """A horizon at or before the last join would continue the last piece
+    backward; it is refused instead of returning a model whose log psi
+    falls past the join."""
+    eu, hy = pl.make_model("euclidean"), pl.make_model("hyperbolic")
+    for horizon in (3.0, 5.0):
+        with pytest.raises(pl.InvalidParameter):
+            pl.glue_models([(eu, 0.0), (hy, 5.0)], 0.1, horizon=horizon)
+
+
 def test_glued_prefix_sharing():
     base = models.as_glued(pl.make_model("euclidean"))
-    ext = base.extended(lambda r: 4.0 * models._smoothstep((r - 2.0) / 0.5),
-                       2.0, 30.0)
+    ext = base.extended(2.0, 30.0, 0.0, 4.0, 0.5)
     r = np.geomspace(1e-3, 1.9, 50)
     assert np.allclose(ext.psi(r), base.psi(r), rtol=0.0, atol=0.0)
 
 
+def test_extension_refuses_backward_range():
+    """An end at or before the start, a start at or before the last join
+    or past the model's range, and a width <= 0 are refused."""
+    base = models.as_glued(pl.make_model("euclidean"))
+    for start, end in ((5.0, 2.0), (5.0, 5.0)):
+        with pytest.raises(pl.InvalidParameter):
+            base.extended(start, end, 1.0, 1.0, 0.5)
+    ext = base.extended(2.0, 10.0, 0.0, 1.0, 0.5)
+    for start in (2.0, 1.0, 10.5):
+        with pytest.raises(pl.InvalidParameter):
+            ext.extended(start, 20.0, 1.0, 0.0, 0.5)
+    with pytest.raises(pl.InvalidParameter):
+        base.extended(1.0, 5.0, 0.0, 1.0, 0.0)
+
+
 def test_extension_refuses_negative_curvature():
     base = models.as_glued(pl.make_model("euclidean"))
-    with pytest.raises(pl.ConvexityViolation):
-        base.extended(lambda r: -1.0, 1.0, 5.0)
+    for m_from, m_to in ((-1.0, -1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, math.nan)):
+        with pytest.raises(pl.ConvexityViolation):
+            base.extended(1.0, 5.0, m_from, m_to, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -209,22 +234,48 @@ def test_glued_equals_base_below_first_join(glued3):
         assert glued3.slope_ratio(float(x)) == base.slope_ratio(float(x))
 
 
+class _Spy:
+    """A glued model's piece reader that logs its index on every method read."""
+
+    def __init__(self, reader, k, log):
+        self._reader, self._k, self._log = reader, k, log
+
+    def __getattr__(self, name):
+        self._log.append(self._k)
+        return getattr(self._reader, name)
+
+
 def test_glued_joins_and_horizon_clamp(glued3):
-    for k, seg in enumerate(glued3.segments):
-        # a join radius reads the segment that starts there ...
-        at = seg.dense(seg.start)
-        assert glued3.log_psi(seg.start) == float(at[0])
-        assert glued3.slope_ratio(seg.start) == float(at[1])
-        # ... and the radius just below it the previous piece
-        below = np.nextafter(seg.start, 0.0)
-        prev = glued3.segments[k - 1].dense(below)[0] if k else glued3.base.log_psi(below)
-        assert glued3.log_psi(below) == float(prev)
-    end = glued3.segments[-1].end
-    for x in (end + 1e-9, end + 1.0, 1e3):
-        assert glued3.log_psi(x) == glued3.log_psi(end)
-        assert glued3.slope_ratio(x) == glued3.slope_ratio(end)
-    past = glued3.log_psi(np.array([end, end + 1.0, 1e3]))
-    assert _within_ulps(past, np.full(3, glued3.log_psi(end)), 4)
+    """A piece's start radius reads that piece and the radius just below it
+    the previous piece, as a scalar and in an array; radii past the last
+    segment's end read that end. On glued3 (one tabulated piece per
+    segment) and on a segment whose window is followed by a closed-form
+    stretch; _readers[k] is the piece starting at _starts[k - 1],
+    _readers[0] the base."""
+    import copy
+
+    stretch = models.as_glued(pl.make_model("euclidean")).extended(
+        1.0, 9.0, 0.0, 4.0, 0.5)
+    assert glued3._starts == [1.0, 2.0, 3.0] and stretch._starts == [1.0, 1.5]
+    names = ("log_psi", "slope_ratio", "curvature_ratio")
+    for model in (glued3, stretch):
+        read = []
+        spied = copy.copy(model)
+        spied._readers = tuple(_Spy(reader, k, read) for k, reader in enumerate(model._readers))
+        for k, start in enumerate(model._starts, start=1):
+            below = np.nextafter(start, 0.0)
+            for name in names:
+                for r, expect in ((start, [k]), (below, [k - 1]),
+                                  (np.array([start, below]), [k - 1, k])):
+                    read.clear()
+                    assert np.array_equal(getattr(spied, name)(r), getattr(model, name)(r))
+                    assert read == expect, (name, r)
+        end = model.segments[-1].end
+        for x in (end + 1e-9, end + 1.0, 1e3):
+            for name in names:
+                assert getattr(model, name)(x) == getattr(model, name)(end)
+        past = model.log_psi(np.array([end, end + 1.0, 1e3]))
+        assert _within_ulps(past, np.full(3, model.log_psi(end)), 4)
 
 
 def test_glued_output_shapes(glued3):
@@ -243,22 +294,104 @@ def test_glued_output_shapes(glued3):
 
 
 def test_glued_array_lookup_is_one_call_per_segment(glued3, monkeypatch):
-    from scipy.integrate import OdeSolution
+    """An array lookup evaluates each numeric table it touches once, and
+    none for radii that lie only in closed-form stretches."""
+    from plaplace import dense
 
     calls = []
-    original = OdeSolution.__call__
+    original = dense._DenseTable.__call__
 
     def counting(self, t):
         calls.append(self)
         return original(self, t)
 
-    monkeypatch.setattr(OdeSolution, "__call__", counting)
-    dense = [seg.dense for seg in glued3.segments]
-    for lo, hi, touched in ((0.1, 0.9, []), (0.5, 2.5, dense[:2]),
-                            (0.5, 9.0, dense), (3.5, 9.0, dense[2:])):
+    monkeypatch.setattr(dense._DenseTable, "__call__", counting)
+    tables = [reader.table for reader in glued3._readers[1:]]
+    for lo, hi, touched in ((0.1, 0.9, []), (0.5, 2.5, tables[:2]),
+                            (0.5, 9.0, tables), (3.5, 9.0, tables[2:])):
         calls.clear()
         glued3.log_psi(np.linspace(lo, hi, 10_000))
         assert calls == touched, (lo, hi)
+
+    flat = pl.make_model("euclidean")
+    model = models.as_glued(flat).extended(1.0, 30.0, 0.0, 4.0, 0.5) \
+        .extended(5.0, 40.0, 4.0, 0.0, 0.5)
+    windows = [model._readers[1].table, model._readers[3].table]
+    for lo, hi, touched in ((0.1, 0.9, []), (1.5, 4.9, []), (6.0, 50.0, []),
+                            (0.5, 1.2, windows[:1]), (1.2, 12.0, windows)):
+        for name in ("log_psi", "slope_ratio"):
+            calls.clear()
+            getattr(model, name)(np.linspace(lo, hi, 10_000))
+            assert calls == touched, (name, lo, hi)
+
+
+def _smooth(x):
+    x = min(max(x, 0.0), 1.0)
+    return x * x * (3.0 - 2.0 * x)
+
+
+def _oracle_misfit(model, pieces):
+    """Largest misfit of model.log_psi and slope_ratio, in units of their
+    bounds 1e-11 max(1, |L|) and 1e-11 |s|, against a stock DOP853 solve of
+    (L, s)' = (s, m - s^2) at rtol 1e-13, on pieces (join, end, width, m)
+    after a flat start psi = r. The solve restarts at each join and at each
+    window's end, where m'' jumps, and is compared at 201 radii on each."""
+    from scipy.integrate import solve_ivp
+
+    worst = 0.0
+    y = [math.log(pieces[0][0]), 1.0 / pieces[0][0]]
+    for join, end, width, m in pieces:
+        for a, b in ((join, join + width), (join + width, end)):
+            ode = solve_ivp(lambda r, y, m=m: [y[1], m(r) - y[1] ** 2], (a, b), y,
+                            method="DOP853", rtol=1e-13, atol=1e-16,
+                            dense_output=True)
+            r = np.linspace(a, b, 201)
+            L, s = ode.sol(r)
+            worst = max(worst,
+                        np.max(np.abs(model.log_psi(r) - L) / np.maximum(1.0, np.abs(L))),
+                        np.max(np.abs(model.slope_ratio(r) - s) / s))
+            y = ode.y[:, -1]
+    return worst / 1e-11
+
+
+def _oscillation_pieces(cert, scale=1.0):
+    """The construction's continuations from its certificate: stage k joins
+    at trigger k-1 and ramps psi''/psi over 0.5 from (2(k-1))^2 down to 0
+    (even k) or from 0 up to (2k)^2 (odd k); sigma is scaled by `scale`."""
+    joins = [entry["r"] for entry in cert.stages[:-1]]
+    ends = joins[1:] + [cert.stages[-1]["r"]]
+    pieces = []
+    for k, (join, end) in enumerate(zip(joins, ends), start=1):
+        if k % 2:
+            def m(r, j=join, s2=(2.0 * k * scale) ** 2):
+                return s2 * _smooth((r - j) / 0.5)
+        else:
+            def m(r, j=join, s2=(2.0 * (k - 1) * scale) ** 2):
+                return s2 * (1.0 - _smooth((r - j) / 0.5))
+        pieces.append((join, end, 0.5, m))
+    return pieces
+
+
+def test_glued_geometry_against_oracle(oscillation, glued3):
+    """log psi and psi'/psi of the 4-stage construction's model (inside every
+    window and along every closed-form tail, up to the last trigger) and of
+    glued3 match an independent DOP853 solve within 1e-11; with sigma
+    scaled by 1 + 1e-9 the oscillation's oracle misses by far."""
+    cert = oscillation.cert
+    assert _oracle_misfit(oscillation.model, _oscillation_pieces(cert)) < 1.0
+    assert _oracle_misfit(oscillation.model, _oscillation_pieces(cert, 1 + 1e-9)) > 10.0
+
+    eu, hy, pk = (pl.make_model(d) for d in ("euclidean", "hyperbolic", "powerlike:k=2"))
+
+    def blend(join, a, b):
+        def m(r):
+            S = _smooth((r - join) / 0.2)
+            return (1.0 - S) * float(a.curvature_ratio(r)) + S * float(b.curvature_ratio(r))
+        return m
+
+    pieces = [(1.0, 2.0, 0.2, blend(1.0, eu, hy)), (2.0, 3.0, 0.2, blend(2.0, hy, pk)),
+              (3.0, 6.0, 0.2, blend(3.0, pk, hy))]
+    assert _oracle_misfit(glued3, pieces) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +510,8 @@ def test_theta_past_a_late_flat_join():
     from scipy.integrate import solve_ivp
 
     model = (models.as_glued(pl.make_model("euclidean"))
-             .extended(lambda r: 36.0, 1.0, 300.0)
-             .extended(lambda r: 0.0, 300.0, 400.0))
+             .extended(1.0, 300.0, 36.0, 36.0, 0.5)
+             .extended(300.0, 400.0, 0.0, 0.0, 0.5))
     prof = pl.geometry_profile(model, 3, 2.0, 350.0)
     ref = solve_ivp(lambda t, y: [1.0 - 2.0 * float(model.slope_ratio(t)) * y[0]],
                     (1.0, 340.0), [1.0 / 3.0], method="LSODA", rtol=1e-13,

@@ -1,5 +1,6 @@
 """Staged construction of a geometry with persistently oscillating Q."""
 
+import logging
 import math
 import warnings
 
@@ -59,7 +60,7 @@ def test_triggers_match_independent_reference(oscillation):
 
     def rhs(r, y):
         th, lJ, u, v = y
-        L, f = model._state(r)
+        L, f = model.log_psi(r), model.slope_ratio(r)
         G = (n - 1) * L
         return [math.exp(-th) - (n - 1) * f, math.exp(mu * th - lJ),
                 -math.exp(mu * (v - G)), math.exp(G + q * math.log(u) - v)]
@@ -114,7 +115,7 @@ def test_verify_certificate(oscillation):
 
 
 def test_six_stages_verify_without_warnings():
-    """Six stages restart DOP853 at the late joins r ~ 11,373 and 11,576;
+    """Six stages restart DOP853 at the late joins r ~ 11,371 and 11,573;
     each restart begins with the previous piece's last step instead of
     scipy's initial-step guess, which overflowed there. The run is
     warning-free and its certificate verifies."""
@@ -124,6 +125,20 @@ def test_six_stages_verify_without_warnings():
         prof = pl.geometry_profile(model, 3, 2.0, cert.stages[-1]["r"])
         assert pl.verify_certificate(cert, sol, prof)["passed"]
     assert len(cert.stages) == 6
+
+
+def test_stage_triggers_are_logged(caplog):
+    """Each trigger is logged at INFO as it fires, with the certificate's
+    r and Q (as reprs, so the floats are equal)."""
+    with caplog.at_level(logging.INFO, logger="plaplace.oscillator"):
+        _, _, cert = pl.construct(3, 2.0, 5.0, 1.0, 4)
+    records = [rec for rec in caplog.records if rec.name == "plaplace.oscillator"]
+    assert len(records) == 4
+    for rec, entry in zip(records, cert.stages):
+        assert rec.levelno == logging.INFO
+        msg = rec.getMessage()
+        assert msg.startswith(f"stage {entry['index']} ({entry['kind']}) ")
+        assert f"r={entry['r']!r}:" in msg and f"Q={entry['Q']!r}," in msg
 
 
 def test_tampered_certificate_detected(oscillation):

@@ -11,7 +11,7 @@ from scipy.integrate._ivp.radau import MU_COMPLEX, MU_REAL, RadauDenseOutput
 from scipy.linalg import lu_factor
 
 import plaplace as pl
-from plaplace import solver
+from plaplace import dense, solver
 
 
 def test_problem_validation():
@@ -222,17 +222,15 @@ def _radau_options(prob, model):
 
 def test_dense_table_matches_ode_solution(oscillation):
     """The array form of the DOP853 dense output gives OdeSolution's floats
-    from the same coefficients; a Radau step's cubic, rewritten into
-    DOP853's nested form, is exact at the knots and within 2 ulp between
-    them (against scipy's RadauDenseOutput on the same cubics, taken from
-    the float stepper's record on the oscillation's stiff tail)."""
+    from the same coefficients (a stock run, read by _ode_solution_piece);
+    a Radau step's cubic, rewritten into DOP853's nested form, is exact at
+    the knots and within 2 ulp between them (against scipy's
+    RadauDenseOutput on the same cubics, taken from the float stepper's
+    record on the oscillation's stiff tail)."""
     ode = solve_ivp(lambda t, y: [y[1], -y[0] - 0.1 * y[1] ** 3], (0.0, 20.0),
                     [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True).sol
-    steps = ode.interpolants
-    table = solver._DenseTable([(ode.ts, np.array([d.h for d in steps]),
-                                 np.array([d.y_old for d in steps]),
-                                 np.array([d.F for d in steps]))])
+    table = dense._DenseTable([dense._ode_solution_piece(ode)])
     t = np.concatenate([ode.ts, np.linspace(0.0, 20.0, 1001)])
     assert np.array_equal(np.stack(table(t)), ode(t))
     grid = np.linspace(0.0, 20.0, 1000).reshape(-1, 8)
@@ -249,7 +247,7 @@ def test_dense_table_matches_ode_solution(oscillation):
     stiff = OdeSolution(ts, [RadauDenseOutput(a, b, y, Q.reshape(2, 3))
                              for a, b, y, Q in zip(ts[:-1], ts[1:], rec[:, 2:4],
                                                    rec[:, 4:])])
-    table = solver._DenseTable([piece])
+    table = dense._DenseTable([piece])
     assert np.array_equal(np.stack(table(ts)), stiff(ts))
     mid = np.linspace(ts[0], ts[-1], 1001)
     ref = stiff(mid)
