@@ -24,10 +24,14 @@ The DOP853 steps are scipy's method taken on Python floats instead of
 numpy 2-vectors (_RadialDOP853), with the equations written once as a
 kernel (lpsi, u, v) -> (u', v'), lpsi = (n-1) log psi, instantiated on
 Python floats for the steps and on numpy arrays for the dense output. The
-right-hand side depends on r only through log psi, and all fifteen radii
-a step reads it at (11 inner stages, the step end, 3 dense-output stages)
-are fixed by the step's start and length, so one model.log_psi array call
-per attempted step serves them all. Each accepted step is appended to a
+tableau's stages and weighted sums are straight-line code generated at
+import from scipy's coefficients (_stage_function), run on floats in the
+steps and on arrays in the dense output: the same left-to-right sums
+either way, on every Python version. The right-hand side depends on r
+only through log psi, and all fifteen radii a step reads it at (11 inner
+stages, the step end, 3 dense-output stages) are fixed by the step's
+start and length, so one model.log_psi array call per attempted step
+serves them all. Each accepted step is appended to a
 flat record; after the run the 3 dense-output stages and the interpolant's
 coefficients are formed for all steps at once in numpy. nfev still counts
 12 per attempted step and 3 per accepted step, as scipy's DOP853 with
@@ -49,7 +53,6 @@ predicate stop(r, u) holds.
 import json
 import math
 from array import array
-from operator import mul
 
 import numpy as np
 from scipy.integrate import DOP853, Radau, solve_ivp
@@ -388,17 +391,56 @@ _RADAU_RECORD = 10
 _EVENT_TOL = 4 * np.finfo(float).eps
 
 
-def _add_stages(kernel, rows, lpsi, u, v, h, ku, kv):
-    """Append to the stage derivatives ku, kv those of the tableau rows,
-    each read at its lpsi from the start state (u, v) of a step h.
+def _stage_function(rows, known, sums):
+    """Generate straight-line code for explicit Runge-Kutta stages and sums.
 
-    Works on Python floats (one step) and on numpy arrays (many steps at
-    once): the sums run term by term in the same order either way."""
-    for a, lp in zip(rows, lpsi):
-        du, dv = kernel(lp, u + sum(map(mul, a, ku)) * h,
-                        v + sum(map(mul, a, kv)) * h)
-        ku.append(du)
-        kv.append(dv)
+    Returns stages(kernel, lp, u, v, h, ku, kv): ku, kv hold the derivatives
+    of u and v at the first `known` stages; stage known + j is read at
+    lp[j] from u + (sum_i a_i ku[i]) h, a being rows[j], and likewise for
+    v. It returns the derivatives at all stages as tuples ku, kv and then,
+    for each coefficient row c of `sums`, the pair sum_i c_i ku[i],
+    sum_i c_i kv[i]. Every sum is written out as c_0 * k_0 + c_1 * k_1 + ...
+    with the coefficients embedded by repr, so they round-trip exactly, the
+    zero ones dropped and the rest in the tableau's order: plain left-to-
+    right float arithmetic, which works alike on Python floats and on numpy
+    arrays (one row per step) and does not depend on builtins.sum, which
+    compensates float sums from Python 3.12 on. A dropped term c_i k_i is
+    +-0 for a finite k_i (the kernel's exponentials are capped), so
+    dropping it changes no nonzero sum. The source is kept on the function
+    as `source`.
+    """
+    count = known + len(rows)
+
+    def dot(coefs, c):
+        if any(coefs[count:]):
+            raise ValueError("sum reads a stage past the last one formed")
+        return " + ".join(f"{a!r} * k{i}{c}" for i, a in enumerate(coefs[:count])
+                          if a != 0.0)
+
+    ks = [[f"k{i}{c}" for i in range(count)] for c in "uv"]
+    lines = ["def stages(kernel, lp, u, v, h, ku, kv):",
+             f"    {', '.join(ks[0][:known])}, = ku",
+             f"    {', '.join(ks[1][:known])}, = kv"]
+    for j, a in enumerate(rows):
+        i = known + j
+        lines.append(f"    k{i}u, k{i}v = kernel(lp[{j}], u + ({dot(a, 'u')}) * h, "
+                     f"v + ({dot(a, 'v')}) * h)")
+    results = [f"({', '.join(k)},)" for k in ks]
+    results += [dot(c, x) for c in sums for x in "uv"]
+    lines.append(f"    return ({', '.join(results)})")
+    source = "\n".join(lines) + "\n"
+    namespace = {}
+    exec(compile(source, "<dop853 stages>", "exec"), namespace)
+    stages = namespace["stages"]
+    stages.source = source
+    return stages
+
+
+# the 11 inner stages of a step with the sums B, E5 and E3 over the first 12
+# stages (E5 and E3 weigh the step end by zero), on Python floats; and the 3
+# dense-output stages with the sums D over all 16, on numpy arrays
+_STEP_STAGES = _stage_function(_STAGE_ROWS, 1, (_B, _E5, _E3))
+_DENSE_STAGES = _stage_function(_DENSE_ROWS, _NK, _D)
 
 
 class _RadialDOP853(DOP853):
@@ -410,8 +452,9 @@ class _RadialDOP853(DOP853):
     II.5-II.6): its tableau, its blended err5/err3 error norm and its
     step-size control (safety 0.9, factor bounds 0.2 and 10, exponent
     -1/8, scipy's min_step). Only the arithmetic moves from numpy on
-    2-vectors to Python floats: the stages call kernel(lpsi, u, v) ->
-    (u', v'), with lpsi = (n-1) log psi.
+    2-vectors to Python floats: one call of the generated _STEP_STAGES
+    forms the 11 inner stages, each through kernel(lpsi, u, v) -> (u', v')
+    with lpsi = (n-1) log psi, and the sums B, E5 and E3.
 
     The right-hand side depends on r only through log psi, and every radius
     t + c_i h at which a step reads it is known before any stage value. So
@@ -477,22 +520,18 @@ class _RadialDOP853(DOP853):
             h = t_new - t
             h_abs = h
             lpsi = self._lpsi(t + h * _FRACTIONS).tolist()
-            ku, kv = [fu], [fv]
-            _add_stages(kernel, _STAGE_ROWS, lpsi, u, v, h, ku, kv)
-            u_new = u + h * sum(map(mul, _B, ku))
-            v_new = v + h * sum(map(mul, _B, kv))
+            ku, kv, bu, bv, e5u, e5v, e3u, e3v = _STEP_STAGES(
+                kernel, lpsi, u, v, h, (fu,), (fv,))
+            u_new = u + h * bu
+            v_new = v + h * bv
             fu_new, fv_new = kernel(lpsi[_INNER], u_new, v_new)
-            ku.append(fu_new)
-            kv.append(fv_new)
             self.nfev += _INNER + 1
 
             # scipy's blended norm of the 5th- and 3rd-order error estimates
             su = atol + max(abs(u), abs(u_new)) * rtol
             sv = atol + max(abs(v), abs(v_new)) * rtol
-            err5 = ((sum(map(mul, _E5, ku)) / su) ** 2
-                    + (sum(map(mul, _E5, kv)) / sv) ** 2)
-            err3 = ((sum(map(mul, _E3, ku)) / su) ** 2
-                    + (sum(map(mul, _E3, kv)) / sv) ** 2)
+            err5 = (e5u / su) ** 2 + (e5v / sv) ** 2
+            err3 = (e3u / su) ** 2 + (e3v / sv) ** 2
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
             else:
@@ -516,7 +555,7 @@ class _RadialDOP853(DOP853):
         self.h_abs = h_abs
         self.f = (fu_new, fv_new)
         self.nfev += len(_DENSE_ROWS)
-        self._steps.extend((t, h, u, v, u_new, v_new, *ku, *kv,
+        self._steps.extend((t, h, u, v, u_new, v_new, *ku, fu_new, *kv, fv_new,
                             *lpsi[_INNER + 1:]))
 
         if self._stop(t_new, u_new):
@@ -702,8 +741,9 @@ class _RadialRadau(Radau):
         self.J, self.current_jac = J, current_jac
         self.lu_h, self._lu = (None, None) if lu is None else (lu_h, lu)
         self._lpsi_t = lp[2]
-        Q = [sum(map(mul, z, p)) for z in ((zu0, zu1, zu2), (zv0, zv1, zv2))
-             for p in _P_COLUMNS]
+        Q = [z0 * p0 + z1 * p1 + z2 * p2 for z0, z1, z2 in ((zu0, zu1, zu2),
+                                                             (zv0, zv1, zv2))
+             for p0, p1, p2 in _P_COLUMNS]
         self.cubic = (t, h, u, v, *Q)
         self._steps.extend(self.cubic)
 
@@ -786,21 +826,21 @@ def _dop853_piece(steps, kernel):
     The 3 extra stages and the coefficients F of the 7th-order dense output
     (Hairer, Norsett & Wanner, Solving ODEs I, II.6, as scipy forms them)
     depend only on each step's own data, so they are formed here for all
-    steps at once: kernel is the numpy instance of the equations, and every
-    sum runs in the term order of the stepper's. Against a per-step build
-    on Python floats the only difference is the last-bit rounding of
-    numpy's exp and log.
+    steps at once: kernel is the numpy instance of the equations, and the
+    stages and sums D are generated straight-line code (_DENSE_STAGES),
+    whose sums run left to right on arrays as on floats. Against a
+    per-step build on Python floats the only difference is the last-bit
+    rounding of numpy's exp and log, on every Python version.
     """
     rec = np.frombuffer(steps).reshape(-1, _RECORD)
     t, h, u, v, u_new, v_new = rec[:, :6].T
-    ku = list(rec[:, 6:6 + _NK].T)
-    kv = list(rec[:, 6 + _NK:6 + 2 * _NK].T)
-    _add_stages(kernel, _DENSE_ROWS, rec[:, 6 + 2 * _NK:].T, u, v, h, ku, kv)
+    ku, kv, *d = _DENSE_STAGES(kernel, rec[:, 6 + 2 * _NK:].T, u, v, h,
+                               rec[:, 6:6 + _NK].T, rec[:, 6 + _NK:6 + 2 * _NK].T)
     du, dv = u_new - u, v_new - v
     fu, fv = ku[_NK - 1], kv[_NK - 1]
     F = [(du, dv), (h * ku[0] - du, h * kv[0] - dv),
          (2 * du - h * (fu + ku[0]), 2 * dv - h * (fv + kv[0]))]
-    F += [(h * sum(map(mul, d, ku)), h * sum(map(mul, d, kv))) for d in _D]
+    F += [(h * du_d, h * dv_d) for du_d, dv_d in zip(d[::2], d[1::2])]
     # t + h is the step end exactly: h = t_new - t is exact for t_new < 2t
     return (np.append(t, t[-1] + h[-1]), h, rec[:, 2:4],
             np.array(F).transpose(2, 0, 1))

@@ -1,12 +1,15 @@
 """Radial IVP solver: startup series, oracle solutions, invariants."""
 
+import ast
 import math
+import tracemalloc
 import warnings
 from array import array
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution, Radau, quad, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 from scipy.integrate._ivp.radau import MU_COMPLEX, MU_REAL, RadauDenseOutput
 from scipy.linalg import lu_factor
 
@@ -207,7 +210,7 @@ def test_eval_array_matches_scalars(hy_run):
 def _radau_tail(oscillation):
     """(prob, model, r, y) at the oscillation's hand-off to Radau."""
     dense = oscillation.sol._dense
-    k = np.argmax(np.all(dense.F[:, 3:] == 0.0, axis=(1, 2)))
+    k = np.argmax(np.all(dense.coef[:4] == 0.0, axis=(0, 1)))
     return (oscillation.sol.problem, oscillation.model, dense.t_old[k],
             dense.y_old[k])
 
@@ -253,6 +256,118 @@ def test_dense_table_matches_ode_solution(oscillation):
     ref = stiff(mid)
     assert np.all(np.abs(np.stack(table(mid)) - ref)
                   <= 2 * np.spacing(np.abs(ref)))
+
+
+def test_dense_table_reads_in_blocks(hy_run):
+    """A call over more radii than one block, straddling many steps, gives
+    the floats of one call per radius; and a call over 10^5 radii allocates
+    its output (2 rows of N floats) and the scratch of one block (its
+    gathered table columns plus a few rows of radii, within twice the
+    table's rows of _BLOCK floats), never a gather over all N radii."""
+    table = hy_run.sol._dense
+    assert len(table.h) > 100
+    r = np.linspace(table.ts[0], table.ts[-1], 2 * dense._BLOCK + 1)
+    u, v = table(r)
+    scalars = np.array([table(x) for x in r])
+    assert np.array_equal(u, scalars[:, 0]) and np.array_equal(v, scalars[:, 1])
+
+    r = np.linspace(table.ts[0], table.ts[-1], 100_000)
+    tracemalloc.start()
+    try:
+        table(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (2 * r.size + 2 * dense._ROWS * dense._BLOCK)
+
+
+def _sum(coefs, k):
+    """sum_i coefs[i] k[i], one term at a time from the left, zeros included."""
+    acc = 0.0
+    for i in range(len(k)):
+        acc = acc + coefs[i] * k[i]
+    return acc
+
+
+def _reference_stages(rows, sums, kernel, lp, u, v, h, ku, kv):
+    """What solver._stage_function generates, as loops over scipy's full
+    tableau rows. A sum row longer than the stages formed (E5 and E3 also
+    weigh the step end) must be zero past them."""
+    ku, kv = list(ku), list(kv)
+    for lp_j, a in zip(lp, rows):
+        du, dv = kernel(lp_j, u + _sum(a, ku) * h, v + _sum(a, kv) * h)
+        ku.append(du)
+        kv.append(dv)
+    out = [tuple(ku), tuple(kv)]
+    for c in sums:
+        assert not np.any(c[len(ku):])
+        out += [_sum(c, ku), _sum(c, kv)]
+    return out
+
+
+def _terms(expr):
+    """[(coefficient, stage)] of a generated sum c * k0u + c' * k3u + ...,
+    in the order written."""
+    terms = []
+    while isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Add):
+        terms.append(expr.right)
+        expr = expr.left
+    terms.append(expr)
+    return [(ast.literal_eval(t.left), int(t.right.id[1:-1]))
+            for t in reversed(terms)]
+
+
+def _nonzero(coefs, count):
+    return [(a, i) for i, a in enumerate(coefs[:count]) if a != 0.0]
+
+
+def test_generated_stages_match_tableau():
+    """The generated DOP853 stage functions carry every nonzero coefficient
+    of scipy's tableau in its order, and compute the floats of plain loops
+    over the full rows (zeros included), on Python floats of both signs
+    and on numpy arrays: the 11 inner stages of a step with its sums B, E5
+    and E3 (50 inner-stage terms, 8 per sum), and the 3 dense-output
+    stages with the sums D."""
+    tableau = dop853_coefficients
+    inner = [row[:s] for s, row in enumerate(tableau.A[1:tableau.N_STAGES], 1)]
+    dense_rows = [row[:s] for s, row in
+                  enumerate(tableau.A[tableau.N_STAGES + 1:], tableau.N_STAGES + 1)]
+    cases = [(solver._STEP_STAGES, inner, 1, (tableau.B, tableau.E5, tableau.E3)),
+             (solver._DENSE_STAGES, dense_rows, tableau.N_STAGES + 1, tableau.D)]
+
+    carried = []
+    for stages, rows, known, sums in cases:
+        count = known + len(rows)
+        body = ast.parse(stages.source).body[0].body
+        calls = [line.value for line in body if isinstance(line.value, ast.Call)]
+        stage_terms = [[_terms(arg.right.left) for arg in call.args[1:]]
+                       for call in calls]
+        assert stage_terms == [[_nonzero(a, count)] * 2 for a in rows]
+        sum_terms = [_terms(x) for x in body[-1].value.elts[2:]]
+        assert sum_terms == [_nonzero(c, count) for c in sums for _ in "uv"]
+        carried.append((sum(len(u) for u, _ in stage_terms),
+                        [len(x) for x in sum_terms[::2]]))
+    assert carried[0] == (50, [8, 8, 8])
+
+    def kernel(lp, u, v):
+        return lp - u * v, u + lp * v
+
+    rng = np.random.default_rng(7)
+    for stages, rows, known, sums in cases:
+        rows = [a.tolist() for a in rows]
+        sums = [c.tolist() for c in sums]
+        for _ in range(200):
+            lp, ku, kv = rng.uniform(-2, 2, (3, len(rows) + known)).tolist()
+            u, v = rng.uniform(-2, 2, 2).tolist()
+            h = rng.uniform(1e-3, 0.5)
+            args = (kernel, lp, u, v, h, ku[:known], kv[:known])
+            assert list(stages(*args)) == _reference_stages(rows, sums, *args)
+        lp, ku, kv = rng.uniform(-2, 2, (3, len(rows) + known, 50))
+        u, v = rng.uniform(-2, 2, (2, 50))
+        h = rng.uniform(1e-3, 0.5, 50)
+        args = (kernel, lp, u, v, h, ku[:known], kv[:known])
+        ours, ref = stages(*args), _reference_stages(rows, sums, *args)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, ref))
 
 
 # the largest weight of row k of F in the nested evaluation of the DOP853
@@ -457,7 +572,7 @@ def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
     models never do. A Radau step is the cubic, so its nested
     coefficients past the third are zero."""
     def radau_steps(sol):
-        return np.all(sol._dense.F[:, 3:] == 0.0, axis=(1, 2))
+        return np.all(sol._dense.coef[:4] == 0.0, axis=(0, 1))
 
     for run in (hy_run, ep_run, eu_crit_run):
         assert not np.any(radau_steps(run.sol))
@@ -491,7 +606,7 @@ def test_stop_ends_run_at_first_step_end(oscillation):
     osc = oscillation.sol
     assert osc.termination == "stopped"
     assert oscillation.cert.stages[-1]["r"] == osc.r_last == osc._dense.ts[-1]
-    assert np.all(osc._dense.F[-1, 3:] == 0.0)
+    assert np.all(osc._dense.coef[:4, :, -1] == 0.0)
 
 
 def test_underflow_termination():
