@@ -49,7 +49,13 @@ _REGIME_ERRORS = (
 
 
 def _float_list(text):
-    return [float(x) for x in text.split(",") if x.strip()]
+    try:
+        values = [float(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        values = []
+    if not values:
+        raise models.InvalidParameter(f"expected a comma list of numbers, got {text!r}")
+    return values
 
 
 def _default_rmax(model, n, requested):

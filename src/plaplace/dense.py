@@ -1,8 +1,9 @@
 """Dense output of Runge-Kutta runs as arrays over all accepted steps.
 
-The solver's steppers and the glued models' tabulated windows both keep
-their trajectories as the piecewise polynomials of DOP853's dense output
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6), and both read them here.
+The solver's steppers keep their trajectories as the piecewise polynomials
+of DOP853's dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
+both for radial solves and for the glued models' tabulated windows, and
+read them here.
 """
 
 import numpy as np
@@ -19,11 +20,10 @@ class _DenseTable:
     Built from pieces (ts, h, y_old, F), one per stepper run, each starting
     where the previous one ended: the run's knots ts, and per step its
     length h, start state y_old and the (7, 2) coefficients F of scipy's
-    Dop853DenseOutput (the solver's _dop853_piece, or _ode_solution_piece
-    for a stock DOP853 run), or a Radau step's cubic rewritten into the
-    same form (the solver's _radau_piece). A step starts at its knot; its
-    h is kept apart because the last knot of a run stopped on underflow
-    lies inside the last step.
+    Dop853DenseOutput (the solver's _dop853_piece), or a Radau step's cubic
+    rewritten into the same form (the solver's _radau_piece). A step starts
+    at its knot; its h is kept apart because the last knot of a run
+    stopped on underflow lies inside the last step.
 
     Column k of the table holds step k: row 0 its start t_old, row 1 its
     h, rows 2-15 the coefficient rows in the order the nested evaluation
@@ -77,10 +77,3 @@ class _DenseTable:
             y += g[2 + 2 * i:4 + 2 * i]
             y *= x if i % 2 == 0 else xm
         y += g[16:]
-
-
-def _ode_solution_piece(ode):
-    """(ts, h, y_old, F) of the OdeSolution of a stock scipy DOP853 run."""
-    steps = ode.interpolants
-    return (ode.ts, np.array([d.h for d in steps]),
-            np.array([d.y_old for d in steps]), np.array([d.F for d in steps]))

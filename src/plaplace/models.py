@@ -14,11 +14,11 @@ psi''/psi, in closed form, from which psi, psi' and psi'' derive. A glued
 model continues psi'' = m psi past each join, with m ramped by a smoothstep
 between two ends; where m is constant its triple is in closed form too, and
 only the ramp windows (or a whole segment blending into a catalog model)
-are tabulated, by one stock DOP853 run each, read as dense output. The
-geometry integrals Theta, J and W are cumulative panel quadratures of
-e^{(n-1) log psi} fitted to its exponential growth (quadrature.fitted_rule),
-tabulated once per profile; the oscillating construction reads its J
-from the same profile.
+are tabulated, each by one run of the solver's DOP853 stepper, read as
+its dense output. The geometry integrals Theta, J and W are cumulative
+panel quadratures of e^{(n-1) log psi} fitted to its exponential growth
+(quadrature.fitted_rule), tabulated once per profile; the oscillating
+construction reads its J from the same profile.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from __future__ import annotations
 import bisect
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import quadrature, runio
-from .dense import _DenseTable, _ode_solution_piece
+from .dense import _DenseTable
 
 
 class InvalidParameter(ValueError):
@@ -267,8 +268,13 @@ class ExpGamma(ModelFunction):
         return (2.0 * dp + r * dp * dp + r * ddp) / r
 
 
-# tolerances of the stock DOP853 runs that tabulate a glued model's windows
+# tolerances of the solver._RadialDOP853 runs that tabulate glued windows
 _TABLE_RTOL, _TABLE_ATOL = 1e-13, 1e-15
+
+
+def _window_kernel(m, L, s):
+    """(L, s)' for (L, s) = (log psi, psi'/psi) and psi'' = m psi, on floats or arrays."""
+    return s, m - s * s
 
 
 def _curvature(m, r):
@@ -299,7 +305,7 @@ class _Segment:
 
 class _Window:
     """(log psi, psi'/psi) of a segment from its start, as the dense output
-    of one stock DOP853 run of (L, s)' = (s, m - s^2)."""
+    of one DOP853 run of (L, s)' = (s, m - s^2) (_window_kernel)."""
 
     def __init__(self, seg, table):
         self.seg, self.table = seg, table
@@ -361,7 +367,8 @@ class Glued(ModelFunction):
     every join by construction. Past the blend window of a segment whose
     m_to is a float, m is constant and (L, s) is in closed form (_Tail);
     the window itself, or all of a segment that blends into a catalog
-    model, is the dense output of one stock DOP853 run (_Window).
+    model, is the dense output of one run of the solver's DOP853 stepper
+    (_Window).
 
     A lookup bisects the piece starts (base, windows, closed-form
     stretches) at the smallest and the largest of its radii; only an array
@@ -434,12 +441,15 @@ class Glued(ModelFunction):
         curvature_ratio). With a float m_to, m is that constant past
         start + width and the model is in closed form there; the window
         before it, or with a model m_to the whole segment, is tabulated by
-        one stock DOP853 run. The pieces below `start` are shared, so
-        evaluations below `start` are bit-identical to the parent model's.
-        Refuses (InvalidParameter) a start at or before the last join or
-        past the model's range, an end at or before the start and a width
-        <= 0, and (ConvexityViolation) a negative float m_from or m_to.
+        one run of the solver's DOP853 stepper. The pieces below `start` are
+        shared, so evaluations below `start` are bit-identical to the parent
+        model's. Refuses (InvalidParameter) a start at or before the last
+        join or past the model's range, an end at or before the start and a
+        width <= 0, and (ConvexityViolation) a negative float m_from or m_to;
+        raises QuadratureFailure when the run ends short of the window's end.
         """
+        from . import solver  # solver imports this module at load
+
         start, end, width = float(start), float(end), float(width)
         last = self._joins[-1] if self._joins else 0.0
         if not last < start <= self.valid_to:
@@ -462,16 +472,21 @@ class Glued(ModelFunction):
             ends.append(m)
         seg = _Segment(start, end, width, *ends)
         stop = min(start + width, end) if isinstance(seg.m_to, float) else end
-        ode = solve_ivp(lambda r, y: [y[1], seg.curvature(r) - y[1] * y[1]],
+        steps = array("d")
+        run = solve_ivp(lambda r, y: _window_kernel(seg.curvature(r), y[0], y[1]),
                         (start, stop), [self.log_psi(start), self.slope_ratio(start)],
-                        method="DOP853", rtol=_TABLE_RTOL, atol=_TABLE_ATOL,
-                        dense_output=True)
-        if not ode.success:
-            raise QuadratureFailure(f"continuation integration failed: {ode.message}")
+                        method=solver._RadialDOP853, rtol=_TABLE_RTOL, atol=_TABLE_ATOL,
+                        lpsi=seg.curvature, kernel=_window_kernel, steps=steps,
+                        stop=lambda r, L: False)
+        # short of `stop` on a failure or on the stepper's stiffness test
+        if run.t[-1] < stop:
+            raise QuadratureFailure(f"continuation integration ended at "
+                                    f"r={run.t[-1]:g} < {stop:g}: {run.message}")
         pieces = [piece for piece in self._pieces if piece[0] < start]
-        pieces.append((start, _Window(seg, _DenseTable([_ode_solution_piece(ode.sol)]))))
+        table = _DenseTable([solver._dop853_piece(steps, _window_kernel)])
+        pieces.append((start, _Window(seg, table)))
         if stop < end:
-            pieces.append((stop, _Tail(seg, stop, *ode.y[:, -1].tolist())))
+            pieces.append((stop, _Tail(seg, stop, *run.y[:, -1].tolist())))
         meta = dict(self.meta)
         if meta_update:
             meta.update(meta_update)

@@ -24,6 +24,9 @@ _GL_W1 = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
 _GL_W2 = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
 _GL_NODES = np.array([-_GL_X2, -_GL_X1, 0.0, _GL_X1, _GL_X2])
 _GL_WEIGHTS = np.array([_GL_W2, _GL_W1, 128.0 / 225.0, _GL_W1, _GL_W2])
+# most panels one panel_integrals call lays out: 7x the 142,025 of the
+# 4-stage oscillation's flux residual, and 40 MB of nodes
+_MAX_PANELS = 2 ** 20
 
 
 def panel_integrals(density, x, G):
@@ -34,9 +37,15 @@ def panel_integrals(density, x, G):
     changes by at most a factor e across a panel; an interval from the
     pole x = 0 is one panel. Each panel gets the 5-node Gauss-Legendre
     rule. density(s, k) is called once, on the (m, 5) array s of all
-    nodes and the (m,) interval index k of each panel.
+    nodes and the (m,) interval index k of each panel. More than
+    _MAX_PANELS panels are refused (QuadratureFailure) before any is laid out.
     """
-    parts = np.where(x[:-1] > 0.0, np.maximum(np.ceil(np.diff(G)), 1), 1).astype(int)
+    parts = np.where(x[:-1] > 0.0, np.maximum(np.ceil(np.diff(G)), 1), 1)
+    if not parts.sum() <= _MAX_PANELS:
+        from .models import QuadratureFailure  # models imports this module
+        raise QuadratureFailure(f"{parts.sum():.0f} panels asked for, more than "
+                                f"{_MAX_PANELS}: (n-1) log psi grows by {G[-1] - G[0]:.3g}")
+    parts = parts.astype(int)
     k = np.repeat(np.arange(len(parts)), parts)
     first = np.cumsum(parts) - parts  # first panel of each interval
     width = (np.diff(x) / parts)[k]

@@ -33,8 +33,8 @@ class AubinTalenti:
     def __init__(self, n, p, a=1.0, b=1.0):
         if int(n) != n or n < 2 or not (1.0 < p < n):
             raise InvalidParameter(f"need integer n >= 2 and p in (1, n)")
-        if a == 0 or b <= 0:
-            raise InvalidParameter("need amplitude a != 0 and scale b > 0")
+        if a == 0 or not (0 < b < math.inf):
+            raise InvalidParameter("need amplitude a != 0 and finite scale b > 0")
         self.n = int(n)
         self.p = float(p)
         self.a = float(a)
@@ -150,8 +150,9 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
     halved-grid error bar is _UNRESOLVED or more of the quotient.
     """
     b_seq = list(b_seq)
-    if any(b2 >= b1 for b1, b2 in zip(b_seq, b_seq[1:])):
-        raise InvalidParameter("b sequence must be strictly decreasing")
+    # inf > b_0 > b_1 > ... > 0, which a NaN fails
+    if not all(a > b for a, b in zip([math.inf] + b_seq, b_seq + [0.0])):
+        raise InvalidParameter("b sequence must be finite, positive, strictly decreasing")
     ref = euclidean_reference(n, p, R0, num)
     rows = []
     for b in b_seq:

@@ -99,7 +99,7 @@ class Problem:
     """The radial problem data (n, p, q, alpha).
 
     Only critical or supercritical powers are accepted: q >= p* - 1 with
-    p* = n p / (n - p).
+    p* = n p / (n - p). Every check is written so that NaN fails it.
     """
 
     def __init__(self, n, p, q, alpha):
@@ -108,12 +108,12 @@ class Problem:
         if not (1.0 < p < n):
             raise InvalidParameter(f"p must lie in (1, n), got {p}")
         p_star = n * p / (n - p)
-        if q < p_star - 1 - 1e-12:
+        if not (p_star - 1 - 1e-12 <= q < math.inf):
             raise InvalidParameter(
-                f"q={q} is subcritical: need q >= p*-1 = {p_star - 1:.6g}"
-            )
-        if alpha <= 0:
-            raise InvalidParameter(f"alpha must be positive, got {alpha}")
+                f"q={q} is subcritical or not finite: need finite q >= p*-1 = "
+                f"{p_star - 1:.6g}")
+        if not (0 < alpha < math.inf):
+            raise InvalidParameter(f"alpha must be positive and finite, got {alpha}")
         self.n = int(n)
         self.p = float(p)
         self.q = float(q)
@@ -135,8 +135,8 @@ class SolverConfig:
     """Integration controls: horizon and tolerances."""
 
     def __init__(self, r_max, rel_tol=1e-11, abs_tol=1e-14):
-        if r_max <= 0 or rel_tol <= 0 or abs_tol <= 0:
-            raise InvalidParameter("r_max and tolerances must be positive")
+        if not all(0 < x < math.inf for x in (r_max, rel_tol, abs_tol)):
+            raise InvalidParameter("r_max and tolerances must be positive and finite")
         self.r_max = float(r_max)
         self.rel_tol = float(rel_tol)
         self.abs_tol = float(abs_tol)
@@ -453,12 +453,14 @@ class _RadialDOP853(DOP853):
     step-size control (safety 0.9, factor bounds 0.2 and 10, exponent
     -1/8, scipy's min_step). Only the arithmetic moves from numpy on
     2-vectors to Python floats: one call of the generated _STEP_STAGES
-    forms the 11 inner stages, each through kernel(lpsi, u, v) -> (u', v')
-    with lpsi = (n-1) log psi, and the sums B, E5 and E3.
+    forms the 11 inner stages, each through kernel(lpsi, u, v) -> (u', v'),
+    and the sums B, E5 and E3. The per-radius input lpsi(r) is whatever
+    value the kernel reads: (n-1) log psi in the radial solve, the
+    curvature ratio psi''/psi in a glued model's window (Glued.extended).
 
-    The right-hand side depends on r only through log psi, and every radius
+    The right-hand side depends on r only through lpsi, and every radius
     t + c_i h at which a step reads it is known before any stage value. So
-    one log_psi array call per attempted step covers all fifteen: the 11
+    one lpsi array call per attempted step covers all fifteen: the 11
     inner stages, the step end and the 3 extra stages of the dense output
     (spent for nothing when the attempt is rejected). On a glued model
     these radii stay inside one piece, because integrate restarts the

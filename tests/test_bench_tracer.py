@@ -49,3 +49,34 @@ def test_traced_stepper_counts_its_steps():
     steps, nfev = out["spans"][0]
     assert steps == out["steps"] > 0
     assert nfev > 0
+
+
+def test_traced_window_run_counts_its_steps():
+    """A glued model's window is tabulated by one run of the solver's DOP853
+    stepper through models.solve_ivp: one traced Glued.extended (a 0.5-wide
+    ramp of psi''/psi from 0 to 4 at r = 1 on the flat cone) records one
+    models.solve_ivp span, whose steps are those of the stepper's record
+    (read back through solver._dop853_piece) and of the window's table,
+    and a positive nfev."""
+    code = ("import json, plaplace as pl, spans\n"
+            "tracer = spans.Tracer()\n"
+            "spans.install(tracer, pl)\n"
+            "records, piece = [], pl.solver._dop853_piece\n"
+            "def recorded(steps, kernel):\n"
+            "    records.append(len(steps) // pl.solver._RECORD)\n"
+            "    return piece(steps, kernel)\n"
+            "pl.solver._dop853_piece = recorded\n"
+            "flat = pl.models.as_glued(pl.make_model('euclidean'))\n"
+            "glued = flat.extended(1.0, 10.0, 0.0, 4.0, 0.5)\n"
+            "ivp = [s for s in tracer.spans if s['name'] == 'models.solve_ivp']\n"
+            "print(json.dumps({'spans': [[s['steps'], s['nfev']] for s in ivp],\n"
+            "                  'records': records,\n"
+            "                  'steps': len(glued._readers[1].table.h)}))\n")
+    done = _run_traced(code)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout.splitlines()[-1])
+    assert len(out["spans"]) == 1
+    steps, nfev = out["spans"][0]
+    assert out["records"] == [steps]
+    assert steps == out["steps"] > 0
+    assert nfev > 0

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -66,6 +67,33 @@ def test_subcritical_q_exits_2(tmp_path):
     assert code == 2
 
 
+_SOLVE = ("solve", "--model", "hyperbolic", "--n", "3", "--p", "2")
+_QUOTIENT = ("quotient", "--model", "hyperbolic", "--n", "3", "--p", "2", "--b")
+_SWEEP = ("sweep", "--model", "hyperbolic", "--n", "3", "--p", "2")
+
+
+@pytest.mark.parametrize("argv", [
+    _SOLVE + ("--q", "5", "--alpha", "1", "--rtol", "nan"),
+    _SOLVE + ("--q", "5", "--alpha", "1", "--atol", "nan"),
+    _SOLVE + ("--q", "5", "--alpha", "1", "--rmax", "inf"),
+    _SOLVE + ("--q", "5", "--alpha", "1", "--rmax", "nan"),
+    _SOLVE + ("--q", "5", "--alpha", "nan"),
+    _SOLVE + ("--q", "nan", "--alpha", "1"),
+    _SOLVE + ("--q", "inf", "--alpha", "1"),
+    _QUOTIENT + ("nan",),
+    _QUOTIENT + ("1,x",),
+    _QUOTIENT + (",",),
+    _SWEEP + ("--alpha", "1,y", "--q", "5"),
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_non_finite_or_malformed_arguments_exit_2(tmp_path, argv):
+    """Non-finite numbers and unparsable or empty comma lists are argument
+    errors, refused before any integration starts (a NaN tolerance or an
+    infinite horizon otherwise never returns, and a NaN horizon exits 0)."""
+    start = time.perf_counter()
+    assert run_cli(tmp_path, *argv) == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_classify_verdicts(tmp_path):
     assert run_cli(tmp_path, "classify", "--model", "euclidean",
                    "--n", "3", "--p", "2") == 0
@@ -90,18 +118,50 @@ def test_classify_verdicts(tmp_path):
 def test_diagnose_checks(tmp_path):
     code = run_cli(tmp_path, "diagnose", "--model", "hyperbolic", "--n", "3",
                    "--p", "2", "--q", "5", "--alpha", "1", "--rmax", "30",
-                   "--checks", "pohozaev,ratio-sc,envelope")
+                   "--checks",
+                   "pohozaev,ratio-sc,envelope,energy-divergence,lemma-limits")
     assert code == 0
     d = latest_dir(tmp_path)
     report = load_json(d, "report.json")
     assert all(v["passed"] for v in report["verdicts"])
     assert report["ratio-sc"]["rel_deviation"] < 0.05
     assert report["envelope"]["violations"] == 0
+    energy = report["energy-divergence"]
+    assert energy["case"] == "pSC" and energy["positive_slope"]
+    lemma = report["lemma-limits"]
+    assert abs(lemma["ratio_a_limit"]) <= lemma["ratio_a_error_bar"]
+    assert lemma["ratio_b_rel_deviation"] < 0.05
     pohozaev = report["pohozaev"]
     assert pohozaev["name"] == "pohozaev-identity"
     assert pohozaev["audited_radii"] > 0
     assert 0 <= pohozaev["resolved_radii"] <= pohozaev["audited_radii"]
     assert os.path.exists(os.path.join(d, "traces.csv"))
+
+
+def test_diagnose_ratio_si_on_plateau(tmp_path):
+    """exppower:c=1,m=3 at (n, p) = (3, 2) is pSI: the solution plateaus
+    below alpha and the refined ratio meets lambda^{q/(p-1)}."""
+    code = run_cli(tmp_path, "diagnose", "--model", "exppower:c=1,m=3",
+                   "--n", "3", "--p", "2", "--q", "5", "--alpha", "1",
+                   "--checks", "ratio-si")
+    assert code == 0
+    si = load_json(latest_dir(tmp_path), "report.json")["ratio-si"]
+    assert 0.0 < si["lambda_hat"] < 1.0
+    assert si["rel_deviation"] < 0.05
+    assert si["bound_slack"] > 0.0
+
+
+def test_diagnose_geometry_overflow_exits_3(tmp_path):
+    """A solver-side failure exits 3 with the error in the manifest: on
+    exppower:c=1,m=3 the traces leave the double range before R = 20."""
+    code = run_cli(tmp_path, "diagnose", "--model", "exppower:c=1,m=3",
+                   "--n", "3", "--p", "2", "--q", "5", "--alpha", "1",
+                   "--rmax", "20")
+    assert code == 3
+    manifest = load_json(latest_dir(tmp_path), "manifest.json")
+    assert manifest["status"] == "error"
+    assert manifest["error"].startswith("GeometryOverflow:")
+    assert "r = 7.0696" in manifest["error"]
 
 
 def test_diagnose_regime_mismatch_exits_4(tmp_path):

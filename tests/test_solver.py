@@ -2,6 +2,7 @@
 
 import ast
 import math
+import time
 import tracemalloc
 import warnings
 from array import array
@@ -14,7 +15,7 @@ from scipy.integrate._ivp.radau import MU_COMPLEX, MU_REAL, RadauDenseOutput
 from scipy.linalg import lu_factor
 
 import plaplace as pl
-from plaplace import dense, solver
+from plaplace import dense, quadrature, solver
 
 
 def test_problem_validation():
@@ -193,6 +194,22 @@ def test_flux_residual_on_exponential_tail(oscillation):
     assert pl.flux_residual(oscillation.sol) < 5e-9
 
 
+def test_flux_residual_refuses_runaway_panel_count(oscillation, monkeypatch):
+    """On six stages (n-1) log psi grows by about 1e8 past the last join, so
+    the flux residual would lay out some 97 million panels; it is refused
+    (QuadratureFailure) within a second, before any is allocated. The
+    four-stage residual, on 142,025 panels, is the float it is with the
+    cap lifted."""
+    _, six, _ = pl.construct(3, 2.0, 5.0, 1.0, 6)
+    start = time.perf_counter()
+    with pytest.raises(pl.QuadratureFailure):
+        pl.flux_residual(six)
+    assert time.perf_counter() - start < 1.0
+    capped = pl.flux_residual(oscillation.sol)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", math.inf)
+    assert pl.flux_residual(oscillation.sol) == capped
+
+
 def test_eval_array_matches_scalars(hy_run):
     """An array is evaluated point by point as its scalars would be, on both
     sides of the startup radius r_1; a 0-d input gives a float."""
@@ -223,6 +240,13 @@ def _radau_options(prob, model):
                      jacobian=jacobian, stop=lambda r, u: u <= floor)
 
 
+def _ode_solution_piece(ode):
+    """(ts, h, y_old, F) of the OdeSolution of a stock scipy DOP853 run."""
+    steps = ode.interpolants
+    return (ode.ts, np.array([d.h for d in steps]),
+            np.array([d.y_old for d in steps]), np.array([d.F for d in steps]))
+
+
 def test_dense_table_matches_ode_solution(oscillation):
     """The array form of the DOP853 dense output gives OdeSolution's floats
     from the same coefficients (a stock run, read by _ode_solution_piece);
@@ -233,7 +257,7 @@ def test_dense_table_matches_ode_solution(oscillation):
     ode = solve_ivp(lambda t, y: [y[1], -y[0] - 0.1 * y[1] ** 3], (0.0, 20.0),
                     [1.0, 0.0], method="DOP853", rtol=1e-10, atol=1e-12,
                     dense_output=True).sol
-    table = dense._DenseTable([dense._ode_solution_piece(ode)])
+    table = dense._DenseTable([_ode_solution_piece(ode)])
     t = np.concatenate([ode.ts, np.linspace(0.0, 20.0, 1001)])
     assert np.array_equal(np.stack(table(t)), ode(t))
     grid = np.linspace(0.0, 20.0, 1000).reshape(-1, 8)
