@@ -1,13 +1,17 @@
-"""Dense output of Runge-Kutta runs as arrays over all accepted steps.
+"""Stepper runs, and their dense output as arrays over all accepted steps.
 
-The solver's steppers keep their trajectories as the piecewise polynomials
-of DOP853's dense output (Hairer, Norsett & Wanner, Solving ODEs I, II.6),
-both for radial solves and for the glued models' tabulated windows, and
-read them here.
+solve_ivp runs the solver's DOP853 and Radau steppers, which share the
+run state and start-up of _Stepper; it runs both the radial solves and
+the glued models' tabulated windows, so it lives here, where solver and
+models can both import it. The steppers keep their
+trajectories as the piecewise polynomials of DOP853's dense output
+(Hairer, Norsett & Wanner, Solving ODEs I, II.6), read by _DenseTable.
 """
 
 import numpy as np
 
+# the message of a run that reaches its end, as scipy's solve_ivp words it
+_REACHED = "The solver successfully reached the end of the integration interval."
 # radii evaluated per gather: bounds a call's scratch at _ROWS x _BLOCK floats
 _BLOCK = 2048
 # rows of the table: t_old, h, the 7 coefficient rows (u, v) and y_old (u, v)
@@ -77,3 +81,121 @@ class _DenseTable:
             y += g[2 + 2 * i:4 + 2 * i]
             y *= x if i % 2 == 0 else xm
         y += g[16:]
+
+
+def _rms(x):
+    """The RMS norm of scipy's select_initial_step, by numpy's norm."""
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def select_initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol):
+    """A first trial step for a forward run from (t0, y0), f0 = fun(t0, y0),
+    for an error estimate of the given order (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.4).
+
+    The operations of scipy's select_initial_step (no max_step) on the same
+    numpy arrays, so h0 is its float to the bit: h0 = 0.01 d0/d1 from the
+    RMS norms of y0 and f0 in units of atol + |y0| rtol, then one Euler
+    step of h0 and the norm d2 of the change in f per unit step; the step
+    is min(100 h0, (0.01 / max(d1, d2))^(1/(order+1)), t_bound - t0).
+    Makes one evaluation of fun.
+    """
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    y0, f0 = np.asarray(y0, dtype=float), np.asarray(f0, dtype=float)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
+    return min(100 * h0, h1, interval_length)
+
+
+class _Stepper:
+    """A forward run of (u, v)' = kernel(lpsi(t), u, v) on Python floats: the
+    state and counters the solver's steppers share, and the start-up of
+    scipy's DOP853 and Radau.
+
+    y is the state (u, v) and f its derivative, as tuples of floats. The
+    constructor evaluates f = fun(t0, y0) and, without first_step, the
+    first trial step h_abs by select_initial_step at the error estimate's
+    `order`; both evaluations count in nfev. lpsi(t) is the per-radius
+    input the kernel reads, steps the flat array('d') the accepted steps
+    are recorded in and stop(t, u) the predicate that ends the run at an
+    accepted step end. A subclass supplies _step_impl() -> (success,
+    message), which advances t, y, f and h_abs by one accepted step.
+    """
+
+    order = None
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+    def __init__(self, t0, y0, t_bound, *, lpsi, kernel, steps, stop, rtol,
+                 atol, first_step=None):
+        self.t, self.t_old, self.t_bound = t0, None, t_bound
+        self.y = tuple(map(float, y0))
+        self._lpsi, self._kernel, self._steps, self._stop = lpsi, kernel, steps, stop
+        self.rtol, self.atol = float(rtol), float(atol)
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = 0
+        self.f = self.fun(t0, self.y)
+        if first_step is None:
+            first_step = select_initial_step(self.fun, t0, self.y, t_bound,
+                                             self.f, self.order, self.rtol, self.atol)
+        self.h_abs = float(first_step)
+
+    def fun(self, t, y):
+        """The right-hand side at one radius, counted in nfev."""
+        self.nfev += 1
+        return self._kernel(float(self._lpsi(t)), y[0], y[1])
+
+    def step(self):
+        """One accepted step, with the status rule of scipy's OdeSolver.step:
+        "finished" once t reaches t_bound (at once if it starts there),
+        "failed" when the step fails, whose message is returned."""
+        if self.t == self.t_bound:
+            self.t_old = self.t
+            self.status = "finished"
+            return None
+        t = self.t
+        success, message = self._step_impl()
+        if not success:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.t >= self.t_bound:
+                self.status = "finished"
+        return message
+
+
+class _Run:
+    """What solve_ivp returns: the accepted step ends t (t0 first), the state
+    y = (u, v) at t[-1], the counters and the outcome."""
+
+    def __init__(self, t, y, stepper, message):
+        self.t, self.y = t, y
+        self.nfev, self.njev, self.nlu = stepper.nfev, stepper.njev, stepper.nlu
+        self.success = stepper.status == "finished"
+        self.message = _REACHED if self.success else message
+
+
+def solve_ivp(method, t_span, y0, **options):
+    """Run the stepper class `method` (the solver's _RadialDOP853 or
+    _RadialRadau) from t_span[0] to t_span[1], as scipy's solve_ivp drives
+    an OdeSolver: step until the status leaves "running", collecting every
+    accepted step end. options go to the stepper's constructor."""
+    t0, t_bound = map(float, t_span)
+    stepper = method(t0, y0, t_bound, **options)
+    ts = [t0]
+    while stepper.status == "running":
+        message = stepper.step()
+        if stepper.status == "failed":
+            break
+        ts.append(stepper.t)
+    return _Run(ts, stepper.y, stepper, message)

@@ -30,10 +30,9 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import quadrature, runio
-from .dense import _DenseTable
+from .dense import _DenseTable, solve_ivp
 
 
 class InvalidParameter(ValueError):
@@ -473,11 +472,10 @@ class Glued(ModelFunction):
         seg = _Segment(start, end, width, *ends)
         stop = min(start + width, end) if isinstance(seg.m_to, float) else end
         steps = array("d")
-        run = solve_ivp(lambda r, y: _window_kernel(seg.curvature(r), y[0], y[1]),
-                        (start, stop), [self.log_psi(start), self.slope_ratio(start)],
-                        method=solver._RadialDOP853, rtol=_TABLE_RTOL, atol=_TABLE_ATOL,
-                        lpsi=seg.curvature, kernel=_window_kernel, steps=steps,
-                        stop=lambda r, L: False)
+        run = solve_ivp(solver._RadialDOP853, (start, stop),
+                        [self.log_psi(start), self.slope_ratio(start)],
+                        rtol=_TABLE_RTOL, atol=_TABLE_ATOL, lpsi=seg.curvature,
+                        kernel=_window_kernel, steps=steps, stop=lambda r, L: False)
         # short of `stop` on a failure or on the stepper's stiffness test
         if run.t[-1] < stop:
             raise QuadratureFailure(f"continuation integration ended at "
@@ -486,7 +484,7 @@ class Glued(ModelFunction):
         table = _DenseTable([solver._dop853_piece(steps, _window_kernel)])
         pieces.append((start, _Window(seg, table)))
         if stop < end:
-            pieces.append((stop, _Tail(seg, stop, *run.y[:, -1].tolist())))
+            pieces.append((stop, _Tail(seg, stop, *run.y)))
         meta = dict(self.meta)
         if meta_update:
             meta.update(meta_update)

@@ -28,11 +28,10 @@ import json
 import logging
 import time
 
+from . import models, solver
 # kept importable: the benchmark tracer (perfbench/spans.py) wraps
 # oscillator.solve_ivp by name, although the construction no longer calls it
-from scipy.integrate import solve_ivp  # noqa: F401
-
-from . import models, solver
+from .dense import solve_ivp  # noqa: F401
 from .diagnostics import q_limit_constant
 from .models import ConvexityViolation, InvalidParameter
 

@@ -11,7 +11,6 @@ the numerical shadow of non-attainment of the sharp constant.
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import runio
 from .diagnostics import unit_ball_volume
@@ -19,12 +18,51 @@ from .models import InvalidParameter, descriptor_string, safe_horizon
 
 
 # a sweep row whose halved-grid error bar is this share of its quotient or
-# more is unresolved and flagged
+# more, or not finite, is unresolved and flagged
 _UNRESOLVED = 1e-3
+# the least grid whose halved grid (num // 2 points) carries Simpson's rule
+_MIN_NUM = 6
 
 
 class TailDivergence(Exception):
     """Truncated norm integrals overflow or fail to converge."""
+
+
+def _basic_simpson(y, h, stop):
+    """Composite Simpson's rule for samples y spaced by h = diff(x) > 0 over
+    the intervals [x_2k, x_2k+2] up to index stop, each parabola through
+    its three points with unequal spacings h0, h1."""
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def _simpson(y, x):
+    """The integral of samples y at strictly increasing x (1-D, at least 3
+    points) by scipy.integrate.simpson's rule, in its operations and their
+    order, so the value is simpson(y, x=x)'s to the bit.
+
+    For an odd number N of points it is the composite rule over all
+    intervals in pairs. For even N the pairs end one interval short, and the
+    last interval [x_N-2, x_N-1] is integrated by the parabola through the
+    last three points (Cartwright's correction, in the form of scipy's
+    source): alpha y_N-1 + beta y_N-2 - eta y_N-3.
+    """
+    N, h = len(y), np.diff(x)
+    if N % 2:
+        return _basic_simpson(y, h, N - 2)
+    result = _basic_simpson(y, h, N - 3)
+    h0, h1 = h[-2:-1].squeeze(), h[-1:].squeeze()
+    alpha = (2 * h1 ** 2 + 3 * h0 * h1) / (6 * (h1 + h0))
+    beta = (h1 ** 2 + 3.0 * h0 * h1) / (6 * h0)
+    eta = h1 ** 3 / (6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result
 
 
 class AubinTalenti:
@@ -63,7 +101,10 @@ def _cutoff(r, R):
 def truncation_radius(model, n, p, b, R0=20.0):
     """Support radius for the cutoff: scales with the profile so Euclidean
     quotients are exactly b-invariant, capped where psi^{n-1} would
-    overflow."""
+    overflow. Refuses (InvalidParameter) an R0 that is not positive and
+    finite."""
+    if not (0 < R0 < math.inf):
+        raise InvalidParameter(f"R0 must be positive and finite, got {R0}")
     return min(R0 * b ** ((p - 1.0) / p), safe_horizon(model, n))
 
 
@@ -74,8 +115,13 @@ def sobolev_quotient(f, df, model, n, p, R, num=4000):
     cutoff supported in [0, R]. Both norms use the radial volume element
     n omega_n psi^{n-1} dr. Error bars come from halving the quadrature
     grid; the tail estimate records the outer-half share of the
-    denominator mass.
+    denominator mass. Refuses (InvalidParameter) a num below _MIN_NUM,
+    whose halved grid has fewer than the 3 points of Simpson's rule.
     """
+    if not num >= _MIN_NUM:
+        raise InvalidParameter(
+            f"num must be at least {_MIN_NUM}, so that the halved grid has the "
+            f"3 points of Simpson's rule; got {num}")
     vol = n * unit_ball_volume(n)
     p_star = n * p / (n - p)
 
@@ -90,10 +136,10 @@ def sobolev_quotient(f, df, model, n, p, R, num=4000):
         grad = np.abs(dfv * eta + fv * deta) ** p
         den = np.abs(fv * eta) ** p_star
         # integrate in t = log r (extra factor r from the substitution)
-        num_int = simpson(grad * weight * r, x=t)
-        den_int = simpson(den * weight * r, x=t)
+        num_int = _simpson(grad * weight * r, t)
+        den_int = _simpson(den * weight * r, t)
         outer = r >= R / 2.0
-        outer_share = simpson(np.where(outer, den * weight * r, 0.0), x=t)
+        outer_share = _simpson(np.where(outer, den * weight * r, 0.0), t)
         return num_int, den_int, outer_share
 
     # overflow to inf/nan here is the divergence signal, not an error
@@ -147,7 +193,9 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
     Returns the swept rows plus the Euclidean reference; flagged are rows
     at or below it (on a curved model a numerics bug), rows with over half
     their L^{p*} mass beyond R/2 (they measure the cutoff) and rows whose
-    halved-grid error bar is _UNRESOLVED or more of the quotient.
+    halved-grid error bar is not below _UNRESOLVED of the quotient (a
+    non-finite one included). R0 and num are checked by truncation_radius
+    and sobolev_quotient.
     """
     b_seq = list(b_seq)
     # inf > b_0 > b_1 > ... > 0, which a NaN fails
@@ -163,7 +211,7 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
         rep["gap"] = rep["quotient"] - ref["quotient"]
         rep["flagged"] = bool(
             rep["outer_mass_fraction"] > 0.5
-            or rep["err"] >= _UNRESOLVED * rep["quotient"]
+            or not rep["err"] < _UNRESOLVED * rep["quotient"]
             or (rep["quotient"] <= ref["quotient"] and model.kind != "euclidean"))
         rows.append(rep)
     return {"rows": rows, "reference": ref}

@@ -25,8 +25,9 @@ numpy 2-vectors (_RadialDOP853), with the equations written once as a
 kernel (lpsi, u, v) -> (u', v'), lpsi = (n-1) log psi, instantiated on
 Python floats for the steps and on numpy arrays for the dense output. The
 tableau's stages and weighted sums are straight-line code generated at
-import from scipy's coefficients (_stage_function), run on floats in the
-steps and on arrays in the dense output: the same left-to-right sums
+import from the embedded coefficients (_stage_function; scipy's floats,
+written out by repr), run on floats in the steps and on arrays in the
+dense output: the same left-to-right sums
 either way, on every Python version. The right-hand side depends on r
 only through log psi, and all fifteen radii a step reads it at (11 inner
 stages, the step end, 3 dense-output stages) are fixed by the step's
@@ -44,10 +45,13 @@ and one log_psi array call per attempted step for the three stage radii.
 Each accepted step records its collocation cubic, which is rewritten into
 the DOP853 dense output's nested form for all steps at once after the run.
 
-Both steppers end a run at the first accepted step end (r, u) where u has
-fallen to the underflow floor (the crossing is then located on the last
-step's dense output by scipy's event rule) or where the caller's
-predicate stop(r, u) holds.
+Both steppers run on dense._Stepper under dense.solve_ivp, the package's
+run loop, which starts and steps them as scipy's solve_ivp does its
+OdeSolvers; no scipy module is imported. They end a run at the first
+accepted step end (r, u) where u has fallen to the underflow floor (the
+crossing is then located on the last step's dense output by scipy's event
+rule, Brent's method in _brent_root) or where the caller's predicate
+stop(r, u) holds.
 """
 
 import json
@@ -55,13 +59,8 @@ import math
 from array import array
 
 import numpy as np
-from scipy.integrate import DOP853, Radau, solve_ivp
-from scipy.integrate._ivp import dop853_coefficients as _dop
-from scipy.integrate._ivp import radau as _radau
-from scipy.optimize import brentq
-
 from . import runio
-from .dense import _DenseTable
+from .dense import _DenseTable, _Stepper, solve_ivp
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
 from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
 
@@ -351,19 +350,84 @@ def _scalar_or_array(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-# scipy's DOP853 tableau as Python floats: the rows of A below the
-# diagonal for the 11 inner stages and the 3 dense-output stages (row 12
-# is B), the weights B, the error weights E3/E5 and the dense-output rows D
-_A = [row[:s] for s, row in enumerate(_dop.A.tolist())]
-_STAGE_ROWS, _DENSE_ROWS = _A[1:_dop.N_STAGES], _A[_dop.N_STAGES + 1:]
+# DOP853's tableau (Hairer's dop853.f, as scipy's dop853_coefficients
+# carries it, each float written by repr so it equals scipy's): the rows of
+# A below the diagonal for the 11 inner stages and the 3 dense-output stages
+# (row 12 of A is B), the weights B, the error weights E3 and E5 and the
+# dense-output rows D
+_STAGE_ROWS = [
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636],
+]
+_DENSE_ROWS = [
+    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325],
+    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0, 0.0,
+     -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+]
+_B = [0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+      1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+      -0.1521609496625161, 0.20136540080403034, 0.04471061572777259]
+_E3 = [-0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+       1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+       -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0]
+_E5 = [0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+       -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+       0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0]
+_D = [
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+]
+# the fractions of the step at which the right-hand side is read: the inner
+# stages, the step end (C[12] = 1) and the dense-output stages (C[1:])
+_FRACTIONS = np.array([
+    0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+    0.7777777777777778])
 _INNER = len(_STAGE_ROWS)
-_B = _dop.B.tolist()
-_E3 = _dop.E3.tolist()
-_E5 = _dop.E5.tolist()
-_D = _dop.D.tolist()
-# fractions of the step at which the right-hand side is read: the inner
-# stages, the step end (C[12] = 1) and the dense-output stages
-_FRACTIONS = _dop.C[1:]
 # scipy's step-size control (scipy.integrate._ivp.rk; its Radau bounds
 # the factor alike)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -373,22 +437,33 @@ _ERROR_EXPONENT = -1.0 / 8.0
 # stages and the step end), those of v, and lpsi at the 3 dense-output stages
 _NK = _INNER + 2
 _RECORD = 6 + 2 * _NK + len(_DENSE_ROWS)
-# scipy's Radau IIA (scipy.integrate._ivp.radau) as Python floats: the
-# collocation nodes C (an array, for the stage radii t + C h), the error
-# weights E, the eigenvalues of A^-1, the transformations T and TI (its
-# complex pair as one complex row), the columns of the cubic's P
-_RADAU_C = _radau.C
-_RADAU_E = _radau.E.tolist()
-_MU_REAL, _MU_COMPLEX = _radau.MU_REAL, _radau.MU_COMPLEX
-_T = _radau.T.tolist()
-_TI_REAL, _TI_COMPLEX = _radau.TI_REAL.tolist(), _radau.TI_COMPLEX.tolist()
-_P_COLUMNS = _radau.P.T.tolist()
-_NEWTON_MAXITER = _radau.NEWTON_MAXITER
+# Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8) with the
+# constants of scipy.integrate._ivp.radau, each float by repr: the
+# collocation nodes C = (4 -+ sqrt 6)/10, 1 (an array, for the stage radii
+# t + C h), the error weights E, the eigenvalues of A^-1, the
+# transformations T and TI (its complex pair as one complex row), the
+# columns of the cubic's P, and the Newton iteration cap
+_RADAU_C = np.array([0.15505102572168222, 0.6449489742783178, 1.0])
+_RADAU_E = [-10.048809399827414, 1.382142733160748, -0.3333333333333333]
+_MU_REAL = 3.637834252744496
+_MU_COMPLEX = 2.6810828736277523 - 3.050430199247411j
+_T = [[0.09443876248897524, -0.1412552950209542, 0.03002919410514742],
+      [0.2502131229653333, 0.20412935229379994, -0.3829421127572619],
+      [1.0, 1.0, 0.0]]
+_TI_REAL = [4.178718591551904, 0.32768282076106237, 0.5233764454994495]
+_TI_COMPLEX = [-4.178718591551904 + 0.5028726349457868j,
+               -0.32768282076106237 - 2.571926949855605j,
+               0.47662355450055044 + 0.5960392048282249j]
+_P_COLUMNS = [[10.048809399827414, -1.382142733160748, 0.3333333333333333],
+              [-25.62959144707664, 10.296258113743303, -2.6666666666666665],
+              [15.580782047249224, -8.914115380582556, 3.3333333333333335]]
+_NEWTON_MAXITER = 6
+_EPS = float(np.finfo(float).eps)
 # an accepted step in a _RadialRadau record: t, h, the start state (u, v)
 # and the cubic's coefficients Q, three for u then three for v
 _RADAU_RECORD = 10
 # scipy's tolerance for event roots (scipy.integrate._ivp.ivp)
-_EVENT_TOL = 4 * np.finfo(float).eps
+_EVENT_TOL = 4 * _EPS
 
 
 def _stage_function(rows, known, sums):
@@ -443,7 +518,7 @@ _STEP_STAGES = _stage_function(_STAGE_ROWS, 1, (_B, _E5, _E3))
 _DENSE_STAGES = _stage_function(_DENSE_ROWS, _NK, _D)
 
 
-class _RadialDOP853(DOP853):
+class _RadialDOP853(_Stepper):
     """DOP853 on Python floats, with steps below a tenth of the radius, that
     records its steps and stops where its stop predicate holds or the
     problem turns stiff.
@@ -473,8 +548,9 @@ class _RadialDOP853(DOP853):
     _dop853_piece forms the 7th-order interpolant from the record after
     the run, for all steps at once. nfev grows as scipy's would with dense
     output: 12 per attempted step and 3 per accepted step (the dense-output
-    stages, evaluated once each in that batch), plus the two evaluations
-    of fun made in the constructor. Integration runs forward only.
+    stages, evaluated once each in that batch), plus those of the start-up
+    (_Stepper: f at t0, and one more for the first trial step unless
+    first_step is given). Integration runs forward only.
 
     Near the pole v = log(-w) ~ n log r, and its equation has the rate
     |dv'/dv| = v' ~ n/r. The error control accepts steps of about r/4
@@ -494,21 +570,15 @@ class _RadialDOP853(DOP853):
     the run also ends at that radius.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, steps, stop,
-                 **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        self._lpsi = lpsi
-        self._kernel = kernel
-        self._steps = steps
-        self._stop = stop
-        self.rtol, self.atol = float(self.rtol), float(self.atol)
-        self.h_abs = float(self.h_abs)
-        self.f = tuple(self.f.tolist())
+    order = 7  # of the error estimate, for the first trial step
+
+    def __init__(self, t0, y0, t_bound, **options):
+        super().__init__(t0, y0, t_bound, **options)
         self.stiff_steps = 0
 
     def _step_impl(self):
         t = self.t
-        u, v = self.y.tolist()
+        u, v = self.y
         fu, fv = self.f
         kernel, rtol, atol = self._kernel, self.rtol, self.atol
         max_step = 0.1 * t
@@ -553,7 +623,7 @@ class _RadialDOP853(DOP853):
             rejected = True
 
         self.t = t_new
-        self.y = np.array([u_new, v_new])
+        self.y = (u_new, v_new)
         self.h_abs = h_abs
         self.f = (fu_new, fv_new)
         self.nfev += len(_DENSE_ROWS)
@@ -594,7 +664,7 @@ def _factor(M, J):
     return (M - c) / det, a / det, b / det, M / det
 
 
-class _RadialRadau(Radau):
+class _RadialRadau(_Stepper):
     """Radau IIA on Python floats that records its steps and ends its run at
     the first accepted step end (r, u) where stop(r, u) holds, as
     _RadialDOP853 does.
@@ -619,22 +689,23 @@ class _RadialRadau(Radau):
     h, the start state (u, v) and the cubic's coefficients Q = Z^T P, rows u
     then v; _radau_piece forms the dense output from it. nfev, njev and nlu
     count as scipy's do, nlu once for each of the two systems factored.
+    To _Stepper's start-up the constructor adds scipy's Radau's: J at t0
+    (njev = 1), newton_tol = max(10 eps / rtol, min(0.03, rtol^(1/2))), no
+    step-size history and max_step = inf.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, *, lpsi, kernel, jacobian, steps,
-                 stop, **options):
-        super().__init__(fun, t0, y0, t_bound,
-                         jac=lambda r, y: jacobian(y[0], *fun(r, y)), **options)
-        self._lpsi = lpsi
-        self._kernel = kernel
+    order = 3  # of the error estimate, for the first trial step
+    max_step = math.inf
+
+    def __init__(self, t0, y0, t_bound, *, jacobian, **options):
+        super().__init__(t0, y0, t_bound, **options)
         self._jacobian = jacobian
-        self._steps = steps
-        self._stop = stop
-        self._lpsi_t = float(lpsi(t0))
-        self.rtol, self.atol = float(self.rtol), float(self.atol)
-        self.h_abs = float(self.h_abs)
-        self.f = tuple(self.f.tolist())
-        self.J = self.J.tolist()
+        self._lpsi_t = float(self._lpsi(t0))
+        self.h_abs_old = self.error_norm_old = None
+        self.newton_tol = max(10 * _EPS / self.rtol, min(0.03, self.rtol ** 0.5))
+        self.J = jacobian(self.y[0], *self.f)
+        self.njev = 1
+        self.current_jac = True
         # the step h of the factored systems (None: factor again) and the
         # previous step's (t, h, u, v, Q), which starts Newton
         self.lu_h = self._lu = None
@@ -642,7 +713,7 @@ class _RadialRadau(Radau):
 
     def _step_impl(self):
         t = self.t
-        u, v = self.y.tolist()
+        u, v = self.y
         fu, fv = self.f
         kernel, rtol, atol, tol = self._kernel, self.rtol, self.atol, self.newton_tol
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -738,7 +809,7 @@ class _RadialRadau(Radau):
         self.error_norm_old = error_norm
         self.h_abs = h_abs * factor
         self.t = t_new
-        self.y = np.array([u_new, v_new])
+        self.y = (u_new, v_new)
         self.f = f_new
         self.J, self.current_jac = J, current_jac
         self.lu_h, self._lu = (None, None) if lu is None else (lu_h, lu)
@@ -848,27 +919,75 @@ def _dop853_piece(steps, kernel):
             np.array(F).transpose(2, 0, 1))
 
 
+def _brent_root(f, xpre, xcur, xtol, rtol, maxiter=100):
+    """A root of f between xpre and xcur, where f changes sign, by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) as scipy's brentq runs it (scipy/optimize/Zeros/brentq.c): the
+    same inverse quadratic or secant trials, bisection fallbacks and
+    stopping test |half bracket| < (xtol + rtol |x|)/2, step for step in
+    the same float operations, so the root is brentq's to the bit."""
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f must have different signs at the two ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+    raise StepSizeCollapse(f"root not bracketed to tolerance after {maxiter} steps")
+
+
 def _trim_to_underflow(piece, u_floor):
     """Move the last knot of a piece back to where the dense output of u
     on its last step falls to u_floor, by scipy's rule for event roots
-    (brentq with xtol = rtol = 4 eps on the step's interpolant)."""
+    (brentq, here _brent_root, with xtol = rtol = 4 eps on the step's
+    interpolant)."""
     ts, h, y_old, F = piece
     last = _DenseTable([(ts[-2:], h[-1:], y_old[-1:], F[-1:])])
-    ts[-1] = brentq(lambda r: last(r)[0] - u_floor, ts[-2], ts[-1],
-                    xtol=_EVENT_TOL, rtol=_EVENT_TOL)
+    ts[-1] = _brent_root(lambda r: last(r)[0] - u_floor, float(ts[-2]), float(ts[-1]),
+                         _EVENT_TOL, _EVENT_TOL)
 
 
 def _radial_equations(prob, model):
     """The radial equations in the state (u, v = log(-w)).
 
-    Returns (lpsi, kernel, dense_kernel, rhs, jacobian). lpsi(r) is (n-1)
+    Returns (lpsi, kernel, dense_kernel, jacobian). lpsi(r) is (n-1)
     log psi on an array of radii. The equations are written once, in
     `equations`: u' = -exp((v - lpsi)/(p-1)), so exponentially large psi
     never overflows, and v' = exp(lpsi + q log u - v), with u floored at
     1e-12 alpha inside the logarithm. kernel(lpsi, u, v) -> (u', v') is
     their instance on Python floats (math), dense_kernel the same on numpy
-    arrays. rhs(r, y) evaluates the kernel at one radius, for scipy's
-    steppers, and jacobian(u, u', v') is the Jacobian at a state from its
+    arrays, and jacobian(u, u', v') is the Jacobian at a state from its
     derivative, on floats.
     """
     n, q = prob.n, prob.q
@@ -886,16 +1005,11 @@ def _radial_equations(prob, model):
 
         return kernel
 
-    kernel = equations(math.exp, math.log, min, max)
-
-    def rhs(r, y):
-        return kernel(float(lpsi(r)), y[0], y[1])
-
     def jacobian(u, du, dv):
         return [[0.0, mu * du], [q * dv / max(u, u_floor), -dv]]
 
-    return (lpsi, kernel, equations(np.exp, np.log, np.minimum, np.maximum),
-            rhs, jacobian)
+    return (lpsi, equations(math.exp, math.log, min, max),
+            equations(np.exp, np.log, np.minimum, np.maximum), jacobian)
 
 
 def integrate(prob, model, config, stop=None):
@@ -919,7 +1033,7 @@ def integrate(prob, model, config, stop=None):
     r0 = min(default_startup_radius(prob), 0.01 * config.r_max)
     u0, w0 = series_startup(prob, model, r0)
     v0 = math.log(-w0)
-    lpsi, kernel, dense_kernel, rhs, jacobian = _radial_equations(prob, model)
+    lpsi, kernel, dense_kernel, jacobian = _radial_equations(prob, model)
     termination = None
 
     def ends_run(r, u):
@@ -939,8 +1053,8 @@ def integrate(prob, model, config, stop=None):
     pieces = []
 
     def run(method, start, end, y0, **options):
-        sol = solve_ivp(rhs, (start, end), y0, method=method,
-                        rtol=config.rel_tol, atol=config.abs_tol,
+        sol = solve_ivp(method, (start, end), y0, rtol=config.rel_tol,
+                        atol=config.abs_tol, lpsi=lpsi, kernel=kernel,
                         stop=ends_run, **options)
         if not sol.success:
             raise StepSizeCollapse(
@@ -948,23 +1062,23 @@ def integrate(prob, model, config, stop=None):
             )
         return sol
 
-    # at a join, restart with the last step (scipy's guess overflows late joins)
+    # at a join, restart with the last step (select_initial_step's guess
+    # overflows late joins)
     start, y0, h_last = r0, [u0, v0], None
     for end in ends:
         steps = array("d")
         first = None if h_last is None else min(h_last, end - start)
-        sol = run(_RadialDOP853, start, end, y0, lpsi=lpsi, kernel=kernel,
-                  steps=steps, first_step=first)
+        sol = run(_RadialDOP853, start, end, y0, steps=steps, first_step=first)
         pieces.append(_dop853_piece(steps, dense_kernel))
         # a run that ends short of `end` otherwise stopped on its stiffness test
         if termination is None and sol.t[-1] < end:
             steps = array("d")
-            sol = run(_RadialRadau, sol.t[-1], end, sol.y[:, -1], lpsi=lpsi,
-                      kernel=kernel, jacobian=jacobian, steps=steps)
+            sol = run(_RadialRadau, sol.t[-1], end, sol.y, jacobian=jacobian,
+                      steps=steps)
             pieces.append(_radau_piece(steps))
         if termination is not None:
             break
-        start, y0, h_last = end, sol.y[:, -1], sol.t[-1] - sol.t[-2]
+        start, y0, h_last = end, sol.y, sol.t[-1] - sol.t[-2]
     if termination == "underflow":
         _trim_to_underflow(pieces[-1], u_floor)
     return RadialSolution(prob, model, config, pieces,

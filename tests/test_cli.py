@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -10,6 +12,9 @@ import pytest
 
 import plaplace as pl
 from plaplace import cli
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(tmp_path, *args):
@@ -198,6 +203,33 @@ def test_quotient_rows_above_reference(tmp_path):
     assert back["flagged"].tolist() == [1.0, 0.0, 0.0]
 
 
+@pytest.mark.parametrize("option", [
+    ("--num", "0"), ("--num", "3"), ("--num", "5"),
+    ("--R0", "nan"), ("--R0", "inf"), ("--R0", "-1"), ("--R0", "0"),
+], ids=" ".join)
+def test_quotient_refuses_grid_or_radius_without_error_bar(tmp_path, capsys, option):
+    """A grid whose halved grid has fewer than the 3 points of Simpson's
+    rule (--num below 6) leaves no error bar, and a cutoff scale R0 that is
+    not positive and finite no radius: both are argument errors (exit 2),
+    refused before any quadrature, with no numerical warning. --num 3 used
+    to print a reference of 2.2e-06 with no row flagged, --num 0 and
+    --R0 -1 to end in tracebacks (exit 1) and --R0 nan in a TailDivergence
+    at R = nan (exit 3)."""
+    assert run_cli(tmp_path, *_QUOTIENT, "1,0.1", *option) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument:") and "Warning" not in err
+
+
+def test_quotient_default_num_has_finite_error_bars(tmp_path, capsys):
+    """At the default grid (num = 4000, halved to 2000) every row and the
+    reference carry a finite error bar, and stderr stays empty."""
+    assert run_cli(tmp_path, *_QUOTIENT, "1,0.1") == 0
+    assert capsys.readouterr().err == ""
+    sweep = load_json(latest_dir(tmp_path), "sweep.json")
+    for row in sweep["rows"] + [sweep["reference"]]:
+        assert math.isfinite(row["err"]) and 0.0 < row["err"] < row["quotient"]
+
+
 def test_oscillate_bad_stage_count_exits_2(tmp_path):
     code = run_cli(tmp_path, "oscillate", "--n", "3", "--p", "2", "--q", "5",
                    "--alpha", "1", "--stages", "3")
@@ -289,3 +321,27 @@ def test_output_root_env_var(tmp_path, monkeypatch):
                      "--p", "2"])
     assert code == 0
     assert os.path.exists(tmp_path / "viaenv" / "latest")
+
+
+def test_scipy_never_loads():
+    """scipy is a test dependency only: in a fresh interpreter, importing
+    the CLI and running an underflow solve (the run of
+    test_underflow_termination), a glued window, the 4-stage construction
+    (with its Radau hand-off) and a concentration sweep loads no scipy
+    module."""
+    code = (
+        "import sys\n"
+        "import plaplace.cli\n"
+        "import plaplace as pl\n"
+        "sol = pl.integrate(pl.Problem(4, 2.0, 3.0, 1.4e5),\n"
+        "                   pl.make_model('euclidean'), pl.SolverConfig(50.0))\n"
+        "assert sol.termination == 'underflow'\n"
+        "pl.models.as_glued(pl.make_model('euclidean')).extended(1.0, 10.0, 0.0, 4.0, 0.5)\n"
+        "pl.construct(3, 2.0, 5.0, 1.0, 4)\n"
+        "pl.concentration_sweep(pl.make_model('hyperbolic'), 3, 2.0, [1.0, 0.1])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

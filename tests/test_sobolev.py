@@ -1,7 +1,10 @@
 """Extremal profiles, Rayleigh quotients and concentration sweeps."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 import plaplace as pl
 from plaplace import sobolev
@@ -61,6 +64,69 @@ def test_unresolved_row_flagged():
     assert row["outer_mass_fraction"] < 0.5
     assert row["err"] >= 1e-3 * row["quotient"]
     assert row["flagged"]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_row_without_finite_error_bar_flagged(monkeypatch, bad):
+    """A row whose halved-grid error bar is not finite is flagged, never
+    written as resolved (NaN >= bound is False, which let it through): the
+    hyperbolic row at b = 0.1, unflagged with its own error bar, is flagged
+    once its err reads NaN or inf."""
+    hy = pl.make_model("hyperbolic")
+    assert not pl.concentration_sweep(hy, 3, 2.0, [0.1])["rows"][0]["flagged"]
+    quotient = sobolev.sobolev_quotient
+
+    def no_error_bar(*args, **kwargs):
+        return dict(quotient(*args, **kwargs), err=bad)
+
+    pl.euclidean_reference(3, 2.0)  # cached before the patch
+    monkeypatch.setattr(sobolev, "sobolev_quotient", no_error_bar)
+    assert pl.concentration_sweep(hy, 3, 2.0, [0.1])["rows"][0]["flagged"]
+
+
+@pytest.mark.parametrize("num", [0, 3, 5])
+def test_grid_without_error_bar_refused(num):
+    """A grid whose halved grid has fewer than the 3 points of Simpson's
+    rule is refused, by sobolev_quotient and so by euclidean_reference."""
+    eu = pl.make_model("euclidean")
+    prof = pl.AubinTalenti(3, 2.0)
+    with pytest.raises(pl.InvalidParameter):
+        pl.sobolev_quotient(prof.u, prof.du, eu, 3, 2.0, 20.0, num=num)
+    with pytest.raises(pl.InvalidParameter):
+        pl.euclidean_reference(3, 2.0, num=num)
+
+
+@pytest.mark.parametrize("R0", [math.nan, math.inf, -1.0, 0.0])
+def test_cutoff_scale_must_be_positive_and_finite(R0):
+    hy = pl.make_model("hyperbolic")
+    with pytest.raises(pl.InvalidParameter):
+        pl.truncation_radius(hy, 3, 2.0, 1.0, R0)
+    with pytest.raises(pl.InvalidParameter):
+        pl.concentration_sweep(hy, 3, 2.0, [1.0], R0=R0)
+
+
+def test_simpson_port_matches_scipy(monkeypatch):
+    """The Simpson port gives scipy.integrate.simpson's float to the bit on
+    every integral sobolev_quotient takes: on its grids of 4000 and 2000
+    points (even N, with the last-interval correction), 1001 and 500, and 7
+    and 3 (odd N), for three models."""
+    calls = []
+    port = sobolev._simpson
+
+    def record(y, x):
+        calls.append((y, x))
+        return port(y, x)
+
+    monkeypatch.setattr(sobolev, "_simpson", record)
+    prof = pl.AubinTalenti(3, 2.0, b=0.1)
+    for descriptor in ("euclidean", "hyperbolic", "exppower:c=1,m=3"):
+        model = pl.make_model(descriptor)
+        R = pl.truncation_radius(model, 3, 2.0, 0.1)
+        for num in (4000, 1001, 7):
+            pl.sobolev_quotient(prof.u, prof.du, model, 3, 2.0, R, num=num)
+    assert sorted({len(x) for _, x in calls}) == [3, 7, 500, 1001, 2000, 4000]
+    for y, x in calls:
+        assert port(y, x) == simpson(y, x=x)
 
 
 def test_euclidean_sweep_equals_reference():

@@ -10,9 +10,11 @@ from array import array
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution, Radau, quad, solve_ivp
-from scipy.integrate._ivp import dop853_coefficients
+from scipy.integrate._ivp import dop853_coefficients, radau
+from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.radau import MU_COMPLEX, MU_REAL, RadauDenseOutput
 from scipy.linalg import lu_factor
+from scipy.optimize import brentq
 
 import plaplace as pl
 from plaplace import dense, quadrature, solver
@@ -232,12 +234,19 @@ def _radau_tail(oscillation):
             dense.y_old[k])
 
 
+def _rhs(lpsi, kernel):
+    """The equations at one radius, as a stock scipy stepper calls them."""
+    return lambda r, y: kernel(float(lpsi(r)), y[0], y[1])
+
+
 def _radau_options(prob, model):
-    """The solver's equations and tolerances as _RadialRadau options."""
-    lpsi, kernel, _, rhs, jacobian = solver._radial_equations(prob, model)
+    """The solver's equations and tolerances as _RadialRadau options, and
+    the right-hand side for stock Radau."""
+    lpsi, kernel, _, jacobian = solver._radial_equations(prob, model)
     floor = solver._U_FLOOR * prob.alpha
-    return rhs, dict(rtol=1e-11, atol=1e-14, lpsi=lpsi, kernel=kernel,
-                     jacobian=jacobian, stop=lambda r, u: u <= floor)
+    return _rhs(lpsi, kernel), dict(rtol=1e-11, atol=1e-14, lpsi=lpsi,
+                                    kernel=kernel, jacobian=jacobian,
+                                    stop=lambda r, u: u <= floor)
 
 
 def _ode_solution_piece(ode):
@@ -264,10 +273,10 @@ def test_dense_table_matches_ode_solution(oscillation):
     assert np.array_equal(np.stack(table(grid)).reshape(2, -1), ode(grid.ravel()))
 
     prob, model, start, y0 = _radau_tail(oscillation)
-    rhs, options = _radau_options(prob, model)
+    _, options = _radau_options(prob, model)
     steps = array("d")
-    solve_ivp(rhs, (start, start + 100.0), y0, method=solver._RadialRadau,
-              steps=steps, **options)
+    dense.solve_ivp(solver._RadialRadau, (start, start + 100.0), y0, steps=steps,
+                    **options)
     piece = solver._radau_piece(steps)
     ts, rec = piece[0], np.frombuffer(steps).reshape(len(piece[1]), -1)
     assert len(ts) > 20
@@ -426,12 +435,13 @@ def _assert_stepper_matches_stock(prob, model, start, end, y0):
     ~1e-5 relative; that shifts every later knot by ~1e-7 and leaves the
     step count unchanged.
     """
-    lpsi, kernel, dense_kernel, rhs, _ = solver._radial_equations(prob, model)
+    lpsi, kernel, dense_kernel, _ = solver._radial_equations(prob, model)
+    rhs = _rhs(lpsi, kernel)
     floor = solver._U_FLOOR * prob.alpha
     options = dict(rtol=1e-11, atol=1e-14, lpsi=lpsi, kernel=kernel,
                    stop=lambda r, u: u <= floor)
-    ours = solve_ivp(rhs, (start, end), y0, method=solver._RadialDOP853,
-                     steps=array("d"), **options)
+    ours = dense.solve_ivp(solver._RadialDOP853, (start, end), y0,
+                           steps=array("d"), **options)
     stock = solve_ivp(rhs, (start, end), y0, method=_StockDOP853,
                       dense_output=True, rtol=1e-11, atol=1e-14)
     assert ours.t[-1] == end and len(ours.t) > 50
@@ -439,17 +449,17 @@ def _assert_stepper_matches_stock(prob, model, start, end, y0):
     assert ours.nfev == stock.nfev
 
     steps = array("d")
-    ours = solver._RadialDOP853(rhs, start, y0, end, steps=steps, **options)
+    ours = solver._RadialDOP853(start, y0, end, steps=steps, **options)
     stock = _StockDOP853(rhs, start, y0, end, rtol=1e-11, atol=1e-14)
     F_stock, scales = [], []
     while ours.status == "running":
-        t, y, f = ours.t, ours.y, np.array(ours.f)
+        t, y, f = ours.t, np.array(ours.y), np.array(ours.f)
         ours.step()
-        stock.t, stock.y, stock.f, stock.h_abs = t, y, f, ours.step_size
+        stock.t, stock.y, stock.f, stock.h_abs = t, y, f, ours.t - ours.t_old
         stock.step()
         scale = np.maximum(np.abs(y), np.abs(stock.y))
         assert ours.t == pytest.approx(stock.t, rel=1e-13, abs=0.0)
-        assert np.all(np.abs(ours.y - stock.y) <= 1e-13 * scale)
+        assert np.all(np.abs(np.array(ours.y) - stock.y) <= 1e-13 * scale)
         F_stock.append(stock.dense_output().F)
         scales.append(scale)
     F = solver._dop853_piece(steps, dense_kernel)[3]
@@ -486,7 +496,7 @@ def _radau_state(ours):
     """The state _RadialRadau starts its next step from, as the attributes
     of a stock Radau stepper."""
     J = np.array(ours.J)
-    state = dict(t=ours.t, y=ours.y, f=np.array(ours.f), h_abs=ours.h_abs,
+    state = dict(t=ours.t, y=np.array(ours.y), f=np.array(ours.f), h_abs=ours.h_abs,
                  h_abs_old=ours.h_abs_old, error_norm_old=ours.error_norm_old,
                  J=J, current_jac=ours.current_jac, LU_real=None,
                  LU_complex=None, sol=None, status="running")
@@ -527,8 +537,8 @@ def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
     def jac(r, y):
         return jacobian(y[0], *rhs(r, y))
 
-    ours = solve_ivp(rhs, (start, end), y0, method=solver._RadialRadau,
-                     steps=array("d"), **options)
+    ours = dense.solve_ivp(solver._RadialRadau, (start, end), y0,
+                           steps=array("d"), **options)
     stock = solve_ivp(rhs, (start, end), y0, method=Radau, rtol=1e-11,
                       atol=1e-14, jac=jac, first_step=first_step)
     assert ours.t[-1] == end
@@ -536,13 +546,13 @@ def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
     assert abs(ours.nfev - stock.nfev) <= 0.01 * stock.nfev
 
     steps = array("d")
-    ours = solver._RadialRadau(rhs, start, y0, end, steps=steps, **options)
+    ours = solver._RadialRadau(start, y0, end, steps=steps, **options)
     stock = Radau(rhs, start, y0, end, rtol=1e-11, atol=1e-14, jac=jac,
                   first_step=first_step)
     assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
     pinned = rejected = 0
     while ours.status == "running":
-        t, y, state = ours.t, ours.y, _radau_state(ours)
+        t, y, state = ours.t, np.array(ours.y), _radau_state(ours)
         vars(stock).update(state)
         counts = np.array([ours.nfev, ours.njev, ours.nlu,
                            stock.nfev, stock.njev, stock.nlu])
@@ -557,14 +567,14 @@ def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
         assert ours.h_abs == pytest.approx(stock.h_abs, rel=1e-2, abs=0.0)
         assert (ours.lu_h is None) == (stock.LU_real is None)
         assert ours.current_jac == stock.current_jac
-        if ours.step_size < state["h_abs"]:
+        if ours.t - ours.t_old < state["h_abs"]:
             rejected += 1
             vars(stock).update(state, h_abs=ours.t - t, LU_real=None,
                                LU_complex=None)
             stock.step()
         scale = np.maximum(np.abs(y), np.abs(stock.y))
         assert ours.t == stock.t
-        assert np.all(np.abs(ours.y - stock.y) <= 1e-12 * scale)
+        assert np.all(np.abs(np.array(ours.y) - stock.y) <= 1e-12 * scale)
         Q = np.reshape(ours.cubic[4:], (2, 3))
         assert np.all(np.abs(Q - stock.sol.Q) <= 1e-12 * scale[:, None])
         pinned += 1
@@ -631,6 +641,126 @@ def test_stop_ends_run_at_first_step_end(oscillation):
     assert osc.termination == "stopped"
     assert oscillation.cert.stages[-1]["r"] == osc.r_last == osc._dense.ts[-1]
     assert np.all(osc._dense.coef[:4, :, -1] == 0.0)
+
+
+def test_embedded_constants_equal_scipy():
+    """Every tableau constant the steppers embed is scipy's float: the DOP853
+    rows below the diagonal (row 12 of A is B, and nothing lies on or above
+    the diagonal), B, E3, E5, D and the stage fractions; the Radau IIA
+    nodes, error weights, eigenvalues, transformations, interpolation
+    columns and Newton cap."""
+    d = dop853_coefficients
+    A = d.A.tolist()
+    assert not np.any(np.triu(d.A))
+    assert A[d.N_STAGES][:d.N_STAGES] == d.B.tolist()
+    assert solver._STAGE_ROWS == [A[s][:s] for s in range(1, d.N_STAGES)]
+    assert solver._DENSE_ROWS == [A[s][:s] for s in
+                                  range(d.N_STAGES + 1, d.N_STAGES_EXTENDED)]
+    for ours, theirs in ((solver._B, d.B), (solver._E3, d.E3), (solver._E5, d.E5),
+                         (solver._D, d.D), (solver._FRACTIONS.tolist(), d.C[1:])):
+        assert ours == theirs.tolist()
+    assert solver._RADAU_C.tolist() == radau.C.tolist()
+    assert solver._RADAU_E == radau.E.tolist()
+    assert (solver._MU_REAL, solver._MU_COMPLEX) == (radau.MU_REAL, radau.MU_COMPLEX)
+    assert solver._T == radau.T.tolist()
+    assert solver._TI_REAL == radau.TI_REAL.tolist()
+    assert solver._TI_COMPLEX == radau.TI_COMPLEX.tolist()
+    assert solver._P_COLUMNS == radau.P.T.tolist()
+    assert solver._NEWTON_MAXITER == radau.NEWTON_MAXITER
+    assert solver._EVENT_TOL == 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("descriptor", [
+    "euclidean", "hyperbolic", "exppower:c=1,m=3", "powerlike:k=2",
+    "expgamma:c=1,gamma=0.5"])
+def test_initial_step_matches_scipy(descriptor):
+    """On the first piece of a solve (from the startup radius to the
+    horizon) the ported select_initial_step gives scipy's h0 to the bit, at
+    DOP853's error order 7 and Radau's 3, and each stepper starts from it
+    after two evaluations of the right-hand side."""
+    prob, model = pl.Problem(3, 2.0, 5.0, 1.0), pl.make_model(descriptor)
+    end = min(60.0, pl.safe_horizon(model, 3))
+    r0 = min(solver.default_startup_radius(prob), 0.01 * end)
+    u0, w0 = solver.series_startup(prob, model, r0)
+    y0 = np.array([u0, math.log(-w0)])
+    lpsi, kernel, _, jacobian = solver._radial_equations(prob, model)
+    rhs = _rhs(lpsi, kernel)
+    f0 = np.array(rhs(r0, y0))
+    options = dict(lpsi=lpsi, kernel=kernel, steps=array("d"),
+                   stop=lambda r, u: False, rtol=1e-11, atol=1e-14)
+    for method, order, extra in ((solver._RadialDOP853, 7, {}),
+                                 (solver._RadialRadau, 3, dict(jacobian=jacobian))):
+        h0 = select_initial_step(lambda t, y: np.array(rhs(t, y)), r0, y0, end,
+                                 np.inf, f0, 1.0, order, 1e-11, 1e-14)
+        assert dense.select_initial_step(rhs, r0, y0, end, f0, order,
+                                         1e-11, 1e-14) == h0
+        stepper = method(r0, y0, end, **options, **extra)
+        assert stepper.h_abs == h0 and stepper.nfev == 2
+
+
+def test_initial_step_matches_scipy_on_windows():
+    """A glued model's window run starts from scipy's h0 too: on ramps of
+    psi''/psi from 0 to 36 over [r1, r1 + 1/2] of the flat cone, including
+    a late window whose length cuts the Euler probe step (so the result
+    differs from that of an unbounded run)."""
+    from plaplace import models
+
+    cut = 0
+    for r1 in (1.0, 25.0, 1000.0):
+        seg = models._Segment(r1, r1 + 10.0, 0.5, 0.0, 36.0)
+
+        def rhs(r, y):
+            return models._window_kernel(float(seg.curvature(r)), y[0], y[1])
+
+        y0 = np.array([math.log(r1), 1.0 / r1])
+        f0 = np.array(rhs(r1, y0))
+        tols = (models._TABLE_RTOL, models._TABLE_ATOL)
+        h0 = select_initial_step(lambda t, y: np.array(rhs(t, y)), r1, y0, r1 + 0.5,
+                                 np.inf, f0, 1.0, 7, *tols)
+        assert dense.select_initial_step(rhs, r1, y0, r1 + 0.5, f0, 7, *tols) == h0
+        cut += h0 != select_initial_step(lambda t, y: np.array(rhs(t, y)), r1, y0,
+                                         math.inf, np.inf, f0, 1.0, 7, *tols)
+    assert cut > 0
+
+
+def test_brent_root_matches_brentq(monkeypatch):
+    """The Brent port returns scipy's brentq root to the bit: on the last
+    step of the underflow run of test_underflow_termination (the step's
+    interpolant of u against the floor, at the event tolerance 4 eps), and
+    on 200 random odd powers |x - x0|^k sign(x - x0), k in [1, 11], plus a
+    small slope, whose flat roots make Brent's trial steps fail its
+    acceptance test and bisect, at tolerances from 4 eps to 1e-6."""
+    trimmed = []
+    trim = solver._trim_to_underflow
+
+    def record(piece, u_floor):
+        ts, h, y_old, F = piece
+        trimmed.append(((ts[-2:].copy(), h[-1:], y_old[-1:], F[-1:]), u_floor))
+        trim(piece, u_floor)
+
+    monkeypatch.setattr(solver, "_trim_to_underflow", record)
+    sol = pl.integrate(pl.Problem(4, 2.0, 3.0, 1.4e5), pl.make_model("euclidean"),
+                       pl.SolverConfig(50.0))
+    (step, u_floor), = trimmed
+    last = dense._DenseTable([step])
+    a, b = step[0].tolist()
+    tol = solver._EVENT_TOL
+    root = solver._brent_root(lambda r: last(r)[0] - u_floor, a, b, tol, tol)
+    assert root == brentq(lambda r: last(r)[0] - u_floor, a, b, xtol=tol, rtol=tol)
+    assert root == sol.r_last and a < root < b
+
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        x0, k, slope = rng.uniform(-1.0, 1.0), rng.uniform(1.0, 11.0), rng.uniform(0.0, 1e-3)
+
+        def odd_power(x):  # |x - x0|^k with the sign of x - x0, plus a slope
+            d = x - x0
+            return math.copysign(abs(d) ** k, d) + slope * d
+
+        tol = rng.choice([4 * np.finfo(float).eps, 1e-12, 1e-6])
+        lo, hi = x0 - rng.uniform(0.1, 2.0), x0 + rng.uniform(0.1, 2.0)
+        assert solver._brent_root(odd_power, lo, hi, tol, tol) == brentq(
+            odd_power, lo, hi, xtol=tol, rtol=tol)
 
 
 def test_underflow_termination():
