@@ -14,7 +14,6 @@ apply).
 """
 
 import argparse
-import json
 import sys
 
 from . import diagnostics, models, oscillator, runio, sobolev, solver
@@ -64,10 +63,17 @@ def _default_rmax(model, n, requested):
     return min(60.0, models.safe_horizon(model, n))
 
 
-def _write_json(path, data):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True, default=float)
-    return path
+# the benchmark's tracer times the command's JSON writes under this name
+_write_json = runio.write_json
+# the parameters of one solve, which name its run directory
+_SOLVE_KEYS = ("model", "n", "p", "q", "alpha", "rmax", "rtol", "atol")
+
+
+def _solve_params(args, **values):
+    """The solve parameters of args as a dict, updated with `values`."""
+    params = {key: getattr(args, key) for key in _SOLVE_KEYS}
+    params.update(values)
+    return params
 
 
 def _solve_pipeline(run, args):
@@ -86,12 +92,7 @@ def _solve_pipeline(run, args):
 
 
 def cmd_solve(args):
-    params = {
-        "model": args.model, "n": args.n, "p": args.p, "q": args.q,
-        "alpha": args.alpha, "rmax": args.rmax, "rtol": args.rtol,
-        "atol": args.atol,
-    }
-    with runio.RunDir("solve", params, root=args.out) as run:
+    with runio.RunDir("solve", _solve_params(args), root=args.out) as run:
         _, _, sol = _solve_pipeline(run, args)
         print(f"{run.path} termination={sol.termination} "
               f"r_last={sol.r_last!r} u_last={float(sol.u[-1])!r}")
@@ -124,11 +125,7 @@ def cmd_diagnose(args):
         raise models.InvalidParameter(
             f"unknown checks {unknown}; choose from {list(_CHECK_NAMES)}"
         )
-    params = {
-        "model": args.model, "n": args.n, "p": args.p, "q": args.q,
-        "alpha": args.alpha, "rmax": args.rmax, "rtol": args.rtol,
-        "atol": args.atol, "checks": checks,
-    }
+    params = _solve_params(args, checks=checks)
     with runio.RunDir("diagnose", params, root=args.out) as run:
         model, prob, sol = _solve_pipeline(run, args)
         prof = models.geometry_profile(model, args.n, args.p, sol.r_last)
@@ -167,9 +164,10 @@ def cmd_quotient(args):
                                             R0=args.R0, num=args.num)
         run.record(sobolev.export_sweep_csv(sweep, run.file("quotients.csv")))
         run.record(_write_json(run.file("sweep.json"), sweep))
-        ref = sweep["reference"]["quotient"]
+        ref = sweep["reference"]
         flagged = sum(1 for row in sweep["rows"] if row["flagged"])
-        print(f"{run.path} reference={ref!r} rows={len(sweep['rows'])} "
+        print(f"{run.path} reference={ref['quotient']!r} "
+              f"reference_flagged={ref['flagged']} rows={len(sweep['rows'])} "
               f"flagged={flagged}")
     return EXIT_OK
 
@@ -195,25 +193,16 @@ def cmd_oscillate(args):
 def cmd_sweep(args):
     alphas = _float_list(args.alpha)
     qs = _float_list(args.q)
-    params = {"model": args.model, "n": args.n, "p": args.p,
-              "alpha": alphas, "q": qs, "rmax": args.rmax,
-              "rtol": args.rtol, "atol": args.atol}
     grid = [(a, q) for a in alphas for q in qs]  # deterministic order
 
     def one(point):
         a, q = point
-        sub = argparse.Namespace(
-            model=args.model, n=args.n, p=args.p, q=q, alpha=a,
-            rmax=args.rmax, rtol=args.rtol, atol=args.atol)
-        sub_params = {
-            "model": args.model, "n": args.n, "p": args.p, "q": q,
-            "alpha": a, "rmax": args.rmax, "rtol": args.rtol,
-            "atol": args.atol,
-        }
-        with runio.RunDir("solve", sub_params, root=args.out) as run:
-            _solve_pipeline(run, sub)
+        params = _solve_params(args, q=q, alpha=a)
+        with runio.RunDir("solve", params, root=args.out) as run:
+            _solve_pipeline(run, argparse.Namespace(**params))
         return run.name
 
+    params = _solve_params(args, alpha=alphas, q=qs)
     with runio.RunDir("sweep", params, root=args.out) as run:
         names = [one(point) for point in grid]
         run.record(_write_json(run.file("runs.json"), {

@@ -1,17 +1,18 @@
 """Stepper runs, and their dense output as arrays over all accepted steps.
 
-solve_ivp runs the solver's DOP853 and Radau steppers, which share the
-run state and start-up of _Stepper; it runs both the radial solves and
-the glued models' tabulated windows, so it lives here, where solver and
-models can both import it. The steppers keep their
-trajectories as the piecewise polynomials of DOP853's dense output
-(Hairer, Norsett & Wanner, Solving ODEs I, II.6), read by _DenseTable.
+solve_ivp, the package's run loop, steps the solver's DOP853 or Radau
+stepper (sharing the start-up of _Stepper) and says why the run ended; it
+runs both the radial solves and the glued models' tabulated windows, so it
+lives here, where solver and models can both import it. Each stepper
+builds its trajectory as the piecewise polynomials of DOP853's dense
+output (Hairer, Norsett & Wanner, Solving ODEs I, II.6), read by
+_DenseTable.
 """
+
+from array import array
 
 import numpy as np
 
-# the message of a run that reaches its end, as scipy's solve_ivp words it
-_REACHED = "The solver successfully reached the end of the integration interval."
 # radii evaluated per gather: bounds a call's scratch at _ROWS x _BLOCK floats
 _BLOCK = 2048
 # rows of the table: t_old, h, the 7 coefficient rows (u, v) and y_old (u, v)
@@ -93,7 +94,7 @@ def select_initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol):
     for an error estimate of the given order (Hairer, Norsett & Wanner,
     Solving ODEs I, II.4).
 
-    The operations of scipy's select_initial_step (no max_step) on the same
+    The operations of scipy's select_initial_step (no step bound) on the same
     numpy arrays, so h0 is its float to the bit: h0 = 0.01 d0/d1 from the
     RMS norms of y0 and f0 in units of atol + |y0| rtol, then one Euler
     step of h0 and the norm d2 of the change in f per unit step; the step
@@ -127,23 +128,24 @@ class _Stepper:
     constructor evaluates f = fun(t0, y0) and, without first_step, the
     first trial step h_abs by select_initial_step at the error estimate's
     `order`; both evaluations count in nfev. lpsi(t) is the per-radius
-    input the kernel reads, steps the flat array('d') the accepted steps
-    are recorded in and stop(t, u) the predicate that ends the run at an
-    accepted step end. A subclass supplies _step_impl() -> (success,
-    message), which advances t, y, f and h_abs by one accepted step.
+    input the kernel reads and stop(t, u), if given, ends the run at an
+    accepted step end with the label it returns. A subclass supplies
+    step(), which takes one accepted step into t, y, f, h_abs and the flat
+    record `steps`, or sets `ended` to "failed" when the step size falls
+    below the float spacing; and piece(), the run's dense output.
     """
 
     order = None
-    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def __init__(self, t0, y0, t_bound, *, lpsi, kernel, steps, stop, rtol,
-                 atol, first_step=None):
-        self.t, self.t_old, self.t_bound = t0, None, t_bound
+    def __init__(self, t0, y0, t_bound, *, lpsi, kernel, rtol, atol, stop=None,
+                 first_step=None):
+        self.t, self.t_bound = t0, t_bound
         self.y = tuple(map(float, y0))
-        self._lpsi, self._kernel, self._steps, self._stop = lpsi, kernel, steps, stop
+        self._lpsi, self._kernel, self._stop = lpsi, kernel, stop
         self.rtol, self.atol = float(rtol), float(atol)
-        self.status = "running"
-        self.nfev = self.njev = self.nlu = 0
+        self.steps = array("d")
+        self.ended = None
+        self.nfev = 0
         self.f = self.fun(t0, self.y)
         if first_step is None:
             first_step = select_initial_step(self.fun, t0, self.y, t_bound,
@@ -155,47 +157,34 @@ class _Stepper:
         self.nfev += 1
         return self._kernel(float(self._lpsi(t)), y[0], y[1])
 
-    def step(self):
-        """One accepted step, with the status rule of scipy's OdeSolver.step:
-        "finished" once t reaches t_bound (at once if it starts there),
-        "failed" when the step fails, whose message is returned."""
-        if self.t == self.t_bound:
-            self.t_old = self.t
-            self.status = "finished"
-            return None
-        t = self.t
-        success, message = self._step_impl()
-        if not success:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.t >= self.t_bound:
-                self.status = "finished"
-        return message
+    def _check_stop(self, t, u):
+        """End the run with the stop predicate's label where it holds."""
+        if self._stop is not None:
+            self.ended = self._stop(t, u) or self.ended
 
 
 class _Run:
     """What solve_ivp returns: the accepted step ends t (t0 first), the state
-    y = (u, v) at t[-1], the counters and the outcome."""
+    y = (u, v) at t[-1], nfev, why the run ended (`ended`) and piece, the
+    stepper's builder of the run's dense output."""
 
-    def __init__(self, t, y, stepper, message):
-        self.t, self.y = t, y
-        self.nfev, self.njev, self.nlu = stepper.nfev, stepper.njev, stepper.nlu
-        self.success = stepper.status == "finished"
-        self.message = _REACHED if self.success else message
+    def __init__(self, t, stepper):
+        self.t, self.y, self.nfev = t, stepper.y, stepper.nfev
+        self.ended = stepper.ended or "end"
+        self.piece = stepper.piece
 
 
 def solve_ivp(method, t_span, y0, **options):
     """Run the stepper class `method` (the solver's _RadialDOP853 or
-    _RadialRadau) from t_span[0] to t_span[1], as scipy's solve_ivp drives
-    an OdeSolver: step until the status leaves "running", collecting every
-    accepted step end. options go to the stepper's constructor."""
+    _RadialRadau, built with `options`) from t_span[0] until it reaches
+    t_span[1] or ends, collecting every accepted step end. The run's `ended`
+    is "end", or the stepper's reason: "failed", "stiff" (set only short of
+    t_span[1]) or the stop label, which also holds at t_span[1]."""
     t0, t_bound = map(float, t_span)
     stepper = method(t0, y0, t_bound, **options)
     ts = [t0]
-    while stepper.status == "running":
-        message = stepper.step()
-        if stepper.status == "failed":
-            break
-        ts.append(stepper.t)
-    return _Run(ts, stepper.y, stepper, message)
+    while stepper.t < t_bound and stepper.ended is None:
+        stepper.step()
+        if stepper.ended != "failed":
+            ts.append(stepper.t)
+    return _Run(ts, stepper)

@@ -7,7 +7,6 @@ gradient energy E, then judges the quantitative claims: monotonicity,
 decay envelopes, asymptotic limits, plateau values, and energy growth.
 """
 
-import json
 import math
 
 import numpy as np
@@ -82,9 +81,7 @@ class DiagnosticsReport:
             "lambda_hat": self.lambda_hat,
             "verdicts": self.verdicts,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-        return path
+        return runio.write_json(path, data)
 
 
 def _pohozaev_identity_defect(sol, profile, num=80):

@@ -26,7 +26,6 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -471,17 +470,15 @@ class Glued(ModelFunction):
             ends.append(m)
         seg = _Segment(start, end, width, *ends)
         stop = min(start + width, end) if isinstance(seg.m_to, float) else end
-        steps = array("d")
         run = solve_ivp(solver._RadialDOP853, (start, stop),
                         [self.log_psi(start), self.slope_ratio(start)],
                         rtol=_TABLE_RTOL, atol=_TABLE_ATOL, lpsi=seg.curvature,
-                        kernel=_window_kernel, steps=steps, stop=lambda r, L: False)
-        # short of `stop` on a failure or on the stepper's stiffness test
-        if run.t[-1] < stop:
+                        kernel=_window_kernel)
+        if run.ended != "end":
             raise QuadratureFailure(f"continuation integration ended at "
-                                    f"r={run.t[-1]:g} < {stop:g}: {run.message}")
+                                    f"r={run.t[-1]:g} < {stop:g}: {run.ended}")
         pieces = [piece for piece in self._pieces if piece[0] < start]
-        table = _DenseTable([solver._dop853_piece(steps, _window_kernel)])
+        table = _DenseTable([run.piece(_window_kernel)])
         pieces.append((start, _Window(seg, table)))
         if stop < end:
             pieces.append((stop, _Tail(seg, stop, *run.y)))

@@ -24,11 +24,10 @@ it fires, at INFO on the "plaplace.oscillator" logger (silent unless the
 caller configures logging).
 """
 
-import json
 import logging
 import time
 
-from . import models, solver
+from . import models, runio, solver
 # kept importable: the benchmark tracer (perfbench/spans.py) wraps
 # oscillator.solve_ivp by name, although the construction no longer calls it
 from .dense import solve_ivp  # noqa: F401
@@ -124,9 +123,7 @@ class OscillationCertificate:
         }
 
     def to_json(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-        return path
+        return runio.write_json(path, self.to_dict())
 
     @classmethod
     def from_dict(cls, data):

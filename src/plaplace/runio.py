@@ -79,9 +79,7 @@ class RunManifest:
         }
 
     def write(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-        return path
+        return write_json(path, self.to_dict())
 
 
 class RunDir:
@@ -121,6 +119,14 @@ class RunDir:
                   encoding="utf-8") as fh:
             fh.write(self.name + "\n")
         return False
+
+
+def write_json(path, data):
+    """Write data as JSON, keys sorted and indented by 2; a value json has
+    no form for (a numpy scalar) is written as its float."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2, sort_keys=True, default=float)
+    return path
 
 
 def write_csv(path, header, columns):

@@ -165,11 +165,17 @@ def sobolev_quotient(f, df, model, n, p, R, num=4000):
     }
 
 
+def _unresolved(rep):
+    """Whether a quotient's error bar leaves it unresolved (_UNRESOLVED)."""
+    return not rep["err"] < _UNRESOLVED * rep["quotient"]
+
+
 _euclid_reference_cache = {}
 
 
 def euclidean_reference(n, p, R0=20.0, num=4000):
-    """Euclidean quotient of the extremal family, computed once and cached.
+    """Euclidean quotient of the extremal family, computed once and cached,
+    flagged where its error bar leaves it unresolved (_unresolved).
 
     By exact scale covariance of the truncation the value is independent
     of b; it is the yardstick every curved-model quotient is measured
@@ -182,8 +188,9 @@ def euclidean_reference(n, p, R0=20.0, num=4000):
         eu = make_model("euclidean")
         prof = AubinTalenti(n, p, a=1.0, b=1.0)
         R = truncation_radius(eu, n, p, 1.0, R0)
-        _euclid_reference_cache[key] = sobolev_quotient(
-            prof.u, prof.du, eu, n, p, R, num=num)
+        ref = sobolev_quotient(prof.u, prof.du, eu, n, p, R, num=num)
+        ref["flagged"] = _unresolved(ref)
+        _euclid_reference_cache[key] = ref
     return _euclid_reference_cache[key]
 
 
@@ -192,10 +199,9 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
 
     Returns the swept rows plus the Euclidean reference; flagged are rows
     at or below it (on a curved model a numerics bug), rows with over half
-    their L^{p*} mass beyond R/2 (they measure the cutoff) and rows whose
-    halved-grid error bar is not below _UNRESOLVED of the quotient (a
-    non-finite one included). R0 and num are checked by truncation_radius
-    and sobolev_quotient.
+    their L^{p*} mass beyond R/2 (they measure the cutoff) and unresolved
+    rows (_unresolved), as the reference is by the last rule. R0 and num
+    are checked by truncation_radius and sobolev_quotient.
     """
     b_seq = list(b_seq)
     # inf > b_0 > b_1 > ... > 0, which a NaN fails
@@ -211,7 +217,7 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0, num=4000):
         rep["gap"] = rep["quotient"] - ref["quotient"]
         rep["flagged"] = bool(
             rep["outer_mass_fraction"] > 0.5
-            or not rep["err"] < _UNRESOLVED * rep["quotient"]
+            or _unresolved(rep)
             or (rep["quotient"] <= ref["quotient"] and model.kind != "euclidean"))
         rows.append(rep)
     return {"rows": rows, "reference": ref}

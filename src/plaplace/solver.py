@@ -45,18 +45,16 @@ and one log_psi array call per attempted step for the three stage radii.
 Each accepted step records its collocation cubic, which is rewritten into
 the DOP853 dense output's nested form for all steps at once after the run.
 
-Both steppers run on dense._Stepper under dense.solve_ivp, the package's
-run loop, which starts and steps them as scipy's solve_ivp does its
-OdeSolvers; no scipy module is imported. They end a run at the first
-accepted step end (r, u) where u has fallen to the underflow floor (the
-crossing is then located on the last step's dense output by scipy's event
-rule, Brent's method in _brent_root) or where the caller's predicate
-stop(r, u) holds.
+Both steppers run under dense.solve_ivp, the package's run loop (no
+scipy module is imported), which says why each run ended: a piece that
+ends "stiff" on DOP853 is finished on Radau, and the solution ends at the
+first accepted step end (r, u) where u has fallen to the underflow floor
+("underflow"; the crossing is then located on the last step's dense output
+by scipy's event rule, Brent's method in _brent_root) or where the
+caller's predicate stop(r, u) holds ("stopped").
 """
 
-import json
 import math
-from array import array
 
 import numpy as np
 from . import runio
@@ -341,9 +339,7 @@ class RadialSolution:
             "termination": self.termination,
             "r_last": self.r_last,
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-        return path
+        return runio.write_json(path, data)
 
 
 def _scalar_or_array(x):
@@ -541,12 +537,12 @@ class _RadialDOP853(_Stepper):
     these radii stay inside one piece, because integrate restarts the
     stepper at every join.
 
-    The stepper makes no dense output itself. Each accepted step appends
-    to the flat record `steps` (an array('d'), _RECORD floats per step)
-    what its dense output needs: t, h, both states, the 13 stage
-    derivatives of u and of v, and lpsi at the 3 dense-output stages.
-    _dop853_piece forms the 7th-order interpolant from the record after
-    the run, for all steps at once. nfev grows as scipy's would with dense
+    A step forms no dense output. Each accepted step appends to the flat
+    record `steps` (_RECORD floats per step) what its dense output needs:
+    t, h, both states, the 13 stage derivatives of u and of v, and lpsi at
+    the 3 dense-output stages. piece(kernel) forms the 7th-order
+    interpolant from the record after the run, for all steps at once
+    (_dop853_piece). nfev grows as scipy's would with dense
     output: 12 per attempted step and 3 per accepted step (the dense-output
     stages, evaluated once each in that batch), plus those of the start-up
     (_Stepper: f at t0, and one more for the first trial step unless
@@ -563,31 +559,30 @@ class _RadialDOP853(_Stepper):
     steps; away from the pole the bound rarely binds.
 
     The run ends at the first accepted step end (r, u) where stop(r, u)
-    holds; integrate's predicate makes there the test scipy's event scan
-    makes for a terminal event of direction -1 on u - u_floor. After each
-    step, h v' is read from the derivative the step already evaluated at
-    its end; once it exceeds _STIFF_HV on _STIFF_STEPS consecutive steps,
-    the run also ends at that radius.
+    holds, with its label; integrate's predicate makes there the test
+    scipy's event scan makes for a terminal event of direction -1 on
+    u - u_floor. After each step, h v' is read from the derivative the
+    step already evaluated at its end; once it exceeds _STIFF_HV on
+    _STIFF_STEPS consecutive steps short of t_bound, the run ends there
+    as "stiff".
     """
 
     order = 7  # of the error estimate, for the first trial step
+    stiff_steps = 0  # consecutive steps so far with h v' > _STIFF_HV
 
-    def __init__(self, t0, y0, t_bound, **options):
-        super().__init__(t0, y0, t_bound, **options)
-        self.stiff_steps = 0
-
-    def _step_impl(self):
+    def step(self):
         t = self.t
         u, v = self.y
         fu, fv = self.f
         kernel, rtol, atol = self._kernel, self.rtol, self.atol
-        max_step = 0.1 * t
+        h_max = 0.1 * t
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = min(max(self.h_abs, min_step), max_step)
+        h_abs = min(max(self.h_abs, min_step), h_max)
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                self.ended = "failed"
+                return
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = h
@@ -627,18 +622,20 @@ class _RadialDOP853(_Stepper):
         self.h_abs = h_abs
         self.f = (fu_new, fv_new)
         self.nfev += len(_DENSE_ROWS)
-        self._steps.extend((t, h, u, v, u_new, v_new, *ku, fu_new, *kv, fv_new,
-                            *lpsi[_INNER + 1:]))
+        self.steps.extend((t, h, u, v, u_new, v_new, *ku, fu_new, *kv, fv_new,
+                           *lpsi[_INNER + 1:]))
 
-        if self._stop(t_new, u_new):
-            self.t_bound = t_new
         if h * fv_new > _STIFF_HV:
             self.stiff_steps += 1
-            if self.stiff_steps == _STIFF_STEPS:
-                self.t_bound = t_new
+            if self.stiff_steps == _STIFF_STEPS and t_new < self.t_bound:
+                self.ended = "stiff"
         else:
             self.stiff_steps = 0
-        return True, None
+        self._check_stop(t_new, u_new)
+
+    def piece(self, kernel):
+        """The run's dense output, kernel being the equations on arrays."""
+        return _dop853_piece(self.steps, kernel)
 
 
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
@@ -685,17 +682,16 @@ class _RadialRadau(_Stepper):
     stage radii (C[2] = 1 is the step end), which every Newton iteration
     reuses; lpsi at the step start, for the refined error estimate, is
     carried over from the previous step. Each accepted step appends to the
-    flat record `steps` (an array('d'), _RADAU_RECORD floats per step) t,
-    h, the start state (u, v) and the cubic's coefficients Q = Z^T P, rows u
-    then v; _radau_piece forms the dense output from it. nfev, njev and nlu
-    count as scipy's do, nlu once for each of the two systems factored.
-    To _Stepper's start-up the constructor adds scipy's Radau's: J at t0
-    (njev = 1), newton_tol = max(10 eps / rtol, min(0.03, rtol^(1/2))), no
-    step-size history and max_step = inf.
+    flat record `steps` (_RADAU_RECORD floats per step) t, h, the start
+    state (u, v) and the cubic's coefficients Q = Z^T P, rows u then v;
+    piece() forms the dense output from it (_radau_piece). nfev, njev and
+    nlu count as scipy's do, nlu once for each of the two systems
+    factored. To _Stepper's start-up the constructor adds scipy's Radau's:
+    J at t0 (njev = 1), newton_tol = max(10 eps / rtol, min(0.03,
+    rtol^(1/2))) and no step-size history.
     """
 
     order = 3  # of the error estimate, for the first trial step
-    max_step = math.inf
 
     def __init__(self, t0, y0, t_bound, *, jacobian, **options):
         super().__init__(t0, y0, t_bound, **options)
@@ -704,22 +700,20 @@ class _RadialRadau(_Stepper):
         self.h_abs_old = self.error_norm_old = None
         self.newton_tol = max(10 * _EPS / self.rtol, min(0.03, self.rtol ** 0.5))
         self.J = jacobian(self.y[0], *self.f)
-        self.njev = 1
+        self.njev, self.nlu = 1, 0
         self.current_jac = True
         # the step h of the factored systems (None: factor again) and the
         # previous step's (t, h, u, v, Q), which starts Newton
         self.lu_h = self._lu = None
         self.cubic = None
 
-    def _step_impl(self):
+    def step(self):
         t = self.t
         u, v = self.y
         fu, fv = self.f
         kernel, rtol, atol, tol = self._kernel, self.rtol, self.atol, self.newton_tol
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs, h_abs_old, error_norm_old = self.max_step, None, None
-        elif self.h_abs < min_step:
+        if self.h_abs < min_step:
             h_abs, h_abs_old, error_norm_old = min_step, None, None
         else:
             h_abs, h_abs_old = self.h_abs, self.h_abs_old
@@ -730,7 +724,8 @@ class _RadialRadau(_Stepper):
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                self.ended = "failed"
+                return
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = h
@@ -818,11 +813,12 @@ class _RadialRadau(_Stepper):
                                                              (zv0, zv1, zv2))
              for p0, p1, p2 in _P_COLUMNS]
         self.cubic = (t, h, u, v, *Q)
-        self._steps.extend(self.cubic)
+        self.steps.extend(self.cubic)
+        self._check_stop(t_new, u_new)
 
-        if self._stop(t_new, u_new):
-            self.t_bound = t_new
-        return True, None
+    def piece(self):
+        """The run's dense output."""
+        return _radau_piece(self.steps)
 
     def _newton(self, lp, u, v, h, Z0, su, sv, tol, lu):
         """scipy's radau.solve_collocation_system on floats: the simplified
@@ -1034,16 +1030,13 @@ def integrate(prob, model, config, stop=None):
     u0, w0 = series_startup(prob, model, r0)
     v0 = math.log(-w0)
     lpsi, kernel, dense_kernel, jacobian = _radial_equations(prob, model)
-    termination = None
 
     def ends_run(r, u):
-        """Both steppers' check at every accepted step end."""
-        nonlocal termination
+        """The label that ends a run at an accepted step end, if any."""
         if u <= u_floor:
-            termination = "underflow"
-        elif stop is not None and stop(r, u):
-            termination = "stopped"
-        return termination is not None
+            return "underflow"
+        if stop is not None and stop(r, u):
+            return "stopped"
 
     # one stepper run per smooth piece of the model: a step across a join,
     # where derivatives of psi past psi'' jump, is accepted at the knots
@@ -1056,33 +1049,28 @@ def integrate(prob, model, config, stop=None):
         sol = solve_ivp(method, (start, end), y0, rtol=config.rel_tol,
                         atol=config.abs_tol, lpsi=lpsi, kernel=kernel,
                         stop=ends_run, **options)
-        if not sol.success:
-            raise StepSizeCollapse(
-                f"stepper failed at r={sol.t[-1]:g}: {sol.message}"
-            )
+        if sol.ended == "failed":
+            raise StepSizeCollapse(f"stepper failed at r={sol.t[-1]:g}: step "
+                                   "size below the float spacing")
         return sol
 
     # at a join, restart with the last step (select_initial_step's guess
     # overflows late joins)
     start, y0, h_last = r0, [u0, v0], None
     for end in ends:
-        steps = array("d")
         first = None if h_last is None else min(h_last, end - start)
-        sol = run(_RadialDOP853, start, end, y0, steps=steps, first_step=first)
-        pieces.append(_dop853_piece(steps, dense_kernel))
-        # a run that ends short of `end` otherwise stopped on its stiffness test
-        if termination is None and sol.t[-1] < end:
-            steps = array("d")
-            sol = run(_RadialRadau, sol.t[-1], end, sol.y, jacobian=jacobian,
-                      steps=steps)
-            pieces.append(_radau_piece(steps))
-        if termination is not None:
+        sol = run(_RadialDOP853, start, end, y0, first_step=first)
+        pieces.append(sol.piece(dense_kernel))
+        if sol.ended == "stiff":
+            sol = run(_RadialRadau, sol.t[-1], end, sol.y, jacobian=jacobian)
+            pieces.append(sol.piece())
+        if sol.ended != "end":
             break
         start, y0, h_last = end, sol.y, sol.t[-1] - sol.t[-2]
-    if termination == "underflow":
+    if sol.ended == "underflow":
         _trim_to_underflow(pieces[-1], u_floor)
-    return RadialSolution(prob, model, config, pieces,
-                          termination or "reached-horizon")
+    termination = "reached-horizon" if sol.ended == "end" else sol.ended
+    return RadialSolution(prob, model, config, pieces, termination)
 
 
 def _flux_integrals(sol, idx, v_b):

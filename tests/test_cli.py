@@ -230,6 +230,20 @@ def test_quotient_default_num_has_finite_error_bars(tmp_path, capsys):
         assert math.isfinite(row["err"]) and 0.0 < row["err"] < row["quotient"]
 
 
+@pytest.mark.parametrize("grid, flagged", [(("--num", "6"), True), ((), False)],
+                         ids=["num-6", "default"])
+def test_quotient_flags_unresolved_reference(tmp_path, capsys, grid, flagged):
+    """The Euclidean reference is flagged by the rows' error-bar rule: at
+    --num 6 its halved-grid error bar is about its whole quotient, at the
+    default grid ~4e-6 of it. The flag is in sweep.json and on the summary
+    line, and the run still exits 0."""
+    assert run_cli(tmp_path, *_QUOTIENT, "1,0.1", *grid) == 0
+    ref = load_json(latest_dir(tmp_path), "sweep.json")["reference"]
+    assert ref["flagged"] is flagged
+    assert (ref["err"] > 0.5 * ref["quotient"]) is flagged
+    assert f" reference_flagged={flagged} " in capsys.readouterr().out
+
+
 def test_oscillate_bad_stage_count_exits_2(tmp_path):
     code = run_cli(tmp_path, "oscillate", "--n", "3", "--p", "2", "--q", "5",
                    "--alpha", "1", "--stages", "3")

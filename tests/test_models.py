@@ -191,6 +191,23 @@ def test_extension_refuses_backward_range():
         base.extended(1.0, 5.0, 0.0, 1.0, 0.0)
 
 
+class _CurvatureNanPast(models.Hyperbolic):
+    """The hyperbolic model with psi''/psi turned NaN past r = 1.5."""
+
+    def curvature_ratio(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 1.5, np.nan, super().curvature_ratio(r))
+
+
+def test_glue_refuses_window_run_that_fails():
+    """A segment whose target curvature ratio turns NaN past r = 1.5 stops
+    its window run there, the step size collapsing: the gluing raises
+    QuadratureFailure at that radius, short of the segment's end."""
+    eu = pl.make_model("euclidean")
+    with pytest.raises(pl.QuadratureFailure, match=r"ended at r=1\.5 < 5: failed"):
+        pl.glue_models([(eu, 0.0), (_CurvatureNanPast(), 1.0)], 0.5, horizon=5.0)
+
+
 def test_extension_refuses_negative_curvature():
     base = models.as_glued(pl.make_model("euclidean"))
     for m_from, m_to in ((-1.0, -1.0), (-1.0, 0.0), (0.0, -1.0), (0.0, math.nan)):

@@ -5,7 +5,6 @@ import math
 import time
 import tracemalloc
 import warnings
-from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ from scipy.linalg import lu_factor
 from scipy.optimize import brentq
 
 import plaplace as pl
-from plaplace import dense, quadrature, solver
+from plaplace import dense, models, quadrature, solver
 
 
 def test_problem_validation():
@@ -274,11 +273,11 @@ def test_dense_table_matches_ode_solution(oscillation):
 
     prob, model, start, y0 = _radau_tail(oscillation)
     _, options = _radau_options(prob, model)
-    steps = array("d")
-    dense.solve_ivp(solver._RadialRadau, (start, start + 100.0), y0, steps=steps,
-                    **options)
-    piece = solver._radau_piece(steps)
-    ts, rec = piece[0], np.frombuffer(steps).reshape(len(piece[1]), -1)
+    stepper = solver._RadialRadau(start, y0, start + 100.0, **options)
+    while stepper.t < start + 100.0 and stepper.ended is None:
+        stepper.step()
+    piece = stepper.piece()
+    ts, rec = piece[0], np.frombuffer(stepper.steps).reshape(len(piece[1]), -1)
     assert len(ts) > 20
     stiff = OdeSolution(ts, [RadauDenseOutput(a, b, y, Q.reshape(2, 3))
                              for a, b, y, Q in zip(ts[:-1], ts[1:], rec[:, 2:4],
@@ -440,29 +439,27 @@ def _assert_stepper_matches_stock(prob, model, start, end, y0):
     floor = solver._U_FLOOR * prob.alpha
     options = dict(rtol=1e-11, atol=1e-14, lpsi=lpsi, kernel=kernel,
                    stop=lambda r, u: u <= floor)
-    ours = dense.solve_ivp(solver._RadialDOP853, (start, end), y0,
-                           steps=array("d"), **options)
+    ours = dense.solve_ivp(solver._RadialDOP853, (start, end), y0, **options)
     stock = solve_ivp(rhs, (start, end), y0, method=_StockDOP853,
                       dense_output=True, rtol=1e-11, atol=1e-14)
     assert ours.t[-1] == end and len(ours.t) > 50
     assert len(ours.t) == len(stock.t)
     assert ours.nfev == stock.nfev
 
-    steps = array("d")
-    ours = solver._RadialDOP853(start, y0, end, steps=steps, **options)
+    ours = solver._RadialDOP853(start, y0, end, **options)
     stock = _StockDOP853(rhs, start, y0, end, rtol=1e-11, atol=1e-14)
     F_stock, scales = [], []
-    while ours.status == "running":
+    while ours.t < end and ours.ended is None:
         t, y, f = ours.t, np.array(ours.y), np.array(ours.f)
         ours.step()
-        stock.t, stock.y, stock.f, stock.h_abs = t, y, f, ours.t - ours.t_old
+        stock.t, stock.y, stock.f, stock.h_abs = t, y, f, ours.t - t
         stock.step()
         scale = np.maximum(np.abs(y), np.abs(stock.y))
         assert ours.t == pytest.approx(stock.t, rel=1e-13, abs=0.0)
         assert np.all(np.abs(np.array(ours.y) - stock.y) <= 1e-13 * scale)
         F_stock.append(stock.dense_output().F)
         scales.append(scale)
-    F = solver._dop853_piece(steps, dense_kernel)[3]
+    F = ours.piece(dense_kernel)[3]
     assert F.shape == np.shape(F_stock)
     assert np.all(np.abs(F - F_stock) * _ROW_WEIGHT[:, None]
                   <= 1e-12 * np.array(scales)[:, None, :])
@@ -537,21 +534,19 @@ def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
     def jac(r, y):
         return jacobian(y[0], *rhs(r, y))
 
-    ours = dense.solve_ivp(solver._RadialRadau, (start, end), y0,
-                           steps=array("d"), **options)
+    ours = dense.solve_ivp(solver._RadialRadau, (start, end), y0, **options)
     stock = solve_ivp(rhs, (start, end), y0, method=Radau, rtol=1e-11,
                       atol=1e-14, jac=jac, first_step=first_step)
     assert ours.t[-1] == end
     assert abs(len(ours.t) - len(stock.t)) <= 0.01 * len(stock.t)
     assert abs(ours.nfev - stock.nfev) <= 0.01 * stock.nfev
 
-    steps = array("d")
-    ours = solver._RadialRadau(start, y0, end, steps=steps, **options)
+    ours = solver._RadialRadau(start, y0, end, **options)
     stock = Radau(rhs, start, y0, end, rtol=1e-11, atol=1e-14, jac=jac,
                   first_step=first_step)
     assert (ours.nfev, ours.njev, ours.nlu) == (stock.nfev, stock.njev, stock.nlu)
     pinned = rejected = 0
-    while ours.status == "running":
+    while ours.t < end and ours.ended is None:
         t, y, state = ours.t, np.array(ours.y), _radau_state(ours)
         vars(stock).update(state)
         counts = np.array([ours.nfev, ours.njev, ours.nlu,
@@ -567,7 +562,7 @@ def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
         assert ours.h_abs == pytest.approx(stock.h_abs, rel=1e-2, abs=0.0)
         assert (ours.lu_h is None) == (stock.LU_real is None)
         assert ours.current_jac == stock.current_jac
-        if ours.t - ours.t_old < state["h_abs"]:
+        if ours.t - t < state["h_abs"]:
             rejected += 1
             vars(stock).update(state, h_abs=ours.t - t, LU_real=None,
                                LU_complex=None)
@@ -578,7 +573,7 @@ def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
         Q = np.reshape(ours.cubic[4:], (2, 3))
         assert np.all(np.abs(Q - stock.sol.Q) <= 1e-12 * scale[:, None])
         pinned += 1
-    assert pinned > 0.95 * len(steps) / solver._RADAU_RECORD
+    assert pinned > 0.95 * len(ours.steps) / solver._RADAU_RECORD
     return pinned, rejected
 
 
@@ -686,8 +681,7 @@ def test_initial_step_matches_scipy(descriptor):
     lpsi, kernel, _, jacobian = solver._radial_equations(prob, model)
     rhs = _rhs(lpsi, kernel)
     f0 = np.array(rhs(r0, y0))
-    options = dict(lpsi=lpsi, kernel=kernel, steps=array("d"),
-                   stop=lambda r, u: False, rtol=1e-11, atol=1e-14)
+    options = dict(lpsi=lpsi, kernel=kernel, rtol=1e-11, atol=1e-14)
     for method, order, extra in ((solver._RadialDOP853, 7, {}),
                                  (solver._RadialRadau, 3, dict(jacobian=jacobian))):
         h0 = select_initial_step(lambda t, y: np.array(rhs(t, y)), r0, y0, end,
@@ -810,6 +804,62 @@ def test_horizon_beyond_trust_refused():
     prob = pl.Problem(3, 2.0, 5.0, 1.0)
     with pytest.raises(pl.GeometryOverflow):
         pl.integrate(prob, glued, pl.SolverConfig(40.0))
+
+
+class _LogPsiNanPast(models.Euclidean):
+    """Flat space with log psi turned NaN past r = 5."""
+
+    def log_psi(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 5.0, np.nan, super().log_psi(r))
+
+
+def test_integrate_raises_where_the_stepper_fails():
+    """A model whose log psi turns NaN past r = 5 rejects every step that
+    reads it, until the step size falls below the float spacing at r = 5:
+    integrate raises StepSizeCollapse there."""
+    prob = pl.Problem(3, 2.0, 5.0, 1.0)
+    with pytest.raises(pl.StepSizeCollapse, match="stepper failed at r=5"):
+        pl.integrate(prob, _LogPsiNanPast(), pl.SolverConfig(20.0))
+
+
+def _decay(lp, u, v):
+    """u' = -u and v' = lp: the stiffness test reads h v' = h lp."""
+    return -u, lp
+
+
+def _run_toy(t_bound, lp=1000.0, stop=None, nan_past=math.inf):
+    """dense.solve_ivp of _RadialDOP853 on _decay from (1, (1, 0)), with lpsi
+    the constant lp, NaN past nan_past."""
+    def lpsi(r):
+        return np.where(np.asarray(r) > nan_past, np.nan, lp + 0.0 * r)
+
+    return dense.solve_ivp(solver._RadialDOP853, (1.0, t_bound), (1.0, 0.0),
+                           lpsi=lpsi, kernel=_decay, rtol=1e-11, atol=1e-14,
+                           stop=stop)
+
+
+def test_solve_ivp_end_reasons():
+    """A run says why it ended: "end" at t_bound, "stiff" after the
+    stiffness test's 15 steps, "failed" where the step size collapses, or
+    the stop predicate's label. At t_bound a stop label takes precedence
+    over "end", while a stiffness exit on the step that reaches t_bound
+    counts as "end", so integrate never starts Radau on an empty piece; a
+    stop label on the step that trips the stiffness test wins over it."""
+    run = _run_toy(2.0, lp=0.0)
+    assert run.ended == "end" and run.t[-1] == 2.0
+    stiff = _run_toy(100.0)
+    assert stiff.ended == "stiff" and solver._STIFF_STEPS < len(stiff.t) < 100
+    reached = _run_toy(stiff.t[-1])
+    assert reached.ended == "end" and reached.t == stiff.t
+    label = _run_toy(100.0, stop=lambda r, u: "stopped" if r == stiff.t[-1] else None)
+    assert label.ended == "stopped" and label.t == stiff.t
+    failed = _run_toy(2.0, lp=0.0, nan_past=1.5)
+    assert failed.ended == "failed" and 1.4 < failed.t[-1] <= 1.5
+    stopped = _run_toy(2.0, lp=0.0, stop=lambda r, u: "stopped" if r > 1.5 else None)
+    assert stopped.ended == "stopped" and 1.5 < stopped.t[-1] < 2.0
+    at_end = _run_toy(2.0, lp=0.0, stop=lambda r, u: "underflow" if r == 2.0 else None)
+    assert at_end.ended == "underflow" and at_end.t == run.t
 
 
 def test_export_csv_roundtrip(tmp_path, hy_run):
