@@ -84,61 +84,24 @@ class _DenseTable:
         y += g[16:]
 
 
-def _rms(x):
-    """The RMS norm of scipy's select_initial_step, by numpy's norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
-
-
-def select_initial_step(fun, t0, y0, t_bound, f0, order, rtol, atol):
-    """A first trial step for a forward run from (t0, y0), f0 = fun(t0, y0),
-    for an error estimate of the given order (Hairer, Norsett & Wanner,
-    Solving ODEs I, II.4).
-
-    The operations of scipy's select_initial_step (no step bound) on the same
-    numpy arrays, so h0 is its float to the bit: h0 = 0.01 d0/d1 from the
-    RMS norms of y0 and f0 in units of atol + |y0| rtol, then one Euler
-    step of h0 and the norm d2 of the change in f per unit step; the step
-    is min(100 h0, (0.01 / max(d1, d2))^(1/(order+1)), t_bound - t0).
-    Makes one evaluation of fun.
-    """
-    interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
-    y0, f0 = np.asarray(y0, dtype=float), np.asarray(f0, dtype=float)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval_length)
-    f1 = np.asarray(fun(t0 + h0, y0 + h0 * f0), dtype=float)
-    d2 = _rms((f1 - f0) / scale) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / (order + 1))
-    return min(100 * h0, h1, interval_length)
-
-
 class _Stepper:
     """A forward run of (u, v)' = kernel(lpsi(t), u, v) on Python floats: the
-    state and counters the solver's steppers share, and the start-up of
-    scipy's DOP853 and Radau.
+    state and counters the solver's steppers share, and their start-up.
 
     y is the state (u, v) and f its derivative, as tuples of floats. The
-    constructor evaluates f = fun(t0, y0) and, without first_step, the
-    first trial step h_abs by select_initial_step at the error estimate's
-    `order`; both evaluations count in nfev. lpsi(t) is the per-radius
-    input the kernel reads and stop(t, u), if given, ends the run at an
-    accepted step end with the label it returns. A subclass supplies
-    step(), which takes one accepted step into t, y, f, h_abs and the flat
-    record `steps`, or sets `ended` to "failed" when the step size falls
-    below the float spacing; and piece(), the run's dense output.
+    constructor evaluates f = fun(t0, y0), the one evaluation of the
+    start-up counted in nfev, and takes the caller's first_step as the
+    first trial step h_abs; the step control cuts it down from there.
+    lpsi(t) is the per-radius input the kernel reads and stop(t, u), if
+    given, ends the run at an accepted step end with the label it returns.
+    A subclass supplies step(), which takes one accepted step into t, y, f,
+    h_abs and the flat record `steps`, or sets `ended` to "failed" when the
+    step size falls below the float spacing; and piece(), the run's dense
+    output.
     """
 
-    order = None
-
-    def __init__(self, t0, y0, t_bound, *, lpsi, kernel, rtol, atol, stop=None,
-                 first_step=None):
+    def __init__(self, t0, y0, t_bound, *, first_step, lpsi, kernel, rtol, atol,
+                 stop=None):
         self.t, self.t_bound = t0, t_bound
         self.y = tuple(map(float, y0))
         self._lpsi, self._kernel, self._stop = lpsi, kernel, stop
@@ -147,9 +110,6 @@ class _Stepper:
         self.ended = None
         self.nfev = 0
         self.f = self.fun(t0, self.y)
-        if first_step is None:
-            first_step = select_initial_step(self.fun, t0, self.y, t_bound,
-                                             self.f, self.order, self.rtol, self.atol)
         self.h_abs = float(first_step)
 
     def fun(self, t, y):
@@ -176,7 +136,7 @@ class _Run:
 
 def solve_ivp(method, t_span, y0, **options):
     """Run the stepper class `method` (the solver's _RadialDOP853 or
-    _RadialRadau, built with `options`) from t_span[0] until it reaches
+    _RadialRadau, built with `options`, first_step among them) from t_span[0] until it reaches
     t_span[1] or ends, collecting every accepted step end. The run's `ended`
     is "end", or the stepper's reason: "failed", "stiff" (set only short of
     t_span[1]) or the stop label, which also holds at t_span[1]."""

@@ -337,13 +337,15 @@ def energy_divergence_probe(sol, profile, report=None):
     a positive slope; in the integrable (pSI) case certifies E keeps
     growing across horizon doublings. The single convergent configuration
     (Euclidean geometry at the critical power) is signaled as an error
-    since the probe would be meaningless there.
+    since the probe would be meaningless there. The model counts as flat
+    where |psi''/psi| < 1e-12 at every row of the solution past the pole,
+    so a glued model that curves anywhere on the solved range is not.
     """
     _check_pair(sol, profile)
     prob = sol.problem
     if report is None:
         report = functional_traces(sol, profile)
-    flat = bool(np.all(np.abs(sol.model.ddpsi(np.linspace(0.1, min(sol.r_last, 10.0), 64))) < 1e-12))
+    flat = bool(np.all(np.abs(sol.model.curvature_ratio(sol.r[1:])) < 1e-12))
     if flat and prob.is_critical:
         raise EuclideanCritical(
             "gradient energy converges for flat geometry at the critical power"

@@ -439,12 +439,14 @@ class Glued(ModelFunction):
         curvature_ratio). With a float m_to, m is that constant past
         start + width and the model is in closed form there; the window
         before it, or with a model m_to the whole segment, is tabulated by
-        one run of the solver's DOP853 stepper. The pieces below `start` are
-        shared, so evaluations below `start` are bit-identical to the parent
-        model's. Refuses (InvalidParameter) a start at or before the last
-        join or past the model's range, an end at or before the start and a
-        width <= 0, and (ConvexityViolation) a negative float m_from or m_to;
-        raises QuadratureFailure when the run ends short of the window's end.
+        one run of the solver's DOP853 stepper, whose first trial step is
+        the whole window (the step control cuts it down). The pieces below
+        `start` are shared, so evaluations below `start` are bit-identical
+        to the parent model's. Refuses (InvalidParameter) a start at or
+        before the last join or past the model's range, an end at or before
+        the start and a width <= 0, and (ConvexityViolation) a negative
+        float m_from or m_to; raises QuadratureFailure when the run ends
+        short of the window's end.
         """
         from . import solver  # solver imports this module at load
 
@@ -472,8 +474,8 @@ class Glued(ModelFunction):
         stop = min(start + width, end) if isinstance(seg.m_to, float) else end
         run = solve_ivp(solver._RadialDOP853, (start, stop),
                         [self.log_psi(start), self.slope_ratio(start)],
-                        rtol=_TABLE_RTOL, atol=_TABLE_ATOL, lpsi=seg.curvature,
-                        kernel=_window_kernel)
+                        first_step=stop - start, rtol=_TABLE_RTOL,
+                        atol=_TABLE_ATOL, lpsi=seg.curvature, kernel=_window_kernel)
         if run.ended != "end":
             raise QuadratureFailure(f"continuation integration ended at "
                                     f"r={run.t[-1]:g} < {stop:g}: {run.ended}")

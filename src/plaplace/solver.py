@@ -544,19 +544,18 @@ class _RadialDOP853(_Stepper):
     interpolant from the record after the run, for all steps at once
     (_dop853_piece). nfev grows as scipy's would with dense
     output: 12 per attempted step and 3 per accepted step (the dense-output
-    stages, evaluated once each in that batch), plus those of the start-up
-    (_Stepper: f at t0, and one more for the first trial step unless
-    first_step is given). Integration runs forward only.
+    stages, evaluated once each in that batch), plus f at t0 (_Stepper's
+    start-up). Integration runs forward only.
 
     Near the pole v = log(-w) ~ n log r, and its equation has the rate
     |dv'/dv| = v' ~ n/r. The error control accepts steps of about r/4
     there, but the 7th-order dense output, built from three extra stages
     the control does not see, is then ~100x less accurate than the step
-    (1.8e-7 in v against 5e-9 at the knots on euclidean (4,3,11)). A
-    first trial step of a few r_0, as the default initial-step choice can
-    make, drives the stages' v far off and overflows the error norm.
-    Bounding h by r/10 keeps the dense output at the accuracy of the
-    steps; away from the pole the bound rarely binds.
+    (1.8e-7 in v against 5e-9 at the knots on euclidean (4,3,11)), and a
+    trial step of a few r_0 drives the stages' v far off and overflows the
+    error norm. Bounding h by r/10 keeps the dense output at the accuracy
+    of the steps, and cuts any longer first_step to a tenth of the start
+    radius; away from the pole the bound rarely binds.
 
     The run ends at the first accepted step end (r, u) where stop(r, u)
     holds, with its label; integrate's predicate makes there the test
@@ -567,7 +566,6 @@ class _RadialDOP853(_Stepper):
     as "stiff".
     """
 
-    order = 7  # of the error estimate, for the first trial step
     stiff_steps = 0  # consecutive steps so far with h v' > _STIFF_HV
 
     def step(self):
@@ -690,8 +688,6 @@ class _RadialRadau(_Stepper):
     J at t0 (njev = 1), newton_tol = max(10 eps / rtol, min(0.03,
     rtol^(1/2))) and no step-size history.
     """
-
-    order = 3  # of the error estimate, for the first trial step
 
     def __init__(self, t0, y0, t_bound, *, jacobian, **options):
         super().__init__(t0, y0, t_bound, **options)
@@ -1054,19 +1050,19 @@ def integrate(prob, model, config, stop=None):
                                    "size below the float spacing")
         return sol
 
-    # at a join, restart with the last step (select_initial_step's guess
-    # overflows late joins)
-    start, y0, h_last = r0, [u0, v0], None
+    # the first piece starts at the r/10 cap, a join and the hand-off to
+    # Radau from the last accepted step
+    start, y0, h = r0, [u0, v0], math.inf
     for end in ends:
-        first = None if h_last is None else min(h_last, end - start)
-        sol = run(_RadialDOP853, start, end, y0, first_step=first)
+        sol = run(_RadialDOP853, start, end, y0, first_step=min(h, end - start))
         pieces.append(sol.piece(dense_kernel))
         if sol.ended == "stiff":
-            sol = run(_RadialRadau, sol.t[-1], end, sol.y, jacobian=jacobian)
+            sol = run(_RadialRadau, sol.t[-1], end, sol.y,
+                      first_step=sol.t[-1] - sol.t[-2], jacobian=jacobian)
             pieces.append(sol.piece())
         if sol.ended != "end":
             break
-        start, y0, h_last = end, sol.y, sol.t[-1] - sol.t[-2]
+        start, y0, h = end, sol.y, sol.t[-1] - sol.t[-2]
     if sol.ended == "underflow":
         _trim_to_underflow(pieces[-1], u_floor)
     termination = "reached-horizon" if sol.ended == "end" else sol.ended

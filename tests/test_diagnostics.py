@@ -187,6 +187,21 @@ def test_energy_probe_cases(hy_run, ep_run, eu_crit_run):
         pl.energy_divergence_probe(eu_crit_run.sol, eu_crit_run.prof)
 
 
+def test_energy_probe_reads_glued_model_as_curved():
+    """Flatness is read over the whole solved range: a model flat up to
+    r = 12 and hyperbolic past it, at the critical power with R = 30, is
+    curved, so the probe answers the pSC case with a positive slope instead
+    of raising EuclideanCritical."""
+    model = pl.glue_models([(pl.make_model("euclidean"), 0),
+                            (pl.make_model("hyperbolic"), 12)], 0.5, horizon=40)
+    prob = pl.Problem(3, 2.0, 5.0, 1.0)
+    assert prob.is_critical
+    sol = pl.integrate(prob, model, pl.SolverConfig(30.0))
+    out = pl.energy_divergence_probe(sol, pl.geometry_profile(model, 3, 2.0, 30.0))
+    assert out["case"] == "pSC"
+    assert out["positive_slope"]
+
+
 def test_euclidean_critical_energy_finite(eu_crit_run):
     """The closed-form profile has integrable gradient: E(R) stabilizes."""
     rep = pl.functional_traces(eu_crit_run.sol, eu_crit_run.prof)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution, Radau, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients, radau
-from scipy.integrate._ivp.common import select_initial_step
 from scipy.integrate._ivp.radau import MU_COMPLEX, MU_REAL, RadauDenseOutput
 from scipy.linalg import lu_factor
 from scipy.optimize import brentq
@@ -226,11 +225,12 @@ def test_eval_array_matches_scalars(hy_run):
 
 
 def _radau_tail(oscillation):
-    """(prob, model, r, y) at the oscillation's hand-off to Radau."""
+    """(prob, model, r, y, h) at the oscillation's hand-off to Radau, h being
+    DOP853's last accepted step, Radau's first trial step there."""
     dense = oscillation.sol._dense
     k = np.argmax(np.all(dense.coef[:4] == 0.0, axis=(0, 1)))
     return (oscillation.sol.problem, oscillation.model, dense.t_old[k],
-            dense.y_old[k])
+            dense.y_old[k], dense.h[k - 1])
 
 
 def _rhs(lpsi, kernel):
@@ -271,9 +271,9 @@ def test_dense_table_matches_ode_solution(oscillation):
     grid = np.linspace(0.0, 20.0, 1000).reshape(-1, 8)
     assert np.array_equal(np.stack(table(grid)).reshape(2, -1), ode(grid.ravel()))
 
-    prob, model, start, y0 = _radau_tail(oscillation)
+    prob, model, start, y0, h = _radau_tail(oscillation)
     _, options = _radau_options(prob, model)
-    stepper = solver._RadialRadau(start, y0, start + 100.0, **options)
+    stepper = solver._RadialRadau(start, y0, start + 100.0, first_step=h, **options)
     while stepper.t < start + 100.0 and stepper.ended is None:
         stepper.step()
     piece = stepper.piece()
@@ -418,8 +418,9 @@ class _StockDOP853(DOP853):
         return super()._step_impl()
 
 
-def _assert_stepper_matches_stock(prob, model, start, end, y0):
-    """_RadialDOP853 against stock DOP853 on one piece from (start, y0).
+def _assert_stepper_matches_stock(prob, model, start, end, y0, first_step):
+    """_RadialDOP853 against stock DOP853 on one piece from (start, y0), both
+    from the same first trial step.
 
     Whole runs take the same accepted steps with equal nfev. Step by step,
     the stock stepper is started from the float stepper's state and asked
@@ -438,16 +439,18 @@ def _assert_stepper_matches_stock(prob, model, start, end, y0):
     rhs = _rhs(lpsi, kernel)
     floor = solver._U_FLOOR * prob.alpha
     options = dict(rtol=1e-11, atol=1e-14, lpsi=lpsi, kernel=kernel,
-                   stop=lambda r, u: u <= floor)
+                   stop=lambda r, u: u <= floor, first_step=first_step)
     ours = dense.solve_ivp(solver._RadialDOP853, (start, end), y0, **options)
     stock = solve_ivp(rhs, (start, end), y0, method=_StockDOP853,
-                      dense_output=True, rtol=1e-11, atol=1e-14)
+                      dense_output=True, rtol=1e-11, atol=1e-14,
+                      first_step=first_step)
     assert ours.t[-1] == end and len(ours.t) > 50
     assert len(ours.t) == len(stock.t)
     assert ours.nfev == stock.nfev
 
     ours = solver._RadialDOP853(start, y0, end, **options)
-    stock = _StockDOP853(rhs, start, y0, end, rtol=1e-11, atol=1e-14)
+    stock = _StockDOP853(rhs, start, y0, end, rtol=1e-11, atol=1e-14,
+                         first_step=first_step)
     F_stock, scales = [], []
     while ours.t < end and ours.ended is None:
         t, y, f = ours.t, np.array(ours.y), np.array(ours.f)
@@ -475,18 +478,21 @@ def test_stepper_matches_stock_dop853(hy_run, ep_run, oscillation):
     step ends; stock DOP853, whose knots drift by ~1e-7 (see
     _assert_stepper_matches_stock), would end short of it with one more
     sliver step. So that comparison ends mid-way through the piece's last
-    step, a radius off either stepper's knots."""
+    step, a radius off either stepper's knots. Each run starts from the
+    step integrate starts it from: the r/10 cap at the startup radius, and
+    the last accepted step at a join."""
     for run in (hy_run, ep_run):
         dense = run.sol._dense
         _assert_stepper_matches_stock(run.prob, run.model, dense.t_old[0],
-                                      run.sol.r_last, dense.y_old[0])
+                                      run.sol.r_last, dense.y_old[0],
+                                      0.1 * dense.t_old[0])
     dense = oscillation.sol._dense
     first, second = oscillation.model.joins()[:2]
     k = np.flatnonzero(dense.t_old == first)[0]
     last = np.flatnonzero(dense.ts == second)[0]
     end = 0.5 * (dense.ts[last - 1] + second)
     _assert_stepper_matches_stock(oscillation.sol.problem, oscillation.model,
-                                  first, end, dense.y_old[k])
+                                  first, end, dense.y_old[k], dense.h[k - 1])
 
 
 def _radau_state(ours):
@@ -507,8 +513,9 @@ def _radau_state(ours):
     return state
 
 
-def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
-    """_RadialRadau against stock Radau on one piece from (start, y0).
+def _assert_radau_matches_stock(prob, model, start, end, y0, first_step):
+    """_RadialRadau against stock Radau on one piece from (start, y0), both
+    from the same first trial step.
 
     The whole run takes within 1% of stock Radau's steps and function
     evaluations. Step by step, the stock stepper is started from the float
@@ -579,15 +586,16 @@ def _assert_radau_matches_stock(prob, model, start, end, y0, first_step=None):
 
 def test_stepper_matches_stock_radau(oscillation, hy_run):
     """The float stepper takes scipy's Radau IIA steps on the oscillation's
-    exponential tail, from the hand-off to mid-way through its last step.
+    exponential tail, from the hand-off (and DOP853's last accepted step)
+    to mid-way through its last step.
     It reads scipy's private constants, so this also guards against a
     scipy release that renames or changes them. The tail's steps are
     almost all accepted at once, so a second run, on the hyperbolic model
     over r in [1, 2] from a first trial step of 1, starts on steps rejected
     by the error estimate, refined and rejected again."""
-    prob, model, start, y0 = _radau_tail(oscillation)
+    prob, model, start, y0, h = _radau_tail(oscillation)
     end = 0.5 * (oscillation.sol._dense.ts[-2] + oscillation.sol.r_last)
-    pinned, _ = _assert_radau_matches_stock(prob, model, start, end, y0)
+    pinned, _ = _assert_radau_matches_stock(prob, model, start, end, y0, h)
     assert pinned > 500
     y0 = np.array(hy_run.sol._uv(1.0))
     _, rejected = _assert_radau_matches_stock(hy_run.prob, hy_run.model, 1.0, 2.0,
@@ -599,12 +607,17 @@ def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
     """The switch to Radau is local: the oscillation hands over inside its
     last piece (curvature 36, v relaxing at rate 12), and runs on catalog
     models never do. A Radau step is the cubic, so its nested
-    coefficients past the third are zero."""
+    coefficients past the third are zero. Each run's first step is the
+    r/10 cap at the startup radius, and Radau starts from DOP853's last
+    accepted step: a run from the hand-off with that first step takes the
+    solution's Radau steps to the bit."""
     def radau_steps(sol):
         return np.all(sol._dense.coef[:4] == 0.0, axis=(0, 1))
 
     for run in (hy_run, ep_run, eu_crit_run):
         assert not np.any(radau_steps(run.sol))
+        r0, r1 = run.sol._dense.ts[:2]
+        assert r1 == r0 + 0.1 * r0
     sol = oscillation.sol
     radau = radau_steps(sol)
     last_join = oscillation.model.joins()[-1]
@@ -612,6 +625,11 @@ def test_radau_only_on_stiff_tail(hy_run, ep_run, eu_crit_run, oscillation):
     assert np.all(sol._dense.t_old[radau] > last_join)
     # once handed over, the piece is finished on Radau
     assert np.all(radau[np.argmax(radau):])
+    prob, model, start, y0, h = _radau_tail(oscillation)
+    _, options = _radau_options(prob, model)
+    tail = dense.solve_ivp(solver._RadialRadau, (start, sol.r_last), y0,
+                           first_step=h, **options)
+    assert np.array_equal(tail.t, sol._dense.ts[np.argmax(radau):])
 
 
 def test_stop_ends_run_at_first_step_end(oscillation):
@@ -663,58 +681,6 @@ def test_embedded_constants_equal_scipy():
     assert solver._P_COLUMNS == radau.P.T.tolist()
     assert solver._NEWTON_MAXITER == radau.NEWTON_MAXITER
     assert solver._EVENT_TOL == 4 * np.finfo(float).eps
-
-
-@pytest.mark.parametrize("descriptor", [
-    "euclidean", "hyperbolic", "exppower:c=1,m=3", "powerlike:k=2",
-    "expgamma:c=1,gamma=0.5"])
-def test_initial_step_matches_scipy(descriptor):
-    """On the first piece of a solve (from the startup radius to the
-    horizon) the ported select_initial_step gives scipy's h0 to the bit, at
-    DOP853's error order 7 and Radau's 3, and each stepper starts from it
-    after two evaluations of the right-hand side."""
-    prob, model = pl.Problem(3, 2.0, 5.0, 1.0), pl.make_model(descriptor)
-    end = min(60.0, pl.safe_horizon(model, 3))
-    r0 = min(solver.default_startup_radius(prob), 0.01 * end)
-    u0, w0 = solver.series_startup(prob, model, r0)
-    y0 = np.array([u0, math.log(-w0)])
-    lpsi, kernel, _, jacobian = solver._radial_equations(prob, model)
-    rhs = _rhs(lpsi, kernel)
-    f0 = np.array(rhs(r0, y0))
-    options = dict(lpsi=lpsi, kernel=kernel, rtol=1e-11, atol=1e-14)
-    for method, order, extra in ((solver._RadialDOP853, 7, {}),
-                                 (solver._RadialRadau, 3, dict(jacobian=jacobian))):
-        h0 = select_initial_step(lambda t, y: np.array(rhs(t, y)), r0, y0, end,
-                                 np.inf, f0, 1.0, order, 1e-11, 1e-14)
-        assert dense.select_initial_step(rhs, r0, y0, end, f0, order,
-                                         1e-11, 1e-14) == h0
-        stepper = method(r0, y0, end, **options, **extra)
-        assert stepper.h_abs == h0 and stepper.nfev == 2
-
-
-def test_initial_step_matches_scipy_on_windows():
-    """A glued model's window run starts from scipy's h0 too: on ramps of
-    psi''/psi from 0 to 36 over [r1, r1 + 1/2] of the flat cone, including
-    a late window whose length cuts the Euler probe step (so the result
-    differs from that of an unbounded run)."""
-    from plaplace import models
-
-    cut = 0
-    for r1 in (1.0, 25.0, 1000.0):
-        seg = models._Segment(r1, r1 + 10.0, 0.5, 0.0, 36.0)
-
-        def rhs(r, y):
-            return models._window_kernel(float(seg.curvature(r)), y[0], y[1])
-
-        y0 = np.array([math.log(r1), 1.0 / r1])
-        f0 = np.array(rhs(r1, y0))
-        tols = (models._TABLE_RTOL, models._TABLE_ATOL)
-        h0 = select_initial_step(lambda t, y: np.array(rhs(t, y)), r1, y0, r1 + 0.5,
-                                 np.inf, f0, 1.0, 7, *tols)
-        assert dense.select_initial_step(rhs, r1, y0, r1 + 0.5, f0, 7, *tols) == h0
-        cut += h0 != select_initial_step(lambda t, y: np.array(rhs(t, y)), r1, y0,
-                                         math.inf, np.inf, f0, 1.0, 7, *tols)
-    assert cut > 0
 
 
 def test_brent_root_matches_brentq(monkeypatch):
@@ -835,8 +801,8 @@ def _run_toy(t_bound, lp=1000.0, stop=None, nan_past=math.inf):
         return np.where(np.asarray(r) > nan_past, np.nan, lp + 0.0 * r)
 
     return dense.solve_ivp(solver._RadialDOP853, (1.0, t_bound), (1.0, 0.0),
-                           lpsi=lpsi, kernel=_decay, rtol=1e-11, atol=1e-14,
-                           stop=stop)
+                           first_step=0.1, lpsi=lpsi, kernel=_decay, rtol=1e-11,
+                           atol=1e-14, stop=stop)
 
 
 def test_solve_ivp_end_reasons():
