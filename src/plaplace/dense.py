@@ -22,13 +22,14 @@ _ROWS = 18
 class _DenseTable:
     """Dense output as one contiguous (18, steps) array over all accepted steps.
 
-    Built from pieces (ts, h, y_old, F), one per stepper run, each starting
-    where the previous one ended: the run's knots ts, and per step its
-    length h, start state y_old and the (7, 2) coefficients F of scipy's
-    Dop853DenseOutput (the solver's _dop853_piece), or a Radau step's cubic
-    rewritten into the same form (the solver's _radau_piece). A step starts
-    at its knot; its h is kept apart because the last knot of a run
-    stopped on underflow lies inside the last step.
+    Built from pieces (ts, h, y_old, F), one per stepper run or a whole
+    table's (piece()), each starting where the previous one ended: the
+    run's knots ts, and per step its length h, start state y_old and the
+    (7, 2) coefficients F of scipy's Dop853DenseOutput (the solver's
+    _dop853_piece), or a Radau step's cubic rewritten into the same form
+    (the solver's _radau_piece). A step starts at its knot; its h is kept
+    apart because the last knot of a run stopped on underflow lies inside
+    the last step.
 
     Column k of the table holds step k: row 0 its start t_old, row 1 its
     h, rows 2-15 the coefficient rows in the order the nested evaluation
@@ -59,6 +60,11 @@ class _DenseTable:
         self.t_old, self.h = table[0], table[1]
         self.coef = table[2:16].reshape(7, 2, -1)
         self.y_old = table[16:].T
+
+    def piece(self):
+        """The table as one piece (ts, h, y_old, F), views of it, from which
+        a table that continues it is built."""
+        return self.ts, self.h, self.y_old, self.coef[::-1].transpose(2, 0, 1)
 
     def __call__(self, t):
         """The two components at radii t of any shape ((u, v) of a solver

@@ -7,9 +7,11 @@ constant (2s)^2 so psi'/psi ramps to the exponential rate 2s and Q climbs
 back above the limit. Each extension ramps psi''/psi between the two
 constants over a window of width 0.5 at its join (Glued.extended with
 float ends): the model is tabulated by DOP853 across the window and in
-closed form past it. Stage s is one solver.integrate run from the pole on
-the model glued so far, and it ends at its trigger: the first accepted
-step end of that run, at least one unit past the previous trigger, where
+closed form past it. Stage s is one solver.integrate run on the model
+glued so far: stage 0 from the pole, every later stage continuing the
+previous stage's run from its trigger, which the extension made a join.
+It ends at its trigger: the first accepted step end of the solution, at
+least one unit past the previous trigger, where
 
   even s:  Q < T_low  and  u < 2^-s
   odd  s:  Q > T_high and  u < 2^-s  and  log psi >= s r
@@ -159,16 +161,20 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
 
     Each stage glues its piece at the previous trigger (stage 0 keeps the
     flat cone), tabulates the geometry profile of the model glued so far,
-    and runs solver.integrate from the pole on that model with the stage's
-    trigger as the stop predicate, checked at every accepted step end:
-    first r >= previous trigger + 1 and u < 2^-s, which cost nothing, then
+    and runs solver.integrate on that model with the stage's trigger as
+    the stop predicate, checked at every accepted step end: first
+    r >= previous trigger + 1 and u < 2^-s, which cost nothing, then
     StagePlan.fires with J from the profile. The trigger is the step end
-    where the run stopped. The solver restarts at every join, so each run
-    retakes the earlier stages' steps as the same floats, and every
-    trigger is a knot of the last stage's run, which is the returned
-    solution. Each trigger is logged at INFO as it fires, with its index,
-    kind, r, Q, u, the accepted steps of its run and the seconds elapsed
-    since the construction began.
+    where the run stopped. Stage 0 runs from the pole; every later stage
+    continues from the previous stage's carry (solver.Carry: its dense
+    output, the state at its trigger and its last step), since the
+    extension keeps the model below the trigger bit-identical and makes
+    the trigger a join, where the solver restarts its stepper anyway. So
+    no step is taken twice, only the carry outlives a stage, and the
+    returned solution, the last stage's, is to the bit a run from the pole
+    on the final model; every trigger is one of its knots. Each trigger is logged at INFO as
+    it fires, with its index, kind, r, Q, u, the solution's accepted steps
+    so far and the seconds elapsed since the construction began.
 
     `stages` counts fired triggers and must be an even number >= 4 so the
     certificate ends with both bands populated. rate_scale = 0 would ask
@@ -189,6 +195,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     began = time.perf_counter()
     model = models.as_glued(models.Euclidean())
     r_here, J_here = 0.0, 0.0
+    carry = None
     stage_log = []
     for s_idx in range(stages):
         plan = StagePlan(s_idx, n, p, q, rate_scale)
@@ -208,7 +215,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
                                    float(model.log_psi(r))))
 
         sol = solver.integrate(prob, model, solver.SolverConfig(r_max=r_stop),
-                               stop=stop)
+                               stop=stop, carry=carry)
         r_here = sol.r_last
         u = sol.eval_u(r_here)
         J_here = float(prof.J(r_here))
@@ -230,6 +237,8 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
         _log.info("stage %d (%s) fired at r=%r: Q=%r, u=%r; %d accepted "
                   "steps, %.3f s elapsed", s_idx, plan.kind, r_here, Q, u,
                   len(sol._dense.h), time.perf_counter() - began)
+        if s_idx < stages - 1:
+            carry, sol = sol.carry, None
 
     cert = OscillationCertificate(n, p, q, alpha, t_low, t_high, stage_log)
     return model, sol, cert

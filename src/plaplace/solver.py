@@ -21,9 +21,10 @@ inside the integrated range is read from the steppers' dense output: the
 7th-order DOP853 interpolant, or the cubic of a Radau step.
 
 The DOP853 steps are scipy's method taken on Python floats instead of
-numpy 2-vectors (_RadialDOP853), with the equations written once as a
-kernel (lpsi, u, v) -> (u', v'), lpsi = (n-1) log psi, instantiated on
-Python floats for the steps and on numpy arrays for the dense output. The
+numpy 2-vectors (_RadialDOP853), with the equations as a kernel
+(lpsi, u, v) -> (u', v'), lpsi = (n-1) log psi, written on Python floats
+for the steps (conditional expressions in place of builtin min and max,
+with the same results) and on numpy arrays for the dense output. The
 tableau's stages and weighted sums are straight-line code generated at
 import from the embedded coefficients (_stage_function; scipy's floats,
 written out by repr), run on floats in the steps and on arrays in the
@@ -51,7 +52,9 @@ ends "stiff" on DOP853 is finished on Radau, and the solution ends at the
 first accepted step end (r, u) where u has fallen to the underflow floor
 ("underflow"; the crossing is then located on the last step's dense output
 by scipy's event rule, Brent's method in _brent_root) or where the
-caller's predicate stop(r, u) holds ("stopped").
+caller's predicate stop(r, u) holds ("stopped"). A stopped solution's
+Carry lets integrate continue it past a join at its last radius, as the
+staged oscillating construction does, without retaking its steps.
 """
 
 import math
@@ -239,6 +242,23 @@ def _row_radii(dense, u_min, tol=ROW_TOL):
         k[low] = np.ceil(1.1 * k[low] * np.sqrt(worst[low])).astype(int)
 
 
+class Carry:
+    """The end of an integrate run, from which integrate(carry=) goes on:
+    its problem, why it ended (`termination`), its dense output `dense`
+    (a _DenseTable from the startup radius to r_last), the state
+    y = (u, v = log(-w)) at r_last and the run's last accepted step h."""
+
+    def __init__(self, prob, termination, dense, y, h):
+        self.problem = prob
+        self.termination = termination
+        self.dense = dense
+        self.y, self.h = y, h
+
+    @property
+    def r_last(self):
+        return float(self.dense.ts[-1])
+
+
 class RadialSolution:
     """Trajectory of one radial problem, read from the steppers' dense output.
 
@@ -247,16 +267,18 @@ class RadialSolution:
     they are the pole series that started the run (series_startup). The
     rows r, u, du, w (prepended with r = 0) are values of the same
     evaluation at radii spaced so that linear interpolation of u between
-    neighbouring rows is within ROW_TOL |u|.
+    neighbouring rows is within ROW_TOL |u|. `carry` is the run's Carry.
     """
 
-    def __init__(self, prob, model, config, pieces, termination):
+    def __init__(self, model, config, carry):
+        prob = carry.problem
         self.problem = prob
         self.model = model
         self.config = config
-        self.termination = termination
+        self.carry = carry
+        self.termination = carry.termination
         self._u_min = _U_FLOOR * prob.alpha
-        self._dense = _DenseTable(pieces)
+        self._dense = carry.dense
         rows = _row_radii(self._dense, self._u_min)
         u, v = self._dense(rows)
         u = np.maximum(u, self._u_min)
@@ -423,7 +445,7 @@ _FRACTIONS = np.array([
     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
     0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
     0.7777777777777778])
-_INNER = len(_STAGE_ROWS)
+_INNER, _NDENSE = len(_STAGE_ROWS), len(_DENSE_ROWS)
 # scipy's step-size control (scipy.integrate._ivp.rk; its Radau bounds
 # the factor alike)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -432,7 +454,7 @@ _ERROR_EXPONENT = -1.0 / 8.0
 # the end state, the 13 derivatives of u (at the step start, the 11 inner
 # stages and the step end), those of v, and lpsi at the 3 dense-output stages
 _NK = _INNER + 2
-_RECORD = 6 + 2 * _NK + len(_DENSE_ROWS)
+_RECORD = 6 + 2 * _NK + _NDENSE
 # Radau IIA of order 5 (Hairer & Wanner, Solving ODEs II, IV.8) with the
 # constants of scipy.integrate._ivp.radau, each float by repr: the
 # collocation nodes C = (4 -+ sqrt 6)/10, 1 (an array, for the stage radii
@@ -572,16 +594,21 @@ class _RadialDOP853(_Stepper):
         t = self.t
         u, v = self.y
         fu, fv = self.f
-        kernel, rtol, atol = self._kernel, self.rtol, self.atol
+        kernel, rtol, atol, t_bound = self._kernel, self.rtol, self.atol, self.t_bound
         h_max = 0.1 * t
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = min(max(self.h_abs, min_step), h_max)
+        # builtin min(max(h_abs, min_step), h_max), written out (NaN alike)
+        h_abs = self.h_abs
+        h_abs = min_step if min_step > h_abs else h_abs
+        h_abs = h_max if h_max < h_abs else h_abs
+        au, av = abs(u), abs(v)
         rejected = False
         while True:
             if h_abs < min_step:
                 self.ended = "failed"
                 return
-            t_new = min(t + h_abs, self.t_bound)
+            t_new = t + h_abs
+            t_new = t_bound if t_bound < t_new else t_new
             h = t_new - t
             h_abs = h
             lpsi = self._lpsi(t + h * _FRACTIONS).tolist()
@@ -593,8 +620,9 @@ class _RadialDOP853(_Stepper):
             self.nfev += _INNER + 1
 
             # scipy's blended norm of the 5th- and 3rd-order error estimates
-            su = atol + max(abs(u), abs(u_new)) * rtol
-            sv = atol + max(abs(v), abs(v_new)) * rtol
+            au_new, av_new = abs(u_new), abs(v_new)
+            su = atol + (au_new if au_new > au else au) * rtol
+            sv = atol + (av_new if av_new > av else av) * rtol
             err5 = (e5u / su) ** 2 + (e5v / sv) ** 2
             err3 = (e3u / su) ** 2 + (e3v / sv) ** 2
             if err5 == 0.0 and err3 == 0.0:
@@ -606,20 +634,21 @@ class _RadialDOP853(_Stepper):
                 if error_norm == 0.0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR,
-                                 _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    factor = _SAFETY * error_norm ** _ERROR_EXPONENT
+                    factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
                 if rejected:
-                    factor = min(1.0, factor)
+                    factor = factor if factor < 1.0 else 1.0
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            factor = _SAFETY * error_norm ** _ERROR_EXPONENT
+            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             rejected = True
 
         self.t = t_new
         self.y = (u_new, v_new)
         self.h_abs = h_abs
         self.f = (fu_new, fv_new)
-        self.nfev += len(_DENSE_ROWS)
+        self.nfev += _NDENSE
         self.steps.extend((t, h, u, v, u_new, v_new, *ku, fu_new, *kv, fv_new,
                            *lpsi[_INNER + 1:]))
 
@@ -643,12 +672,17 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     multiplier = 1.0
     if error_norm_old is not None and h_abs_old is not None:
         multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
-    return min(1.0, multiplier) * error_norm ** -0.25
+    return (multiplier if multiplier < 1.0 else 1.0) * error_norm ** -0.25
 
 
 def _sum_squares(*x):
-    """sum x_i^2, inf past the double range (where a float's ** 2 raises)."""
-    return sum(a * a for a in x)
+    """sum x_i^2 left to right, inf past the double range (where a float's
+    ** 2 raises); not builtins.sum, which compensates float sums from
+    Python 3.12 on (and equals this loop before)."""
+    total = 0.0
+    for a in x:
+        total += a * a
+    return total
 
 
 def _factor(M, J):
@@ -715,14 +749,16 @@ class _RadialRadau(_Stepper):
             h_abs, h_abs_old = self.h_abs, self.h_abs_old
             error_norm_old = self.error_norm_old
         J, lu_h, lu, current_jac = self.J, self.lu_h, self._lu, self.current_jac
-        su, sv = atol + abs(u) * rtol, atol + abs(v) * rtol
+        au, av, t_bound = abs(u), abs(v), self.t_bound
+        su, sv = atol + au * rtol, atol + av * rtol
 
         rejected = False
         while True:
             if h_abs < min_step:
                 self.ended = "failed"
                 return
-            t_new = min(t + h_abs, self.t_bound)
+            t_new = t + h_abs
+            t_new = t_bound if t_bound < t_new else t_new
             h = t_new - t
             h_abs = h
             radii = t + h * _RADAU_C
@@ -765,8 +801,9 @@ class _RadialRadau(_Stepper):
             r00, r01, r10, r11 = lu[0]
             eu, ev = fu + zeu, fv + zev
             eu, ev = r00 * eu + r01 * ev, r10 * eu + r11 * ev
-            eu_scale = atol + max(abs(u), abs(u_new)) * rtol
-            ev_scale = atol + max(abs(v), abs(v_new)) * rtol
+            au_new, av_new = abs(u_new), abs(v_new)
+            eu_scale = atol + (au_new if au_new > au else au) * rtol
+            ev_scale = atol + (av_new if av_new > av else av) * rtol
             error_norm = math.sqrt(_sum_squares(eu / eu_scale, ev / ev_scale) / 2)
             safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
             if rejected and error_norm > 1.0:
@@ -777,14 +814,15 @@ class _RadialRadau(_Stepper):
                 error_norm = math.sqrt(_sum_squares(eu / eu_scale, ev / ev_scale) / 2)
             if error_norm <= 1.0:
                 break
-            factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
-            h_abs *= max(_MIN_FACTOR, safety * factor)
+            factor = safety * _predict_factor(h_abs, h_abs_old, error_norm,
+                                              error_norm_old)
+            h_abs *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
             lu = None
             rejected = True
 
         recompute_jac = n_iter > 2 and rate > 1e-3
-        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
-        factor = min(_MAX_FACTOR, safety * factor)
+        factor = safety * _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = factor if factor < _MAX_FACTOR else _MAX_FACTOR
         if not recompute_jac and factor < 1.2:
             factor = 1.0
         else:
@@ -974,37 +1012,58 @@ def _radial_equations(prob, model):
     """The radial equations in the state (u, v = log(-w)).
 
     Returns (lpsi, kernel, dense_kernel, jacobian). lpsi(r) is (n-1)
-    log psi on an array of radii. The equations are written once, in
-    `equations`: u' = -exp((v - lpsi)/(p-1)), so exponentially large psi
-    never overflows, and v' = exp(lpsi + q log u - v), with u floored at
-    1e-12 alpha inside the logarithm. kernel(lpsi, u, v) -> (u', v') is
-    their instance on Python floats (math), dense_kernel the same on numpy
-    arrays, and jacobian(u, u', v') is the Jacobian at a state from its
-    derivative, on floats.
+    log psi on an array of radii. The equations are
+    u' = -exp(min((v - lpsi)/(p-1), _EXP_CAP)), so exponentially large psi
+    never overflows, and v' = exp(min(lpsi + q log max(u, u_floor) - v,
+    _EXP_CAP)), u being floored at 1e-12 alpha inside the logarithm.
+    kernel(lpsi, u, v) -> (u', v') is their instance on Python floats, with
+    builtin min(a, b) written as `b if b < a else a` and max(a, b) as
+    `b if b > a else a` (the same floats, NaN included, without a call);
+    dense_kernel is the same on numpy arrays (np.minimum, np.maximum), and
+    jacobian(u, u', v') is the Jacobian at a state from its derivative, on
+    floats.
     """
     n, q = prob.n, prob.q
     mu = 1.0 / (prob.p - 1.0)
     u_floor = _U_FLOOR * prob.alpha
+    exp, log, cap = math.exp, math.log, _EXP_CAP
 
     def lpsi(r):
         return (n - 1) * model.log_psi(r)
 
-    def equations(exp, log, minimum, maximum):
-        def kernel(lp, u, v):
-            du = -exp(minimum(mu * (v - lp), _EXP_CAP))
-            dv = exp(minimum(lp + q * log(maximum(u, u_floor)) - v, _EXP_CAP))
-            return du, dv
+    def kernel(lp, u, v):
+        du = mu * (v - lp)
+        dv = lp + q * log(u_floor if u_floor > u else u) - v
+        return -exp(cap if cap < du else du), exp(cap if cap < dv else dv)
 
-        return kernel
+    def dense_kernel(lp, u, v):
+        du = -np.exp(np.minimum(mu * (v - lp), _EXP_CAP))
+        dv = np.exp(np.minimum(lp + q * np.log(np.maximum(u, u_floor)) - v, _EXP_CAP))
+        return du, dv
 
     def jacobian(u, du, dv):
-        return [[0.0, mu * du], [q * dv / max(u, u_floor), -dv]]
+        return [[0.0, mu * du], [q * dv / (u_floor if u_floor > u else u), -dv]]
 
-    return (lpsi, equations(math.exp, math.log, min, max),
-            equations(np.exp, np.log, np.minimum, np.maximum), jacobian)
+    return lpsi, kernel, dense_kernel, jacobian
 
 
-def integrate(prob, model, config, stop=None):
+def _check_carry(prob, model, config, carry):
+    """Refuse (InvalidParameter) a carry that integrate cannot continue."""
+    if carry.termination != "stopped":
+        raise InvalidParameter(f"only a stopped run can be continued; this "
+                               f"one ended {carry.termination!r}")
+    r_last = carry.r_last
+    if r_last not in model.joins():
+        raise InvalidParameter(f"the carry ends at r={r_last!r}, which is not "
+                               "a join of the model")
+    if carry.problem.to_dict() != prob.to_dict():
+        raise InvalidParameter(f"the carry solves {carry.problem!r}, not {prob!r}")
+    if not config.r_max > r_last:
+        raise InvalidParameter(f"horizon {config.r_max:g} is not past the "
+                               f"carry's last radius {r_last:g}")
+
+
+def integrate(prob, model, config, stop=None, carry=None):
     """Integrate the radial problem from the pole to config.r_max.
 
     State variables are (u, log(-w)), with the equations of
@@ -1015,6 +1074,16 @@ def integrate(prob, model, config, stop=None):
     crosses the floor), or where stop(r, u) holds ("stopped", on that step
     end). Each piece runs on _RadialDOP853; a piece on which it stops for
     stiffness is finished by Radau.
+
+    Given the Carry of a stopped run of the same problem (solution.carry)
+    whose last radius is a join of `model`, the run starts there instead:
+    it keeps the carry's dense output, skips series_startup, and goes on from
+    the carried state as at any join, DOP853 starting from the carry's
+    last accepted step. Where `model` equals the carry's model below that
+    join (Glued.extended keeps those evaluations bit-identical), the
+    solution is, to the bit, that of a run from the pole on `model` with
+    the carry's startup radius. Any other carry is refused with
+    InvalidParameter, as is a horizon not past the carry's last radius.
     """
     if config.r_max > model.valid_to:
         raise GeometryOverflow(
@@ -1022,9 +1091,6 @@ def integrate(prob, model, config, stop=None):
             f"{model.valid_to:g}"
         )
     u_floor = _U_FLOOR * prob.alpha
-    r0 = min(default_startup_radius(prob), 0.01 * config.r_max)
-    u0, w0 = series_startup(prob, model, r0)
-    v0 = math.log(-w0)
     lpsi, kernel, dense_kernel, jacobian = _radial_equations(prob, model)
 
     def ends_run(r, u):
@@ -1034,12 +1100,20 @@ def integrate(prob, model, config, stop=None):
         if stop is not None and stop(r, u):
             return "stopped"
 
+    # the first piece starts at the r/10 cap; a join, a carry and the
+    # hand-off to Radau from the last accepted step
+    if carry is None:
+        start = min(default_startup_radius(prob), 0.01 * config.r_max)
+        u0, w0 = series_startup(prob, model, start)
+        y0, h, pieces = (u0, math.log(-w0)), math.inf, []
+    else:
+        _check_carry(prob, model, config, carry)
+        start, y0, h, pieces = carry.r_last, carry.y, carry.h, [carry.dense.piece()]
     # one stepper run per smooth piece of the model: a step across a join,
     # where derivatives of psi past psi'' jump, is accepted at the knots
     # but its dense output is not (1.6e-10 against 7e-13 in u next to the
     # first join of the oscillating construction)
-    ends = [j for j in model.joins() if r0 < j < config.r_max] + [config.r_max]
-    pieces = []
+    ends = [j for j in model.joins() if start < j < config.r_max] + [config.r_max]
 
     def run(method, start, end, y0, **options):
         sol = solve_ivp(method, (start, end), y0, rtol=config.rel_tol,
@@ -1050,9 +1124,6 @@ def integrate(prob, model, config, stop=None):
                                    "size below the float spacing")
         return sol
 
-    # the first piece starts at the r/10 cap, a join and the hand-off to
-    # Radau from the last accepted step
-    start, y0, h = r0, [u0, v0], math.inf
     for end in ends:
         sol = run(_RadialDOP853, start, end, y0, first_step=min(h, end - start))
         pieces.append(sol.piece(dense_kernel))
@@ -1066,7 +1137,8 @@ def integrate(prob, model, config, stop=None):
     if sol.ended == "underflow":
         _trim_to_underflow(pieces[-1], u_floor)
     termination = "reached-horizon" if sol.ended == "end" else sol.ended
-    return RadialSolution(prob, model, config, pieces, termination)
+    return RadialSolution(model, config, Carry(prob, termination, _DenseTable(pieces),
+                                               sol.y, sol.t[-1] - sol.t[-2]))
 
 
 def _flux_integrals(sol, idx, v_b):

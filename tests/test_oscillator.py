@@ -81,6 +81,18 @@ def test_triggers_match_independent_reference(oscillation):
         start = entry["r"]
 
 
+def test_continued_stages_equal_a_solve_from_the_pole(oscillation):
+    """Every stage after the first continues the previous stage's run from
+    its trigger; the returned solution is, to the bit, one integrate run
+    from the pole on the final model up to the last trigger."""
+    model, sol, cert = oscillation.model, oscillation.sol, oscillation.cert
+    fresh = pl.integrate(pl.Problem(3, 2, 5, 1), model,
+                         pl.SolverConfig(cert.stages[-1]["r"]))
+    for a, b in [(fresh.r, sol.r), (fresh.u, sol.u), (fresh.du, sol.du),
+                 (fresh.w, sol.w), (fresh._dense._table, sol._dense._table)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_certificate_structure(oscillation):
     cert = oscillation.cert
     assert len(cert.stages) == 4

@@ -656,6 +656,91 @@ def test_stop_ends_run_at_first_step_end(oscillation):
     assert np.all(osc._dense.coef[:4, :, -1] == 0.0)
 
 
+def _stopped_on_euclidean():
+    """(prob, run, glued): the flat run at (3, 2, 5, 1) stopped at the first
+    step end where u < 1/2, and a glued model that turns hyperbolic there."""
+    prob = pl.Problem(3, 2.0, 5.0, 1.0)
+    run = pl.integrate(prob, pl.make_model("euclidean"), pl.SolverConfig(50.0),
+                       stop=lambda r, u: u < 0.5)
+    glued = models.as_glued(pl.make_model("euclidean")).extended(
+        run.r_last, 20.0, 0.0, 1.0, 0.5)
+    return prob, run, glued
+
+
+def test_continued_run_equals_run_from_the_pole():
+    """integrate(carry=) goes on from a stopped run whose last radius is a
+    join of the model, keeping its steps; the solution is, to the bit, the
+    run from the pole on that model."""
+    prob, run, glued = _stopped_on_euclidean()
+    assert run.termination == "stopped" and glued.joins() == (run.r_last,)
+    continued = pl.integrate(prob, glued, pl.SolverConfig(10.0), carry=run.carry)
+    fresh = pl.integrate(prob, glued, pl.SolverConfig(10.0))
+    assert continued.termination == fresh.termination == "reached-horizon"
+    for a, b in [(continued.r, fresh.r), (continued.u, fresh.u), (continued.du, fresh.du),
+                 (continued.w, fresh.w), (continued._dense._table, fresh._dense._table)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    with pytest.raises(pl.InvalidParameter, match="not past"):
+        pl.integrate(prob, glued, pl.SolverConfig(run.r_last), carry=run.carry)
+
+
+def test_carry_refused_unless_stopped():
+    prob, _, glued = _stopped_on_euclidean()
+    full = pl.integrate(prob, pl.make_model("euclidean"), pl.SolverConfig(5.0))
+    assert full.termination == "reached-horizon"
+    with pytest.raises(pl.InvalidParameter, match="only a stopped run"):
+        pl.integrate(prob, glued, pl.SolverConfig(10.0), carry=full.carry)
+
+
+def test_carry_refused_off_a_join():
+    prob, run, glued = _stopped_on_euclidean()
+    with pytest.raises(pl.InvalidParameter, match="not a join"):
+        pl.integrate(prob, pl.make_model("euclidean"), pl.SolverConfig(10.0),
+                     carry=run.carry)
+    later = models.as_glued(pl.make_model("euclidean")).extended(
+        run.r_last + 1.0, 20.0, 0.0, 1.0, 0.5)
+    with pytest.raises(pl.InvalidParameter, match="not a join"):
+        pl.integrate(prob, later, pl.SolverConfig(10.0), carry=run.carry)
+
+
+def test_carry_refused_for_another_problem():
+    prob, run, glued = _stopped_on_euclidean()
+    for other in (pl.Problem(3, 2.0, 5.0, 2.0), pl.Problem(3, 2.0, 7.0, 1.0)):
+        with pytest.raises(pl.InvalidParameter, match="the carry solves"):
+            pl.integrate(other, glued, pl.SolverConfig(10.0), carry=run.carry)
+
+
+def test_float_kernel_matches_builtin_min_max():
+    """The float kernel and Jacobian write builtin min and max as conditional
+    expressions; they return the floats of a reference on min and max, bit
+    for bit, past the exponent cap, below the underflow floor and with NaN
+    in lpsi, u or v."""
+    prob = pl.Problem(3, 2.0, 5.0, 2.0)
+    _, kernel, _, jacobian = solver._radial_equations(prob, pl.make_model("euclidean"))
+    mu, q, cap = 1.0 / (prob.p - 1.0), prob.q, models._EXP_CAP
+    u_floor = solver._U_FLOOR * prob.alpha
+
+    def reference(lp, u, v):
+        du = -math.exp(min(mu * (v - lp), cap))
+        dv = math.exp(min(lp + q * math.log(max(u, u_floor)) - v, cap))
+        return du, dv, [[0.0, mu * du], [q * dv / max(u, u_floor), -dv]]
+
+    def bits(du, dv, J):
+        return np.array([du, dv, *J[0], *J[1]]).tobytes()
+
+    nan, inf = math.nan, math.inf
+    capped = nan_seen = floored = 0
+    for lp in (0.0, 2.0, -750.0, 1500.0, inf, nan):
+        for u in (2.0, 0.3, u_floor, 0.5 * u_floor, 1e-300, 0.0, -1.0, nan):
+            for v in (-5.0, 0.0, 800.0, -900.0, nan):
+                du, dv, J = reference(lp, u, v)
+                ours = kernel(lp, u, v)
+                assert bits(*ours, jacobian(u, *ours)) == bits(du, dv, J)
+                capped += -du == math.exp(cap) or dv == math.exp(cap)
+                nan_seen += math.isnan(du) or math.isnan(dv)
+                floored += u < u_floor
+    assert capped and nan_seen and floored
+
+
 def test_embedded_constants_equal_scipy():
     """Every tableau constant the steppers embed is scipy's float: the DOP853
     rows below the diagonal (row 12 of A is B, and nothing lies on or above
