@@ -355,7 +355,6 @@ def energy_divergence_probe(sol, profile, report=None):
     E_vals = np.interp(radii, report.r, report.E)
     if profile.tail_converged:
         ratios = [float(E_vals[i + 1] / E_vals[i]) for i in range(3)]
-        # reference growth trend from the volume primitive f = I
         # reference growth trend f^{(2p-1)/(p-1)} / (f')^{p/(p-1)} with
         # f = I, carried in log form since both factors overflow doubles
         mu = (2 * prob.p - 1.0) / (prob.p - 1.0)

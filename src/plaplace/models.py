@@ -165,9 +165,9 @@ class ExpPower(ModelFunction):
     kind = "exppower"
 
     def __init__(self, c, m):
-        if not (c > 0):
-            raise InvalidParameter(f"exppower requires c > 0, got c={c}")
-        if int(m) != m or m < 2:
+        if not (0 < c < math.inf):
+            raise InvalidParameter(f"exppower requires finite c > 0, got c={c}")
+        if not (2 <= m < math.inf) or int(m) != m:
             raise InvalidParameter(f"exppower requires integer m >= 2, got m={m}")
         self.c = float(c)
         self.m = int(m)
@@ -195,8 +195,8 @@ class PowerLike(ModelFunction):
     kind = "powerlike"
 
     def __init__(self, k):
-        if not (k >= 1):
-            raise InvalidParameter(f"powerlike requires k >= 1, got k={k}")
+        if not (1 <= k < math.inf):
+            raise InvalidParameter(f"powerlike requires finite k >= 1, got k={k}")
         self.k = float(k)
 
     def params(self):
@@ -227,8 +227,8 @@ class ExpGamma(ModelFunction):
     kind = "expgamma"
 
     def __init__(self, c, gamma):
-        if not (c > 0):
-            raise InvalidParameter(f"expgamma requires c > 0, got c={c}")
+        if not (0 < c < math.inf):
+            raise InvalidParameter(f"expgamma requires finite c > 0, got c={c}")
         if not (0.0 < gamma < 1.0):
             raise InvalidParameter(f"expgamma requires gamma in (0,1), got {gamma}")
         self.c = float(c)
@@ -569,7 +569,7 @@ def audit_model(model):
 
     r0 = 1e-8
     p0, d0, _ = model.eval(r0)
-    if abs(p0 / r0 - 1.0) > 1e-5 or abs(d0 - 1.0) > 1e-5:
+    if not (abs(p0 / r0 - 1.0) <= 1e-5 and abs(d0 - 1.0) <= 1e-5):
         raise InvalidParameter(
             f"{model!r} violates psi(0)=0, psi'(0)=1 (psi/r={p0 / r0:.6g}, "
             f"psi'={d0:.6g} at r={r0:g})"
@@ -942,6 +942,8 @@ def safe_horizon(model, n):
         lo *= 0.5
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # no later step moves either end
+            break
         if model.log_psi(mid) > limit:
             hi = mid
         else:
@@ -964,7 +966,7 @@ def geometry_profile(model, n, p, R):
     cumulative quadratures of functions the model evaluates as arrays; see
     GeometryProfile for the panel rule and the range it covers.
     """
-    if n < 2 or int(n) != n:
+    if not (2 <= n < math.inf) or int(n) != n:
         raise InvalidParameter(f"dimension n must be an integer >= 2, got {n}")
     if not (1.0 < p < n):
         raise InvalidParameter(f"p must lie in (1, n), got p={p}")

@@ -166,13 +166,13 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     r >= previous trigger + 1 and u < 2^-s, which cost nothing, then
     StagePlan.fires with J from the profile. The trigger is the step end
     where the run stopped. Stage 0 runs from the pole; every later stage
-    continues from the previous stage's carry (solver.Carry: its dense
-    output, the state at its trigger and its last step), since the
-    extension keeps the model below the trigger bit-identical and makes
-    the trigger a join, where the solver restarts its stepper anyway. So
-    no step is taken twice, only the carry outlives a stage, and the
-    returned solution, the last stage's, is to the bit a run from the pole
-    on the final model; every trigger is one of its knots. Each trigger is logged at INFO as
+    continues the previous stage's solution (integrate(carry=sol)), since
+    the extension keeps the model below the trigger bit-identical and
+    makes the trigger a join, where the solver restarts its stepper
+    anyway. So no step is taken twice, no stage builds rows (it reads
+    r_last, u there and the dense output), and the returned solution, the
+    last stage's, is to the bit a run from the pole on the final model;
+    every trigger is one of its knots. Each trigger is logged at INFO as
     it fires, with its index, kind, r, Q, u, the solution's accepted steps
     so far and the seconds elapsed since the construction began.
 
@@ -195,7 +195,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     began = time.perf_counter()
     model = models.as_glued(models.Euclidean())
     r_here, J_here = 0.0, 0.0
-    carry = None
+    sol = None
     stage_log = []
     for s_idx in range(stages):
         plan = StagePlan(s_idx, n, p, q, rate_scale)
@@ -215,7 +215,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
                                    float(model.log_psi(r))))
 
         sol = solver.integrate(prob, model, solver.SolverConfig(r_max=r_stop),
-                               stop=stop, carry=carry)
+                               stop=stop, carry=sol)
         r_here = sol.r_last
         u = sol.eval_u(r_here)
         J_here = float(prof.J(r_here))
@@ -237,8 +237,6 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
         _log.info("stage %d (%s) fired at r=%r: Q=%r, u=%r; %d accepted "
                   "steps, %.3f s elapsed", s_idx, plan.kind, r_here, Q, u,
                   len(sol._dense.h), time.perf_counter() - began)
-        if s_idx < stages - 1:
-            carry, sol = sol.carry, None
 
     cert = OscillationCertificate(n, p, q, alpha, t_low, t_high, stage_log)
     return model, sol, cert

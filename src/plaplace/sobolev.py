@@ -69,7 +69,7 @@ class AubinTalenti:
     """The explicit Euclidean extremal profile a (b + r^{p/(p-1)})^{-(n-p)/p}."""
 
     def __init__(self, n, p, a=1.0, b=1.0):
-        if int(n) != n or n < 2 or not (1.0 < p < n):
+        if not (2 <= n < math.inf) or int(n) != n or not (1.0 < p < n):
             raise InvalidParameter(f"need integer n >= 2 and p in (1, n)")
         if a == 0 or not (0 < b < math.inf):
             raise InvalidParameter("need amplitude a != 0 and finite scale b > 0")

@@ -52,11 +52,12 @@ ends "stiff" on DOP853 is finished on Radau, and the solution ends at the
 first accepted step end (r, u) where u has fallen to the underflow floor
 ("underflow"; the crossing is then located on the last step's dense output
 by scipy's event rule, Brent's method in _brent_root) or where the
-caller's predicate stop(r, u) holds ("stopped"). A stopped solution's
-Carry lets integrate continue it past a join at its last radius, as the
+caller's predicate stop(r, u) holds ("stopped"). integrate(carry=)
+continues a stopped solution past a join at its last radius, as the
 staged oscillating construction does, without retaking its steps.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -103,7 +104,7 @@ class Problem:
     """
 
     def __init__(self, n, p, q, alpha):
-        if int(n) != n or n < 2:
+        if not (2 <= n < math.inf) or int(n) != n:
             raise InvalidParameter(f"n must be an integer >= 2, got {n}")
         if not (1.0 < p < n):
             raise InvalidParameter(f"p must lie in (1, n), got {p}")
@@ -242,53 +243,47 @@ def _row_radii(dense, u_min, tol=ROW_TOL):
         k[low] = np.ceil(1.1 * k[low] * np.sqrt(worst[low])).astype(int)
 
 
-class Carry:
-    """The end of an integrate run, from which integrate(carry=) goes on:
-    its problem, why it ended (`termination`), its dense output `dense`
-    (a _DenseTable from the startup radius to r_last), the state
-    y = (u, v = log(-w)) at r_last and the run's last accepted step h."""
-
-    def __init__(self, prob, termination, dense, y, h):
-        self.problem = prob
-        self.termination = termination
-        self.dense = dense
-        self.y, self.h = y, h
-
-    @property
-    def r_last(self):
-        return float(self.dense.ts[-1])
-
-
 class RadialSolution:
     """Trajectory of one radial problem, read from the steppers' dense output.
 
-    Inside [r_1, r_last], r_1 being the startup radius, u and v = log(-w)
-    are the steppers' dense output and u', w follow from v; on (0, r_1)
-    they are the pole series that started the run (series_startup). The
-    rows r, u, du, w (prepended with r = 0) are values of the same
-    evaluation at radii spaced so that linear interpolation of u between
-    neighbouring rows is within ROW_TOL |u|. `carry` is the run's Carry.
+    Inside [r_1, r_last], the startup radius and the last radius, u and
+    v = log(-w) are the steppers' dense output `_dense` (knots r_1 to
+    r_last) and u', w follow from v; on (0, r_1) they are the pole series
+    that started the run (series_startup). The rows r, u, du, w (prepended
+    with r = 0), built on the first read of any of them, are values of the
+    same evaluation at radii spaced so that linear interpolation of u
+    between neighbouring rows is within ROW_TOL |u|. `_y` and `_h`, the
+    state (u, v) at r_last and the run's last accepted step, are what
+    integrate(carry=) goes on from.
     """
 
-    def __init__(self, model, config, carry):
-        prob = carry.problem
+    def __init__(self, prob, model, config, termination, dense, y, h):
         self.problem = prob
         self.model = model
         self.config = config
-        self.carry = carry
-        self.termination = carry.termination
+        self.termination = termination
+        self._dense = dense
+        self._y, self._h = y, h
         self._u_min = _U_FLOOR * prob.alpha
-        self._dense = carry.dense
+
+    @functools.cached_property
+    def _rows(self):
+        """The rows (r, u, du, w); NonMonotone where u rises along them."""
+        alpha = self.problem.alpha
         rows = _row_radii(self._dense, self._u_min)
         u, v = self._dense(rows)
         u = np.maximum(u, self._u_min)
         du, w = self._derived(rows, v)
-        self.r = np.concatenate([[0.0], rows])
-        self.u = np.concatenate([[prob.alpha], u])
-        self.du = np.concatenate([[0.0], du])
-        self.w = np.concatenate([[0.0], w])
-        if np.any(np.diff(self.u) > 1e-14 * prob.alpha):
+        u = np.concatenate([[alpha], u])
+        if np.any(np.diff(u) > 1e-14 * alpha):
             raise NonMonotone("computed u fails to decrease along the grid")
+        return (np.concatenate([[0.0], rows]), u, np.concatenate([[0.0], du]),
+                np.concatenate([[0.0], w]))
+
+    r = property(lambda self: self._rows[0])
+    u = property(lambda self: self._rows[1])
+    du = property(lambda self: self._rows[2])
+    w = property(lambda self: self._rows[3])
 
     def _derived(self, r, v):
         """(u', w) from v = log(-w); psi^{n-1} enters through its logarithm.
@@ -311,9 +306,10 @@ class RadialSolution:
         At the pole u = alpha and v = -inf (w = 0) exactly.
         """
         r = np.asarray(r, dtype=float)
-        if np.any(r < 0.0) or np.any(r > self.r[-1] * (1 + 1e-12)):
-            raise OutOfRange(f"radius outside [0, {self.r[-1]:g}]")
-        inside = r >= self.r[1]
+        r_first, r_last = self._dense.ts[[0, -1]]
+        if np.any(r < 0.0) or np.any(r > r_last * (1 + 1e-12)):
+            raise OutOfRange(f"radius outside [0, {r_last:g}]")
+        inside = r >= r_first
         if np.all(inside):
             u, v = self._dense(r)
         else:
@@ -333,7 +329,7 @@ class RadialSolution:
 
     @property
     def r_last(self):
-        return float(self.r[-1])
+        return float(self._dense.ts[-1])
 
     def eval_u(self, r):
         return _scalar_or_array(self._uv(r)[0])
@@ -1073,12 +1069,13 @@ def integrate(prob, model, config, stop=None, carry=None):
     and the last radius is moved back to where the dense output of u
     crosses the floor), or where stop(r, u) holds ("stopped", on that step
     end). Each piece runs on _RadialDOP853; a piece on which it stops for
-    stiffness is finished by Radau.
+    stiffness is finished by Radau. The solution's rows are not built
+    here: NonMonotone is raised by their first read, not by integrate.
 
-    Given the Carry of a stopped run of the same problem (solution.carry)
-    whose last radius is a join of `model`, the run starts there instead:
-    it keeps the carry's dense output, skips series_startup, and goes on from
-    the carried state as at any join, DOP853 starting from the carry's
+    Given as `carry` a stopped RadialSolution of the same problem whose
+    last radius is a join of `model`, the run starts there instead: it
+    keeps the carry's dense output, skips series_startup, and goes on from
+    the carry's state as at any join, DOP853 starting from the carry's
     last accepted step. Where `model` equals the carry's model below that
     join (Glued.extended keeps those evaluations bit-identical), the
     solution is, to the bit, that of a run from the pole on `model` with
@@ -1108,7 +1105,7 @@ def integrate(prob, model, config, stop=None, carry=None):
         y0, h, pieces = (u0, math.log(-w0)), math.inf, []
     else:
         _check_carry(prob, model, config, carry)
-        start, y0, h, pieces = carry.r_last, carry.y, carry.h, [carry.dense.piece()]
+        start, y0, h, pieces = carry.r_last, carry._y, carry._h, [carry._dense.piece()]
     # one stepper run per smooth piece of the model: a step across a join,
     # where derivatives of psi past psi'' jump, is accepted at the knots
     # but its dense output is not (1.6e-10 against 7e-13 in u next to the
@@ -1137,8 +1134,8 @@ def integrate(prob, model, config, stop=None, carry=None):
     if sol.ended == "underflow":
         _trim_to_underflow(pieces[-1], u_floor)
     termination = "reached-horizon" if sol.ended == "end" else sol.ended
-    return RadialSolution(model, config, Carry(prob, termination, _DenseTable(pieces),
-                                               sol.y, sol.t[-1] - sol.t[-2]))
+    return RadialSolution(prob, model, config, termination, _DenseTable(pieces),
+                          sol.y, sol.t[-1] - sol.t[-2])
 
 
 def _flux_integrals(sol, idx, v_b):

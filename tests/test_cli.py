@@ -75,6 +75,7 @@ def test_subcritical_q_exits_2(tmp_path):
 _SOLVE = ("solve", "--model", "hyperbolic", "--n", "3", "--p", "2")
 _QUOTIENT = ("quotient", "--model", "hyperbolic", "--n", "3", "--p", "2", "--b")
 _SWEEP = ("sweep", "--model", "hyperbolic", "--n", "3", "--p", "2")
+_CLASSIFY = ("classify", "--n", "3", "--p", "2", "--model")
 
 
 @pytest.mark.parametrize("argv", [
@@ -89,14 +90,22 @@ _SWEEP = ("sweep", "--model", "hyperbolic", "--n", "3", "--p", "2")
     _QUOTIENT + ("1,x",),
     _QUOTIENT + (",",),
     _SWEEP + ("--alpha", "1,y", "--q", "5"),
+    _CLASSIFY + ("exppower:c=1,m=inf",),
+    _CLASSIFY + ("exppower:c=1,m=nan",),
+    _CLASSIFY + ("exppower:c=inf,m=3",),
+    _CLASSIFY + ("expgamma:c=inf,gamma=0.5",),
+    _CLASSIFY + ("powerlike:k=inf",),
 ], ids=lambda argv: " ".join(argv[-2:]))
-def test_non_finite_or_malformed_arguments_exit_2(tmp_path, argv):
-    """Non-finite numbers and unparsable or empty comma lists are argument
-    errors, refused before any integration starts (a NaN tolerance or an
-    infinite horizon otherwise never returns, and a NaN horizon exits 0)."""
+def test_non_finite_or_malformed_arguments_exit_2(tmp_path, capsys, argv):
+    """Non-finite numbers (model parameters among them) and unparsable or
+    empty comma lists are argument errors, refused before any integration
+    starts (a NaN tolerance or an infinite horizon otherwise never
+    returns, and a NaN horizon exits 0), with an `error: argument:` line
+    in place of a traceback."""
     start = time.perf_counter()
     assert run_cli(tmp_path, *argv) == 2
     assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: argument:")
 
 
 def test_classify_verdicts(tmp_path):

@@ -126,6 +126,28 @@ def test_invalid_model_parameters():
         pl.make_model("powerlike:k=0.5")
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_dimension_is_invalid(bad):
+    """Every integer test on n refuses inf and NaN as InvalidParameter,
+    before int() could raise OverflowError or ValueError."""
+    with pytest.raises(pl.InvalidParameter):
+        pl.Problem(bad, 2.0, 5.0, 1.0)
+    with pytest.raises(pl.InvalidParameter):
+        pl.geometry_profile(pl.make_model("euclidean"), bad, 2.0, 10.0)
+    with pytest.raises(pl.InvalidParameter):
+        pl.AubinTalenti(bad, 2.0)
+
+
+def test_audit_refuses_nan_at_the_pole():
+    """The psi(0) = 0, psi'(0) = 1 audit fails NaN: an infinite c makes
+    psi/r NaN at r = 1e-8 on expgamma."""
+    model = models.ExpGamma(1.0, 0.5)
+    model.c = math.inf
+    with np.errstate(invalid="ignore"), pytest.raises(pl.InvalidParameter,
+                                                      match="violates"):
+        pl.audit_model(model)
+
+
 # ---------------------------------------------------------------------------
 # gluing
 # ---------------------------------------------------------------------------
@@ -672,6 +694,36 @@ def test_safe_horizon_bounds():
     assert (3 - 1) * hy.log_psi(R) < 700.0
     eu = pl.make_model("euclidean")
     assert pl.safe_horizon(eu, 3) == 1e8
+
+
+@pytest.mark.parametrize("descriptor", ["euclidean", "hyperbolic", "exppower:c=1,m=3",
+                                        "powerlike:k=2", "expgamma:c=1,gamma=0.5"])
+def test_safe_horizon_equals_fixed_bisection(descriptor):
+    """safe_horizon stops bisecting once the midpoint equals an end, and
+    returns the float of a bisection run a fixed 200 times, in fewer than
+    100 log_psi calls."""
+    model = pl.make_model(descriptor)
+    for n in (3, 4, 5):
+        limit = (models._EXP_CAP - models._HORIZON_MARGIN) / (n - 1)
+        lo, hi = 1.0, min(model.valid_to, 1e8)
+        if model.log_psi(hi) <= limit:
+            expected = hi
+        else:
+            while model.log_psi(lo) > limit:
+                lo *= 0.5
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if model.log_psi(mid) > limit:
+                    hi = mid
+                else:
+                    lo = mid
+            expected = lo
+        calls = []
+        log_psi = model.log_psi
+        model.log_psi = lambda r: calls.append(r) or log_psi(r)
+        assert pl.safe_horizon(model, n) == expected
+        assert len(calls) < 100
+        del model.log_psi
 
 
 def test_profile_export_csv(tmp_path, hy_run):

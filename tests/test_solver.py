@@ -15,7 +15,7 @@ from scipy.linalg import lu_factor
 from scipy.optimize import brentq
 
 import plaplace as pl
-from plaplace import dense, models, quadrature, solver
+from plaplace import cli, dense, models, quadrature, solver
 
 
 def test_problem_validation():
@@ -673,14 +673,14 @@ def test_continued_run_equals_run_from_the_pole():
     run from the pole on that model."""
     prob, run, glued = _stopped_on_euclidean()
     assert run.termination == "stopped" and glued.joins() == (run.r_last,)
-    continued = pl.integrate(prob, glued, pl.SolverConfig(10.0), carry=run.carry)
+    continued = pl.integrate(prob, glued, pl.SolverConfig(10.0), carry=run)
     fresh = pl.integrate(prob, glued, pl.SolverConfig(10.0))
     assert continued.termination == fresh.termination == "reached-horizon"
     for a, b in [(continued.r, fresh.r), (continued.u, fresh.u), (continued.du, fresh.du),
                  (continued.w, fresh.w), (continued._dense._table, fresh._dense._table)]:
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
     with pytest.raises(pl.InvalidParameter, match="not past"):
-        pl.integrate(prob, glued, pl.SolverConfig(run.r_last), carry=run.carry)
+        pl.integrate(prob, glued, pl.SolverConfig(run.r_last), carry=run)
 
 
 def test_carry_refused_unless_stopped():
@@ -688,25 +688,73 @@ def test_carry_refused_unless_stopped():
     full = pl.integrate(prob, pl.make_model("euclidean"), pl.SolverConfig(5.0))
     assert full.termination == "reached-horizon"
     with pytest.raises(pl.InvalidParameter, match="only a stopped run"):
-        pl.integrate(prob, glued, pl.SolverConfig(10.0), carry=full.carry)
+        pl.integrate(prob, glued, pl.SolverConfig(10.0), carry=full)
 
 
 def test_carry_refused_off_a_join():
     prob, run, glued = _stopped_on_euclidean()
     with pytest.raises(pl.InvalidParameter, match="not a join"):
         pl.integrate(prob, pl.make_model("euclidean"), pl.SolverConfig(10.0),
-                     carry=run.carry)
+                     carry=run)
     later = models.as_glued(pl.make_model("euclidean")).extended(
         run.r_last + 1.0, 20.0, 0.0, 1.0, 0.5)
     with pytest.raises(pl.InvalidParameter, match="not a join"):
-        pl.integrate(prob, later, pl.SolverConfig(10.0), carry=run.carry)
+        pl.integrate(prob, later, pl.SolverConfig(10.0), carry=run)
 
 
 def test_carry_refused_for_another_problem():
     prob, run, glued = _stopped_on_euclidean()
     for other in (pl.Problem(3, 2.0, 5.0, 2.0), pl.Problem(3, 2.0, 7.0, 1.0)):
         with pytest.raises(pl.InvalidParameter, match="the carry solves"):
-            pl.integrate(other, glued, pl.SolverConfig(10.0), carry=run.carry)
+            pl.integrate(other, glued, pl.SolverConfig(10.0), carry=run)
+
+
+def test_rows_are_built_on_first_read(monkeypatch):
+    """A solution builds its rows the first time r, u, du or w is read, and
+    once: the staged construction, which reads each stage's last radius, u
+    there and its dense output, builds none, and eval_u and eval_du read
+    the dense output without them."""
+    calls = []
+    row_radii = solver._row_radii
+    monkeypatch.setattr(solver, "_row_radii",
+                        lambda *args: calls.append(args) or row_radii(*args))
+    _, sol, _ = pl.construct(3, 2.0, 5.0, 1.0, 4)
+    assert len(calls) == 0
+    r = sol.r
+    assert len(calls) == 1
+    assert sol.r is r and len(sol.u) == len(sol.du) == len(sol.w) == len(r)
+    assert len(calls) == 1
+    run = pl.integrate(pl.Problem(3, 2.0, 5.0, 1.0), pl.make_model("euclidean"),
+                       pl.SolverConfig(20.0))
+    run.eval_u(np.linspace(0.0, run.r_last, 7))
+    run.eval_du(1.0)
+    assert len(calls) == 1
+
+
+def _tilted(sol, slope=1.0):
+    """sol with slope * r added to u on its dense table (y_old and the
+    first coefficient row of every step), so that u rises past the pole."""
+    table = sol._dense
+    table.y_old[:, 0] += slope * table.t_old
+    table.coef[6, 0] += slope * table.h
+    return sol
+
+
+def test_non_monotone_rows_raise_on_first_read(tmp_path, monkeypatch, capsys):
+    """A u that rises between two rows raises NonMonotone on the first read
+    of the rows (and on every read after), not in integrate; solve exits 3."""
+    prob, model = pl.Problem(3, 2.0, 5.0, 1.0), pl.make_model("euclidean")
+    sol = _tilted(pl.integrate(prob, model, pl.SolverConfig(20.0)))
+    assert sol.eval_u(sol.r_last) > sol.eval_u(1.0)
+    for _ in range(2):
+        with pytest.raises(pl.NonMonotone):
+            sol.u
+    integrate = solver.integrate
+    monkeypatch.setattr(solver, "integrate", lambda *args: _tilted(integrate(*args)))
+    code = cli.main(["--out", str(tmp_path), "solve", "--model", "euclidean",
+                     "--n", "3", "--p", "2", "--q", "5", "--alpha", "1", "--rmax", "20"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("error: solver: NonMonotone")
 
 
 def test_float_kernel_matches_builtin_min_max():
