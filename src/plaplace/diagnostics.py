@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import extrapolate, runio
-from .models import GeometryOverflow
+from .models import GeometryOverflow, detect_regime
 from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
@@ -253,23 +253,20 @@ def q_limit_constant(p, q):
     return ex ** ex
 
 
-def asymptotic_ratio_sc(sol, profile, regime=None):
+def asymptotic_ratio_sc(sol, profile):
     """Dyadic Q samples, extrapolated limit, deviation from the sharp value.
 
     Only meaningful in regimes where the decay law is proven; refuses
     otherwise (in particular whenever the liminf failure condition holds,
     e.g. the power-like gamma = 1 case).
     """
-    from .models import detect_regime
-
     _check_pair(sol, profile)
     if profile.tail_converged:
         raise RegimeMismatch(
             "geometry is p-stochastically incomplete: u plateaus and the "
             "sharp decay ratio has no limit"
         )
-    if regime is None:
-        regime = detect_regime(profile)
+    regime = detect_regime(profile)
     if not regime.supports_decay_law():
         raise RegimeMismatch(
             f"sharp decay limit not available in regime {regime.name!r}"
@@ -387,22 +384,19 @@ def energy_divergence_probe(sol, profile, report=None):
     }
 
 
-def lemma_limit_checks(sol, profile, regime=None):
+def lemma_limit_checks(sol, profile):
     """Convergence diagnostics for the two auxiliary asymptotic limits.
 
     ratio_a(r) = u'(r) psi(r) / (u(r) psi'(r))                    -> 0
     ratio_b(r) = (-u') u^{-q/(p-1)} (psi'/psi)^{1/(p-1)}  -> (1/(n-1))^{1/(p-1)}
     """
-    from .models import detect_regime
-
     _check_pair(sol, profile)
     if profile.tail_converged:
         raise RegimeMismatch(
             "geometry is p-stochastically incomplete: the auxiliary limits "
             "concern decaying solutions"
         )
-    if regime is None:
-        regime = detect_regime(profile)
+    regime = detect_regime(profile)
     if not regime.supports_decay_law():
         raise RegimeMismatch(
             f"auxiliary limits not proven in regime {regime.name!r}"

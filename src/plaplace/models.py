@@ -24,7 +24,6 @@ construction reads its J from the same profile.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -78,6 +77,7 @@ class ModelFunction:
     """
 
     kind = "abstract"
+    parameters = ()  # the constructor's keywords: with kind, all that names the model
     valid_to = math.inf
 
     def log_psi(self, r):
@@ -107,7 +107,7 @@ class ModelFunction:
         return psi, self.slope_ratio(r) * psi, self.curvature_ratio(r) * psi
 
     def params(self):
-        return {}
+        return {name: getattr(self, name) for name in self.parameters}
 
     def joins(self):
         """Radii where psi changes formula; smooth everywhere by default."""
@@ -116,9 +116,6 @@ class ModelFunction:
     def descriptor(self):
         """JSON-serializable {kind, params} descriptor."""
         return {"kind": self.kind, "params": self.params()}
-
-    def to_json(self):
-        return json.dumps(self.descriptor(), sort_keys=True)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params().items())
@@ -163,6 +160,7 @@ class ExpPower(ModelFunction):
     """psi(r) = r * exp(c r^m): super-exponential growth, c > 0, integer m >= 2."""
 
     kind = "exppower"
+    parameters = ("c", "m")
 
     def __init__(self, c, m):
         if not (0 < c < math.inf):
@@ -171,9 +169,6 @@ class ExpPower(ModelFunction):
             raise InvalidParameter(f"exppower requires integer m >= 2, got m={m}")
         self.c = float(c)
         self.m = int(m)
-
-    def params(self):
-        return {"c": self.c, "m": self.m}
 
     def log_psi(self, r):
         r = np.asarray(r, dtype=float)
@@ -193,14 +188,12 @@ class PowerLike(ModelFunction):
     """psi(r) = r (1+r^2)^((k-1)/2): polynomial growth of degree k >= 1."""
 
     kind = "powerlike"
+    parameters = ("k",)
 
     def __init__(self, k):
         if not (1 <= k < math.inf):
             raise InvalidParameter(f"powerlike requires finite k >= 1, got k={k}")
         self.k = float(k)
-
-    def params(self):
-        return {"k": self.k}
 
     def log_psi(self, r):
         r = np.asarray(r, dtype=float)
@@ -225,6 +218,7 @@ class ExpGamma(ModelFunction):
     """
 
     kind = "expgamma"
+    parameters = ("c", "gamma")
 
     def __init__(self, c, gamma):
         if not (0 < c < math.inf):
@@ -233,9 +227,6 @@ class ExpGamma(ModelFunction):
             raise InvalidParameter(f"expgamma requires gamma in (0,1), got {gamma}")
         self.c = float(c)
         self.gamma = float(gamma)
-
-    def params(self):
-        return {"c": self.c, "gamma": self.gamma}
 
     def _phi(self, r):
         nu = (1.0 - self.gamma) / 2.0
@@ -373,14 +364,16 @@ class Glued(ModelFunction):
     that spans several pieces is grouped, with one call per piece it
     touches. log_psi, slope_ratio and curvature_ratio each compute only
     their own quantity; radii past the last segment's end read its end.
+    Its params, the data that fixes psi, are the base's descriptor and a
+    [start, end, width, m_from, m_to] per segment (a catalog end by its
+    descriptor).
     """
 
     kind = "glued"
 
-    def __init__(self, base, segments, meta=None, pieces=()):
+    def __init__(self, base, segments, pieces=()):
         self.base = base
         self.segments = tuple(segments)
-        self.meta = dict(meta or {})
         self.valid_to = self.segments[-1].end if self.segments else base.valid_to
         self._joins = [seg.start for seg in self.segments]
         # (start radius, reader) of every piece past the base, in order
@@ -389,11 +382,12 @@ class Glued(ModelFunction):
         self._readers = (base,) + tuple(reader for _, reader in self._pieces)
 
     def params(self):
-        return {
-            "base": self.base.descriptor(),
-            "joins": list(self._joins),
-            "meta": self.meta,
-        }
+        def end(m):
+            return m if isinstance(m, float) else m.descriptor()
+
+        return {"base": self.base.descriptor(),
+                "segments": [[seg.start, seg.end, seg.width, end(seg.m_from), end(seg.m_to)]
+                             for seg in self.segments]}
 
     def joins(self):
         return tuple(self._joins)
@@ -430,7 +424,7 @@ class Glued(ModelFunction):
     def curvature_ratio(self, r):
         return self._read("curvature_ratio", r)
 
-    def extended(self, start, end, m_from, m_to, width, meta_update=None):
+    def extended(self, start, end, m_from, m_to, width):
         """New Glued model equal to self on [0, start], continued on
         [start, end] by psi'' = m psi with m = (1 - S) m_from + S m_to and
         S = _smoothstep((r - start) / width).
@@ -442,7 +436,8 @@ class Glued(ModelFunction):
         one run of the solver's DOP853 stepper, whose first trial step is
         the whole window (the step control cuts it down). The pieces below
         `start` are shared, so evaluations below `start` are bit-identical
-        to the parent model's. Refuses (InvalidParameter) a start at or
+        to the parent model's; the new model's params list the segment
+        after the parent's. Refuses (InvalidParameter) a start at or
         before the last join or past the model's range, an end at or before
         the start and a width <= 0, and (ConvexityViolation) a negative
         float m_from or m_to; raises QuadratureFailure when the run ends
@@ -484,10 +479,7 @@ class Glued(ModelFunction):
         pieces.append((start, _Window(seg, table)))
         if stop < end:
             pieces.append((stop, _Tail(seg, stop, *run.y)))
-        meta = dict(self.meta)
-        if meta_update:
-            meta.update(meta_update)
-        return Glued(self.base, self.segments + (seg,), meta, pieces)
+        return Glued(self.base, self.segments + (seg,), pieces)
 
 
 def as_glued(model):
@@ -497,25 +489,26 @@ def as_glued(model):
     return Glued(model, ())
 
 
-_KINDS = {
-    "euclidean": lambda p: Euclidean(),
-    "hyperbolic": lambda p: Hyperbolic(),
-    "exppower": lambda p: ExpPower(p["c"], p["m"]),
-    "powerlike": lambda p: PowerLike(p["k"]),
-    "expgamma": lambda p: ExpGamma(p["c"], p["gamma"]),
-}
+_KINDS = {cls.kind: cls for cls in (Euclidean, Hyperbolic, ExpPower, PowerLike, ExpGamma)}
+
+
+def _number(value):
+    """value by %g where that reads back as the same float, else by repr."""
+    text = f"{float(value):g}"
+    return text if float(text) == value else repr(float(value))
 
 
 def descriptor_string(model):
     """Compact parseable form of a catalog model: kind or kind:a=1,b=2.
 
-    Inverse of parse_descriptor for the plain catalog kinds; glued models
-    (whose params are structural) reduce to the bare kind name.
+    Inverse of make_model for the catalog kinds: each value is written by
+    %g where that reads back as the same float, by repr otherwise. Glued
+    models (whose params are structural) reduce to the bare kind name.
     """
     params = model.params()
     if model.kind == "glued" or not params:
         return model.kind
-    body = ",".join(f"{k}={float(v):g}" for k, v in sorted(params.items()))
+    body = ",".join(f"{k}={_number(v)}" for k, v in sorted(params.items()))
     return f"{model.kind}:{body}"
 
 
@@ -526,8 +519,8 @@ def parse_descriptor(text):
         params = {}
         for item in rest.split(","):
             key, _, val = item.partition("=")
-            if not val:
-                raise InvalidParameter(f"malformed model parameter {item!r}")
+            if not val or key.strip() in params:
+                raise InvalidParameter(f"malformed or repeated model parameter {item!r}")
             params[key.strip()] = float(val)
     else:
         kind, params = text, {}
@@ -537,9 +530,11 @@ def parse_descriptor(text):
 def make_model(descriptor):
     """Build a catalog ModelFunction from a descriptor (dict or CLI string).
 
-    The returned model has passed the structural audit: psi(0)=0, psi'(0)=1
-    against the short series, psi'' >= 0, psi' >= 1 and psi >= r on a
-    log-spaced grid.
+    The parameters must be exactly those the kind's class lists in
+    `parameters`; an unknown kind, a parameter the kind does not take and a
+    missing one raise InvalidParameter. The returned model has passed the
+    structural audit: psi(0)=0, psi'(0)=1 against the short series,
+    psi'' >= 0, psi' >= 1 and psi >= r on a log-spaced grid.
     """
     if isinstance(descriptor, str):
         descriptor = parse_descriptor(descriptor)
@@ -547,10 +542,11 @@ def make_model(descriptor):
     params = descriptor.get("params", {})
     if kind not in _KINDS:
         raise InvalidParameter(f"unknown model kind {kind!r}")
-    try:
-        model = _KINDS[kind](params)
-    except KeyError as exc:
-        raise InvalidParameter(f"missing parameter {exc} for kind {kind!r}") from exc
+    cls = _KINDS[kind]
+    if set(params) != set(cls.parameters):
+        raise InvalidParameter(f"{kind} takes parameters {list(cls.parameters)}, "
+                               f"got {sorted(params)}")
+    model = cls(**params)
     audit_model(model)
     return model
 

@@ -177,9 +177,12 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     so far and the seconds elapsed since the construction began.
 
     `stages` counts fired triggers and must be an even number >= 4 so the
-    certificate ends with both bands populated. rate_scale = 0 would ask
+    certificate ends with both bands populated. rate_scale <= 0 would ask
     the exponential stages to glue onto a flat slope target, which no
-    convex continuation can do, and is refused.
+    convex continuation can do (ConvexityViolation). rate_scale <= 1 is
+    refused too (InvalidParameter): stage 1 then keeps psi'/psi <= 1 from
+    its join r_1 >= 1, so log psi(r) <= log r_1 + r - r_1 < r and its
+    trigger log psi >= r never fires.
     """
     prob = solver.Problem(n, p, q, alpha)
     if stages < 4 or stages % 2 != 0:
@@ -189,6 +192,9 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
             "exponential stages need a positive slope-ratio target; a flat "
             "(all power-like) plan cannot produce the upper band"
         )
+    if rate_scale <= 1.0:
+        raise InvalidParameter(f"rate_scale must exceed 1 for stage 1's trigger "
+                               f"log psi >= r to fire, got {rate_scale:g}")
     t_low, t_high = thresholds(n, p, q)
     ex = (p - 1.0) / (q + 1.0 - p)
 
@@ -201,11 +207,8 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
         plan = StagePlan(s_idx, n, p, q, rate_scale)
         r_stop = r_here + _stage_budget(plan, n, p, q, J_here, r_here)
         if s_idx > 0:
-            model = model.extended(
-                r_here, r_stop + 10.0, *plan.curvature(), _BLEND_WIDTH,
-                meta_update={"stage": s_idx, "kind": plan.kind,
-                             "rate": plan.rate, "join": r_here},
-            )
+            model = model.extended(r_here, r_stop + 10.0, *plan.curvature(),
+                                   _BLEND_WIDTH)
         prof = models.geometry_profile(model, n, p, r_stop)
         r_min = r_here + 1.0
 

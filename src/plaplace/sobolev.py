@@ -14,7 +14,7 @@ import numpy as np
 
 from . import runio
 from .diagnostics import unit_ball_volume
-from .models import InvalidParameter, descriptor_string, safe_horizon
+from .models import InvalidParameter, descriptor_string, make_model, safe_horizon
 
 
 # a sweep row whose halved-grid error bar is this share of its quotient or
@@ -181,8 +181,6 @@ def euclidean_reference(n, p, R0=20.0, num=4000):
     of b; it is the yardstick every curved-model quotient is measured
     against (no literature constant is hardcoded).
     """
-    from .models import make_model
-
     key = (n, p, R0, num)
     if key not in _euclid_reference_cache:
         eu = make_model("euclidean")

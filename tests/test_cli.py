@@ -1,8 +1,10 @@
 """End-to-end command-line runs (in-process via cli.main)."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -66,6 +68,22 @@ def test_bad_model_exits_2(tmp_path):
     assert code == 2
 
 
+def test_every_exception_has_one_exit_code():
+    """Each exception class the package defines belongs to exactly one of
+    the CLI's three groups (exit 2, 3 or 4), so none can escape `main` as
+    a traceback with exit 1; the walk finds every class the groups list."""
+    groups = (cli._USAGE_ERRORS, cli._SOLVER_ERRORS, cli._REGIME_ERRORS)
+    found = set()
+    for info in pkgutil.iter_modules(pl.__path__, "plaplace."):
+        module = importlib.import_module(info.name)
+        found.update(obj for obj in vars(module).values()
+                     if isinstance(obj, type) and issubclass(obj, Exception)
+                     and obj.__module__ == module.__name__)
+    assert set().union(*groups) <= found
+    for exc in found:
+        assert sum(issubclass(exc, group) for group in groups) == 1, exc
+
+
 def test_subcritical_q_exits_2(tmp_path):
     code = run_cli(tmp_path, "solve", "--model", "euclidean", "--n", "3",
                    "--p", "2", "--q", "4", "--alpha", "1")
@@ -95,13 +113,18 @@ _CLASSIFY = ("classify", "--n", "3", "--p", "2", "--model")
     _CLASSIFY + ("exppower:c=inf,m=3",),
     _CLASSIFY + ("expgamma:c=inf,gamma=0.5",),
     _CLASSIFY + ("powerlike:k=inf",),
+    _CLASSIFY + ("hyperbolic:x=1",),
+    ("oscillate", "--n", "3", "--p", "2", "--q", "5", "--alpha", "1",
+     "--stages", "4", "--rate-scale", "1"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_or_malformed_arguments_exit_2(tmp_path, capsys, argv):
-    """Non-finite numbers (model parameters among them) and unparsable or
-    empty comma lists are argument errors, refused before any integration
-    starts (a NaN tolerance or an infinite horizon otherwise never
-    returns, and a NaN horizon exits 0), with an `error: argument:` line
-    in place of a traceback."""
+    """Non-finite numbers (model parameters among them), unparsable or
+    empty comma lists, a parameter the model kind does not take and a
+    rate scale whose first exponential trigger can never fire are argument
+    errors, refused before any integration starts (a NaN tolerance or an
+    infinite horizon otherwise never returns, a NaN horizon exits 0, and
+    `--rate-scale 1` runs stage 1 to its budget), with an `error:
+    argument:` line in place of a traceback."""
     start = time.perf_counter()
     assert run_cli(tmp_path, *argv) == 2
     assert time.perf_counter() - start < 1.0

@@ -123,6 +123,26 @@ def test_pair_mismatch_guard(hy_run, eu_run):
         pl.functional_traces(hy_run.sol, eu_run.prof)
 
 
+def test_glued_pair_mismatch_guard():
+    """Glued models that differ only in a segment's end are different
+    models: a solution on one is refused with the other's profile, while
+    the same glue built twice is accepted."""
+
+    def glue(end):
+        pieces = [(pl.make_model("euclidean"), 0.0), (pl.make_model(end), 2.0)]
+        return pl.glue_models(pieces, 0.5, horizon=20.0)
+
+    model = glue("hyperbolic")
+    sol = pl.integrate(pl.Problem(3, 2.0, 5.0, 1.0), model, pl.SolverConfig(15.0))
+    other = pl.geometry_profile(glue("powerlike:k=2"), 3, 2.0, sol.r_last)
+    for check in (pl.functional_traces, pl.decay_envelope_check):
+        with pytest.raises(pl.GridMismatch):
+            check(sol, other)
+    same = pl.geometry_profile(glue("hyperbolic"), 3, 2.0, sol.r_last)
+    pl.functional_traces(sol, same)  # accepted: no GridMismatch
+    assert pl.decay_envelope_check(sol, same)["passed"]
+
+
 def test_envelope_on_closed_form(eu_crit_run):
     out = pl.decay_envelope_check(eu_crit_run.sol, eu_crit_run.prof)
     assert out["passed"]

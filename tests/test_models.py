@@ -101,7 +101,7 @@ def test_hyperbolic_log_psi_near_the_pole():
 
 def test_descriptor_roundtrip():
     for desc in ["euclidean", "exppower:c=1,m=3", "powerlike:k=2",
-                 "expgamma:c=1,gamma=0.5"]:
+                 "expgamma:c=1,gamma=0.5", "exppower:c=1.0000001,m=3"]:
         m = pl.make_model(desc)
         again = pl.make_model(pl.descriptor_string(m))
         assert type(again) is type(m)
@@ -113,6 +113,11 @@ def test_parse_descriptor_errors():
         pl.make_model("nosuchkind")
     with pytest.raises(pl.InvalidParameter):
         pl.make_model("exppower:c=1")  # missing m
+    for extra in ("hyperbolic:x=1", "exppower:c=1,m=3,k=9", "powerlike:k=2,c=5"):
+        with pytest.raises(pl.InvalidParameter):
+            pl.make_model(extra)  # a parameter the kind does not take
+    with pytest.raises(pl.InvalidParameter):
+        pl.parse_descriptor("exppower:c=1,c=2,m=3")
     with pytest.raises(pl.InvalidParameter):
         pl.parse_descriptor("exppower:c")
 

@@ -27,6 +27,9 @@ def test_construct_validation():
         pl.construct(3, 2.0, 5.0, 1.0, 2)   # too few
     with pytest.raises(pl.ConvexityViolation):
         pl.construct(3, 2.0, 5.0, 1.0, 4, rate_scale=0.0)
+    for rate_scale in (0.5, 1.0):  # stage 1's trigger log psi >= r never fires
+        with pytest.raises(pl.InvalidParameter):
+            pl.construct(3, 2.0, 5.0, 1.0, 4, rate_scale=rate_scale)
 
 
 def test_rows_below_first_join_match_flat_profile(oscillation):
