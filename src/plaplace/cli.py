@@ -176,13 +176,11 @@ def cmd_oscillate(args):
     params = {"n": args.n, "p": args.p, "q": args.q, "alpha": args.alpha,
               "stages": args.stages, "rate_scale": args.rate_scale}
     with runio.RunDir("oscillate", params, root=args.out) as run:
-        model, sol, cert = oscillator.construct(
+        _, sol, cert, prof = oscillator.construct(
             args.n, args.p, args.q, args.alpha, args.stages,
             rate_scale=args.rate_scale)
         run.record(cert.to_json(run.file("certificate.json")))
         run.record(sol.export_csv(run.file("solution.csv")))
-        prof = models.geometry_profile(model, args.n, args.p,
-                                       cert.stages[-1]["r"])
         verification = oscillator.verify_certificate(cert, sol, prof)
         run.record(_write_json(run.file("verification.json"), verification))
         print(f"{run.path} stages={len(cert.stages)} "

@@ -88,15 +88,18 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     """Defects of P(b) - P(a) = int_a^b K |u'|^p between audit radii.
 
     The identity is checked in integrated form between `num` geometric
-    radii: P is read from the steppers' dense output and profile.I, and
-    the integral is quadrature.panel_integrals of K |u'|^p = bracket w u',
-    formed in log space relative to each interval's scale
-    S = max(|I F| + |w u/(q+1)|) over its two ends. An interval is
-    resolved where the integral exceeds 1e-6 S.
+    radii, to which a glued model adds every segment's start and the end
+    of its blend window (start + width) inside the audited range, since K
+    is not smooth across them. P is read from the steppers' dense output
+    and profile.I, and the integral is quadrature.panel_integrals of
+    K |u'|^p = bracket w u', formed in log space relative to each
+    interval's scale S = max(|I F| + |w u/(q+1)|) over its two ends. An
+    interval is resolved where the integral exceeds 1e-6 S.
 
     Returns (max_rel_defect, max_scaled_defect, resolved_intervals,
-    audited_radii): the largest |dP - int| / |int| over resolved intervals
-    and the largest |dP - int| / S over all of them.
+    audited_radii): the largest |dP - int| / |int| over resolved intervals,
+    the largest |dP - int| / S over all of them, and how many radii were
+    audited.
     """
     prob = sol.problem
     n, p, q = prob.n, prob.p, prob.q
@@ -106,8 +109,10 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     def lpsi(x):
         return (n - 1) * np.asarray(profile.model.log_psi(x), dtype=float)
 
-    lo = max(10.0 * sol.r[1], 2e-3 * sol.r_last)
-    x = np.geomspace(lo, 0.99 * sol.r_last, num)
+    lo, hi = max(10.0 * sol.r[1], 2e-3 * sol.r_last), 0.99 * sol.r_last
+    breaks = [b for seg in profile.model.segments
+              for b in (seg.start, seg.start + seg.width) if lo < b < hi]
+    x = np.union1d(np.geomspace(lo, hi, num), breaks)
     u, du, w = sol._state(x)
     F = ((p - 1.0) / p) * np.abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
     IF = profile.I(x) * F
@@ -128,7 +133,7 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     resolved = np.abs(integral) > 1e-6
     rel = err[resolved] / np.abs(integral[resolved])
     worst = float(np.max(rel)) if rel.size else 0.0
-    return worst, float(np.max(err)), int(np.count_nonzero(resolved)), int(num)
+    return worst, float(np.max(err)), int(np.count_nonzero(resolved)), x.size
 
 
 def functional_traces(sol, profile):

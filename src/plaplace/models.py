@@ -24,6 +24,7 @@ construction reads its J from the same profile.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,6 +79,7 @@ class ModelFunction:
 
     kind = "abstract"
     parameters = ()  # the constructor's keywords: with kind, all that names the model
+    segments = ()  # a Glued model's continuations (_Segment); a catalog model has none
     valid_to = math.inf
 
     def log_psi(self, r):
@@ -259,6 +261,9 @@ class ExpGamma(ModelFunction):
 
 # tolerances of the solver._RadialDOP853 runs that tabulate glued windows
 _TABLE_RTOL, _TABLE_ATOL = 1e-13, 1e-15
+# a Glued read of at most this many radii, the 15 of a DOP853 step, finds
+# their range on a Python list (Glued._read)
+_FEW_RADII = 15
 
 
 def _window_kernel(m, L, s):
@@ -394,7 +399,15 @@ class Glued(ModelFunction):
 
     def _read(self, name, r):
         """The pieces' method `name` at r, radii past valid_to read there: a
-        float for a scalar r, else an array of the shape of r."""
+        float for a scalar r, else an array of the shape of r.
+
+        The piece comes from the smallest and the largest radius. On a few
+        radii (a solver step's 3 or 15) they are read off a sorted list,
+        which costs a fraction of numpy's min and max there; a NaN, which
+        numpy's min and max carry and a sorted list may not, makes the sum
+        of the list NaN, and such radii take numpy's reductions, which send
+        the whole array to the last piece.
+        """
         starts, readers = self._starts, self._readers
         if np.ndim(r) == 0:
             r = min(float(r), self.valid_to)
@@ -402,7 +415,12 @@ class Glued(ModelFunction):
         r = np.asarray(r, dtype=float)
         if r.size == 0:
             return np.empty(r.shape)
-        lo, hi = r.min(), r.max()
+        few = r.ravel().tolist() if r.size <= _FEW_RADII else None
+        if few and not math.isnan(sum(few)):
+            few.sort()
+            lo, hi = few[0], few[-1]
+        else:
+            lo, hi = r.min(), r.max()
         if hi > self.valid_to:
             r = np.minimum(r, self.valid_to)
         k = bisect.bisect_right(starts, lo)
@@ -688,11 +706,15 @@ class GeometryProfile:
     by Gauss-Legendre in log r on the geometric panels, and W is read from
     its quasi-equilibrium formula. The tabulated range [r_lo, r_hi]
     extends far beyond the user horizon R so tail convergence of J is
-    decided by direct quadrature.
+    decided by direct quadrature: tail_converged compares J(r_hi) with
+    J(r_hi/2), and J_inf is J(r_hi) where it converged. These two lookups
+    are made on the first read of J_hi, J_half, tail_converged or J_inf,
+    not when the profile is built, and kept.
 
     A lookup at any number of radii is one searchsorted into the panel
     edges, then the same rule on the partial panel from the edge below
     each radius: a fixed number of model array calls, none per radius.
+    A lookup that returns no W (J, theta_J) skips the U moment.
     """
 
     def __init__(self, model, n, p, R):
@@ -721,9 +743,26 @@ class GeometryProfile:
             [self._logJ[-1:], self._tail_increments(tail[:-1], tail[1:])]))
         if not np.all(np.isfinite(self._tail_logJ)):
             raise QuadratureFailure("geometry quadrature: non-finite J beyond the switch")
-        J_end, J_half = self.J(self.r_hi), self.J(self.r_hi / 2.0)
-        self.tail_converged = bool(J_end - J_half < 1e-6 * J_end)
-        self.J_inf = J_end if self.tail_converged else math.inf
+
+    @functools.cached_property
+    def J_hi(self):
+        """J at r_hi, the end of the tabulated range."""
+        return self.J(self.r_hi)
+
+    @functools.cached_property
+    def J_half(self):
+        """J at r_hi / 2."""
+        return self.J(self.r_hi / 2.0)
+
+    @property
+    def tail_converged(self):
+        """Whether J grows by less than 1e-6 of itself over [r_hi/2, r_hi]."""
+        return bool(self.J_hi - self.J_half < 1e-6 * self.J_hi)
+
+    @property
+    def J_inf(self):
+        """J(r_hi) where the tail converged, else inf."""
+        return self.J_hi if self.tail_converged else math.inf
 
     # -- tabulation ----------------------------------------------------
 
@@ -756,7 +795,7 @@ class GeometryProfile:
         log_theta0, log_J0 = geometry_start(self.r_lo, self.n, self.p)
         theta = _relax(math.exp(log_theta0), np.concatenate([rule[0] for rule in rules]),
                        np.concatenate([rule[3] for rule in rules]))
-        moments = [self._moments(theta[:-1][k], *rule[:3], Gb[k])
+        moments = [self._moments(theta[:-1][k], *rule[:3], Gb[k], U=True)
                    for k, rule in zip(blocks, rules)]
         dlogJ, dlogU = (np.concatenate(m) for m in zip(*moments))
         mu = self.mu
@@ -782,8 +821,9 @@ class GeometryProfile:
         np.exp(ker, out=ker)
         return np.exp(-dG), wt, ker, _row_dot(wt, ker)
 
-    def _moments(self, theta_a, decay, wt, ker, Gb):
-        """log int_a^b Theta^mu and log int_a^b Theta^mu I on each panel.
+    def _moments(self, theta_a, decay, wt, ker, Gb, U):
+        """log int_a^b Theta^mu on each panel, and with U also
+        log int_a^b Theta^mu I: a tuple of one or two arrays.
 
         Theta at the nodes is Theta(a) times a ratio of order 1, so the
         powers are taken of the ratio and Theta(a)^mu is added in log space.
@@ -794,12 +834,14 @@ class GeometryProfile:
         ratio /= theta_a[:, None]
         power = ratio ** self.mu
         dJ = _row_dot(wt, power)
-        power *= wt
-        ratio *= ker
         log_a = np.log(theta_a)
         with np.errstate(divide="ignore"):
-            return (self.mu * log_a + np.log(dJ),
-                    Gb + (1.0 + self.mu) * log_a + np.log(_row_dot(power, ratio)))
+            dlogJ = self.mu * log_a + np.log(dJ)
+            if not U:
+                return (dlogJ,)
+            power *= wt
+            ratio *= ker
+            return dlogJ, Gb + (1.0 + self.mu) * log_a + np.log(_row_dot(power, ratio))
 
     def _tail_increments(self, a, b):
         """log int_a^b Theta^mu by Gauss-Legendre in log r, Theta from the expansion."""
@@ -829,8 +871,9 @@ class GeometryProfile:
 
     # -- lookups -------------------------------------------------------
 
-    def _fine(self, r, moments=False):
-        """log Theta at radii r <= r_switch; with moments, also log J and log W."""
+    def _fine(self, r, moments=0):
+        """log Theta at radii r <= r_switch; with moments=1 also log J, with
+        moments=2 also log J and log W."""
         edges = self._edges
         k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
         Gr = self._G(r)
@@ -838,9 +881,11 @@ class GeometryProfile:
         log_theta = np.log(self._theta[k] * decay + inc)
         if not moments:
             return log_theta
-        dlogJ, dlogU = self._moments(self._theta[k], decay, wt, ker, Gr)
-        return (log_theta, np.logaddexp(self._logJ[k], dlogJ),
-                np.logaddexp(self._logU[k], dlogU) - log_theta - Gr)
+        dlog = self._moments(self._theta[k], decay, wt, ker, Gr, U=moments == 2)
+        log_J = np.logaddexp(self._logJ[k], dlog[0])
+        if moments == 1:
+            return log_theta, log_J
+        return log_theta, log_J, np.logaddexp(self._logU[k], dlog[1]) - log_theta - Gr
 
     def _tail_log_J(self, r):
         """log J at radii r > r_switch."""
@@ -890,7 +935,7 @@ class GeometryProfile:
         return np.exp(np.minimum(self.logI(r), _EXP_CAP))
 
     def logJ(self, r):
-        return self._lookup(r, lambda x: self._fine(x, moments=True)[1], self._tail_log_J)
+        return self._lookup(r, lambda x: self._fine(x, moments=1)[1], self._tail_log_J)
 
     def J(self, r):
         return np.exp(self.logJ(r))
@@ -898,7 +943,7 @@ class GeometryProfile:
     def theta_J(self, r):
         """(Theta, J) at radii r from one lookup: the floats of theta(r) and J(r)."""
         log_theta, log_J = self._lookup(
-            r, lambda x: self._fine(x, moments=True)[:2],
+            r, lambda x: self._fine(x, moments=1),
             lambda x: (np.log(self._theta_qe(x)), self._tail_log_J(x)), outputs=2)
         return np.exp(log_theta), np.exp(log_J)
 
@@ -914,7 +959,7 @@ class GeometryProfile:
         """The liminf quotient deciding failure of the sharp decay law: W/J."""
 
         def fine(x):
-            _, log_J, log_W = self._fine(x, moments=True)
+            _, log_J, log_W = self._fine(x, moments=2)
             return log_W - log_J
 
         return np.exp(self._lookup(r, fine, self._tail_log_proxy))
@@ -1067,11 +1112,13 @@ def detect_regime(profile):
 def classify_completeness(profile):
     """Decide whether Theta^(1/(p-1)) is integrable on the half line.
 
-    Convergence is certified by the extended-horizon quadrature stabilizing;
-    divergence by a fitted growth law of J over the last two dyadic windows.
+    Convergence is certified by the extended-horizon quadrature stabilizing
+    (profile.tail_converged); divergence by a fitted growth law of J over
+    the last two dyadic windows. J at r_hi and r_hi/2 are the profile's
+    kept J_hi and J_half, so only J(R) or J(r_hi/4) is looked up here.
     """
     r_hi = profile.r_hi
-    J_end = profile.J(r_hi)
+    J_end, J_half = profile.J_hi, profile.J_half
     try:
         regime = detect_regime(profile)
     except AmbiguousRegime as exc:
@@ -1082,8 +1129,8 @@ def classify_completeness(profile):
         return CompletenessVerdict("pSI", r_hi, J_end, tail, regime)
 
     # growth-law fit over the last two dyadic windows
-    g1 = math.log(J_end / profile.J(r_hi / 2.0)) / math.log(2.0)
-    g2 = math.log(profile.J(r_hi / 2.0) / profile.J(r_hi / 4.0)) / math.log(2.0)
-    if g1 > 0.25 and g2 > 0.25 and J_end >= 1.5 * profile.J(r_hi / 2.0):
+    g1 = math.log(J_end / J_half) / math.log(2.0)
+    g2 = math.log(J_half / profile.J(r_hi / 4.0)) / math.log(2.0)
+    if g1 > 0.25 and g2 > 0.25 and J_end >= 1.5 * J_half:
         return CompletenessVerdict("pSC", r_hi, J_end, math.inf, regime)
     return CompletenessVerdict("Inconclusive", r_hi, J_end, math.nan, regime)

@@ -157,7 +157,8 @@ def _stage_budget(plan, n, p, q, J_now, r_here):
 
 
 def construct(n, p, q, alpha, stages, rate_scale=2.0):
-    """Run the staged construction; returns (model, solution, certificate).
+    """Run the staged construction; returns (model, solution, certificate,
+    profile), the profile being the last stage's geometry profile.
 
     Each stage glues its piece at the previous trigger (stage 0 keeps the
     flat cone), tabulates the geometry profile of the model glued so far,
@@ -165,16 +166,20 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     the stop predicate, checked at every accepted step end: first
     r >= previous trigger + 1 and u < 2^-s, which cost nothing, then
     StagePlan.fires with J from the profile. The trigger is the step end
-    where the run stopped. Stage 0 runs from the pole; every later stage
+    where the run stopped, and its logged Q takes J from the predicate's
+    own lookup there. Stage 0 runs from the pole; every later stage
     continues the previous stage's solution (integrate(carry=sol)), since
     the extension keeps the model below the trigger bit-identical and
     makes the trigger a join, where the solver restarts its stepper
     anyway. So no step is taken twice, no stage builds rows (it reads
     r_last, u there and the dense output), and the returned solution, the
     last stage's, is to the bit a run from the pole on the final model;
-    every trigger is one of its knots. Each trigger is logged at INFO as
-    it fires, with its index, kind, r, Q, u, the solution's accepted steps
-    so far and the seconds elapsed since the construction began.
+    every trigger is one of its knots. The returned profile, the last
+    stage's, is of the final model to a horizon past every trigger, so
+    verify_certificate reads the triggers back from it without tabulating
+    the model again. Each trigger is logged at INFO as it fires, with its
+    index, kind, r, Q, u, the solution's accepted steps so far and the
+    seconds elapsed since the construction began.
 
     `stages` counts fired triggers and must be an even number >= 4 so the
     certificate ends with both bands populated. rate_scale <= 0 would ask
@@ -211,17 +216,19 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
                                    _BLEND_WIDTH)
         prof = models.geometry_profile(model, n, p, r_stop)
         r_min = r_here + 1.0
+        J_at = {}  # the stop predicate's J lookups, by radius
 
         def stop(r, u):
-            return (r >= r_min and u < plan.u_ceiling
-                    and plan.fires(r, prof.J(r) ** ex * u, u,
-                                   float(model.log_psi(r))))
+            if not (r >= r_min and u < plan.u_ceiling):
+                return False
+            J = J_at[r] = prof.J(r)
+            return plan.fires(r, J ** ex * u, u, float(model.log_psi(r)))
 
         sol = solver.integrate(prob, model, solver.SolverConfig(r_max=r_stop),
                                stop=stop, carry=sol)
         r_here = sol.r_last
         u = sol.eval_u(r_here)
-        J_here = float(prof.J(r_here))
+        J_here = float(J_at[r_here] if r_here in J_at else prof.J(r_here))
         Q = J_here ** ex * u
         if sol.termination != "stopped":
             raise TriggerTimeout(
@@ -242,16 +249,23 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
                   len(sol._dense.h), time.perf_counter() - began)
 
     cert = OscillationCertificate(n, p, q, alpha, t_low, t_high, stage_log)
-    return model, sol, cert
+    return model, sol, cert, prof
 
 
 def verify_certificate(cert, sol, profile):
     """Recompute every logged trigger from the solution and geometry.
 
-    Checks: Q values match within _VERIFY_REL_TOL; parity conditions hold at each
-    trigger; joins are spaced at least one unit apart; the two bands are
-    separated; and psi(r_k) e^{-l r_k} increases along the odd stages for
-    l in {1, 2}. Any mismatch raises Inconsistent naming the stage.
+    `profile` is a geometry profile of the solution's model covering every
+    trigger: the one construct returns, or one tabulated afresh to the
+    last trigger, which holds the same tables (a profile's range
+    [r_lo, r_hi] is the same for every horizon from 1 up to the lesser of
+    models._R_HI and the model's range, where both horizons lie).
+
+    Checks: Q values match within _VERIFY_REL_TOL; parity conditions hold
+    at each trigger; joins are spaced at least one unit apart; the two
+    bands are separated; and psi(r_k) e^{-l r_k} increases along the odd
+    stages for l in {1, 2}. Any mismatch raises Inconsistent naming the
+    stage.
     """
     p, q = cert.p, cert.q
     ex = (p - 1.0) / (q + 1.0 - p)

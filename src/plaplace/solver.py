@@ -208,8 +208,9 @@ def series_startup(prob, model, r):
 
 
 def _row_radii(dense, u_min, tol=ROW_TOL):
-    """Output radii: every accepted step split into k equal parts, k close
-    to the least for which linear interpolation of u stays within tol |u|.
+    """Output radii with u (floored at u_min) and v there, as three arrays:
+    every accepted step split into k equal parts, k close to the least for
+    which linear interpolation of u stays within tol |u|.
 
     On a step of length H the chord of u departs from u by
     x (1-x) H^2 |u''| / 2 at the fraction x of the step; read at
@@ -217,30 +218,56 @@ def _row_radii(dense, u_min, tol=ROW_TOL):
     chord error is largest mid-part, at M / (8 k^2). k starts from that
     estimate; on every step where the error read mid-part still exceeds
     tol u, k is raised by the square root of the excess plus 10%.
+
+    The dense output is read once at the knots, once at the 3 fractions of
+    every step, then once at every row inside a step and every mid-row. A
+    step's rows and mid-rows depend only on its k and its two knots, so a
+    round re-reads only the steps the round before raised; a row at a knot
+    takes the knot's values.
     """
     t = dense.ts
     a, H = t[:-1], np.diff(t)
-    u_knots = np.maximum(dense(t)[0], u_min)
+    u_knots, v_knots = dense(t)
+    np.maximum(u_knots, u_min, out=u_knots)
     x = np.array([0.25, 0.5, 0.75])
     chord = u_knots[:-1, None] + np.diff(u_knots)[:, None] * x
     dev = np.abs(dense(a[:, None] + H[:, None] * x)[0] - chord)
     M = np.max(dev / (0.5 * x * (1.0 - x)), axis=1)
     k = np.maximum(np.ceil(np.sqrt(M / (8.0 * tol * u_knots[1:]))), 1).astype(int)
+    read = np.arange(len(H))  # the steps whose rows this round reads
+    rounds = []
     while True:
-        step = np.repeat(np.arange(len(H)), k)
-        ends = np.cumsum(k)
-        part = np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)
-        rows = np.concatenate([t[:1], a[step] + H[step] * (part / k[step])])
-        rows[ends] = t[1:]
-        u_rows = np.maximum(dense(rows)[0], u_min)
-        u_mid = np.maximum(dense(0.5 * (rows[:-1] + rows[1:]))[0], u_min)
-        excess = np.abs(0.5 * (u_rows[:-1] + u_rows[1:]) - u_mid) / (tol * u_mid)
-        worst = np.zeros(len(H))
-        np.maximum.at(worst, step, excess)
+        kr = k[read]
+        step = np.repeat(read, kr)
+        first = np.cumsum(kr) - kr  # each read step's first row
+        part = np.arange(1, len(step) + 1) - np.repeat(first, kr)
+        rows = a[step] + H[step] * (part / k[step])
+        ends = first + kr - 1
+        rows[ends] = t[read + 1]
+        inside = part < k[step]
+        u, v = np.empty(len(rows)), np.empty(len(rows))
+        u[inside], v[inside] = dense(rows[inside])
+        u[ends], v[ends] = u_knots[read + 1], v_knots[read + 1]
+        np.maximum(u, u_min, out=u)
+        rounds.append((step, part, rows, u, v))
+        before, u_before = np.roll(rows, 1), np.roll(u, 1)
+        before[first], u_before[first] = a[read], u_knots[read]
+        u_mid = np.maximum(dense(0.5 * (before + rows))[0], u_min)
+        excess = np.abs(0.5 * (u_before + u) - u_mid) / (tol * u_mid)
+        worst = np.maximum.reduceat(excess, first)
         low = worst > 1.0
         if not np.any(low):
-            return rows
-        k[low] = np.ceil(1.1 * k[low] * np.sqrt(worst[low])).astype(int)
+            break
+        read = read[low]
+        k[read] = np.ceil(1.1 * kr[low] * np.sqrt(worst[low])).astype(int)
+    # a raised step has more rows than before, so each round overwrites
+    # every row an earlier round wrote for the steps it re-read
+    offset = np.cumsum(k) - k
+    out = np.empty((3, 1 + offset[-1] + k[-1]))
+    out[:, 0] = t[0], u_knots[0], v_knots[0]
+    for step, part, *values in rounds:
+        out[:, offset[step] + part] = values
+    return out[0], out[1], out[2]
 
 
 class RadialSolution:
@@ -252,7 +279,8 @@ class RadialSolution:
     that started the run (series_startup). The rows r, u, du, w (prepended
     with r = 0), built on the first read of any of them, are values of the
     same evaluation at radii spaced so that linear interpolation of u
-    between neighbouring rows is within ROW_TOL |u|. `_y` and `_h`, the
+    between neighbouring rows is within ROW_TOL |u|; _row_radii reads u and
+    v at each row once, while it places the rows. `_y` and `_h`, the
     state (u, v) at r_last and the run's last accepted step, are what
     integrate(carry=) goes on from.
     """
@@ -270,9 +298,7 @@ class RadialSolution:
     def _rows(self):
         """The rows (r, u, du, w); NonMonotone where u rises along them."""
         alpha = self.problem.alpha
-        rows = _row_radii(self._dense, self._u_min)
-        u, v = self._dense(rows)
-        u = np.maximum(u, self._u_min)
+        rows, u, v = _row_radii(self._dense, self._u_min)
         du, w = self._derived(rows, v)
         u = np.concatenate([[alpha], u])
         if np.any(np.diff(u) > 1e-14 * alpha):

@@ -61,8 +61,7 @@ def eg_run():
 def oscillation():
     """Four-stage oscillating construction at n=3, p=2, q=5."""
     start = time.perf_counter()
-    model, sol, cert = pl.construct(3, 2.0, 5.0, 1.0, 4)
-    prof = pl.geometry_profile(model, 3, 2.0, cert.stages[-1]["r"])
+    model, sol, cert, prof = pl.construct(3, 2.0, 5.0, 1.0, 4)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(model=model, sol=sol, cert=cert, prof=prof,
                            elapsed=elapsed)

@@ -143,6 +143,20 @@ def test_glued_pair_mismatch_guard():
     assert pl.decay_envelope_check(sol, same)["passed"]
 
 
+@pytest.mark.parametrize("end", ["hyperbolic", "powerlike:k=2"])
+def test_pohozaev_passes_on_glued_model(end):
+    """A model flat up to r = 2 and blending into `end` over [2, 2.5] is
+    audited at the join and the blend window's end besides the 80
+    geometric radii, and the identity holds there."""
+    model = pl.glue_models([(pl.make_model("euclidean"), 0), (pl.make_model(end), 2)],
+                           0.5, horizon=20)
+    sol = pl.integrate(pl.Problem(3, 2.0, 5.0, 1.0), model, pl.SolverConfig(15.0))
+    pohozaev = _pohozaev(pl.functional_traces(
+        sol, pl.geometry_profile(model, 3, 2.0, sol.r_last)))
+    assert pohozaev["audited_radii"] == 82
+    assert pohozaev["passed"], pohozaev
+
+
 def test_envelope_on_closed_form(eu_crit_run):
     out = pl.decay_envelope_check(eu_crit_run.sol, eu_crit_run.prof)
     assert out["passed"]

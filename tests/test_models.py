@@ -1,12 +1,13 @@
 """Model catalog, gluing, geometry quadratures and the dichotomy verdict."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
 
 import plaplace as pl
-from plaplace import models
+from plaplace import models, solver
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +370,48 @@ def test_glued_array_lookup_is_one_call_per_segment(glued3, monkeypatch):
             assert calls == touched, (name, lo, hi)
 
 
+
+def _read_by_reductions(model, name, r):
+    """Glued._read on an array as it read before few radii were sorted: the
+    piece from numpy's min and max of the radii."""
+    r = np.asarray(r, dtype=float)
+    starts, readers = model._starts, model._readers
+    lo, hi = r.min(), r.max()
+    if hi > model.valid_to:
+        r = np.minimum(r, model.valid_to)
+    k = bisect.bisect_right(starts, lo)
+    if k == bisect.bisect_right(starts, hi):
+        return getattr(readers[k], name)(r)
+    out = np.empty(r.shape)
+    idx = np.searchsorted(starts, r, side="right")
+    for k in np.unique(idx):
+        pick = idx == k
+        out[pick] = getattr(readers[k], name)(r[pick])
+    return out
+
+
+def test_glued_few_radii_read_as_by_reductions(glued3):
+    """The 3 radii of a Radau step and the 15 of a DOP853 step (in the
+    stepper's order, not sorted) read the floats of the piece numpy's min
+    and max pick: inside one piece, across two, past the model's end, and
+    with a NaN, which sends all the radii to the last piece."""
+    stretch = models.as_glued(pl.make_model("euclidean")).extended(
+        1.0, 9.0, 0.0, 4.0, 0.5)
+    nan = math.nan
+    for model in (glued3, stretch):
+        end = model.segments[-1].end
+        arrays = []
+        for t, h in ((1.1, 0.1), (0.9, 0.2), (1.45, 0.1), (end - 0.5, 1.0)):
+            arrays += [t + h * solver._RADAU_C, t + h * solver._FRACTIONS]
+        arrays += [np.array([1.1, nan, 1.2]), np.array([nan, 0.5, 0.7]),
+                   np.append(np.linspace(0.5, 2.5, 14), nan),
+                   np.array([end + 1.0, nan, 0.5]), np.array([-math.inf, 1.2, math.inf])]
+        for r in arrays:
+            for name in ("log_psi", "slope_ratio", "curvature_ratio"):
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    got, want = getattr(model, name)(r), _read_by_reductions(model, name, r)
+                assert np.array_equal(got, want, equal_nan=True), (name, r)
+
 def _smooth(x):
     x = min(max(x, 0.0), 1.0)
     return x * x * (3.0 - 2.0 * x)
@@ -690,6 +733,34 @@ def test_psi_incompleteness_tail():
     assert not prof2.tail_converged
     with pytest.raises(pl.QuadratureFailure):
         prof2.tailJ(3.0)
+
+
+@pytest.mark.parametrize("desc", ["euclidean", "hyperbolic", "exppower:c=1,m=3",
+                                  "powerlike:k=2", "expgamma:c=1,gamma=0.5"])
+def test_profile_reads_its_tail_on_demand(desc, monkeypatch):
+    """Building a profile makes no J lookup; tail_converged and J_inf,
+    read later, are the values of J(r_hi) and J(r_hi/2) looked up eagerly,
+    and a second read looks up nothing. A lookup without W gives the
+    floats of one that computes it."""
+    lookups = []
+    J = models.GeometryProfile.J
+    monkeypatch.setattr(models.GeometryProfile, "J",
+                        lambda self, r: lookups.append(r) or J(self, r))
+    model = pl.make_model(desc)
+    for n, p in ((3, 2.0), (4, 3.0), (2, 1.5)):
+        prof = pl.geometry_profile(model, n, p, min(10.0, pl.safe_horizon(model, n)))
+        assert lookups == []
+        J_end, J_half = J(prof, prof.r_hi), J(prof, prof.r_hi / 2.0)
+        converged = bool(J_end - J_half < 1e-6 * J_end)
+        assert prof.tail_converged is converged
+        assert prof.J_inf == (J_end if converged else math.inf)
+        assert len(lookups) == 2
+        prof.tail_converged, prof.J_inf, prof.J_hi, prof.J_half
+        assert len(lookups) == 2
+        lookups.clear()
+        r = np.geomspace(prof.r_lo, prof.r_switch, 50)
+        full = prof._fine(r, moments=2)
+        assert all(np.array_equal(a, b) for a, b in zip(prof._fine(r, moments=1), full[:2]))
 
 
 def test_safe_horizon_bounds():

@@ -129,6 +129,17 @@ def test_verify_certificate(oscillation):
         assert all(b > a for a, b in zip(seq, seq[1:]))
 
 
+def test_construct_profile_verifies_as_a_fresh_one(oscillation):
+    """The profile construct returns, its last stage's, verifies the
+    certificate to the same dict as one tabulated afresh to the last
+    trigger."""
+    fresh = pl.geometry_profile(oscillation.model, 3, 2.0,
+                                oscillation.cert.stages[-1]["r"])
+    assert oscillation.prof.model is oscillation.model
+    assert (pl.verify_certificate(oscillation.cert, oscillation.sol, oscillation.prof)
+            == pl.verify_certificate(oscillation.cert, oscillation.sol, fresh))
+
+
 def test_six_stages_verify_without_warnings():
     """Six stages restart DOP853 at the late joins r ~ 11,371 and 11,573;
     each restart begins with the previous piece's last step instead of
@@ -136,8 +147,7 @@ def test_six_stages_verify_without_warnings():
     warning-free and its certificate verifies."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        model, sol, cert = pl.construct(3, 2.0, 5.0, 1.0, 6)
-        prof = pl.geometry_profile(model, 3, 2.0, cert.stages[-1]["r"])
+        _, sol, cert, prof = pl.construct(3, 2.0, 5.0, 1.0, 6)
         assert pl.verify_certificate(cert, sol, prof)["passed"]
     assert len(cert.stages) == 6
 
@@ -146,7 +156,7 @@ def test_stage_triggers_are_logged(caplog):
     """Each trigger is logged at INFO as it fires, with the certificate's
     r and Q (as reprs, so the floats are equal)."""
     with caplog.at_level(logging.INFO, logger="plaplace.oscillator"):
-        _, _, cert = pl.construct(3, 2.0, 5.0, 1.0, 4)
+        cert = pl.construct(3, 2.0, 5.0, 1.0, 4)[2]
     records = [rec for rec in caplog.records if rec.name == "plaplace.oscillator"]
     assert len(records) == 4
     for rec, entry in zip(records, cert.stages):

@@ -200,7 +200,7 @@ def test_flux_residual_refuses_runaway_panel_count(oscillation, monkeypatch):
     (QuadratureFailure) within a second, before any is allocated. The
     four-stage residual, on 142,025 panels, is the float it is with the
     cap lifted."""
-    _, six, _ = pl.construct(3, 2.0, 5.0, 1.0, 6)
+    six = pl.construct(3, 2.0, 5.0, 1.0, 6)[1]
     start = time.perf_counter()
     with pytest.raises(pl.QuadratureFailure):
         pl.flux_residual(six)
@@ -718,7 +718,7 @@ def test_rows_are_built_on_first_read(monkeypatch):
     row_radii = solver._row_radii
     monkeypatch.setattr(solver, "_row_radii",
                         lambda *args: calls.append(args) or row_radii(*args))
-    _, sol, _ = pl.construct(3, 2.0, 5.0, 1.0, 4)
+    sol = pl.construct(3, 2.0, 5.0, 1.0, 4)[1]
     assert len(calls) == 0
     r = sol.r
     assert len(calls) == 1
@@ -755,6 +755,77 @@ def test_non_monotone_rows_raise_on_first_read(tmp_path, monkeypatch, capsys):
                      "--n", "3", "--p", "2", "--q", "5", "--alpha", "1", "--rmax", "20"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: solver: NonMonotone")
+
+
+def _two_round_row_radii(dense, u_min, tol=solver.ROW_TOL):
+    """The row builder as it was before rows were read once: every round
+    reads every row and mid-row. Returns the rows and how many radii the
+    steps raised after the first round have."""
+    t = dense.ts
+    a, H = t[:-1], np.diff(t)
+    u_knots = np.maximum(dense(t)[0], u_min)
+    x = np.array([0.25, 0.5, 0.75])
+    chord = u_knots[:-1, None] + np.diff(u_knots)[:, None] * x
+    dev = np.abs(dense(a[:, None] + H[:, None] * x)[0] - chord)
+    M = np.max(dev / (0.5 * x * (1.0 - x)), axis=1)
+    k = np.maximum(np.ceil(np.sqrt(M / (8.0 * tol * u_knots[1:]))), 1).astype(int)
+    raised = 0
+    while True:
+        step = np.repeat(np.arange(len(H)), k)
+        ends = np.cumsum(k)
+        part = np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)
+        rows = np.concatenate([t[:1], a[step] + H[step] * (part / k[step])])
+        rows[ends] = t[1:]
+        u_rows = np.maximum(dense(rows)[0], u_min)
+        u_mid = np.maximum(dense(0.5 * (rows[:-1] + rows[1:]))[0], u_min)
+        excess = np.abs(0.5 * (u_rows[:-1] + u_rows[1:]) - u_mid) / (tol * u_mid)
+        worst = np.zeros(len(H))
+        np.maximum.at(worst, step, excess)
+        low = worst > 1.0
+        if not np.any(low):
+            return rows, raised
+        k[low] = np.ceil(1.1 * k[low] * np.sqrt(worst[low])).astype(int)
+        raised += int(k[low].sum())
+
+
+class _CountingTable:
+    """A dense table that counts the radii it is read at."""
+
+    def __init__(self, table):
+        self.table, self.ts, self.radii = table, table.ts, 0
+
+    def __call__(self, t):
+        self.radii += np.size(t)
+        return self.table(t)
+
+
+_CATALOG_SOLVES = [("euclidean", 4, 2.0, 3.0, 2.0 * 2.0 ** 0.5, 40.0),
+                   ("hyperbolic", 3, 2.0, 5.0, 1.0, 20.0),
+                   ("exppower:c=1,m=3", 3, 2.0, 5.0, 1.0, 20.0),
+                   ("powerlike:k=2", 3, 2.0, 5.0, 1.0, 20.0),
+                   ("expgamma:c=1,gamma=0.5", 3, 2.0, 5.0, 1.0, 60.0)]
+
+
+def test_rows_read_the_dense_output_once():
+    """On five catalog solves the rows, u, du and w are the floats of the
+    two-round builder followed by a read of u and v at every row, and the
+    dense output is read at no more than the knots, 3 radii per step, the
+    rows and mid-rows once, and the rows and mid-rows of raised steps."""
+    for desc, n, p, q, alpha, R in _CATALOG_SOLVES:
+        sol = pl.integrate(pl.Problem(n, p, q, alpha), pl.make_model(desc),
+                           pl.SolverConfig(R))
+        rows, raised = _two_round_row_radii(sol._dense, sol._u_min)
+        u, v = sol._dense(rows)
+        du, w = sol._derived(rows, v)
+        assert np.array_equal(sol.r[1:], rows), desc
+        assert np.array_equal(sol.u[1:], np.maximum(u, sol._u_min)), desc
+        assert np.array_equal(sol.du[1:], du), desc
+        assert np.array_equal(sol.w[1:], w), desc
+        counting = _CountingTable(sol._dense)
+        got = solver._row_radii(counting, sol._u_min)
+        assert all(np.array_equal(a, b) for a, b in zip(got, (sol.r[1:], sol.u[1:], v)))
+        steps = len(sol._dense.h)
+        assert counting.radii <= steps + 1 + 3 * steps + 2 * len(rows) + 2 * raised, desc
 
 
 def test_float_kernel_matches_builtin_min_max():
