@@ -66,28 +66,38 @@ class _DenseTable:
         a table that continues it is built."""
         return self.ts, self.h, self.y_old, self.coef[::-1].transpose(2, 0, 1)
 
-    def __call__(self, t):
+    def __call__(self, t, c=None):
         """The two components at radii t of any shape ((u, v) of a solver
-        run, (log psi, psi'/psi) of a glued window); each has t's shape."""
+        run, (log psi, psi'/psi) of a glued window); each has t's shape.
+        With c = 0 or 1 only that component, read off its own rows of the
+        table at about half the cost."""
         t = np.asarray(t, dtype=float)
         flat = t.ravel()
-        y = np.empty((2, flat.size))
+        y = np.empty((2 if c is None else 1, flat.size))
         for lo in range(0, flat.size, _BLOCK):
-            self._eval(flat[lo:lo + _BLOCK], y[:, lo:lo + _BLOCK])
-        return y[0].reshape(t.shape), y[1].reshape(t.shape)
+            self._eval(flat[lo:lo + _BLOCK], y[:, lo:lo + _BLOCK], c)
+        if c is None:
+            return y[0].reshape(t.shape), y[1].reshape(t.shape)
+        return y[0].reshape(t.shape)
 
-    def _eval(self, t, y):
-        """Dop853DenseOutput's nested evaluation at the radii t, into y (2, N)."""
+    def _eval(self, t, y, c):
+        """Dop853DenseOutput's nested evaluation at the radii t, into y: both
+        components, or with c = 0 or 1 only that one."""
         seg = np.searchsorted(self.ts, t, side="left") - 1
-        g = self._table.take(seg, axis=1, mode="clip")
-        x = (t - g[0]) / g[1]
+        if c is None:
+            g = self._table.take(seg, axis=1, mode="clip")
+            knot, coef = g, g[2:].reshape(8, 2, -1)
+        else:
+            knot = self._table[:2].take(seg, axis=1, mode="clip")
+            coef = self._table[2 + c::2].take(seg, axis=1, mode="clip")[:, None]
+        x = (t - knot[0]) / knot[1]
         xm = 1 - x
-        np.add(0.0, g[2:4], out=y)
+        np.add(0.0, coef[0], out=y)
         y *= x
         for i in range(1, 7):
-            y += g[2 + 2 * i:4 + 2 * i]
+            y += coef[i]
             y *= x if i % 2 == 0 else xm
-        y += g[16:]
+        y += coef[7]
 
 
 class _Stepper:

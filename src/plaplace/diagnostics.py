@@ -84,6 +84,17 @@ class DiagnosticsReport:
         return runio.write_json(path, data)
 
 
+def _energy_exponent(sol, r):
+    """log(w u') = (1 + mu) v - mu (n-1) log psi at radii r > 0, from the
+    dense output's v = log(-w): w u' = psi^{n-1} |u'|^p with
+    |u'| = (|w| / psi^{n-1})^mu, mu = 1/(p-1)."""
+    prob = sol.problem
+    mu = 1.0 / (prob.p - 1.0)
+    E = sol._uv(r, 1) * (1.0 + mu)
+    E -= mu * ((prob.n - 1) * np.asarray(sol.model.log_psi(r), dtype=float))
+    return E
+
+
 def _pohozaev_identity_defect(sol, profile, num=80):
     """Defects of P(b) - P(a) = int_a^b K |u'|^p between audit radii.
 
@@ -91,10 +102,12 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     radii, to which a glued model adds every segment's start and the end
     of its blend window (start + width) inside the audited range, since K
     is not smooth across them. P is read from the steppers' dense output
-    and profile.I, and the integral is quadrature.panel_integrals of
-    K |u'|^p = bracket w u', formed in log space relative to each
-    interval's scale S = max(|I F| + |w u/(q+1)|) over its two ends. An
-    interval is resolved where the integral exceeds 1e-6 S.
+    and profile.I. The integral of K |u'|^p = bracket w u' is
+    quadrature.panel_integrals of bracket e^{E - log S}: the fitted rule
+    follows the exponent E = log(w u') (_energy_exponent), formed in log
+    space from v, and the bracket is a plain factor. S = max(|I F| +
+    |w u/(q+1)|) over the interval's two ends is its scale. An interval is
+    resolved where the integral exceeds 1e-6 S.
 
     Returns (max_rel_defect, max_scaled_defect, resolved_intervals,
     audited_radii): the largest |dP - int| / |int| over resolved intervals,
@@ -103,12 +116,7 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     """
     prob = sol.problem
     n, p, q = prob.n, prob.p, prob.q
-    mu = 1.0 / (p - 1.0)
     c1 = (p - 1.0) / p + 1.0 / (q + 1.0)
-
-    def lpsi(x):
-        return (n - 1) * np.asarray(profile.model.log_psi(x), dtype=float)
-
     lo, hi = max(10.0 * sol.r[1], 2e-3 * sol.r_last), 0.99 * sol.r_last
     breaks = [b for seg in profile.model.segments
               for b in (seg.start, seg.start + seg.width) if lo < b < hi]
@@ -121,14 +129,13 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     S = np.maximum(scale[:-1], scale[1:])
     log_S = np.log(S)
 
-    def density(s, k):
-        v = sol._uv(s)[1]
+    def bracket(s):
         slope = np.asarray(profile.model.slope_ratio(s), dtype=float)
-        bracket = c1 - (n - 1) * slope * profile.theta(s)
-        # w u' = psi^{n-1} |u'|^p = e^{v + mu (v - (n-1) log psi)}
-        return bracket * np.exp(v + mu * (v - lpsi(s)) - log_S[k][:, None])
+        return c1 - (n - 1) * slope * profile.theta(s)
 
-    integral = panel_integrals(density, x, lpsi(x))  # in units of S
+    # in units of S
+    integral = panel_integrals(lambda s, k: _energy_exponent(sol, s) - log_S[k][:, None],
+                               x, _energy_exponent(sol, x), bracket)
     err = np.abs(np.diff(IF + wu) / S - integral)
     resolved = np.abs(integral) > 1e-6
     rel = err[resolved] / np.abs(integral[resolved])
@@ -149,7 +156,9 @@ def functional_traces(sol, profile):
     bracket is computed before any large factor. E and the integrated
     identity P(b) - P(a) = int_a^b K |u'|^p, recorded as the
     "pohozaev-identity" verdict, are integrals of the dense output by
-    quadrature.panel_integrals.
+    quadrature.panel_integrals, both fitted to the exponent
+    log(w u') = (1 + mu) v - mu (n-1) log psi formed from v = log(-w); E
+    takes one panel per row interval.
 
     K, P (through I = Theta psi^{n-1}) and E grow with psi^{n-1}; where
     one of them leaves the double range the traces are refused with
@@ -173,13 +182,8 @@ def functional_traces(sol, profile):
     bracket = (p - 1.0) / p + 1.0 / (q + 1.0) - (n - 1) * slope * theta
     Q = J ** ((p - 1.0) / (q + 1.0 - p)) * u
 
-    # E' = n omega_n |u'|^p psi^{n-1} = n omega_n w u', from the dense output
-    def energy_density(x, k):
-        _, du_x, w_x = sol._state(x)
-        return n * unit_ball_volume(n) * w_x * du_x
-
     # past the double range these turn inf or nan, which is refused below
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         psi_pow = np.exp(lpsi_pow)
         psi_pow[0] = 0.0
         I = theta * psi_pow
@@ -188,8 +192,10 @@ def functional_traces(sol, profile):
         # E only up to the first row where K or P has left the range
         out = ~(np.isfinite(K) & np.isfinite(P))
         end = int(np.argmax(out)) + 1 if np.any(out) else len(r)
-        E = np.concatenate([[0.0], np.cumsum(
-            panel_integrals(energy_density, r[:end], lpsi_pow[:end]))])
+        mu = 1.0 / (p - 1.0)
+        E_rows = (1.0 + mu) * np.log(-w[:end]) - mu * lpsi_pow[:end]
+        E = n * unit_ball_volume(n) * np.concatenate([[0.0], np.cumsum(
+            panel_integrals(lambda x, k: _energy_exponent(sol, x), r[:end], E_rows))])
     traces = {"K": K[:end], "P": P[:end], "E": E}
     finite = np.all([np.isfinite(x) for x in traces.values()], axis=0)
     if not np.all(finite):

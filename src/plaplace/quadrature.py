@@ -1,59 +1,130 @@
-"""Gauss-Legendre panel rules shared by the solver, the diagnostics and the
-geometry quadratures.
+"""The exponentially fitted 8-node rule behind every e^{E} integral of the
+package: the geometry tables and the integrals of the solution.
 
-`panel_integrals` integrates a density between consecutive radii with the
-plain 5-node rule on panels across which psi^{n-1} grows by at most e.
-`fitted_rule` is the 8-node rule taken in y = e^{c (s - b)}, with c the
-chord slope of an exponent G across the panel: it integrates e^{G(s)} f(s)
-to near machine precision when G is smooth and grows by at most about 1
-across the panel (so e^{G - chord} stays close to 1), however steep G is.
-`partial_integrals` reuses a panel's node values to integrate from its
-left end to each node, so a quantity defined by a running integral (Theta
-= I / psi^{n-1}) is known at the nodes without evaluating anything again.
+`fitted_rule` is the 8-node Gauss-Legendre rule taken in y = e^{c (s - e)},
+with c the chord slope of an exponent E across the panel and e the end
+where E is larger (after Ixaru & Vanden Berghe, Exponential Fitting): it
+integrates f e^{E} to near machine precision when f and E - chord are
+smooth across the panel, however steep E is. `panel_integrals` integrates
+f e^{E} between consecutive radii on it, one panel per interval unless E
+bends away from its chord. `partial_integrals` reuses a panel's node
+values to integrate from its left end to each node, so a quantity defined
+by a running integral (Theta = I / psi^{n-1}) is known at the nodes
+without evaluating anything again.
 """
-
-import math
 
 import numpy as np
 
-# 5-node Gauss-Legendre rule on [-1, 1], in closed form; exact for degree
-# 9, and the integrands are smooth inside an interval.
-_GL_X1 = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
-_GL_X2 = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
-_GL_W1 = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
-_GL_W2 = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
-_GL_NODES = np.array([-_GL_X2, -_GL_X1, 0.0, _GL_X1, _GL_X2])
-_GL_WEIGHTS = np.array([_GL_W2, _GL_W1, 128.0 / 225.0, _GL_W1, _GL_W2])
-# most panels one panel_integrals call lays out: 7x the 142,025 of the
-# 4-stage oscillation's flux residual, and 40 MB of nodes
+# a panel across which the exponent E grows by more than 1 is cut where E,
+# read at the panel's nodes, departs from its chord by more than this. The
+# rule's error is about tanh(dE/4)^16 times that departure, and at most
+# about 2e-3 of it however steep the panel: 3e-15 at a growth of 1/2, the
+# growth of each part of a cut panel, and 2e-10 at 1. Straight exponents
+# stay one panel however steep, as on the oscillation's tails, whose
+# exponents grow by up to 1e5 across a step and depart from their chords
+# by up to 1e-6.
+_BEND = 1e-5
+# panels fitted and evaluated per call of the integrand: bounds the
+# (panels, 8) node arrays of one call and the lookups a factor makes on
+# them; 2048 was slower, and held 0.9 MB more at the Pohozaev audit's peak
+_BLOCK = 512
+# most panels one panel_integrals call lays out, 40 MB of nodes; the
+# 6-stage oscillation's flux residual uses 1,742
 _MAX_PANELS = 2 ** 20
+_LOG_EPS = float(np.log(np.finfo(float).eps))
 
 
-def panel_integrals(density, x, G):
-    """int_{x_k}^{x_{k+1}} density for every k.
+def panel_integrals(exponent, x, E, factor=None):
+    """int_{x_k}^{x_{k+1}} f e^{E - c_k} for every interval k, on the
+    fitted rule.
 
-    G is (n-1) log psi at the radii x. Each interval is cut into
-    ceil(G(x_{k+1}) - G(x_k)) equal panels (at least one), so psi^{n-1}
-    changes by at most a factor e across a panel; an interval from the
-    pole x = 0 is one panel. Each panel gets the 5-node Gauss-Legendre
-    rule. density(s, k) is called once, on the (m, 5) array s of all
-    nodes and the (m,) interval index k of each panel. More than
-    _MAX_PANELS panels are refused (QuadratureFailure) before any is laid out.
+    exponent(s, k) returns E(s) - c_k at the radii s ((m, j) array) of the
+    intervals k ((m,) array), c_k any constant of interval k; E holds the
+    exponent at the radii x, without those constants. factor(s), if given,
+    returns f at the radii s (else f = 1). Each interval is one panel of
+    `fitted_rule`, fitted to the chord of E. Where E grows by more than 1
+    across a panel and, read at the panel's nodes, departs from its chord
+    by more than _BEND, the panel is cut into ceil(2 g) equal parts, g the
+    larger of the growth and E's slope at the end where E is larger times
+    the panel's width, and each part is taken as a panel again; parts
+    where e^{E} stays below eps of the panel's largest value are left out.
+    That decision reads only the panel's own values. An interval from the
+    pole x = 0 is one panel of plain Gauss-Legendre. Panels go through
+    exponent and factor in blocks of _BLOCK; more than _MAX_PANELS are
+    refused (QuadratureFailure) before they are laid out.
     """
-    parts = np.where(x[:-1] > 0.0, np.maximum(np.ceil(np.diff(G)), 1), 1)
-    if not parts.sum() <= _MAX_PANELS:
-        from .models import QuadratureFailure  # models imports this module
-        raise QuadratureFailure(f"{parts.sum():.0f} panels asked for, more than "
-                                f"{_MAX_PANELS}: (n-1) log psi grows by {G[-1] - G[0]:.3g}")
-    parts = parts.astype(int)
-    k = np.repeat(np.arange(len(parts)), parts)
-    first = np.cumsum(parts) - parts  # first panel of each interval
-    width = (np.diff(x) / parts)[k]
-    a = x[k] + width * (np.arange(parts.sum()) - first[k])
-    b = a + width
-    half = 0.5 * (b - a)
-    s = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-    return np.add.reduceat(half * (density(s, k) @ _GL_WEIGHTS), first)
+    if not len(x) - 1 <= _MAX_PANELS:
+        _refuse(len(x) - 1)
+    a, b = x[:-1], x[1:]
+    with np.errstate(invalid="ignore"):
+        dE = np.where(a > 0.0, np.diff(E), 0.0)
+    return _cut_sums(exponent, factor, a, b, dE, np.arange(len(a)), len(a))
+
+
+def _refuse(panels):
+    from .models import QuadratureFailure  # models imports this module
+    raise QuadratureFailure(f"{panels:.0f} panels asked for, more than {_MAX_PANELS}")
+
+
+def _cut_sums(exponent, factor, a, b, dE, k, laid):
+    """The integrals over the panels [a, b] of the intervals k, each cut
+    where E bends away from its chord; `laid` panels are laid out so far."""
+    out, parts = _fitted_sums(exponent, factor, a, b, dE, k)
+    cut = np.nonzero(parts > 1)[0]
+    if cut.size == 0:
+        return out
+    parts = parts[cut]
+    laid += parts.sum() - cut.size
+    if not laid <= _MAX_PANELS:
+        _refuse(laid)
+    # the edges of each cut panel's parts, from a to b, and E there
+    kp = np.repeat(k[cut], parts + 1)
+    start = np.cumsum(parts + 1) - (parts + 1)
+    j = np.arange(len(kp)) - np.repeat(start, parts + 1)
+    pts = np.repeat(a[cut], parts + 1) + np.repeat((b - a)[cut], parts + 1) * (
+        j / np.repeat(parts, parts + 1))
+    pts[start + parts] = b[cut]
+    E_pts = np.concatenate([exponent(pts[blk, None], kp[blk])[:, 0]
+                            for blk in _blocks(len(pts))])
+    lo = np.delete(np.arange(len(pts)), start + parts)  # each part's left edge
+    # a part where e^{E} stays below eps of its panel's largest edge value
+    # cannot change the panel's sum, and is left out
+    panel = np.repeat(np.arange(len(cut)), parts)
+    top = np.maximum.reduceat(E_pts, start)[panel]
+    keep = np.maximum(E_pts[lo], E_pts[lo + 1]) > top + _LOG_EPS
+    lo, panel = lo[keep], panel[keep]
+    sums = _cut_sums(exponent, factor, pts[lo], pts[lo + 1], np.diff(E_pts)[lo],
+                     kp[lo], laid)
+    out[cut] = np.bincount(panel, sums, len(cut))
+    return out
+
+
+def _blocks(size):
+    return [slice(i, i + _BLOCK) for i in range(0, size, _BLOCK)]
+
+
+def _fitted_sums(exponent, factor, a, b, dE, k):
+    """The fitted rule's sum on each panel [a, b] of interval k, and the
+    parts to cut each panel into (1 where it stays whole)."""
+    sums, parts = np.empty(len(a)), np.ones(len(a), dtype=int)
+    for blk in _blocks(len(a)):
+        s, wt = fitted_rule(a[blk], b[blk], dE[blk])
+        Es = exponent(s, k[blk])
+        f = np.exp(Es)
+        if factor is not None:
+            f *= factor(s)
+        sums[blk] = np.einsum("ij,ij->i", wt, f)
+        wide = blk.start + np.nonzero(np.abs(dE[blk]) > 1.0)[0]
+        if wide.size:
+            i = wide - blk.start
+            width = b[wide] - a[wide]
+            dev = Es[i] - (dE[wide] / width)[:, None] * (s[i] - a[wide, None])
+            bent = dev.max(axis=1) - dev.min(axis=1) > _BEND
+            # the last two nodes lie next to the end where E is larger
+            steep = (Es[i, -1] - Es[i, -2]) / (s[i, -1] - s[i, -2]) * width
+            growth = np.maximum(np.abs(dE[wide]), np.abs(steep))
+            parts[wide[bent]] = np.ceil(2.0 * growth[bent])
+    return sums, parts
 
 
 def _partial_matrix(x, w):
@@ -94,28 +165,31 @@ _PARTIAL8 = _partial_matrix(_X8, _W8)
 def fitted_rule(a, b, dG):
     """8-node rule on each panel [a_i, b_i], fitted to the chord of G.
 
-    dG_i = G(b_i) - G(a_i) >= 0. The rule is Gauss-Legendre in
-    y = e^{c (s - b)}, c = dG / (b - a), on [e^{-dG}, 1]; with dG = 0 it is
-    plain Gauss-Legendre in s. Returns the nodes s and weights wt, both
-    (len(a), 8) and increasing in s, with sum(wt * f(s)) ~ int_a^b f ds.
+    dG_i = G(b_i) - G(a_i). The rule is Gauss-Legendre in
+    y = e^{c (s - e)}, c = dG / (b - a), on [e^{-|dG|}, 1], taken from the
+    end e where G is larger (b, or a where dG has its sign bit set), so y
+    never exceeds 1; with dG = 0 it is plain Gauss-Legendre in s. Returns
+    the nodes s and weights wt, both (len(a), 8), with s increasing from b
+    and decreasing from a, and sum(wt * f(s)) ~ int_a^b f ds.
     The rule is exact for f = e^{c s} times a polynomial of degree 15 in
     y, so for f = e^{G} it only has to resolve e^{G - chord}.
     """
     a = np.asarray(a, dtype=float)[:, None]
     b = np.asarray(b, dtype=float)[:, None]
-    dG = np.maximum(np.asarray(dG, dtype=float), 1e-300)[:, None]
-    h = -np.expm1(-dG)  # width of the panel in y
+    dG = np.asarray(dG, dtype=float)[:, None]
+    g = np.maximum(np.abs(dG), 1e-300)
+    h = -np.expm1(-g)  # width of the panel in y
     width = b - a
     # in place from here on: lookups run this on 8 nodes per radius
     wt = h * _U8
     s = np.negative(wt)
     np.log1p(s, out=s)
-    s *= width / dG
-    s += b
-    # ds = dy / (c y), and dy = (h / 2) dt on the reference interval
+    s *= width / np.copysign(g, dG)
+    s += np.where(np.signbit(dG), a, b)
+    # ds = dy / (|c| y), and dy = (h / 2) dt on the reference interval
     np.subtract(1.0, wt, out=wt)
     np.reciprocal(wt, out=wt)
-    wt *= width * (h / dG)
+    wt *= width * (h / g)
     wt *= _HALF_W8
     return s, wt
 

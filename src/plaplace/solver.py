@@ -326,24 +326,31 @@ class RadialSolution:
             w = -np.exp(v)
         return du, w
 
-    def _uv(self, r):
-        """(u, v) at radii r in [0, r_last], arrays of the shape of r.
+    def _uv(self, r, c=None):
+        """(u, v) at radii r in [0, r_last], arrays of the shape of r; with
+        c = 0 only u, with c = 1 only v.
 
         At the pole u = alpha and v = -inf (w = 0) exactly.
         """
         r = np.asarray(r, dtype=float)
         r_first, r_last = self._dense.ts[[0, -1]]
-        if np.any(r < 0.0) or np.any(r > r_last * (1 + 1e-12)):
+        lo, hi = (r.min(), r.max()) if r.size else (r_first, r_first)
+        if lo < 0.0 or hi > r_last * (1 + 1e-12):
             raise OutOfRange(f"radius outside [0, {r_last:g}]")
-        inside = r >= r_first
-        if np.all(inside):
-            u, v = self._dense(r)
+        if lo >= r_first:
+            y = self._dense(r, c)
         else:
-            u, v = np.full(r.shape, self.problem.alpha), np.full(r.shape, -np.inf)
-            u[inside], v[inside] = self._dense(r[inside])
+            inside = r >= r_first
             series = ~inside & (r > 0.0)
-            u[series], v[series] = _pole_series(self.problem, self.model, r[series])
-        return np.maximum(u, self._u_min), v
+            uv = np.array([np.full(r.shape, self.problem.alpha), np.full(r.shape, -np.inf)])
+            uv[:, series] = _pole_series(self.problem, self.model, r[series])
+            uv[slice(None) if c is None else c, inside] = self._dense(r[inside], c)
+            y = (uv[0], uv[1]) if c is None else uv[c]
+        if c == 1:
+            return y
+        if c == 0:
+            return np.maximum(y, self._u_min)
+        return np.maximum(y[0], self._u_min), y[1]
 
     def _state(self, r):
         """(u, u', w) at radii r in [0, r_last], arrays of the shape of r."""
@@ -1168,23 +1175,28 @@ def _flux_integrals(sol, idx, v_b):
     """int psi^{n-1} u^q e^{-v_b} between consecutive rows of idx, one per
     pair, v_b[k] being the shift of the k-th pair.
 
-    The integrand is formed in log space, so it stays finite however large
-    psi^{n-1} grows, and integrated over every row interval in between by
-    quadrature.panel_integrals, with u read from the steppers' dense output.
+    The integrand is e^{E - v_b} with E = (n-1) log psi + q log u, formed
+    in log space so it stays finite however large psi^{n-1} grows, and
+    integrated by quadrature.panel_integrals over the solver's steps
+    between the rows, fitted to E, with u read from the steppers' dense
+    output. The intervals end at the rows, at every knot in between and at
+    the end of each blend window of a glued model, which a step crosses
+    although psi is not smooth there.
     """
     prob = sol.problem
-    lo, hi = idx[0], idx[-1]
-    edges = sol.r[lo:hi + 1]
-    shift = np.repeat(v_b, np.diff(idx))
+    rows = sol.r[idx]
+    cuts = np.append(sol._dense.ts, [seg.start + seg.width for seg in sol.model.segments])
+    edges = np.union1d(rows, cuts[(cuts > rows[0]) & (cuts < rows[-1])])
+    at_rows = np.searchsorted(edges, rows)
+    shift = np.repeat(v_b, np.diff(at_rows))
 
-    def lpsi(x):
-        return (prob.n - 1) * np.asarray(sol.model.log_psi(x), dtype=float)
+    def exponent(x):
+        lpsi = np.asarray(sol.model.log_psi(x), dtype=float)
+        return (prob.n - 1) * lpsi + prob.q * np.log(sol._uv(x, 0))
 
-    def density(x, k):
-        return np.exp(lpsi(x) + prob.q * np.log(sol._uv(x)[0]) - shift[k][:, None])
-
-    rows = panel_integrals(density, edges, lpsi(edges))
-    return np.add.reduceat(rows, np.asarray(idx[:-1]) - lo)
+    steps = panel_integrals(lambda x, k: exponent(x) - shift[k][:, None],
+                            edges, exponent(edges))
+    return np.add.reduceat(steps, at_rows[:-1])
 
 
 def flux_residual(sol):
@@ -1195,10 +1207,10 @@ def flux_residual(sol):
     The defect is read between _FLUX_ROWS sampled rows, relative to |w(b)| and
     in log space from v = log(-w):
     -1 + e^{v_a - v_b} + int_a^b e^{(n-1) log psi + q log u - v_b}, so it
-    stays finite where w itself overflows. The integral is a 5-node
-    Gauss-Legendre rule on panels of every row interval in between. It
-    agrees with adaptive quadrature at epsrel=2e-14 on each row interval to
-    about 1e-14 |w| (tests require 1e-12 |w|), so the residual measures the
+    stays finite where w itself overflows. The integral is the fitted 8-node
+    rule on the solver's steps in between (_flux_integrals). It agrees with
+    adaptive quadrature at epsrel=2e-14 on each row interval to about
+    1e-14 |w| (tests require 1e-12 |w|), so the residual measures the
     solver rather than the quadrature.
     """
     idx = np.unique(np.linspace(1, len(sol.r) - 1, _FLUX_ROWS).astype(int))

@@ -80,21 +80,30 @@ def test_pohozaev_sees_solver_error():
 
 
 def test_pohozaev_panels_match_quad(hy_run):
-    """K |u'|^p on the widest audit interval of hy_run (9 panels) against
+    """K |u'|^p on the widest audit interval of hy_run, one panel_integrals
+    call on that interval alone (its exponent (1+mu) v - mu (n-1) log psi
+    grows by about 9, so the interval's own bend decides the cut), against
     quad(epsrel=1e-12) on each row interval inside it."""
     sol, prof = hy_run.sol, hy_run.prof
     n, p, q = sol.problem.n, sol.problem.p, sol.problem.q
+    mu = 1.0 / (p - 1.0)
     c1 = (p - 1.0) / p + 1.0 / (q + 1.0)
 
+    def bracket(s):
+        return c1 - (n - 1) * np.asarray(sol.model.slope_ratio(s)) * prof.theta(s)
+
+    def exponent(s):
+        G = (n - 1) * np.asarray(sol.model.log_psi(s))
+        return (1.0 + mu) * np.log(-sol.eval_w(s)) - mu * G
+
     def density(s):
-        return (np.exp((n - 1) * np.asarray(sol.model.log_psi(s)))
-                * (c1 - (n - 1) * np.asarray(sol.model.slope_ratio(s)) * prof.theta(s))
+        return (np.exp((n - 1) * np.asarray(sol.model.log_psi(s))) * bracket(s)
                 * np.abs(sol.eval_du(s)) ** p)
 
     x = np.geomspace(max(10.0 * sol.r[1], 2e-3 * sol.r_last), 0.99 * sol.r_last, 80)
     a, b = x[-2:]
-    G = (n - 1) * np.asarray(sol.model.log_psi(x[-2:]))
-    got = quadrature.panel_integrals(lambda s, k: density(s), x[-2:], G)[0]
+    got = quadrature.panel_integrals(lambda s, k: exponent(s), x[-2:],
+                                     exponent(x[-2:]), bracket)[0]
     cuts = np.concatenate([[a], sol.r[(sol.r > a) & (sol.r < b)], [b]])
     ref = sum(quad(lambda s: float(density(s)), lo, hi, epsabs=0.0,
                    epsrel=1e-12, limit=100)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
@@ -143,7 +152,7 @@ def test_glued_pair_mismatch_guard():
     assert pl.decay_envelope_check(sol, same)["passed"]
 
 
-@pytest.mark.parametrize("end", ["hyperbolic", "powerlike:k=2"])
+@pytest.mark.parametrize("end", ["hyperbolic", "powerlike:k=2", "exppower:c=1,m=2"])
 def test_pohozaev_passes_on_glued_model(end):
     """A model flat up to r = 2 and blending into `end` over [2, 2.5] is
     audited at the join and the blend window's end besides the 80

@@ -172,7 +172,8 @@ def test_flux_residual_matches_quad_loop(hy_run, ep_run):
 
 
 def test_flux_rule_matches_tight_quadrature(hy_run, ep_run):
-    """Gauss-Legendre per knot interval against quad(epsrel=2e-14) on each."""
+    """The fitted rule on the steps between sampled rows against
+    quad(epsrel=2e-14) on each row interval."""
     for run in (hy_run, ep_run):
         sol = run.sol
         integrand = _flux_integrand(sol)
@@ -194,20 +195,63 @@ def test_flux_residual_on_exponential_tail(oscillation):
     assert pl.flux_residual(oscillation.sol) < 5e-9
 
 
-def test_flux_residual_refuses_runaway_panel_count(oscillation, monkeypatch):
-    """On six stages (n-1) log psi grows by about 1e8 past the last join, so
-    the flux residual would lay out some 97 million panels; it is refused
-    (QuadratureFailure) within a second, before any is allocated. The
-    four-stage residual, on 142,025 panels, is the float it is with the
-    cap lifted."""
+def _count_panels(monkeypatch):
+    """The panels quadrature.fitted_rule lays out from now on, by call."""
+    panels, rule = [], quadrature.fitted_rule
+    monkeypatch.setattr(quadrature, "fitted_rule",
+                        lambda a, b, dG: panels.append(len(a)) or rule(a, b, dG))
+    return panels
+
+
+def test_flux_residual_refuses_runaway_panel_count(monkeypatch):
+    """On six stages (n-1) log psi grows by about 1e8 past the last join,
+    along exponents that stay on their chords across the solver's steps:
+    the flux residual returns within a second, on fewer than _MAX_PANELS
+    panels, a finite value. With the cap below the panel count it is
+    refused (QuadratureFailure) before any panel is laid out."""
     six = pl.construct(3, 2.0, 5.0, 1.0, 6)[1]
+    panels = _count_panels(monkeypatch)
     start = time.perf_counter()
+    residual = pl.flux_residual(six)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(residual)
+    assert sum(panels) < quadrature._MAX_PANELS
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", panels[0] // 2)
+    panels.clear()
     with pytest.raises(pl.QuadratureFailure):
         pl.flux_residual(six)
-    assert time.perf_counter() - start < 1.0
-    capped = pl.flux_residual(oscillation.sol)
-    monkeypatch.setattr(quadrature, "_MAX_PANELS", math.inf)
-    assert pl.flux_residual(oscillation.sol) == capped
+    assert panels == []
+
+
+@pytest.mark.parametrize("c", [500.0, -500.0])
+def test_panel_integrals_straight_exponent(c, monkeypatch):
+    """e^{c s} on [1, 2], rising or falling (the falling rule is taken from
+    its left end, where the exponent is largest): one panel of the fitted
+    rule, exact to 1e-14."""
+    panels = _count_panels(monkeypatch)
+    end = 2.0 if c > 0.0 else 1.0
+    x = np.array([1.0, 2.0])
+    got = quadrature.panel_integrals(lambda s, k: c * (s - end), x, c * (x - end))
+    exact = -math.expm1(-abs(c)) / abs(c)
+    assert panels == [1]
+    assert abs(got[0] - exact) <= 1e-14 * exact
+
+
+def test_panel_integrals_cut_curved_interval():
+    """(n-1) log psi of exppower:c=1,m=3 on [1, 3] grows by 54 and bends
+    far from its chord: the one interval, with no neighbour to compare,
+    is cut, and e^{G - G(3)} matches quad(epsrel=2e-14)."""
+    model = pl.make_model("exppower:c=1,m=3")
+    x = np.array([1.0, 3.0])
+    top = 2.0 * float(model.log_psi(3.0))
+
+    def G(s):
+        return 2.0 * np.asarray(model.log_psi(s), dtype=float) - top
+
+    got = quadrature.panel_integrals(lambda s, k: G(s), x, G(x))[0]
+    ref = quad(lambda s: math.exp(float(G(s))), 1.0, 3.0, epsabs=0.0,
+               epsrel=2e-14, limit=200)[0]
+    assert abs(got - ref) <= 1e-13 * ref
 
 
 def test_eval_array_matches_scalars(hy_run):

@@ -7,7 +7,9 @@ root: 5 catalog `solve` runs, 2 `classify`, `diagnose` on a decaying and on
 a plateauing model (between them every check), `quotient`, `sweep` and
 `oscillate --stages 4`. Prints one `sha256 run-dir file` line per artifact,
 sorted; manifests are left out, since they hold wall time. Then it prints
-the triggers of the 6-stage construction, each float by repr.
+the triggers of the 6-stage construction, each float by repr, and the
+flux residual of the 4-stage and the 6-stage construction by repr, or the
+name of the exception (QuadratureFailure) where the residual is refused.
 
 Two checkouts whose outputs are byte-identical print the same lines, so a
 byte-identity claim is one `diff` of the two outputs. The script reads no
@@ -51,7 +53,7 @@ def _sha256(path):
 
 def main(repo):
     sys.path.insert(0, os.path.join(os.path.abspath(repo), "src"))
-    from plaplace import cli, oscillator
+    from plaplace import cli, models, oscillator, solver
 
     with tempfile.TemporaryDirectory() as root:
         for argv in SESSION:
@@ -66,10 +68,18 @@ def main(repo):
             for name in sorted(os.listdir(folder)):
                 if name != "manifest.json":
                     print(_sha256(os.path.join(folder, name)), run, name)
-    # the certificate is construct's third element whether or not a
-    # checkout also returns the profile, so one script hashes both
-    cert = oscillator.construct(3, 2.0, 5.0, 1.0, 6)[2]
-    print("triggers", *(repr(stage["r"]) for stage in cert.stages))
+    # the solution and the certificate are construct's second and third
+    # elements whether or not a checkout also returns the profile, so one
+    # script hashes both
+    for stages in (4, 6):
+        sol, cert = oscillator.construct(3, 2.0, 5.0, 1.0, stages)[1:3]
+        if stages == 6:
+            print("triggers", *(repr(stage["r"]) for stage in cert.stages))
+        try:
+            flux = repr(solver.flux_residual(sol))
+        except models.QuadratureFailure as exc:  # a refusal, by its type
+            flux = type(exc).__name__
+        print(f"flux_residual {stages} stages", flux)
 
 
 if __name__ == "__main__":
