@@ -157,11 +157,10 @@ def cmd_diagnose(args):
 def cmd_quotient(args):
     b_seq = _float_list(args.b)
     params = {"model": args.model, "n": args.n, "p": args.p, "b": b_seq,
-              "R0": args.R0, "num": args.num}
+              "R0": args.R0}
     with runio.RunDir("quotient", params, root=args.out) as run:
         model = models.make_model(args.model)
-        sweep = sobolev.concentration_sweep(model, args.n, args.p, b_seq,
-                                            R0=args.R0, num=args.num)
+        sweep = sobolev.concentration_sweep(model, args.n, args.p, b_seq, R0=args.R0)
         run.record(sobolev.export_sweep_csv(sweep, run.file("quotients.csv")))
         run.record(_write_json(run.file("sweep.json"), sweep))
         ref = sweep["reference"]
@@ -255,7 +254,6 @@ def build_parser():
     sp.add_argument("--b", required=True,
                     help="decreasing comma list of concentration scales")
     sp.add_argument("--R0", type=float, default=20.0)
-    sp.add_argument("--num", type=int, default=4000)
     sp.set_defaults(func=cmd_quotient)
 
     sp = sub.add_parser("oscillate", help="staged oscillating construction")

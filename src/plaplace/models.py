@@ -773,20 +773,12 @@ class GeometryProfile:
         """Theta, log J and log U at the fine panel edges below r_switch.
 
         Each panel of `edges` is cut into ceil(growth) equal parts, and
-        again wherever G still grows by more than 1.
+        again wherever G still grows by more than 1
+        (quadrature.unit_growth_edges).
         """
-        while True:
-            parts = np.maximum(np.ceil(growth), 1).astype(int)
-            first = np.repeat(np.cumsum(parts) - parts, parts)
-            step = np.repeat(np.diff(edges) / parts, parts)
-            edges = np.append(np.repeat(edges[:-1], parts)
-                              + step * (np.arange(parts.sum()) - first), edges[-1])
-            G = self._G(edges)
-            if not np.all(np.isfinite(G)):
-                raise QuadratureFailure("geometry quadrature: non-finite log psi")
-            growth = np.diff(G)
-            if growth.max() <= 1.0:
-                break
+        edges, G = quadrature.unit_growth_edges(self._G, edges, growth)
+        if not np.all(np.isfinite(G)):
+            raise QuadratureFailure("geometry quadrature: non-finite log psi")
         # the rule runs on blocks of panels, which bounds the memory of each
         # model call and of the (panels, 8) node arrays
         a, b, Ga, Gb = edges[:-1], edges[1:], G[:-1], G[1:]

@@ -1,5 +1,6 @@
 """The exponentially fitted 8-node rule behind every e^{E} integral of the
-package: the geometry tables and the integrals of the solution.
+package: the geometry tables, the integrals of the solution and the
+Sobolev norms.
 
 `fitted_rule` is the 8-node Gauss-Legendre rule taken in y = e^{c (s - e)},
 with c the chord slope of an exponent E across the panel and e the end
@@ -10,7 +11,9 @@ f e^{E} between consecutive radii on it, one panel per interval unless E
 bends away from its chord. `partial_integrals` reuses a panel's node
 values to integrate from its left end to each node, so a quantity defined
 by a running integral (Theta = I / psi^{n-1}) is known at the nodes
-without evaluating anything again.
+without evaluating anything again. `unit_growth_edges` lays out panels
+across which an exponent grows by at most 1, the layout of the geometry
+tables and of the Sobolev norms.
 """
 
 import numpy as np
@@ -125,6 +128,32 @@ def _fitted_sums(exponent, factor, a, b, dE, k):
             growth = np.maximum(np.abs(dE[wide]), np.abs(steep))
             parts[wide[bent]] = np.ceil(2.0 * growth[bent])
     return sums, parts
+
+
+def unit_growth_edges(exponent, edges, growth=None):
+    """Panel edges on which an exponent G grows by at most 1 across each
+    panel, and G at them.
+
+    Each panel of `edges` is cut into ceil(growth) equal parts (growth
+    bounds G's growth across it; None leaves it whole), and every part
+    across which G, read at its edges by exponent(r), still grows by more
+    than 1 is cut again the same way. Where G reads non-finite the edges
+    and G so far are returned, for the caller to refuse.
+    """
+    if growth is None:
+        growth = np.zeros(len(edges) - 1)
+    while True:
+        parts = np.maximum(np.ceil(growth), 1).astype(int)
+        first = np.repeat(np.cumsum(parts) - parts, parts)
+        step = np.repeat(np.diff(edges) / parts, parts)
+        edges = np.append(np.repeat(edges[:-1], parts)
+                          + step * (np.arange(parts.sum()) - first), edges[-1])
+        G = exponent(edges)
+        if not np.all(np.isfinite(G)):
+            return edges, G
+        growth = np.diff(G)
+        if growth.max() <= 1.0:
+            return edges, G
 
 
 def _partial_matrix(x, w):

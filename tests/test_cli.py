@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import plaplace as pl
-from plaplace import cli
+from plaplace import cli, sobolev
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -236,25 +236,21 @@ def test_quotient_rows_above_reference(tmp_path):
 
 
 @pytest.mark.parametrize("option", [
-    ("--num", "0"), ("--num", "3"), ("--num", "5"),
     ("--R0", "nan"), ("--R0", "inf"), ("--R0", "-1"), ("--R0", "0"),
 ], ids=" ".join)
 def test_quotient_refuses_grid_or_radius_without_error_bar(tmp_path, capsys, option):
-    """A grid whose halved grid has fewer than the 3 points of Simpson's
-    rule (--num below 6) leaves no error bar, and a cutoff scale R0 that is
-    not positive and finite no radius: both are argument errors (exit 2),
-    refused before any quadrature, with no numerical warning. --num 3 used
-    to print a reference of 2.2e-06 with no row flagged, --num 0 and
-    --R0 -1 to end in tracebacks (exit 1) and --R0 nan in a TailDivergence
-    at R = nan (exit 3)."""
+    """A cutoff scale R0 that is not positive and finite leaves no radius:
+    an argument error (exit 2), refused before any quadrature, with no
+    numerical warning. --R0 -1 used to end in a traceback (exit 1) and
+    --R0 nan in a TailDivergence at R = nan (exit 3)."""
     assert run_cli(tmp_path, *_QUOTIENT, "1,0.1", *option) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: argument:") and "Warning" not in err
 
 
-def test_quotient_default_num_has_finite_error_bars(tmp_path, capsys):
-    """At the default grid (num = 4000, halved to 2000) every row and the
-    reference carry a finite error bar, and stderr stays empty."""
+def test_quotient_rows_have_finite_error_bars(tmp_path, capsys):
+    """Every row and the reference carry a finite error bar, and stderr
+    stays empty."""
     assert run_cli(tmp_path, *_QUOTIENT, "1,0.1") == 0
     assert capsys.readouterr().err == ""
     sweep = load_json(latest_dir(tmp_path), "sweep.json")
@@ -262,14 +258,24 @@ def test_quotient_default_num_has_finite_error_bars(tmp_path, capsys):
         assert math.isfinite(row["err"]) and 0.0 < row["err"] < row["quotient"]
 
 
-@pytest.mark.parametrize("grid, flagged", [(("--num", "6"), True), ((), False)],
-                         ids=["num-6", "default"])
-def test_quotient_flags_unresolved_reference(tmp_path, capsys, grid, flagged):
-    """The Euclidean reference is flagged by the rows' error-bar rule: at
-    --num 6 its halved-grid error bar is about its whole quotient, at the
-    default grid ~4e-6 of it. The flag is in sweep.json and on the summary
-    line, and the run still exits 0."""
-    assert run_cli(tmp_path, *_QUOTIENT, "1,0.1", *grid) == 0
+@pytest.mark.parametrize("flagged", [True, False], ids=["unresolved", "default"])
+def test_quotient_flags_unresolved_reference(tmp_path, capsys, monkeypatch, flagged):
+    """The Euclidean reference is flagged by the rows' error-bar rule: with
+    its error bar read as its whole quotient (as a 6-point Simpson grid
+    once gave) it is flagged, with its own error bar, ~5e-14 of it, not.
+    The flag is in sweep.json and on the summary line, and the run still
+    exits 0."""
+    # the reference is computed afresh, with the patched error bar
+    monkeypatch.setattr(sobolev, "_euclid_reference_cache", {})
+    if flagged:
+        quotient = sobolev.sobolev_quotient
+
+        def unresolved(*args, **kwargs):
+            rep = quotient(*args, **kwargs)
+            return dict(rep, err=rep["quotient"])
+
+        monkeypatch.setattr(sobolev, "sobolev_quotient", unresolved)
+    assert run_cli(tmp_path, *_QUOTIENT, "1,0.1") == 0
     ref = load_json(latest_dir(tmp_path), "sweep.json")["reference"]
     assert ref["flagged"] is flagged
     assert (ref["err"] > 0.5 * ref["quotient"]) is flagged
@@ -324,7 +330,7 @@ def test_solve_rerun_is_byte_identical(tmp_path):
     ("diagnose", "--model", "hyperbolic", "--n", "3", "--p", "2", "--q", "5",
      "--alpha", "1", "--rmax", "10"),
     ("quotient", "--model", "expgamma:c=1,gamma=0.5", "--n", "3", "--p", "2",
-     "--b", "1,0.5", "--num", "400"),
+     "--b", "1,0.5"),
     ("sweep", "--model", "hyperbolic", "--n", "3", "--p", "2",
      "--alpha", "0.5,1", "--q", "5", "--rmax", "10"),
 ], ids=lambda args: args[0])
