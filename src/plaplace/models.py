@@ -588,15 +588,15 @@ def audit_model(model):
             f"{model!r} violates psi(0)=0, psi'(0)=1 (psi/r={p0 / r0:.6g}, "
             f"psi'={d0:.6g} at r={r0:g})"
         )
+    # each test is written so that NaN fails it (argmin finds the first NaN)
     scale = np.maximum(np.abs(psi), 1.0)
-    if np.any(ddpsi < -1e-12 * scale):
+    if not np.all(ddpsi >= -1e-12 * scale):
         bad = r[np.argmin(ddpsi / scale)]
-        raise ConvexityViolation(f"{model!r}: psi'' < 0 near r={bad:.6g}")
-    finite = np.isfinite(psi)
-    if np.any(dpsi[finite] < 1.0 - 1e-9):
-        raise ConvexityViolation(f"{model!r}: psi' < 1 on audit grid")
-    if np.any(psi[finite] < r[finite] * (1.0 - 1e-9)):
-        raise ConvexityViolation(f"{model!r}: psi < r on audit grid")
+        raise ConvexityViolation(f"{model!r}: psi'' < 0 or NaN near r={bad:.6g}")
+    if not np.all(dpsi >= 1.0 - 1e-9):
+        raise ConvexityViolation(f"{model!r}: psi' < 1 or NaN on audit grid")
+    if not np.all(psi >= r * (1.0 - 1e-9)):
+        raise ConvexityViolation(f"{model!r}: psi < r or NaN on audit grid")
     return r
 
 
@@ -702,9 +702,9 @@ class GeometryProfile:
     over the panels. Theta at the rule's nodes follows from the same node
     values (quadrature.partial_integrals), and the same rule applied to
     Theta^mu and Theta^mu I gives the increments of log J and log U.
-    Beyond r_switch Theta is the quasi-equilibrium expansion, J continues
-    by Gauss-Legendre in log r on the geometric panels, and W is read from
-    its quasi-equilibrium formula. The tabulated range [r_lo, r_hi]
+    Beyond r_switch Theta and W are read from their relaxations'
+    quasi-equilibrium (_relax_qe), and J continues by Gauss-Legendre in
+    log r on the geometric panels. The tabulated range [r_lo, r_hi]
     extends far beyond the user horizon R so tail convergence of J is
     decided by direct quadrature: tail_converged compares J(r_hi) with
     J(r_hi/2), and J_inf is J(r_hi) where it converged. These two lookups
@@ -843,23 +843,34 @@ class GeometryProfile:
             log_wt = np.log(wt * r)
         return _log_sum(log_wt + self.mu * np.log(self._theta_qe(r)))
 
-    def _theta_qe(self, r, order=3):
-        """Quasi-equilibrium Theta for radii beyond the switch.
+    def _theta_qe(self, r):
+        """Quasi-equilibrium Theta for radii beyond the switch, from its
+        relaxation Theta' = 1 - G' Theta (_relax_qe)."""
+        return self._relax_qe(r, lambda x: (1.0, (self.n - 1) * self.model.slope_ratio(x)))
 
-        Theta = (1 - Theta') / g with g = (n-1) psi'/psi, iterated `order`
-        times from 1/g, each Theta' by a central difference of step 1e-4 r.
+    @staticmethod
+    def _relax_qe(r, coefficients):
+        """x at radii r for a fast relaxation x' = s - k x, k >> 1/r.
+
+        x = (s - x')/k is iterated three rounds from x = s/k, each x' a
+        central difference of step 1e-4 r. coefficients(radii) returns
+        (s, k); it is called once, on every radius the rounds read stacked
+        into one array: r, then each level's radii x +- 1e-4 x.
         """
-
-        def it(rr, k):
-            f = self.model.slope_ratio(rr)
-            base = 1.0 / ((self.n - 1) * f)
-            if k == 0:
-                return base
-            h = rr * 1e-4
-            d = (it(rr + h, k - 1) - it(rr - h, k - 1)) / (2.0 * h)
-            return (1.0 - d) / ((self.n - 1) * f)
-
-        return it(r, order)
+        r = np.asarray(r, dtype=float)
+        levels = [r.ravel()]
+        for _ in range(3):
+            x = levels[-1]
+            h = x * 1e-4
+            levels.append(np.concatenate([x + h, x - h]))
+        s, k = coefficients(np.concatenate(levels))
+        cuts = np.cumsum([len(x) for x in levels[:-1]])
+        s, k = np.split(np.broadcast_to(s, k.shape), cuts), np.split(k, cuts)
+        x = s[-1] / k[-1]
+        for level, sj, kj in zip(levels[-2::-1], s[-2::-1], k[-2::-1]):
+            d = (x[:len(level)] - x[len(level):]) / (2.0 * (level * 1e-4))
+            x = (sj - d) / kj
+        return x.reshape(r.shape)
 
     # -- lookups -------------------------------------------------------
 
@@ -886,14 +897,24 @@ class GeometryProfile:
         return np.logaddexp(self._tail_logJ[k], self._tail_increments(tail[k], r))
 
     def _tail_log_proxy(self, r):
-        """log W/J at radii r > r_switch, with the quasi-equilibrium
-        W ~ g Theta - (g Theta)' Theta, g = Theta^mu."""
+        """log W/J at radii r > r_switch.
+
+        W relaxes as W' = Theta^mu - W/Theta. It is read as
+        W = Theta^(1+mu) V, where V stays near 1 and relaxes as
+        V' = 1/Theta - (1 + (1+mu) Theta') V/Theta (_relax_qe), with Theta
+        from _theta_qe and Theta' = 1 - G' Theta from Theta's relaxation.
+        The central differences of V cost about 3e-11 in log W at the
+        switch, where those of W itself cost 1e-10.
+        """
         mu = self.mu
-        h = r * 1e-3
-        th = self._theta_qe(r)
-        dgth = (self._theta_qe(r + h) ** (mu + 1.0)
-                - self._theta_qe(r - h) ** (mu + 1.0)) / (2.0 * h)
-        return np.log(th ** (mu + 1.0) - dgth * th) - self._tail_log_J(r)
+
+        def coefficients(x):
+            theta = self._theta_qe(x)
+            dtheta = 1.0 - (self.n - 1) * self.model.slope_ratio(x) * theta
+            return 1.0 / theta, (1.0 + (1.0 + mu) * dtheta) / theta
+
+        return ((1.0 + mu) * np.log(self._theta_qe(r))
+                + np.log(self._relax_qe(r, coefficients)) - self._tail_log_J(r))
 
     def _lookup(self, r, fine, tail, outputs=1):
         """fine(x) on the radii up to r_switch, tail(x) beyond, in r's shape;
@@ -973,15 +994,21 @@ def safe_horizon(model, n):
         return hi
     while model.log_psi(lo) > limit:
         lo *= 0.5
-    for _ in range(200):
+    return _bisect(lambda r: model.log_psi(r) > limit, lo, hi)[0]
+
+
+def _bisect(holds, lo, hi):
+    """Halve [lo, hi], where holds(lo) is false and holds(hi) true, until
+    the midpoint equals an end (no later step would move either), and
+    return that (lo, hi): holds(hi) is still true and holds(lo) false."""
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # no later step moves either end
-            break
-        if model.log_psi(mid) > limit:
+        if mid == lo or mid == hi:
+            return lo, hi
+        if holds(mid):
             hi = mid
         else:
             lo = mid
-    return lo
 
 
 def geometry_start(r, n, p):

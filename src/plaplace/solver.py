@@ -50,9 +50,9 @@ Both steppers run under dense.solve_ivp, the package's run loop (no
 scipy module is imported), which says why each run ended: a piece that
 ends "stiff" on DOP853 is finished on Radau, and the solution ends at the
 first accepted step end (r, u) where u has fallen to the underflow floor
-("underflow"; the crossing is then located on the last step's dense output
-by scipy's event rule, Brent's method in _brent_root) or where the
-caller's predicate stop(r, u) holds ("stopped"). integrate(carry=)
+("underflow"; the run is then trimmed to the least float of its last step
+where the dense output of u is at or below the floor, by bisection) or
+where the caller's predicate stop(r, u) holds ("stopped"). integrate(carry=)
 continues a stopped solution past a join at its last radius, as the
 staged oscillating construction does, without retaking its steps.
 """
@@ -63,7 +63,7 @@ import math
 import numpy as np
 from . import runio
 from .dense import _DenseTable, _Stepper, solve_ivp
-from .models import _EXP_CAP, GeometryOverflow, InvalidParameter
+from .models import _EXP_CAP, GeometryOverflow, InvalidParameter, _bisect
 from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
 
 # solution.csv contract: linear interpolation of u between neighbouring
@@ -509,8 +509,6 @@ _EPS = float(np.finfo(float).eps)
 # an accepted step in a _RadialRadau record: t, h, the start state (u, v)
 # and the cubic's coefficients Q, three for u then three for v
 _RADAU_RECORD = 10
-# scipy's tolerance for event roots (scipy.integrate._ivp.ivp)
-_EVENT_TOL = 4 * _EPS
 
 
 def _stage_function(rows, known, sums):
@@ -978,63 +976,14 @@ def _dop853_piece(steps, kernel):
             np.array(F).transpose(2, 0, 1))
 
 
-def _brent_root(f, xpre, xcur, xtol, rtol, maxiter=100):
-    """A root of f between xpre and xcur, where f changes sign, by Brent's
-    method (Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4) as scipy's brentq runs it (scipy/optimize/Zeros/brentq.c): the
-    same inverse quadratic or secant trials, bisection fallbacks and
-    stopping test |half bracket| < (xtol + rtol |x|)/2, step for step in
-    the same float operations, so the root is brentq's to the bit."""
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f must have different signs at the two ends")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
-    raise StepSizeCollapse(f"root not bracketed to tolerance after {maxiter} steps")
-
-
 def _trim_to_underflow(piece, u_floor):
-    """Move the last knot of a piece back to where the dense output of u
-    on its last step falls to u_floor, by scipy's rule for event roots
-    (brentq, here _brent_root, with xtol = rtol = 4 eps on the step's
-    interpolant)."""
+    """Move the last knot of a piece back to the least float of its last
+    step where the step's dense output of u is at or below u_floor, found
+    by bisection (models._bisect): u lies above the floor one float
+    earlier."""
     ts, h, y_old, F = piece
     last = _DenseTable([(ts[-2:], h[-1:], y_old[-1:], F[-1:])])
-    ts[-1] = _brent_root(lambda r: last(r)[0] - u_floor, float(ts[-2]), float(ts[-1]),
-                         _EVENT_TOL, _EVENT_TOL)
+    ts[-1] = _bisect(lambda r: last(r)[0] <= u_floor, float(ts[-2]), float(ts[-1]))[1]
 
 
 def _radial_equations(prob, model):
@@ -1099,8 +1048,8 @@ def integrate(prob, model, config, stop=None, carry=None):
     _radial_equations. The run ends at the horizon ("reached-horizon"), or
     at the first accepted step end where u hits the underflow floor
     1e-12 alpha ("underflow"; u = 0 is never attained in exact arithmetic,
-    and the last radius is moved back to where the dense output of u
-    crosses the floor), or where stop(r, u) holds ("stopped", on that step
+    and the last radius is moved back to the least float where the dense
+    output of u is at or below the floor), or where stop(r, u) holds ("stopped", on that step
     end). Each piece runs on _RadialDOP853; a piece on which it stops for
     stiffness is finished by Radau. The solution's rows are not built
     here: NonMonotone is raised by their first read, not by integrate.

@@ -243,6 +243,54 @@ def test_extension_refuses_negative_curvature():
             base.extended(1.0, 5.0, m_from, m_to, 0.5)
 
 
+class _FlatPast2(models.Euclidean):
+    """psi = r up to r = 2; past it, the method named `name` (log_psi,
+    slope_ratio or curvature_ratio) reads `value`."""
+
+    def __init__(self, name, value):
+        self.name, self.value = name, value
+
+    def _past(self, name, r, base):
+        return np.where(np.asarray(r) > 2.0, self.value, base) if name == self.name else base
+
+    def log_psi(self, r):
+        return self._past("log_psi", r, super().log_psi(r))
+
+    def slope_ratio(self, r):
+        return self._past("slope_ratio", r, super().slope_ratio(r))
+
+    def curvature_ratio(self, r):
+        return self._past("curvature_ratio", r, super().curvature_ratio(r))
+
+
+class _HalfPast2(models.Euclidean):
+    """psi = r/2 past r = 2, with psi' = 1 there: below r, not below 1."""
+
+    def log_psi(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.log(np.where(r > 2.0, r / 2.0, r))
+
+    def slope_ratio(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 2.0, 2.0, 1.0) / r
+
+
+@pytest.mark.parametrize("model, message", [
+    (_FlatPast2("curvature_ratio", -1.0), r"psi'' < 0 or NaN near r=2\."),
+    (_FlatPast2("slope_ratio", 0.25), r"psi' < 1 or NaN"),
+    (_HalfPast2(), r"psi < r or NaN"),
+    (_FlatPast2("curvature_ratio", math.nan), r"psi'' < 0 or NaN near r=2\."),
+    (_FlatPast2("slope_ratio", math.nan), r"psi' < 1 or NaN"),
+    (_FlatPast2("log_psi", math.nan), r"psi'' < 0 or NaN near r=2\."),
+], ids=["concave", "slope-below-1", "psi-below-r", "curvature-nan", "slope-nan",
+        "log-psi-nan"])
+def test_audit_refuses_each_violation_and_nan(model, message):
+    """Each ConvexityViolation branch of audit_model fires on a flat model
+    that breaks it past r = 2, and NaN in any ratio fails the audit too."""
+    with pytest.raises(pl.ConvexityViolation, match=message):
+        pl.audit_model(model)
+
+
 # ---------------------------------------------------------------------------
 # glued-model evaluation: scalar and array lookups
 # ---------------------------------------------------------------------------
@@ -570,6 +618,25 @@ def test_exppower_theta_against_quad(n):
     assert max(abs(prof.log_theta(x) - math.log(theta(x))) for x in expansion) < 1e-10
     # the expansion takes over from the panels without a visible step
     assert abs(prof.log_theta(switch * (1 + 1e-12)) - prof.log_theta(switch)) < 1e-9
+
+
+def test_hp_fail_proxy_has_no_seam_at_the_switch():
+    """W/J read from the panels at r_switch and from the quasi-equilibrium
+    expansion one float past it agree to 1e-10 in log, on every catalog
+    model that switches, at (n, p) in (2,1.5), (3,2), (4,3), (5,1.5), (5,4)."""
+    switching = 0
+    for descriptor in ("euclidean", "hyperbolic", "exppower:c=1,m=3", "powerlike:k=2",
+                       "expgamma:c=1,gamma=0.5"):
+        model = pl.make_model(descriptor)
+        for n, p in ((2, 1.5), (3, 2.0), (4, 3.0), (5, 1.5), (5, 4.0)):
+            prof = pl.geometry_profile(model, n, p, 20.0)
+            if prof.r_switch == prof.r_hi:
+                continue
+            switching += 1
+            past = np.nextafter(prof.r_switch, math.inf)
+            seam = math.log(prof.hp_fail_proxy(past) / prof.hp_fail_proxy(prof.r_switch))
+            assert abs(seam) < 1e-10, (descriptor, n, p)
+    assert switching >= 10
 
 
 def test_glued_theta_against_ode():

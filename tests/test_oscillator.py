@@ -178,6 +178,20 @@ def test_tampered_certificate_detected(oscillation):
         pl.verify_certificate(bad2, oscillation.sol, oscillation.prof)
 
 
+@pytest.mark.parametrize("tamper, message", [
+    ({"t_low": 0.55}, "stage 0: even trigger conditions fail"),
+    ({"t_high": 0.70}, "stage 1: odd trigger conditions fail"),
+    ({"t_low": 0.67, "t_high": 0.60}, "measured bands do not bracket the thresholds"),
+], ids=["t_low-below-even-Q", "t_high-above-odd-Q", "crossed-bands"])
+def test_tampered_thresholds_detected(oscillation, tamper, message):
+    """A certificate whose logged Qs are intact but whose thresholds were
+    moved fails verification: below the even Qs (0.556, 0.566), above the
+    odd Qs (0.677, 0.699), or crossed so the bands no longer separate."""
+    bad = pl.OscillationCertificate.from_dict({**oscillation.cert.to_dict(), **tamper})
+    with pytest.raises(pl.Inconsistent, match=message):
+        pl.verify_certificate(bad, oscillation.sol, oscillation.prof)
+
+
 def test_certificate_json_roundtrip(tmp_path, oscillation):
     import json
     path = oscillation.cert.to_json(tmp_path / "cert.json")

@@ -12,7 +12,6 @@ from scipy.integrate import DOP853, OdeSolution, Radau, quad, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients, radau
 from scipy.integrate._ivp.radau import MU_COMPLEX, MU_REAL, RadauDenseOutput
 from scipy.linalg import lu_factor
-from scipy.optimize import brentq
 
 import plaplace as pl
 from plaplace import cli, dense, models, quadrature, solver
@@ -928,55 +927,15 @@ def test_embedded_constants_equal_scipy():
     assert solver._TI_COMPLEX == radau.TI_COMPLEX.tolist()
     assert solver._P_COLUMNS == radau.P.T.tolist()
     assert solver._NEWTON_MAXITER == radau.NEWTON_MAXITER
-    assert solver._EVENT_TOL == 4 * np.finfo(float).eps
-
-
-def test_brent_root_matches_brentq(monkeypatch):
-    """The Brent port returns scipy's brentq root to the bit: on the last
-    step of the underflow run of test_underflow_termination (the step's
-    interpolant of u against the floor, at the event tolerance 4 eps), and
-    on 200 random odd powers |x - x0|^k sign(x - x0), k in [1, 11], plus a
-    small slope, whose flat roots make Brent's trial steps fail its
-    acceptance test and bisect, at tolerances from 4 eps to 1e-6."""
-    trimmed = []
-    trim = solver._trim_to_underflow
-
-    def record(piece, u_floor):
-        ts, h, y_old, F = piece
-        trimmed.append(((ts[-2:].copy(), h[-1:], y_old[-1:], F[-1:]), u_floor))
-        trim(piece, u_floor)
-
-    monkeypatch.setattr(solver, "_trim_to_underflow", record)
-    sol = pl.integrate(pl.Problem(4, 2.0, 3.0, 1.4e5), pl.make_model("euclidean"),
-                       pl.SolverConfig(50.0))
-    (step, u_floor), = trimmed
-    last = dense._DenseTable([step])
-    a, b = step[0].tolist()
-    tol = solver._EVENT_TOL
-    root = solver._brent_root(lambda r: last(r)[0] - u_floor, a, b, tol, tol)
-    assert root == brentq(lambda r: last(r)[0] - u_floor, a, b, xtol=tol, rtol=tol)
-    assert root == sol.r_last and a < root < b
-
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        x0, k, slope = rng.uniform(-1.0, 1.0), rng.uniform(1.0, 11.0), rng.uniform(0.0, 1e-3)
-
-        def odd_power(x):  # |x - x0|^k with the sign of x - x0, plus a slope
-            d = x - x0
-            return math.copysign(abs(d) ** k, d) + slope * d
-
-        tol = rng.choice([4 * np.finfo(float).eps, 1e-12, 1e-6])
-        lo, hi = x0 - rng.uniform(0.1, 2.0), x0 + rng.uniform(0.1, 2.0)
-        assert solver._brent_root(odd_power, lo, hi, tol, tol) == brentq(
-            odd_power, lo, hi, xtol=tol, rtol=tol)
 
 
 def test_underflow_termination():
     """A deeply concentrated run stops at the u floor instead of stepping on.
 
-    The last radius is where the dense output of u crosses the floor, to
-    within 4 eps of it, and u lies above the floor at every earlier knot.
-    Both read the dense output itself: eval_u clamps u at the floor.
+    The last radius is the least float where the dense output of u is at
+    or below the floor, within 4 eps of it, and u lies above the floor at
+    every earlier knot. Both read the dense output itself: eval_u clamps u
+    at the floor.
     On a flat model glued at r = 5 and r = 40, u crosses the floor in the
     middle piece, and the run stops there rather than restarting at the
     next join."""
@@ -994,6 +953,7 @@ def test_underflow_termination():
         assert (5.0 in knots) == (model is glued)
         u_knots = sol._dense(knots)[0]
         assert abs(u_knots[-1] - floor) <= 4 * np.finfo(float).eps * floor
+        assert u_knots[-1] <= floor < sol._dense(np.nextafter(sol.r_last, 0.0))[0]
         assert np.all(u_knots[:-1] > floor)
         assert sol.eval_u(sol.r_last) == max(u_knots[-1], floor)
 
