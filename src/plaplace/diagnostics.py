@@ -12,10 +12,11 @@ import math
 import numpy as np
 
 from . import extrapolate, runio
-from .models import GeometryOverflow, detect_regime
+from .models import GeometryOverflow
 from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
+_POHOZAEV_RADII = 80  # geometric radii of the Pohozaev audit, before the joins
 
 
 class GridMismatch(Exception):
@@ -44,6 +45,20 @@ def _check_pair(sol, profile):
         raise GridMismatch("solution and profile use different (n, p)")
     if sol.model.descriptor() != profile.model.descriptor():
         raise GridMismatch("solution and profile use different models")
+
+
+def _check_decay_law(sol, profile, claim):
+    """_check_pair, then refuse (RegimeMismatch) a claim about decaying
+    solutions on a pSI profile, where u plateaus, and in a regime where
+    the sharp decay law is not proven."""
+    _check_pair(sol, profile)
+    if profile.tail_converged:
+        raise RegimeMismatch(f"{claim}: the geometry is p-stochastically incomplete, "
+                             "so u plateaus")
+    regime = profile.regime
+    if not regime.supports_decay_law():
+        raise RegimeMismatch(f"{claim}: not proven in regime {regime.name!r}"
+                             + (" (decay-law failure case)" if regime.hp_fail else ""))
 
 
 class DiagnosticsReport:
@@ -95,13 +110,13 @@ def _energy_exponent(sol, r):
     return E
 
 
-def _pohozaev_identity_defect(sol, profile, num=80):
+def _pohozaev_identity_defect(sol, profile):
     """Defects of P(b) - P(a) = int_a^b K |u'|^p between audit radii.
 
-    The identity is checked in integrated form between `num` geometric
-    radii, to which a glued model adds every segment's start and the end
-    of its blend window (start + width) inside the audited range, since K
-    is not smooth across them. P is read from the steppers' dense output
+    The identity is checked in integrated form between _POHOZAEV_RADII
+    geometric radii, to which a glued model adds every segment's start and
+    the end of its blend window (start + width) inside the audited range,
+    since K is not smooth across them. P is read from the steppers' dense output
     and profile.I. The integral of K |u'|^p = bracket w u' is
     quadrature.panel_integrals of bracket e^{E - log S}: the fitted rule
     follows the exponent E = log(w u') (_energy_exponent), formed in log
@@ -120,7 +135,7 @@ def _pohozaev_identity_defect(sol, profile, num=80):
     lo, hi = max(10.0 * sol.r[1], 2e-3 * sol.r_last), 0.99 * sol.r_last
     breaks = [b for seg in profile.model.segments
               for b in (seg.start, seg.start + seg.width) if lo < b < hi]
-    x = np.union1d(np.geomspace(lo, hi, num), breaks)
+    x = np.union1d(np.geomspace(lo, hi, _POHOZAEV_RADII), breaks)
     u, du, w = sol._state(x)
     F = ((p - 1.0) / p) * np.abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
     IF = profile.I(x) * F
@@ -271,18 +286,7 @@ def asymptotic_ratio_sc(sol, profile):
     otherwise (in particular whenever the liminf failure condition holds,
     e.g. the power-like gamma = 1 case).
     """
-    _check_pair(sol, profile)
-    if profile.tail_converged:
-        raise RegimeMismatch(
-            "geometry is p-stochastically incomplete: u plateaus and the "
-            "sharp decay ratio has no limit"
-        )
-    regime = detect_regime(profile)
-    if not regime.supports_decay_law():
-        raise RegimeMismatch(
-            f"sharp decay limit not available in regime {regime.name!r}"
-            + (" (decay-law failure case)" if regime.hp_fail else "")
-        )
+    _check_decay_law(sol, profile, "sharp decay limit")
     p, q = sol.problem.p, sol.problem.q
     R = sol.r_last
     radii = [R / 4.0, R / 2.0, R]
@@ -401,17 +405,7 @@ def lemma_limit_checks(sol, profile):
     ratio_a(r) = u'(r) psi(r) / (u(r) psi'(r))                    -> 0
     ratio_b(r) = (-u') u^{-q/(p-1)} (psi'/psi)^{1/(p-1)}  -> (1/(n-1))^{1/(p-1)}
     """
-    _check_pair(sol, profile)
-    if profile.tail_converged:
-        raise RegimeMismatch(
-            "geometry is p-stochastically incomplete: the auxiliary limits "
-            "concern decaying solutions"
-        )
-    regime = detect_regime(profile)
-    if not regime.supports_decay_law():
-        raise RegimeMismatch(
-            f"auxiliary limits not proven in regime {regime.name!r}"
-        )
+    _check_decay_law(sol, profile, "auxiliary limits")
     prob = sol.problem
     n, p, q = prob.n, prob.p, prob.q
     R = sol.r_last

@@ -61,6 +61,13 @@ _AUDIT_HORIZON, _AUDIT_PER_DECADE = 1e3, 64
 _HORIZON_MARGIN, _REGIME_WINDOW_DECADES, _CSV_ROWS = 60.0, 2.0, 400
 
 
+def _check_n_p(n, p):
+    """Refuse (InvalidParameter) all but an integer n >= 2 and 1 < p < n:
+    NaN fails every test, and inf fails before int() could raise."""
+    if not (2 <= n < math.inf and int(n) == n and 1.0 < p < n):
+        raise InvalidParameter(f"need an integer n >= 2 and p in (1, n), got n={n}, p={p}")
+
+
 def _smoothstep(x):
     """C^1 monotone ramp: 0 for x<=0, 1 for x>=1, 3x^2-2x^3 between."""
     x = np.clip(x, 0.0, 1.0)
@@ -96,12 +103,6 @@ class ModelFunction:
 
     def psi(self, r):
         return np.exp(np.minimum(self.log_psi(r), _EXP_CAP))
-
-    def dpsi(self, r):
-        return self.slope_ratio(r) * self.psi(r)
-
-    def ddpsi(self, r):
-        return self.curvature_ratio(r) * self.psi(r)
 
     def eval(self, r):
         """Return (psi, psi', psi'') at r."""
@@ -709,9 +710,11 @@ class GeometryProfile:
     decided by direct quadrature: tail_converged compares J(r_hi) with
     J(r_hi/2), and J_inf is J(r_hi) where it converged. These two lookups
     are made on the first read of J_hi, J_half, tail_converged or J_inf,
-    not when the profile is built, and kept.
+    not when the profile is built, and kept; so is the asymptotic regime
+    (detect_regime), fitted on the first read of `regime`.
 
-    A lookup at any number of radii is one searchsorted into the panel
+    Every read (theta, logI, I, J, theta_J, hp_fail_proxy) is one lookup,
+    _logs. At any number of radii it is one searchsorted into the panel
     edges, then the same rule on the partial panel from the edge below
     each radius: a fixed number of model array calls, none per radius.
     A lookup that returns no W (J, theta_J) skips the U moment.
@@ -753,6 +756,12 @@ class GeometryProfile:
     def J_half(self):
         """J at r_hi / 2."""
         return self.J(self.r_hi / 2.0)
+
+    @functools.cached_property
+    def regime(self):
+        """detect_regime of this profile; AmbiguousRegime, which is not
+        kept, where no regime fits."""
+        return detect_regime(self)
 
     @property
     def tail_converged(self):
@@ -874,38 +883,64 @@ class GeometryProfile:
 
     # -- lookups -------------------------------------------------------
 
-    def _fine(self, r, moments=0):
-        """log Theta at radii r <= r_switch; with moments=1 also log J, with
-        moments=2 also log J and log W."""
+    def _logs(self, r, moments=0):
+        """[log Theta] at radii r; with moments=1 [log Theta, log J], with
+        moments=2 [log Theta, log J, log W/J]: each of r's shape, a float
+        for a scalar r.
+
+        One range check, which NaN fails (GeometryOverflow), then one split
+        of the radii at r_switch: those up to it read the panels (_fine),
+        those beyond the quasi-equilibrium tail (_beyond).
+        """
+        x = np.asarray(r, dtype=float).ravel()
+        if not (np.all(x >= self.r_lo * (1 - 1e-9)) and np.all(x <= self.r_hi * (1 + 1e-9))):
+            raise GeometryOverflow(
+                f"radius outside tabulated range [{self.r_lo:g}, {self.r_hi:g}]"
+            )
+        x = np.clip(x, self.r_lo, self.r_hi)
+        out = np.empty((moments + 1, x.size))
+        lo = x <= self.r_switch
+        if np.any(lo):
+            out[:, lo] = self._fine(x[lo], moments)
+        if not np.all(lo):
+            out[:, ~lo] = self._beyond(x[~lo], moments)
+        return [o.reshape(np.shape(r)) if np.ndim(r) else float(o[0]) for o in out]
+
+    def _fine(self, r, moments):
+        """_logs at radii r <= r_switch, from the panel edge below each."""
         edges = self._edges
         k = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, len(edges) - 2)
         Gr = self._G(r)
         decay, wt, ker, inc = self._panels(edges[k], r, self._Gedge[k], Gr)
         log_theta = np.log(self._theta[k] * decay + inc)
         if not moments:
-            return log_theta
+            return [log_theta]
         dlog = self._moments(self._theta[k], decay, wt, ker, Gr, U=moments == 2)
         log_J = np.logaddexp(self._logJ[k], dlog[0])
         if moments == 1:
-            return log_theta, log_J
-        return log_theta, log_J, np.logaddexp(self._logU[k], dlog[1]) - log_theta - Gr
+            return [log_theta, log_J]
+        log_W = np.logaddexp(self._logU[k], dlog[1]) - log_theta - Gr
+        return [log_theta, log_J, log_W - log_J]
 
-    def _tail_log_J(self, r):
-        """log J at radii r > r_switch."""
-        tail = self._tail
-        k = np.clip(np.searchsorted(tail, r, side="right") - 1, 0, len(tail) - 2)
-        return np.logaddexp(self._tail_logJ[k], self._tail_increments(tail[k], r))
-
-    def _tail_log_proxy(self, r):
-        """log W/J at radii r > r_switch.
+    def _beyond(self, r, moments):
+        """_logs at radii r > r_switch: Theta from _theta_qe, and J at the
+        tail edge below each radius plus _tail_increments from there.
 
         W relaxes as W' = Theta^mu - W/Theta. It is read as
         W = Theta^(1+mu) V, where V stays near 1 and relaxes as
-        V' = 1/Theta - (1 + (1+mu) Theta') V/Theta (_relax_qe), with Theta
-        from _theta_qe and Theta' = 1 - G' Theta from Theta's relaxation.
-        The central differences of V cost about 3e-11 in log W at the
-        switch, where those of W itself cost 1e-10.
+        V' = 1/Theta - (1 + (1+mu) Theta') V/Theta (_relax_qe), with
+        Theta' = 1 - G' Theta from Theta's relaxation. The central
+        differences of V cost about 3e-11 in log W at the switch, where
+        those of W itself cost 1e-10.
         """
+        log_theta = np.log(self._theta_qe(r))
+        if not moments:
+            return [log_theta]
+        tail = self._tail
+        k = np.clip(np.searchsorted(tail, r, side="right") - 1, 0, len(tail) - 2)
+        log_J = np.logaddexp(self._tail_logJ[k], self._tail_increments(tail[k], r))
+        if moments == 1:
+            return [log_theta, log_J]
         mu = self.mu
 
         def coefficients(x):
@@ -913,52 +948,24 @@ class GeometryProfile:
             dtheta = 1.0 - (self.n - 1) * self.model.slope_ratio(x) * theta
             return 1.0 / theta, (1.0 + (1.0 + mu) * dtheta) / theta
 
-        return ((1.0 + mu) * np.log(self._theta_qe(r))
-                + np.log(self._relax_qe(r, coefficients)) - self._tail_log_J(r))
-
-    def _lookup(self, r, fine, tail, outputs=1):
-        """fine(x) on the radii up to r_switch, tail(x) beyond, in r's shape;
-        with outputs > 1 both return that many arrays, and so does this."""
-        x = np.asarray(r, dtype=float).ravel()
-        if np.any(x < self.r_lo * (1 - 1e-9)) or np.any(x > self.r_hi * (1 + 1e-9)):
-            raise GeometryOverflow(
-                f"radius outside tabulated range [{self.r_lo:g}, {self.r_hi:g}]"
-            )
-        x = np.clip(x, self.r_lo, self.r_hi)
-        out = np.empty((outputs, x.size))
-        lo = x <= self.r_switch
-        if np.any(lo):
-            out[:, lo] = fine(x[lo])
-        if not np.all(lo):
-            out[:, ~lo] = tail(x[~lo])
-        out = [o.reshape(np.shape(r)) if np.ndim(r) else float(o[0]) for o in out]
-        return out[0] if outputs == 1 else out
-
-    def log_theta(self, r):
-        return self._lookup(r, self._fine, lambda x: np.log(self._theta_qe(x)))
+        return [log_theta, log_J, (1.0 + mu) * log_theta
+                + np.log(self._relax_qe(r, coefficients)) - log_J]
 
     def theta(self, r):
-        return np.exp(self.log_theta(r))
+        return np.exp(self._logs(r)[0])
 
     def logI(self, r):
-        return self._lookup(r, lambda x: self._fine(x) + self._G(x),
-                            lambda x: np.log(self._theta_qe(x)) + self._G(x))
+        return self._logs(r)[0] + self._G(np.atleast_1d(r)).reshape(np.shape(r))
 
     def I(self, r):
         return np.exp(np.minimum(self.logI(r), _EXP_CAP))
 
-    def logJ(self, r):
-        return self._lookup(r, lambda x: self._fine(x, moments=1)[1], self._tail_log_J)
-
     def J(self, r):
-        return np.exp(self.logJ(r))
+        return np.exp(self._logs(r, 1)[1])
 
     def theta_J(self, r):
         """(Theta, J) at radii r from one lookup: the floats of theta(r) and J(r)."""
-        log_theta, log_J = self._lookup(
-            r, lambda x: self._fine(x, moments=1),
-            lambda x: (np.log(self._theta_qe(x)), self._tail_log_J(x)), outputs=2)
-        return np.exp(log_theta), np.exp(log_J)
+        return tuple(map(np.exp, self._logs(r, 1)))
 
     def tailJ(self, r):
         """int_r^inf Theta^(1/(p-1)); finite only when the tail converged."""
@@ -970,12 +977,7 @@ class GeometryProfile:
 
     def hp_fail_proxy(self, r):
         """The liminf quotient deciding failure of the sharp decay law: W/J."""
-
-        def fine(x):
-            _, log_J, log_W = self._fine(x, moments=2)
-            return log_W - log_J
-
-        return np.exp(self._lookup(r, fine, self._tail_log_proxy))
+        return np.exp(self._logs(r, 2)[2])
 
     def export_csv(self, path):
         """Write r, psi, dpsi, ddpsi, I, theta, J rows up to the user horizon."""
@@ -1026,10 +1028,7 @@ def geometry_profile(model, n, p, R):
     cumulative quadratures of functions the model evaluates as arrays; see
     GeometryProfile for the panel rule and the range it covers.
     """
-    if not (2 <= n < math.inf) or int(n) != n:
-        raise InvalidParameter(f"dimension n must be an integer >= 2, got {n}")
-    if not (1.0 < p < n):
-        raise InvalidParameter(f"p must lie in (1, n), got p={p}")
+    _check_n_p(n, p)
     if R > model.valid_to:
         raise GeometryOverflow(
             f"horizon {R:g} exceeds the model's trusted range {model.valid_to:g}"
@@ -1134,12 +1133,13 @@ def classify_completeness(profile):
     Convergence is certified by the extended-horizon quadrature stabilizing
     (profile.tail_converged); divergence by a fitted growth law of J over
     the last two dyadic windows. J at r_hi and r_hi/2 are the profile's
-    kept J_hi and J_half, so only J(R) or J(r_hi/4) is looked up here.
+    kept J_hi and J_half, so only J(R) or J(r_hi/4) is looked up here; the
+    regime is the profile's kept one, "unknown" where none fits.
     """
     r_hi = profile.r_hi
     J_end, J_half = profile.J_hi, profile.J_half
     try:
-        regime = detect_regime(profile)
+        regime = profile.regime
     except AmbiguousRegime as exc:
         regime = RegimeTag("unknown", evidence={"error": str(exc)})
 

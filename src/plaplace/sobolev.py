@@ -1,6 +1,6 @@
 """Sobolev quotients of concentrating radial profiles on model manifolds.
 
-The optimizing Euclidean profile a (b + r^{p/(p-1)})^{-(n-p)/p} is evaluated
+The optimizing Euclidean profile (b + r^{p/(p-1)})^{-(n-p)/p} is evaluated
 in closed form and transplanted radially onto arbitrary models, where its
 Rayleigh quotient ||grad f||_p / ||f||_{p*} is computed on the fitted 8-node
 rule (quadrature.fitted_rule), the rule of every e^{G} integral. On
@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quadrature, runio
 from .diagnostics import unit_ball_volume
-from .models import InvalidParameter, descriptor_string, make_model, safe_horizon
+from .models import InvalidParameter, _check_n_p, descriptor_string, make_model, safe_horizon
 
 
 # a sweep row whose halved-layout error bar is this share of its quotient or
@@ -31,27 +31,25 @@ class TailDivergence(Exception):
 
 
 class AubinTalenti:
-    """The explicit Euclidean extremal profile a (b + r^{p/(p-1)})^{-(n-p)/p}."""
+    """The explicit Euclidean extremal profile (b + r^{p/(p-1)})^{-(n-p)/p}."""
 
-    def __init__(self, n, p, a=1.0, b=1.0):
-        if not (2 <= n < math.inf) or int(n) != n or not (1.0 < p < n):
-            raise InvalidParameter(f"need integer n >= 2 and p in (1, n)")
-        if a == 0 or not (0 < b < math.inf):
-            raise InvalidParameter("need amplitude a != 0 and finite scale b > 0")
+    def __init__(self, n, p, b=1.0):
+        _check_n_p(n, p)
+        if not (0 < b < math.inf):
+            raise InvalidParameter("need a finite scale b > 0")
         self.n = int(n)
         self.p = float(p)
-        self.a = float(a)
         self.b = float(b)
         self.s = p / (p - 1.0)          # exponent of r inside
         self.m = (n - p) / p            # outer decay exponent
 
     def u(self, r):
         r = np.asarray(r, dtype=float)
-        return self.a * (self.b + r ** self.s) ** (-self.m)
+        return (self.b + r ** self.s) ** (-self.m)
 
     def du(self, r):
         r = np.asarray(r, dtype=float)
-        return (-self.a * self.m * self.s * r ** (self.s - 1.0)
+        return (-self.m * self.s * r ** (self.s - 1.0)
                 * (self.b + r ** self.s) ** (-self.m - 1.0))
 
 
@@ -158,7 +156,7 @@ def euclidean_reference(n, p, R0=20.0):
     key = (n, p, R0)
     if key not in _euclid_reference_cache:
         eu = make_model("euclidean")
-        prof = AubinTalenti(n, p, a=1.0, b=1.0)
+        prof = AubinTalenti(n, p)
         R = truncation_radius(eu, n, p, 1.0, R0)
         ref = sobolev_quotient(prof.u, prof.du, eu, n, p, R)
         ref["flagged"] = _unresolved(ref)
@@ -182,7 +180,7 @@ def concentration_sweep(model, n, p, b_seq, R0=20.0):
     ref = euclidean_reference(n, p, R0)
     rows = []
     for b in b_seq:
-        prof = AubinTalenti(n, p, a=1.0, b=b)
+        prof = AubinTalenti(n, p, b=b)
         R = truncation_radius(model, n, p, b, R0)
         rep = sobolev_quotient(prof.u, prof.du, model, n, p, R)
         rep["b"] = b

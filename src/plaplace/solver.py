@@ -63,7 +63,7 @@ import math
 import numpy as np
 from . import runio
 from .dense import _DenseTable, _Stepper, solve_ivp
-from .models import _EXP_CAP, GeometryOverflow, InvalidParameter, _bisect
+from .models import _EXP_CAP, GeometryOverflow, InvalidParameter, _bisect, _check_n_p
 from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
 
 # solution.csv contract: linear interpolation of u between neighbouring
@@ -104,10 +104,7 @@ class Problem:
     """
 
     def __init__(self, n, p, q, alpha):
-        if not (2 <= n < math.inf) or int(n) != n:
-            raise InvalidParameter(f"n must be an integer >= 2, got {n}")
-        if not (1.0 < p < n):
-            raise InvalidParameter(f"p must lie in (1, n), got {p}")
+        _check_n_p(n, p)
         p_star = n * p / (n - p)
         if not (p_star - 1 - 1e-12 <= q < math.inf):
             raise InvalidParameter(
@@ -335,7 +332,8 @@ class RadialSolution:
         r = np.asarray(r, dtype=float)
         r_first, r_last = self._dense.ts[[0, -1]]
         lo, hi = (r.min(), r.max()) if r.size else (r_first, r_first)
-        if lo < 0.0 or hi > r_last * (1 + 1e-12):
+        # written so that NaN, which min and max carry, fails it
+        if not (lo >= 0.0 and hi <= r_last * (1 + 1e-12)):
             raise OutOfRange(f"radius outside [0, {r_last:g}]")
         if lo >= r_first:
             y = self._dense(r, c)
@@ -365,7 +363,7 @@ class RadialSolution:
         return float(self._dense.ts[-1])
 
     def eval_u(self, r):
-        return _scalar_or_array(self._uv(r)[0])
+        return _scalar_or_array(self._uv(r, 0))
 
     def eval_du(self, r):
         return _scalar_or_array(self._state(r)[1])

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import plaplace as pl
-from plaplace import diagnostics, quadrature
+from plaplace import diagnostics, models, quadrature
 
 from conftest import make_run
 
@@ -264,6 +264,25 @@ def test_lemma_limits(hy_run):
 def test_lemma_limits_refused_on_incomplete(ep_run):
     with pytest.raises(pl.RegimeMismatch):
         pl.lemma_limit_checks(ep_run.sol, ep_run.prof)
+
+
+def test_regime_is_fitted_once_per_profile(hy_run, monkeypatch):
+    """classify_completeness, asymptotic_ratio_sc and lemma_limit_checks
+    share the profile's kept regime: on one fresh profile the liminf
+    quotient, which each fit reads once, is read once in all."""
+    calls = []
+    read = models.GeometryProfile.hp_fail_proxy
+
+    def counted(self, r):
+        calls.append(1)
+        return read(self, r)
+
+    monkeypatch.setattr(models.GeometryProfile, "hp_fail_proxy", counted)
+    prof = pl.geometry_profile(hy_run.model, 3, 2.0, hy_run.sol.r_last)
+    assert pl.classify_completeness(prof).regime.name == "hp-add-1"
+    pl.asymptotic_ratio_sc(hy_run.sol, prof)
+    pl.lemma_limit_checks(hy_run.sol, prof)
+    assert len(calls) == 1
 
 
 def test_report_export(tmp_path, hy_run):

@@ -26,8 +26,8 @@ def test_hyperbolic_is_sinh():
     hy = pl.make_model("hyperbolic")
     r = np.array([0.1, 1.0, 5.0])
     assert np.allclose(hy.psi(r), np.sinh(r), rtol=1e-14)
-    assert np.allclose(hy.dpsi(r), np.cosh(r), rtol=1e-14)
-    assert np.allclose(hy.ddpsi(r), np.sinh(r), rtol=1e-14)
+    assert np.allclose(hy.eval(r)[1], np.cosh(r), rtol=1e-14)
+    assert np.allclose(hy.eval(r)[2], np.sinh(r), rtol=1e-14)
 
 
 def test_exppower_closed_form():
@@ -35,7 +35,7 @@ def test_exppower_closed_form():
     r = np.array([0.5, 1.0, 2.0])
     assert np.allclose(m.psi(r), r * np.exp(r ** 3), rtol=1e-13)
     # psi' = (1 + 3 c r^3) e^{c r^3}
-    assert np.allclose(m.dpsi(r), (1 + 3 * r ** 3) * np.exp(r ** 3),
+    assert np.allclose(m.eval(r)[1], (1 + 3 * r ** 3) * np.exp(r ** 3),
                        rtol=1e-13)
 
 
@@ -85,11 +85,8 @@ def test_log_psi_consistent_with_psi():
         assert np.allclose(m.slope_ratio(r), dpsi / psi, rtol=1e-13, atol=0.0), desc
         assert np.allclose(m.curvature_ratio(r), ddpsi / psi, rtol=1e-13,
                            atol=0.0), desc
-        derived = m.eval(r)
-        for got, want in zip(derived, (psi, dpsi, ddpsi)):
+        for got, want in zip(m.eval(r), (psi, dpsi, ddpsi)):
             assert np.allclose(got, want, rtol=1e-13, atol=0.0), desc
-        for got, alone in zip(derived, (m.psi(r), m.dpsi(r), m.ddpsi(r))):
-            assert np.array_equal(got, alone), desc
 
 
 def test_hyperbolic_log_psi_near_the_pole():
@@ -135,13 +132,15 @@ def test_invalid_model_parameters():
 @pytest.mark.parametrize("bad", [math.inf, math.nan])
 def test_non_finite_dimension_is_invalid(bad):
     """Every integer test on n refuses inf and NaN as InvalidParameter,
-    before int() could raise OverflowError or ValueError."""
-    with pytest.raises(pl.InvalidParameter):
-        pl.Problem(bad, 2.0, 5.0, 1.0)
-    with pytest.raises(pl.InvalidParameter):
-        pl.geometry_profile(pl.make_model("euclidean"), bad, 2.0, 10.0)
-    with pytest.raises(pl.InvalidParameter):
-        pl.AubinTalenti(bad, 2.0)
+    before int() could raise OverflowError or ValueError; and p = 1, p = n
+    and p = NaN are refused alike, by the three constructors' one check."""
+    for n, p in ((bad, 2.0), (3, 1.0), (3, 3.0), (3, math.nan)):
+        with pytest.raises(pl.InvalidParameter):
+            pl.Problem(n, p, 5.0, 1.0)
+        with pytest.raises(pl.InvalidParameter):
+            pl.geometry_profile(pl.make_model("euclidean"), n, p, 10.0)
+        with pytest.raises(pl.InvalidParameter):
+            pl.AubinTalenti(n, p)
 
 
 def test_audit_refuses_nan_at_the_pole():
@@ -171,7 +170,7 @@ def test_glue_euclidean_hyperbolic():
     for x in (1.0, 1.05, 1.1):
         lo, hi = glued.psi(x - eps), glued.psi(x + eps)
         assert abs(hi - lo) / hi < 1e-6
-        lo, hi = glued.dpsi(x - eps), glued.dpsi(x + eps)
+        lo, hi = glued.eval(x - eps)[1], glued.eval(x + eps)[1]
         assert abs(hi - lo) / hi < 1e-6
     # below the join the glued model equals its first piece exactly
     below = r[r < 1.0]
@@ -544,10 +543,14 @@ def test_euclidean_theta_is_r_over_n():
 
 
 def test_profile_range_guard():
+    """Every read refuses a radius past the tabulated range, and NaN alone
+    or among good radii, without a warning."""
     eu = pl.make_model("euclidean")
     prof = pl.geometry_profile(eu, 3, 2.0, 10.0)
-    with pytest.raises(pl.GeometryOverflow):
-        prof.theta(prof.r_hi * 10.0)
+    for read in (prof.theta, prof.J, prof.I, prof.theta_J, prof.hp_fail_proxy):
+        for r in (prof.r_hi * 10.0, math.nan, [0.5, math.nan]):
+            with pytest.raises(pl.GeometryOverflow):
+                read(r)
 
 
 def test_hyperbolic_theta_saturates():
@@ -588,7 +591,7 @@ def test_hyperbolic_theta_and_I_oracle(n):
     r = np.geomspace(1e-3, 200.0, 400)
     log_theta = np.log(_hyperbolic_theta(r, n))
     log_sinh = r + np.log(-np.expm1(-2.0 * r)) - math.log(2.0)
-    assert np.max(np.abs(prof.log_theta(r) - log_theta)) < 1e-13
+    assert np.max(np.abs(np.log(prof.theta(r)) - log_theta)) < 1e-13
     assert np.max(np.abs(prof.logI(r) - (log_theta + (n - 1) * log_sinh))) < 1e-13
 
 
@@ -614,10 +617,10 @@ def test_exppower_theta_against_quad(n):
     switch = prof.r_switch
     panels = [0.01, 0.5, 1.0, 2.0, pl.safe_horizon(ep, n), 0.9 * switch]
     expansion = [1.5 * switch, 3.0 * switch]
-    assert max(abs(prof.log_theta(x) - math.log(theta(x))) for x in panels) < 1e-12
-    assert max(abs(prof.log_theta(x) - math.log(theta(x))) for x in expansion) < 1e-10
+    assert max(abs(np.log(prof.theta(x)) - math.log(theta(x))) for x in panels) < 1e-12
+    assert max(abs(np.log(prof.theta(x)) - math.log(theta(x))) for x in expansion) < 1e-10
     # the expansion takes over from the panels without a visible step
-    assert abs(prof.log_theta(switch * (1 + 1e-12)) - prof.log_theta(switch)) < 1e-9
+    assert abs(np.log(prof.theta(switch * (1 + 1e-12))) - np.log(prof.theta(switch))) < 1e-9
 
 
 def test_hp_fail_proxy_has_no_seam_at_the_switch():
@@ -737,7 +740,7 @@ def test_lookup_cost_is_independent_of_radii(monkeypatch):
     model = _CountingHyperbolic()
     prof = pl.geometry_profile(model, 3, 2.0, 10.0)
     assert all(model.calls)
-    for lookup in (prof.theta, prof.logI, prof.J, prof.hp_fail_proxy):
+    for lookup in (prof.theta, prof.logI, prof.J, prof.theta_J, prof.hp_fail_proxy):
         counts = []
         for num in (10, 10_000):
             # both sizes reach past the switch to the expansion

@@ -135,8 +135,11 @@ def test_evaluate_at_zero_and_knots(hy_run):
     i = len(sol.r) // 2
     assert sol.eval_u(sol.r[i]) == pytest.approx(sol.u[i], rel=1e-13)
     assert sol.eval_w(sol.r[i]) == pytest.approx(sol.w[i], rel=1e-12)
-    with pytest.raises(pl.OutOfRange):
-        sol.eval_u(sol.r_last * 2.0)
+    # past r_last, and NaN alone or among good radii
+    for read in (sol.eval_u, sol.eval_du, sol.eval_w):
+        for r in (sol.r_last * 2.0, math.nan, [0.5, math.nan]):
+            with pytest.raises(pl.OutOfRange):
+                read(r)
 
 
 def test_flux_residual_small(hy_run, eu_crit_run):
