@@ -156,11 +156,10 @@ def cmd_diagnose(args):
 
 def cmd_quotient(args):
     b_seq = _float_list(args.b)
-    params = {"model": args.model, "n": args.n, "p": args.p, "b": b_seq,
-              "R0": args.R0}
+    params = {"model": args.model, "n": args.n, "p": args.p, "b": b_seq}
     with runio.RunDir("quotient", params, root=args.out) as run:
         model = models.make_model(args.model)
-        sweep = sobolev.concentration_sweep(model, args.n, args.p, b_seq, R0=args.R0)
+        sweep = sobolev.concentration_sweep(model, args.n, args.p, b_seq)
         run.record(sobolev.export_sweep_csv(sweep, run.file("quotients.csv")))
         run.record(_write_json(run.file("sweep.json"), sweep))
         ref = sweep["reference"]
@@ -173,11 +172,10 @@ def cmd_quotient(args):
 
 def cmd_oscillate(args):
     params = {"n": args.n, "p": args.p, "q": args.q, "alpha": args.alpha,
-              "stages": args.stages, "rate_scale": args.rate_scale}
+              "stages": args.stages}
     with runio.RunDir("oscillate", params, root=args.out) as run:
         _, sol, cert, prof = oscillator.construct(
-            args.n, args.p, args.q, args.alpha, args.stages,
-            rate_scale=args.rate_scale)
+            args.n, args.p, args.q, args.alpha, args.stages)
         run.record(cert.to_json(run.file("certificate.json")))
         run.record(sol.export_csv(run.file("solution.csv")))
         verification = oscillator.verify_certificate(cert, sol, prof)
@@ -253,7 +251,6 @@ def build_parser():
     _add_problem_args(sp, with_q=False)
     sp.add_argument("--b", required=True,
                     help="decreasing comma list of concentration scales")
-    sp.add_argument("--R0", type=float, default=20.0)
     sp.set_defaults(func=cmd_quotient)
 
     sp = sub.add_parser("oscillate", help="staged oscillating construction")
@@ -262,8 +259,6 @@ def build_parser():
     sp.add_argument("--q", type=float, required=True)
     sp.add_argument("--alpha", type=float, required=True)
     sp.add_argument("--stages", type=int, required=True)
-    sp.add_argument("--rate-scale", type=float, default=2.0,
-                    dest="rate_scale")
     sp.set_defaults(func=cmd_oscillate)
 
     sp = sub.add_parser("sweep", help="cartesian product of solve runs")

@@ -17,6 +17,7 @@ from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
 _POHOZAEV_RADII = 80  # geometric radii of the Pohozaev audit, before the joins
+_PLATEAU_TOL = 0.05  # asymptotic_ratio_si needs |u'(R)| R <= _PLATEAU_TOL u(R)
 
 
 class GridMismatch(Exception):
@@ -304,13 +305,14 @@ def asymptotic_ratio_sc(sol, profile):
     }
 
 
-def asymptotic_ratio_si(sol, profile, plateau_tol=0.05):
+def asymptotic_ratio_si(sol, profile):
     """Plateau value and refined convergence ratio in the integrable case.
 
     Estimates lambda = lim u by the tail corrector
     lambda ~ u(R) - tailJ(R) lambda^{q/(p-1)} iterated twice, then reports
     the refined ratio (u(r) - lambda)/tailJ(r) against lambda^{q/(p-1)}
-    and the universal upper bound on lambda.
+    and the universal upper bound on lambda. Refuses (NoPlateau) a
+    solution still falling at R: |u'(R)| R > _PLATEAU_TOL u(R).
     """
     _check_pair(sol, profile)
     if not profile.tail_converged:
@@ -319,9 +321,9 @@ def asymptotic_ratio_si(sol, profile, plateau_tol=0.05):
     R = sol.r_last
     uR = sol.eval_u(R)
     duR = sol.eval_du(R)
-    if abs(duR) * R > plateau_tol * uR:
+    if abs(duR) * R > _PLATEAU_TOL * uR:
         raise NoPlateau(
-            f"|u'(R)| R / u(R) = {abs(duR) * R / uR:.3g} > {plateau_tol}"
+            f"|u'(R)| R / u(R) = {abs(duR) * R / uR:.3g} > {_PLATEAU_TOL}"
         )
     ex = q / (p - 1.0)
     tail = profile.tailJ(R)

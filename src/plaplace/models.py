@@ -306,10 +306,10 @@ class _Window:
         self.seg, self.table = seg, table
 
     def log_psi(self, r):
-        return self.table(r)[0]
+        return self.table(r, 0)
 
     def slope_ratio(self, r):
-        return self.table(r)[1]
+        return self.table(r, 1)
 
     def curvature_ratio(self, r):
         return self.seg.curvature(r)
@@ -743,7 +743,7 @@ class GeometryProfile:
                        np.diff(grid[:k + 1]) * np.maximum(slope[:k], slope[1:k + 1]))
         self._tail = tail = grid[k:]
         self._tail_logJ = np.logaddexp.accumulate(np.concatenate(
-            [self._logJ[-1:], self._tail_increments(tail[:-1], tail[1:])]))
+            [self._logJ[-1:], self._tail_increments(tail[:-1], tail[1:])[0]]))
         if not np.all(np.isfinite(self._tail_logJ)):
             raise QuadratureFailure("geometry quadrature: non-finite J beyond the switch")
 
@@ -844,13 +844,16 @@ class GeometryProfile:
             ratio *= ker
             return dlogJ, Gb + (1.0 + self.mu) * log_a + np.log(_row_dot(power, ratio))
 
-    def _tail_increments(self, a, b):
-        """log int_a^b Theta^mu by Gauss-Legendre in log r, Theta from the expansion."""
+    def _tail_increments(self, a, b, r=()):
+        """(log int_a^b Theta^mu by Gauss-Legendre in log r, Theta at radii r),
+        Theta at r and at the nodes from one _theta_qe call (elementwise)."""
         t, wt = quadrature.fitted_rule(np.log(a), np.log(b), np.zeros(len(a)))
-        r = np.exp(t)
+        nodes = np.exp(t)
         with np.errstate(divide="ignore"):
-            log_wt = np.log(wt * r)
-        return _log_sum(log_wt + self.mu * np.log(self._theta_qe(r)))
+            log_wt = np.log(wt * nodes)
+        theta = self._theta_qe(np.concatenate([np.ravel(r), nodes.ravel()]))
+        k = np.size(r)
+        return _log_sum(log_wt + self.mu * np.log(theta[k:].reshape(nodes.shape))), theta[:k]
 
     def _theta_qe(self, r):
         """Quasi-equilibrium Theta for radii beyond the switch, from its
@@ -924,7 +927,8 @@ class GeometryProfile:
 
     def _beyond(self, r, moments):
         """_logs at radii r > r_switch: Theta from _theta_qe, and J at the
-        tail edge below each radius plus _tail_increments from there.
+        tail edge below each radius plus _tail_increments from there, which
+        also forms Theta at r.
 
         W relaxes as W' = Theta^mu - W/Theta. It is read as
         W = Theta^(1+mu) V, where V stays near 1 and relaxes as
@@ -933,12 +937,13 @@ class GeometryProfile:
         differences of V cost about 3e-11 in log W at the switch, where
         those of W itself cost 1e-10.
         """
-        log_theta = np.log(self._theta_qe(r))
         if not moments:
-            return [log_theta]
+            return [np.log(self._theta_qe(r))]
         tail = self._tail
         k = np.clip(np.searchsorted(tail, r, side="right") - 1, 0, len(tail) - 2)
-        log_J = np.logaddexp(self._tail_logJ[k], self._tail_increments(tail[k], r))
+        dlog_J, theta = self._tail_increments(tail[k], r, r)
+        log_theta = np.log(theta)
+        log_J = np.logaddexp(self._tail_logJ[k], dlog_J)
         if moments == 1:
             return [log_theta, log_J]
         mu = self.mu
@@ -982,9 +987,11 @@ class GeometryProfile:
     def export_csv(self, path):
         """Write r, psi, dpsi, ddpsi, I, theta, J rows up to the user horizon."""
         r = np.geomspace(max(self.r_lo * 10, self.R * 1e-6), self.R, _CSV_ROWS)
+        log_theta, log_J = self._logs(r, 1)
+        I = np.exp(np.minimum(log_theta + self._G(r), _EXP_CAP))
         return runio.write_csv(
             path, ["r", "psi", "dpsi", "ddpsi", "I", "theta", "J"],
-            [r, *self.model.eval(r), self.I(r), self.theta(r), self.J(r)])
+            [r, *self.model.eval(r), I, np.exp(log_theta), np.exp(log_J)])
 
 
 def safe_horizon(model, n):

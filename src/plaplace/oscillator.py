@@ -34,13 +34,14 @@ from . import models, runio, solver
 # oscillator.solve_ivp by name, although the construction no longer calls it
 from .dense import solve_ivp  # noqa: F401
 from .diagnostics import q_limit_constant
-from .models import ConvexityViolation, InvalidParameter
+from .models import InvalidParameter
 
 # width of the smoothstep that ramps the curvature ratio at each join
 _BLEND_WIDTH = 0.5
+_RATE_SCALE = 2.0  # odd stage s ramps psi'/psi to 2s: above 1, so log psi >= s r is reached
 # a stage's radius budget is at least this factor times (its join + 1)
 _STAGE_CAP_FACTOR = 50.0
-_VERIFY_REL_TOL = 2e-3  # verify_certificate's tolerance on each Q
+_VERIFY_REL_TOL = 2e-3  # verify_certificate's relative tolerance on each logged value
 
 _log = logging.getLogger(__name__)
 
@@ -63,15 +64,15 @@ def thresholds(n, p, q):
 class StagePlan:
     """Trigger data for one construction stage."""
 
-    def __init__(self, index, n, p, q, rate_scale=2.0):
+    def __init__(self, index, n, p, q):
         self.index = index
         self.kind = "power-like" if index % 2 == 0 else "exponential"
-        self.rate_scale = rate_scale
-        self.rate = 0.0 if index % 2 == 0 else rate_scale * index
+        self.rate = 0.0 if index % 2 == 0 else _RATE_SCALE * index
         self.u_ceiling = 2.0 ** (-index)
         t_low, t_high = thresholds(n, p, q)
         self.t_low = t_low
         self.t_high = t_high
+        self.threshold = t_low if index % 2 == 0 else t_high
 
     def fires(self, r, Q, u, log_psi):
         if self.index % 2 == 0:
@@ -84,8 +85,7 @@ class StagePlan:
         piece ramps between across the blend window at its join."""
         if self.index % 2 == 0:
             # ramp the previous exponential curvature back down to zero
-            prev_rate = (self.rate_scale * (self.index - 1)
-                         if self.index > 0 else 0.0)
+            prev_rate = _RATE_SCALE * (self.index - 1) if self.index > 0 else 0.0
             return prev_rate ** 2, 0.0
         return 0.0, self.rate ** 2
 
@@ -156,7 +156,7 @@ def _stage_budget(plan, n, p, q, J_now, r_here):
     return max(_STAGE_CAP_FACTOR * (r_here + 1.0), 4.0 * dr_est + 10.0)
 
 
-def construct(n, p, q, alpha, stages, rate_scale=2.0):
+def construct(n, p, q, alpha, stages):
     """Run the staged construction; returns (model, solution, certificate,
     profile), the profile being the last stage's geometry profile.
 
@@ -182,24 +182,11 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     seconds elapsed since the construction began.
 
     `stages` counts fired triggers and must be an even number >= 4 so the
-    certificate ends with both bands populated. rate_scale <= 0 would ask
-    the exponential stages to glue onto a flat slope target, which no
-    convex continuation can do (ConvexityViolation). rate_scale <= 1 is
-    refused too (InvalidParameter): stage 1 then keeps psi'/psi <= 1 from
-    its join r_1 >= 1, so log psi(r) <= log r_1 + r - r_1 < r and its
-    trigger log psi >= r never fires.
+    certificate ends with both bands populated.
     """
     prob = solver.Problem(n, p, q, alpha)
     if stages < 4 or stages % 2 != 0:
         raise InvalidParameter("need an even number of stages >= 4")
-    if rate_scale <= 0.0:
-        raise ConvexityViolation(
-            "exponential stages need a positive slope-ratio target; a flat "
-            "(all power-like) plan cannot produce the upper band"
-        )
-    if rate_scale <= 1.0:
-        raise InvalidParameter(f"rate_scale must exceed 1 for stage 1's trigger "
-                               f"log psi >= r to fire, got {rate_scale:g}")
     t_low, t_high = thresholds(n, p, q)
     ex = (p - 1.0) / (q + 1.0 - p)
 
@@ -209,7 +196,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
     sol = None
     stage_log = []
     for s_idx in range(stages):
-        plan = StagePlan(s_idx, n, p, q, rate_scale)
+        plan = StagePlan(s_idx, n, p, q)
         r_stop = r_here + _stage_budget(plan, n, p, q, J_here, r_here)
         if s_idx > 0:
             model = model.extended(r_here, r_stop + 10.0, *plan.curvature(),
@@ -242,7 +229,7 @@ def construct(n, p, q, alpha, stages, rate_scale=2.0):
             "Q": Q,
             "u": u,
             "log_psi": float(model.log_psi(r_here)),
-            "threshold": plan.t_low if s_idx % 2 == 0 else plan.t_high,
+            "threshold": plan.threshold,
         })
         _log.info("stage %d (%s) fired at r=%r: Q=%r, u=%r; %d accepted "
                   "steps, %.3f s elapsed", s_idx, plan.kind, r_here, Q, u,
@@ -261,11 +248,12 @@ def verify_certificate(cert, sol, profile):
     [r_lo, r_hi] is the same for every horizon from 1 up to the lesser of
     models._R_HI and the model's range, where both horizons lie).
 
-    Checks: Q values match within _VERIFY_REL_TOL; parity conditions hold
-    at each trigger; joins are spaced at least one unit apart; the two
-    bands are separated; and psi(r_k) e^{-l r_k} increases along the odd
-    stages for l in {1, 2}. Any mismatch raises Inconsistent naming the
-    stage.
+    Checks: Q, u, log psi and the threshold (of the certificate's n, p, q)
+    match the logged ones within _VERIFY_REL_TOL, and the logged kind is
+    the stage's; parity conditions hold at each trigger; joins are spaced
+    at least one unit apart; the two bands are separated; and
+    psi(r_k) e^{-l r_k} increases along the odd stages for l in {1, 2}.
+    Any mismatch raises Inconsistent naming the stage.
     """
     p, q = cert.p, cert.q
     ex = (p - 1.0) / (q + 1.0 - p)
@@ -273,30 +261,31 @@ def verify_certificate(cert, sol, profile):
     odd_log_growth = {1: [], 2: []}
     for entry in cert.stages:
         r = entry["r"]
-        Q_re = profile.J(r) ** ex * sol.eval_u(r)
-        if abs(Q_re - entry["Q"]) > _VERIFY_REL_TOL * entry["Q"]:
-            raise Inconsistent(
-                f"stage {entry['index']}: recomputed Q={Q_re:.6f} deviates "
-                f"from logged {entry['Q']:.6f}"
-            )
+        plan = StagePlan(entry["index"], cert.n, p, q)
         u_re = sol.eval_u(r)
-        if entry["index"] % 2 == 0:
-            if not (Q_re < cert.t_low and u_re < 2.0 ** (-entry["index"])):
+        lpsi = float(profile.model.log_psi(r))
+        Q_re = profile.J(r) ** ex * u_re
+        for name, value in (("Q", Q_re), ("u", u_re), ("log_psi", lpsi),
+                            ("threshold", plan.threshold)):
+            if not abs(value - entry[name]) <= _VERIFY_REL_TOL * abs(entry[name]):
                 raise Inconsistent(
-                    f"stage {entry['index']}: even trigger conditions fail"
+                    f"stage {plan.index}: recomputed {name}={value:.6g} deviates "
+                    f"from logged {entry[name]:.6g}"
                 )
-        else:
-            lpsi = float(profile.model.log_psi(r))
-            if not (Q_re > cert.t_high and u_re < 2.0 ** (-entry["index"])
-                    and lpsi >= entry["index"] * r - 1e-6):
-                raise Inconsistent(
-                    f"stage {entry['index']}: odd trigger conditions fail"
-                )
+        if entry["kind"] != plan.kind:
+            raise Inconsistent(f"stage {plan.index}: logged kind {entry['kind']!r}")
+        even = plan.index % 2 == 0
+        fired = (Q_re < cert.t_low if even
+                 else Q_re > cert.t_high and lpsi >= plan.index * r - 1e-6)
+        if not (fired and u_re < plan.u_ceiling):
+            raise Inconsistent(f"stage {plan.index}: {'even' if even else 'odd'} "
+                               f"trigger conditions fail")
+        if not even:
             for ell in (1, 2):
                 odd_log_growth[ell].append(lpsi - ell * r)
         if prev_r is not None and r < prev_r + 1.0 - 1e-9:
             raise Inconsistent(
-                f"stage {entry['index']}: join spacing below one unit"
+                f"stage {plan.index}: join spacing below one unit"
             )
         prev_r = r
     for ell, seq in odd_log_growth.items():

@@ -21,6 +21,7 @@ from .models import InvalidParameter, _check_n_p, descriptor_string, make_model,
 # a sweep row whose halved-layout error bar is this share of its quotient or
 # more, or not finite, is unresolved and flagged
 _UNRESOLVED = 1e-3
+_R0 = 20.0  # the cutoff radius at scale b is _R0 b^{(p-1)/p} (truncation_radius)
 # geometric panels per decade of the norms' layout over [1e-9 R, R], before
 # the cuts that keep G's growth across a panel at most 1
 _PANELS_PER_DECADE = 20
@@ -61,14 +62,11 @@ def _cutoff(r, R):
     return eta, deta
 
 
-def truncation_radius(model, n, p, b, R0=20.0):
-    """Support radius for the cutoff: scales with the profile so Euclidean
-    quotients are exactly b-invariant, capped where psi^{n-1} would
-    overflow. Refuses (InvalidParameter) an R0 that is not positive and
-    finite."""
-    if not (0 < R0 < math.inf):
-        raise InvalidParameter(f"R0 must be positive and finite, got {R0}")
-    return min(R0 * b ** ((p - 1.0) / p), safe_horizon(model, n))
+def truncation_radius(model, n, p, b):
+    """Support radius for the cutoff, _R0 b^{(p-1)/p}: scales with the
+    profile so Euclidean quotients are exactly b-invariant, capped where
+    psi^{n-1} would overflow."""
+    return min(_R0 * b ** ((p - 1.0) / p), safe_horizon(model, n))
 
 
 def sobolev_quotient(f, df, model, n, p, R):
@@ -145,7 +143,7 @@ def _unresolved(rep):
 _euclid_reference_cache = {}
 
 
-def euclidean_reference(n, p, R0=20.0):
+def euclidean_reference(n, p):
     """Euclidean quotient of the extremal family, computed once and cached,
     flagged where its error bar leaves it unresolved (_unresolved).
 
@@ -153,35 +151,34 @@ def euclidean_reference(n, p, R0=20.0):
     of b; it is the yardstick every curved-model quotient is measured
     against (no literature constant is hardcoded).
     """
-    key = (n, p, R0)
+    key = (n, p)
     if key not in _euclid_reference_cache:
         eu = make_model("euclidean")
         prof = AubinTalenti(n, p)
-        R = truncation_radius(eu, n, p, 1.0, R0)
+        R = truncation_radius(eu, n, p, 1.0)
         ref = sobolev_quotient(prof.u, prof.du, eu, n, p, R)
         ref["flagged"] = _unresolved(ref)
         _euclid_reference_cache[key] = ref
     return _euclid_reference_cache[key]
 
 
-def concentration_sweep(model, n, p, b_seq, R0=20.0):
+def concentration_sweep(model, n, p, b_seq):
     """Quotients of the concentrating family b -> 0 on one model.
 
     Returns the swept rows plus the Euclidean reference; flagged are rows
     at or below it (on a curved model a numerics bug), rows with over half
     their L^{p*} mass beyond R/2 (they measure the cutoff) and unresolved
-    rows (_unresolved), as the reference is by the last rule. R0 is
-    checked by truncation_radius.
+    rows (_unresolved), as the reference is by the last rule.
     """
     b_seq = list(b_seq)
     # inf > b_0 > b_1 > ... > 0, which a NaN fails
     if not all(a > b for a, b in zip([math.inf] + b_seq, b_seq + [0.0])):
         raise InvalidParameter("b sequence must be finite, positive, strictly decreasing")
-    ref = euclidean_reference(n, p, R0)
+    ref = euclidean_reference(n, p)
     rows = []
     for b in b_seq:
         prof = AubinTalenti(n, p, b=b)
-        R = truncation_radius(model, n, p, b, R0)
+        R = truncation_radius(model, n, p, b)
         rep = sobolev_quotient(prof.u, prof.du, model, n, p, R)
         rep["b"] = b
         rep["gap"] = rep["quotient"] - ref["quotient"]

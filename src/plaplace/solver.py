@@ -204,17 +204,17 @@ def series_startup(prob, model, r):
     return _scalar_or_array(u), _scalar_or_array(-np.exp(v))
 
 
-def _row_radii(dense, u_min, tol=ROW_TOL):
+def _row_radii(dense, u_min):
     """Output radii with u (floored at u_min) and v there, as three arrays:
     every accepted step split into k equal parts, k close to the least for
-    which linear interpolation of u stays within tol |u|.
+    which linear interpolation of u stays within ROW_TOL |u|.
 
     On a step of length H the chord of u departs from u by
     x (1-x) H^2 |u''| / 2 at the fraction x of the step; read at
     x = 1/4, 1/2, 3/4 this gives M ~ H^2 |u''|. Cut into k equal parts, the
     chord error is largest mid-part, at M / (8 k^2). k starts from that
     estimate; on every step where the error read mid-part still exceeds
-    tol u, k is raised by the square root of the excess plus 10%.
+    ROW_TOL u, k is raised by the square root of the excess plus 10%.
 
     The dense output is read once at the knots, once at the 3 fractions of
     every step, then once at every row inside a step and every mid-row. A
@@ -230,7 +230,7 @@ def _row_radii(dense, u_min, tol=ROW_TOL):
     chord = u_knots[:-1, None] + np.diff(u_knots)[:, None] * x
     dev = np.abs(dense(a[:, None] + H[:, None] * x)[0] - chord)
     M = np.max(dev / (0.5 * x * (1.0 - x)), axis=1)
-    k = np.maximum(np.ceil(np.sqrt(M / (8.0 * tol * u_knots[1:]))), 1).astype(int)
+    k = np.maximum(np.ceil(np.sqrt(M / (8.0 * ROW_TOL * u_knots[1:]))), 1).astype(int)
     read = np.arange(len(H))  # the steps whose rows this round reads
     rounds = []
     while True:
@@ -250,7 +250,7 @@ def _row_radii(dense, u_min, tol=ROW_TOL):
         before, u_before = np.roll(rows, 1), np.roll(u, 1)
         before[first], u_before[first] = a[read], u_knots[read]
         u_mid = np.maximum(dense(0.5 * (before + rows))[0], u_min)
-        excess = np.abs(0.5 * (u_before + u) - u_mid) / (tol * u_mid)
+        excess = np.abs(0.5 * (u_before + u) - u_mid) / (ROW_TOL * u_mid)
         worst = np.maximum.reduceat(excess, first)
         low = worst > 1.0
         if not np.any(low):

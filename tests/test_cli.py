@@ -114,17 +114,14 @@ _CLASSIFY = ("classify", "--n", "3", "--p", "2", "--model")
     _CLASSIFY + ("expgamma:c=inf,gamma=0.5",),
     _CLASSIFY + ("powerlike:k=inf",),
     _CLASSIFY + ("hyperbolic:x=1",),
-    ("oscillate", "--n", "3", "--p", "2", "--q", "5", "--alpha", "1",
-     "--stages", "4", "--rate-scale", "1"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_or_malformed_arguments_exit_2(tmp_path, capsys, argv):
     """Non-finite numbers (model parameters among them), unparsable or
-    empty comma lists, a parameter the model kind does not take and a
-    rate scale whose first exponential trigger can never fire are argument
-    errors, refused before any integration starts (a NaN tolerance or an
-    infinite horizon otherwise never returns, a NaN horizon exits 0, and
-    `--rate-scale 1` runs stage 1 to its budget), with an `error:
-    argument:` line in place of a traceback."""
+    empty comma lists and a parameter the model kind does not take are
+    argument errors, refused before any integration starts (a NaN
+    tolerance or an infinite horizon otherwise never returns, and a NaN
+    horizon exits 0), with an `error: argument:` line in place of a
+    traceback."""
     start = time.perf_counter()
     assert run_cli(tmp_path, *argv) == 2
     assert time.perf_counter() - start < 1.0
@@ -233,19 +230,6 @@ def test_quotient_rows_above_reference(tmp_path):
     assert np.array_equal(back["quotient"], [row["quotient"] for row in sweep["rows"]])
     assert np.array_equal(back["flagged"], [int(row["flagged"]) for row in sweep["rows"]])
     assert back["flagged"].tolist() == [1.0, 0.0, 0.0]
-
-
-@pytest.mark.parametrize("option", [
-    ("--R0", "nan"), ("--R0", "inf"), ("--R0", "-1"), ("--R0", "0"),
-], ids=" ".join)
-def test_quotient_refuses_grid_or_radius_without_error_bar(tmp_path, capsys, option):
-    """A cutoff scale R0 that is not positive and finite leaves no radius:
-    an argument error (exit 2), refused before any quadrature, with no
-    numerical warning. --R0 -1 used to end in a traceback (exit 1) and
-    --R0 nan in a TailDivergence at R = nan (exit 3)."""
-    assert run_cli(tmp_path, *_QUOTIENT, "1,0.1", *option) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: argument:") and "Warning" not in err
 
 
 def test_quotient_rows_have_finite_error_bars(tmp_path, capsys):

@@ -128,8 +128,16 @@ def test_noncritical_P_strictly_negative(hy_run):
 
 
 def test_pair_mismatch_guard(hy_run, eu_run):
+    """A profile of another model or another p is refused, and so is an
+    envelope check on a solution that ends before r = 1."""
     with pytest.raises(pl.GridMismatch):
         pl.functional_traces(hy_run.sol, eu_run.prof)
+    other_p = pl.geometry_profile(hy_run.model, 3, 1.5, hy_run.sol.r_last)
+    with pytest.raises(pl.GridMismatch, match=r"\(n, p\)"):
+        pl.decay_envelope_check(hy_run.sol, other_p)
+    short = make_run("hyperbolic", 3, 2.0, 5.0, 1.0, rmax=1.0)
+    with pytest.raises(pl.GridMismatch, match="does not reach"):
+        pl.decay_envelope_check(short.sol, short.prof)
 
 
 def test_glued_pair_mismatch_guard():
@@ -209,11 +217,14 @@ def test_ratio_si_plateau(ep_run):
         ep_run.sol.eval_u(ep_run.sol.r_last), rel=0.05)
 
 
-def test_ratio_si_refusals(hy_run, ep_run):
+def test_ratio_si_refusals(hy_run):
     with pytest.raises(pl.RegimeMismatch):
         pl.asymptotic_ratio_si(hy_run.sol, hy_run.prof)
+    # pSI, but solved only to R = 1, where |u'(R)| R / u(R) is about 0.1
+    early = make_run("exppower:c=1,m=3", 3, 2.0, 5.0, 1.0, rmax=1.0)
+    assert early.prof.tail_converged
     with pytest.raises(pl.NoPlateau):
-        pl.asymptotic_ratio_si(ep_run.sol, ep_run.prof, plateau_tol=1e-4)
+        pl.asymptotic_ratio_si(early.sol, early.prof)
 
 
 def test_energy_probe_cases(hy_run, ep_run, eu_crit_run):

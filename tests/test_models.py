@@ -393,9 +393,9 @@ def test_glued_array_lookup_is_one_call_per_segment(glued3, monkeypatch):
     calls = []
     original = dense._DenseTable.__call__
 
-    def counting(self, t):
+    def counting(self, t, c=None):
         calls.append(self)
-        return original(self, t)
+        return original(self, t, c)
 
     monkeypatch.setattr(dense._DenseTable, "__call__", counting)
     tables = [reader.table for reader in glued3._readers[1:]]
@@ -755,6 +755,77 @@ def test_lookup_cost_is_independent_of_radii(monkeypatch):
         assert all(model.calls), lookup.__name__
 
 
+def test_tail_lookup_forms_theta_once():
+    """A J read past r_switch forms Theta at its radius and at the tail
+    rule's nodes in one model call, not one for each."""
+    model = _CountingHyperbolic()
+    prof = pl.geometry_profile(model, 3, 2.0, 10.0)
+    assert prof.r_switch < 5000.0
+    for lookup in (prof.J, prof.theta_J):
+        model.calls.clear()
+        lookup(5000.0)
+        assert len(model.calls) == 1, lookup.__name__
+
+
+def test_profile_export_is_one_lookup(tmp_path, monkeypatch):
+    """export_csv reads Theta and J in one lookup, and writes the floats of
+    I, theta and J."""
+    prof = pl.geometry_profile(pl.make_model("hyperbolic"), 3, 2.0, 10.0)
+    calls = []
+    logs = prof._logs
+    monkeypatch.setattr(prof, "_logs", lambda *args: calls.append(args) or logs(*args))
+    data = pl.read_csv(prof.export_csv(tmp_path / "geometry.csv"))
+    assert len(calls) == 1
+    r = data["r"]
+    for name in ("I", "theta", "J"):
+        assert np.array_equal(data[name], getattr(prof, name)(r)), name
+
+
+def test_window_reads_one_component():
+    """A glued window reads only the component asked for from its table,
+    at the floats of reading both."""
+    model = models.as_glued(pl.make_model("euclidean")).extended(2.0, 30.0, 0.0, 4.0, 0.5)
+    window = next(reader for _, reader in model._pieces if isinstance(reader, models._Window))
+    table, components = window.table, []
+    window.table = lambda r, c=None: components.append(c) or table(r, c)
+    r = np.linspace(2.05, 2.45, 15)
+    for k, read in enumerate((model.log_psi, model.slope_ratio)):
+        components.clear()
+        assert np.array_equal(read(r), table(r)[k])
+        assert components == [k]
+
+
+def test_classification_inconclusive():
+    """The abstention: at (4, 3) on exppower:c=1,m=3, Theta^(1/2) ~ 1/(3r),
+    so J diverges like (log r)/3 (the model is pSC), which the dyadic
+    growth rule (g > 0.25 over each of the last two windows) cannot see.
+    The verdict is Inconclusive, in the hp-add-2 regime, where the decay
+    law is proven; a rule that sees logarithmic growth turns it into pSC."""
+    prof = pl.geometry_profile(pl.make_model("exppower:c=1,m=3"), 4, 3.0, 20.0)
+    out = pl.classify_completeness(prof)
+    assert prof.J_hi - prof.J_half == pytest.approx(math.log(2.0) / 3.0, rel=1e-3)
+    assert out.verdict == "Inconclusive"
+    assert out.regime.name == "hp-add-2" and out.regime.supports_decay_law()
+    assert math.isnan(out.tail_estimate)
+
+
+def test_unfitted_regime_is_unknown():
+    """A model whose psi'/psi turns from hyperbolic to power-like inside the
+    fitting window fits no regime: classify_completeness records it as
+    "unknown" with the AmbiguousRegime message, and a horizon past the
+    glue's range is refused."""
+    glue = pl.glue_models([(pl.make_model("hyperbolic"), 0),
+                           (pl.make_model("powerlike:k=2"), 5)], 0.5, horizon=40)
+    prof = pl.geometry_profile(glue, 3, 2.0, 10.0)
+    with pytest.raises(pl.AmbiguousRegime):
+        prof.regime
+    out = pl.classify_completeness(prof)
+    assert out.regime.name == "unknown"
+    assert "not stabilized" in out.regime.evidence["error"]
+    with pytest.raises(pl.GeometryOverflow):
+        pl.geometry_profile(glue, 3, 2.0, 50.0)
+
+
 @pytest.mark.parametrize("desc,n,p,verdict,regime", [
     ("euclidean", 3, 2.0, "pSC", "power-like"),
     ("hyperbolic", 3, 2.0, "pSC", "hp-add-1"),
@@ -843,11 +914,13 @@ def test_safe_horizon_bounds():
 
 
 @pytest.mark.parametrize("descriptor", ["euclidean", "hyperbolic", "exppower:c=1,m=3",
-                                        "powerlike:k=2", "expgamma:c=1,gamma=0.5"])
+                                        "powerlike:k=2", "expgamma:c=1,gamma=0.5",
+                                        "exppower:c=400,m=2"])
 def test_safe_horizon_equals_fixed_bisection(descriptor):
     """safe_horizon stops bisecting once the midpoint equals an end, and
     returns the float of a bisection run a fixed 200 times, in fewer than
-    100 log_psi calls."""
+    100 log_psi calls. exppower:c=400,m=2 overflows before r = 1, so the
+    lower end is halved first."""
     model = pl.make_model(descriptor)
     for n in (3, 4, 5):
         limit = (models._EXP_CAP - models._HORIZON_MARGIN) / (n - 1)

@@ -25,11 +25,14 @@ def test_construct_validation():
         pl.construct(3, 2.0, 5.0, 1.0, 3)   # odd
     with pytest.raises(pl.InvalidParameter):
         pl.construct(3, 2.0, 5.0, 1.0, 2)   # too few
-    with pytest.raises(pl.ConvexityViolation):
-        pl.construct(3, 2.0, 5.0, 1.0, 4, rate_scale=0.0)
-    for rate_scale in (0.5, 1.0):  # stage 1's trigger log psi >= r never fires
-        with pytest.raises(pl.InvalidParameter):
-            pl.construct(3, 2.0, 5.0, 1.0, 4, rate_scale=rate_scale)
+
+
+def test_stage_budget_exhausted(monkeypatch):
+    """A stage whose radius budget ends before its trigger raises
+    TriggerTimeout."""
+    monkeypatch.setattr(oscillator, "_stage_budget", lambda *args: 0.5)
+    with pytest.raises(oscillator.TriggerTimeout, match="stage 0"):
+        pl.construct(3, 2.0, 5.0, 1.0, 4)
 
 
 def test_rows_below_first_join_match_flat_profile(oscillation):
@@ -177,17 +180,36 @@ def test_tampered_certificate_detected(oscillation):
     with pytest.raises(pl.Inconsistent):
         pl.verify_certificate(bad2, oscillation.sol, oscillation.prof)
 
+    # a stage logged twice: two triggers less than one unit apart
+    bad3 = pl.OscillationCertificate.from_dict(oscillation.cert.to_dict())
+    bad3.stages.insert(2, dict(bad3.stages[1]))
+    with pytest.raises(pl.Inconsistent, match="stage 1: join spacing below one unit"):
+        pl.verify_certificate(bad3, oscillation.sol, oscillation.prof)
+
 
 @pytest.mark.parametrize("tamper, message", [
     ({"t_low": 0.55}, "stage 0: even trigger conditions fail"),
     ({"t_high": 0.70}, "stage 1: odd trigger conditions fail"),
     ({"t_low": 0.67, "t_high": 0.60}, "measured bands do not bracket the thresholds"),
-], ids=["t_low-below-even-Q", "t_high-above-odd-Q", "crossed-bands"])
+    ((1, "u", lambda u: 1.1 * u), "stage 1: recomputed u="),
+    ((1, "log_psi", lambda log_psi: log_psi + 1.0), "stage 1: recomputed log_psi="),
+    ((1, "kind", lambda kind: "power-like"), "stage 1: logged kind"),
+    ((1, "threshold", lambda threshold: 0.1), "stage 1: recomputed threshold="),
+], ids=["t_low-below-even-Q", "t_high-above-odd-Q", "crossed-bands",
+        "stage-u", "stage-log-psi", "stage-kind", "stage-threshold"])
 def test_tampered_thresholds_detected(oscillation, tamper, message):
     """A certificate whose logged Qs are intact but whose thresholds were
     moved fails verification: below the even Qs (0.556, 0.566), above the
-    odd Qs (0.677, 0.699), or crossed so the bands no longer separate."""
-    bad = pl.OscillationCertificate.from_dict({**oscillation.cert.to_dict(), **tamper})
+    odd Qs (0.677, 0.699), or crossed so the bands no longer separate. So
+    does one where a stage's logged u, log psi, kind or threshold (a
+    (stage, field, change) tampering) no longer matches its recomputation."""
+    data = oscillation.cert.to_dict()
+    if isinstance(tamper, dict):
+        data.update(tamper)
+    else:
+        k, field, change = tamper
+        data["stages"][k][field] = change(data["stages"][k][field])
+    bad = pl.OscillationCertificate.from_dict(data)
     with pytest.raises(pl.Inconsistent, match=message):
         pl.verify_certificate(bad, oscillation.sol, oscillation.prof)
 

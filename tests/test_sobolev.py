@@ -131,15 +131,6 @@ def test_row_without_finite_error_bar_flagged(monkeypatch, share):
     assert pl.concentration_sweep(hy, 3, 2.0, [0.1])["rows"][0]["flagged"]
 
 
-@pytest.mark.parametrize("R0", [math.nan, math.inf, -1.0, 0.0])
-def test_cutoff_scale_must_be_positive_and_finite(R0):
-    hy = pl.make_model("hyperbolic")
-    with pytest.raises(pl.InvalidParameter):
-        pl.truncation_radius(hy, 3, 2.0, 1.0, R0)
-    with pytest.raises(pl.InvalidParameter):
-        pl.concentration_sweep(hy, 3, 2.0, [1.0], R0=R0)
-
-
 def _glued_to_5():
     """The hyperbolic model continued with psi'' = psi on [2, 5]."""
     model = models.as_glued(pl.make_model("hyperbolic")).extended(2.0, 5.0, 1.0, 1.0, 0.5)
