@@ -16,7 +16,6 @@ from .models import GeometryOverflow
 from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
-_POHOZAEV_RADII = 80  # geometric radii of the Pohozaev audit, before the joins
 _PLATEAU_TOL = 0.05  # asymptotic_ratio_si needs |u'(R)| R <= _PLATEAU_TOL u(R)
 
 
@@ -111,52 +110,43 @@ def _energy_exponent(sol, r):
     return E
 
 
-def _pohozaev_identity_defect(sol, profile):
-    """Defects of P(b) - P(a) = int_a^b K |u'|^p between audit radii.
+def _pohozaev_identity_defect(sol, profile, IF, wu):
+    """Defects of P(b) - P(a) = int_a^b K |u'|^p between the sampled rows.
 
-    The identity is checked in integrated form between _POHOZAEV_RADII
-    geometric radii, to which a glued model adds every segment's start and
-    the end of its blend window (start + width) inside the audited range,
-    since K is not smooth across them. P is read from the steppers' dense output
-    and profile.I. The integral of K |u'|^p = bracket w u' is
-    quadrature.panel_integrals of bracket e^{E - log S}: the fitted rule
-    follows the exponent E = log(w u') (_energy_exponent), formed in log
-    space from v, and the bracket is a plain factor. S = max(|I F| +
-    |w u/(q+1)|) over the interval's two ends is its scale. An interval is
-    resolved where the integral exceeds 1e-6 S.
+    The identity is checked in integrated form between the rows the flux
+    residual samples (RadialSolution._sampled_rows), P = IF + wu being read
+    from I F and w u/(q+1) on the solution's rows. The integral of
+    K |u'|^p = bracket w u' is RadialSolution._integrals of
+    bracket e^{E - log S}: the fitted rule follows the exponent
+    E = log(w u') (_energy_exponent), formed in log space from v, and the
+    bracket is a plain factor. S = max(|I F| + |w u/(q+1)|) over the
+    interval's two ends is its scale. An interval is resolved where the
+    integral exceeds 1e-6 S.
 
     Returns (max_rel_defect, max_scaled_defect, resolved_intervals,
     audited_radii): the largest |dP - int| / |int| over resolved intervals,
-    the largest |dP - int| / S over all of them, and how many radii were
+    the largest |dP - int| / S over all of them, and how many rows were
     audited.
     """
-    prob = sol.problem
-    n, p, q = prob.n, prob.p, prob.q
+    n, p, q = sol.problem.n, sol.problem.p, sol.problem.q
     c1 = (p - 1.0) / p + 1.0 / (q + 1.0)
-    lo, hi = max(10.0 * sol.r[1], 2e-3 * sol.r_last), 0.99 * sol.r_last
-    breaks = [b for seg in profile.model.segments
-              for b in (seg.start, seg.start + seg.width) if lo < b < hi]
-    x = np.union1d(np.geomspace(lo, hi, _POHOZAEV_RADII), breaks)
-    u, du, w = sol._state(x)
-    F = ((p - 1.0) / p) * np.abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
-    IF = profile.I(x) * F
-    wu = w * u / (q + 1.0)
+    idx = sol._sampled_rows()
+    IF, wu = IF[idx], wu[idx]
     scale = np.abs(IF) + np.abs(wu)
     S = np.maximum(scale[:-1], scale[1:])
-    log_S = np.log(S)
 
     def bracket(s):
         slope = np.asarray(profile.model.slope_ratio(s), dtype=float)
         return c1 - (n - 1) * slope * profile.theta(s)
 
     # in units of S
-    integral = panel_integrals(lambda s, k: _energy_exponent(sol, s) - log_S[k][:, None],
-                               x, _energy_exponent(sol, x), bracket)
+    integral = sol._integrals(sol.r[idx], lambda s: _energy_exponent(sol, s),
+                              np.log(S), bracket)
     err = np.abs(np.diff(IF + wu) / S - integral)
     resolved = np.abs(integral) > 1e-6
     rel = err[resolved] / np.abs(integral[resolved])
     worst = float(np.max(rel)) if rel.size else 0.0
-    return worst, float(np.max(err)), int(np.count_nonzero(resolved)), x.size
+    return worst, float(np.max(err)), int(np.count_nonzero(resolved)), idx.size
 
 
 def functional_traces(sol, profile):
@@ -169,12 +159,12 @@ def functional_traces(sol, profile):
     E(R) = n omega_n int_0^R |u'|^p psi^{n-1}
 
     K is assembled through Theta = I/psi^{n-1} so the difference in the
-    bracket is computed before any large factor. E and the integrated
-    identity P(b) - P(a) = int_a^b K |u'|^p, recorded as the
-    "pohozaev-identity" verdict, are integrals of the dense output by
-    quadrature.panel_integrals, both fitted to the exponent
-    log(w u') = (1 + mu) v - mu (n-1) log psi formed from v = log(-w); E
-    takes one panel per row interval.
+    bracket is computed before any large factor. E is an integral of the
+    dense output by quadrature.panel_integrals, one panel per row interval,
+    fitted to the exponent log(w u') = (1 + mu) v - mu (n-1) log psi formed
+    from v = log(-w); the integrated identity P(b) - P(a) = int_a^b K |u'|^p,
+    the "pohozaev-identity" verdict, is checked on the same exponent
+    (_pohozaev_identity_defect).
 
     K, P (through I = Theta psi^{n-1}) and E grow with psi^{n-1}; where
     one of them leaves the double range the traces are refused with
@@ -203,7 +193,8 @@ def functional_traces(sol, profile):
         psi_pow = np.exp(lpsi_pow)
         psi_pow[0] = 0.0
         I = theta * psi_pow
-        P = I * F + w * u / (q + 1.0)
+        IF, wu = I * F, w * u / (q + 1.0)
+        P = IF + wu
         K = psi_pow * bracket
         # E only up to the first row where K or P has left the range
         out = ~(np.isfinite(K) & np.isfinite(P))
@@ -223,7 +214,7 @@ def functional_traces(sol, profile):
 
     report = DiagnosticsReport(sol, profile, r, F, P, K, Q, E)
 
-    defect, scaled, resolved, audited = _pohozaev_identity_defect(sol, profile)
+    defect, scaled, resolved, audited = _pohozaev_identity_defect(sol, profile, IF, wu)
     # margin: the share of the tighter of the two gates still unused; a nan
     # defect fails its gate with no margin left
     margin = min(-math.inf if math.isnan(m) else m

@@ -248,15 +248,20 @@ def verify_certificate(cert, sol, profile):
     [r_lo, r_hi] is the same for every horizon from 1 up to the lesser of
     models._R_HI and the model's range, where both horizons lie).
 
-    Checks: Q, u, log psi and the threshold (of the certificate's n, p, q)
-    match the logged ones within _VERIFY_REL_TOL, and the logged kind is
-    the stage's; parity conditions hold at each trigger; joins are spaced
-    at least one unit apart; the two bands are separated; and
-    psi(r_k) e^{-l r_k} increases along the odd stages for l in {1, 2}.
-    Any mismatch raises Inconsistent naming the stage.
+    Checks: t_low, t_high and, at each trigger, Q, u, log psi and the
+    threshold (of the certificate's n, p, q) match the logged ones within
+    _VERIFY_REL_TOL, the logged kind is the stage's and StagePlan.fires
+    holds; joins are spaced at least one unit apart; the two bands are
+    separated; and psi(r_k) e^{-l r_k} increases along the odd stages for
+    l in {1, 2}. Any mismatch raises Inconsistent.
     """
     p, q = cert.p, cert.q
     ex = (p - 1.0) / (q + 1.0 - p)
+    for name, value in zip(("t_low", "t_high"), thresholds(cert.n, p, q)):
+        logged = getattr(cert, name)
+        if not abs(value - logged) <= _VERIFY_REL_TOL * abs(logged):
+            raise Inconsistent(f"recomputed {name}={value:.6g} deviates from "
+                               f"certified {logged:.6g}")
     prev_r = None
     odd_log_growth = {1: [], 2: []}
     for entry in cert.stages:
@@ -274,13 +279,9 @@ def verify_certificate(cert, sol, profile):
                 )
         if entry["kind"] != plan.kind:
             raise Inconsistent(f"stage {plan.index}: logged kind {entry['kind']!r}")
-        even = plan.index % 2 == 0
-        fired = (Q_re < cert.t_low if even
-                 else Q_re > cert.t_high and lpsi >= plan.index * r - 1e-6)
-        if not (fired and u_re < plan.u_ceiling):
-            raise Inconsistent(f"stage {plan.index}: {'even' if even else 'odd'} "
-                               f"trigger conditions fail")
-        if not even:
+        if not plan.fires(r, Q_re, u_re, lpsi):
+            raise Inconsistent(f"stage {plan.index}: {plan.kind} trigger conditions fail")
+        if plan.index % 2 == 1:
             for ell in (1, 2):
                 odd_log_growth[ell].append(lpsi - ell * r)
         if prev_r is not None and r < prev_r + 1.0 - 1e-9:

@@ -75,7 +75,7 @@ _U_FLOOR = 1e-12
 # hands over to Radau after _STIFF_STEPS consecutive steps with h v' > _STIFF_HV
 _STIFF_HV = 6.1
 _STIFF_STEPS = 15
-_FLUX_ROWS = 200  # rows flux_residual samples
+_FLUX_ROWS = 200  # rows the flux residual and the Pohozaev audit sample
 # the 8-node Gauss-Legendre rule on [0, 1]: nodes _T8 and weights _H8
 _T8, _H8 = 1.0 - _U8, _HALF_W8
 
@@ -357,6 +357,26 @@ class RadialSolution:
         du, w = self._derived(r, v)
         pole = r == 0.0
         return u, np.where(pole, 0.0, du), np.where(pole, 0.0, w)
+
+    def _sampled_rows(self):
+        """The _FLUX_ROWS row indices, evenly spaced from the first row past
+        the pole to the last, where the integrated identities are checked."""
+        return np.unique(np.linspace(1, len(self.r) - 1, _FLUX_ROWS).astype(int))
+
+    def _integrals(self, x, exponent, shift, factor=None):
+        """int f e^{E - shift_k} between consecutive radii x, shift_k the
+        constant of interval k; exponent(s) returns E, factor(s) f (None:
+        f = 1). quadrature.panel_integrals, fitted to E, on panels cut at
+        every knot in between, where the dense output is not smooth, and at
+        every blend-window end (start + width) of a glued model, where psi
+        is not."""
+        cuts = np.append(self._dense.ts, [seg.start + seg.width for seg in self.model.segments])
+        edges = np.union1d(x, cuts[(cuts > x[0]) & (cuts < x[-1])])
+        at_x = np.searchsorted(edges, x)
+        shift = np.repeat(shift, np.diff(at_x))
+        panels = panel_integrals(lambda s, k: exponent(s) - shift[k][:, None],
+                                 edges, exponent(edges), factor)
+        return np.add.reduceat(panels, at_x[:-1])
 
     @property
     def r_last(self):
@@ -1118,49 +1138,27 @@ def integrate(prob, model, config, stop=None, carry=None):
                           sol.y, sol.t[-1] - sol.t[-2])
 
 
-def _flux_integrals(sol, idx, v_b):
-    """int psi^{n-1} u^q e^{-v_b} between consecutive rows of idx, one per
-    pair, v_b[k] being the shift of the k-th pair.
-
-    The integrand is e^{E - v_b} with E = (n-1) log psi + q log u, formed
-    in log space so it stays finite however large psi^{n-1} grows, and
-    integrated by quadrature.panel_integrals over the solver's steps
-    between the rows, fitted to E, with u read from the steppers' dense
-    output. The intervals end at the rows, at every knot in between and at
-    the end of each blend window of a glued model, which a step crosses
-    although psi is not smooth there.
-    """
-    prob = sol.problem
-    rows = sol.r[idx]
-    cuts = np.append(sol._dense.ts, [seg.start + seg.width for seg in sol.model.segments])
-    edges = np.union1d(rows, cuts[(cuts > rows[0]) & (cuts < rows[-1])])
-    at_rows = np.searchsorted(edges, rows)
-    shift = np.repeat(v_b, np.diff(at_rows))
-
-    def exponent(x):
-        lpsi = np.asarray(sol.model.log_psi(x), dtype=float)
-        return (prob.n - 1) * lpsi + prob.q * np.log(sol._uv(x, 0))
-
-    steps = panel_integrals(lambda x, k: exponent(x) - shift[k][:, None],
-                            edges, exponent(edges))
-    return np.add.reduceat(steps, at_rows[:-1])
-
-
 def flux_residual(sol):
     """Max relative defect of w(b) - w(a) + int_a^b psi^{n-1} u^q over rows.
 
     This is the integrated form of the equation; it is the natural a
     posteriori check because it only involves quantities the solver carries.
-    The defect is read between _FLUX_ROWS sampled rows, relative to |w(b)| and
-    in log space from v = log(-w):
+    The defect is read between the sampled rows (_sampled_rows), relative
+    to |w(b)| and in log space from v = log(-w):
     -1 + e^{v_a - v_b} + int_a^b e^{(n-1) log psi + q log u - v_b}, so it
-    stays finite where w itself overflows. The integral is the fitted 8-node
-    rule on the solver's steps in between (_flux_integrals). It agrees with
-    adaptive quadrature at epsrel=2e-14 on each row interval to about
-    1e-14 |w| (tests require 1e-12 |w|), so the residual measures the
-    solver rather than the quadrature.
+    stays finite where w itself overflows. The integral is _integrals, with
+    u from the dense output. It agrees with adaptive quadrature at
+    epsrel=2e-14 on each row interval to about 1e-14 |w| (tests require
+    1e-12 |w|), so the residual measures the solver rather than the
+    quadrature.
     """
-    idx = np.unique(np.linspace(1, len(sol.r) - 1, _FLUX_ROWS).astype(int))
-    v = sol._uv(sol.r[idx])[1]
-    defect = -1.0 + np.exp(v[:-1] - v[1:]) + _flux_integrals(sol, idx, v[1:])
+    prob = sol.problem
+    x = sol.r[sol._sampled_rows()]
+    v = sol._uv(x)[1]
+
+    def exponent(s):
+        lpsi = np.asarray(sol.model.log_psi(s), dtype=float)
+        return (prob.n - 1) * lpsi + prob.q * np.log(sol._uv(s, 0))
+
+    defect = -1.0 + np.exp(v[:-1] - v[1:]) + sol._integrals(x, exponent, v[1:])
     return float(np.max(np.abs(defect)))

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import plaplace as pl
-from plaplace import diagnostics, models, quadrature
+from plaplace import diagnostics, models
 
 from conftest import make_run
 
@@ -33,8 +33,9 @@ def test_traces_verdicts_pass(eu_run, eu_crit_run, hy_run, ep_run, eg_run):
         rep = pl.functional_traces(run.sol, run.prof)
         assert rep.passed(), rep.verdicts
         pohozaev = _pohozaev(rep)
-        assert pohozaev["audited_radii"] == 80
-        assert 0 <= pohozaev["resolved_radii"] <= 79
+        # the rows the flux residual samples: every fixture has more than 200
+        assert pohozaev["audited_radii"] == 200
+        assert 0 <= pohozaev["resolved_radii"] <= 199
         assert pohozaev["max_scaled_defect"] < 1e-9
         # K vanishes identically only on the flat critical fixtures, so
         # every curved one must resolve some of the integrals it checks
@@ -65,7 +66,7 @@ def test_traces_refused_past_double_range(oscillation):
 def test_pohozaev_margin_negative_on_nan(hy_run, monkeypatch):
     """A nan defect fails the verdict and leaves it a negative margin."""
     monkeypatch.setattr(diagnostics, "_pohozaev_identity_defect",
-                        lambda sol, profile: (1e-5, math.nan, 10, 80))
+                        lambda sol, profile, IF, wu: (1e-5, math.nan, 10, 200))
     pohozaev = _pohozaev(pl.functional_traces(hy_run.sol, hy_run.prof))
     assert not pohozaev["passed"]
     assert pohozaev["margin"] < 0.0
@@ -80,10 +81,11 @@ def test_pohozaev_sees_solver_error():
 
 
 def test_pohozaev_panels_match_quad(hy_run):
-    """K |u'|^p on the widest audit interval of hy_run, one panel_integrals
-    call on that interval alone (its exponent (1+mu) v - mu (n-1) log psi
-    grows by about 9, so the interval's own bend decides the cut), against
-    quad(epsrel=1e-12) on each row interval inside it."""
+    """K |u'|^p by RadialSolution._integrals, as the audit takes it, against
+    quad(epsrel=1e-12) on each knot interval: on every sampled interval of
+    hy_run past r = 1 that crosses the most knots (two), and on
+    [7.126, 7.708], an interval of an earlier geometric layout that crosses
+    one knot, where a single panel read 5.6e-12 off."""
     sol, prof = hy_run.sol, hy_run.prof
     n, p, q = sol.problem.n, sol.problem.p, sol.problem.q
     mu = 1.0 / (p - 1.0)
@@ -100,14 +102,22 @@ def test_pohozaev_panels_match_quad(hy_run):
         return (np.exp((n - 1) * np.asarray(sol.model.log_psi(s))) * bracket(s)
                 * np.abs(sol.eval_du(s)) ** p)
 
-    x = np.geomspace(max(10.0 * sol.r[1], 2e-3 * sol.r_last), 0.99 * sol.r_last, 80)
-    a, b = x[-2:]
-    got = quadrature.panel_integrals(lambda s, k: exponent(s), x[-2:],
-                                     exponent(x[-2:]), bracket)[0]
-    cuts = np.concatenate([[a], sol.r[(sol.r > a) & (sol.r < b)], [b]])
-    ref = sum(quad(lambda s: float(density(s)), lo, hi, epsabs=0.0,
-                   epsrel=1e-12, limit=100)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
-    assert abs(got - ref) <= 1e-12 * abs(ref)
+    knots = sol._dense.ts
+    x = sol.r[sol._sampled_rows()]
+    crossed = np.array([np.count_nonzero((knots > a) & (knots < b))
+                        for a, b in zip(x[:-1], x[1:])])
+    crossed[x[:-1] <= 1.0] = 0
+    picked = np.nonzero(crossed == crossed.max())[0]
+    assert crossed.max() == 2 and picked.size > 10
+    got = sol._integrals(x, exponent, np.zeros(x.size - 1), bracket)
+    geo = np.geomspace(max(10.0 * sol.r[1], 2e-3 * sol.r_last), 0.99 * sol.r_last, 80)
+    cases = [(x[k], x[k + 1], got[k]) for k in picked] + [
+        (geo[52], geo[53], sol._integrals(geo[52:54], exponent, np.zeros(1), bracket)[0])]
+    for a, b, value in cases:
+        cuts = np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
+        ref = sum(quad(lambda s: float(density(s)), lo, hi, epsabs=0.0,
+                       epsrel=1e-12, limit=100)[0] for lo, hi in zip(cuts[:-1], cuts[1:]))
+        assert abs(value - ref) <= 1e-12 * abs(ref)
 
 
 def test_euclidean_critical_K_and_P_vanish(eu_crit_run):
@@ -163,14 +173,14 @@ def test_glued_pair_mismatch_guard():
 @pytest.mark.parametrize("end", ["hyperbolic", "powerlike:k=2", "exppower:c=1,m=2"])
 def test_pohozaev_passes_on_glued_model(end):
     """A model flat up to r = 2 and blending into `end` over [2, 2.5] is
-    audited at the join and the blend window's end besides the 80
-    geometric radii, and the identity holds there."""
+    audited between the 200 sampled rows, on integrals cut at the join and
+    at the blend window's end, and the identity holds there."""
     model = pl.glue_models([(pl.make_model("euclidean"), 0), (pl.make_model(end), 2)],
                            0.5, horizon=20)
     sol = pl.integrate(pl.Problem(3, 2.0, 5.0, 1.0), model, pl.SolverConfig(15.0))
     pohozaev = _pohozaev(pl.functional_traces(
         sol, pl.geometry_profile(model, 3, 2.0, sol.r_last)))
-    assert pohozaev["audited_radii"] == 82
+    assert pohozaev["audited_radii"] == 200
     assert pohozaev["passed"], pohozaev
 
 

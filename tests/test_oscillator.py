@@ -186,23 +186,38 @@ def test_tampered_certificate_detected(oscillation):
     with pytest.raises(pl.Inconsistent, match="stage 1: join spacing below one unit"):
         pl.verify_certificate(bad3, oscillation.sol, oscillation.prof)
 
+    # cut to three stages, with t_high moved within its tolerance (0.6756 ->
+    # 0.6769) above the one odd Q left (0.6768)
+    bad4 = pl.OscillationCertificate.from_dict(oscillation.cert.to_dict())
+    del bad4.stages[3]
+    bad4.t_high = 0.6769
+    with pytest.raises(pl.Inconsistent, match="measured bands do not bracket the thresholds"):
+        pl.verify_certificate(bad4, oscillation.sol, oscillation.prof)
+
 
 @pytest.mark.parametrize("tamper, message", [
-    ({"t_low": 0.55}, "stage 0: even trigger conditions fail"),
-    ({"t_high": 0.70}, "stage 1: odd trigger conditions fail"),
-    ({"t_low": 0.67, "t_high": 0.60}, "measured bands do not bracket the thresholds"),
+    ({"t_low": 0.55}, "recomputed t_low=0.638943 deviates from certified 0.55"),
+    ({"t_high": 0.70}, "recomputed t_high=0.6756 deviates from certified 0.7"),
+    ({"t_low": 0.67, "t_high": 0.60}, "recomputed t_low="),
+    ({"t_low": 0.58, "t_high": 0.62}, "recomputed t_low="),
     ((1, "u", lambda u: 1.1 * u), "stage 1: recomputed u="),
     ((1, "log_psi", lambda log_psi: log_psi + 1.0), "stage 1: recomputed log_psi="),
     ((1, "kind", lambda kind: "power-like"), "stage 1: logged kind"),
     ((1, "threshold", lambda threshold: 0.1), "stage 1: recomputed threshold="),
+    ((3, "r", lambda r: r - 2.0), "stage 3: exponential trigger conditions fail"),
 ], ids=["t_low-below-even-Q", "t_high-above-odd-Q", "crossed-bands",
-        "stage-u", "stage-log-psi", "stage-kind", "stage-threshold"])
+        "thresholds-inside-bands", "stage-u", "stage-log-psi", "stage-kind",
+        "stage-threshold", "stage-r-before-trigger"])
 def test_tampered_thresholds_detected(oscillation, tamper, message):
     """A certificate whose logged Qs are intact but whose thresholds were
-    moved fails verification: below the even Qs (0.556, 0.566), above the
-    odd Qs (0.677, 0.699), or crossed so the bands no longer separate. So
-    does one where a stage's logged u, log psi, kind or threshold (a
-    (stage, field, change) tampering) no longer matches its recomputation."""
+    moved fails verification, as t_low and t_high are recomputed from
+    (n, p, q): below the even Qs (0.556, 0.566), above the odd Qs (0.677,
+    0.699), crossed, or moved (0.639 -> 0.58, 0.676 -> 0.62) while still
+    inside the bands, which every other check would pass. So does one
+    where a stage's logged u, log psi, kind or threshold (a (stage, field,
+    change) tampering) no longer matches its recomputation, and one whose
+    last trigger is moved back 2 to where u is still above 2^-3 (by 1.4e-5
+    relative, within the tolerance on u), so StagePlan.fires fails there."""
     data = oscillation.cert.to_dict()
     if isinstance(tamper, dict):
         data.update(tamper)

@@ -174,20 +174,23 @@ def test_flux_residual_matches_quad_loop(hy_run, ep_run):
 
 
 def test_flux_rule_matches_tight_quadrature(hy_run, ep_run):
-    """The fitted rule on the steps between sampled rows against
-    quad(epsrel=2e-14) on each row interval."""
+    """RadialSolution._integrals of psi^{n-1} u^q between the sampled rows,
+    as flux_residual takes it, against quad(epsrel=2e-14) on each row
+    interval."""
     for run in (hy_run, ep_run):
         sol = run.sol
+        n, q = sol.problem.n, sol.problem.q
         integrand = _flux_integrand(sol)
-        idx = np.unique(np.linspace(1, len(sol.r) - 1, 200).astype(int))
+        idx = sol._sampled_rows()
+        # the integrals relative to e^{v_b} = |w_b|
+        got = sol._integrals(
+            sol.r[idx], lambda s: (n - 1) * np.asarray(sol.model.log_psi(s))
+            + q * np.log(sol.eval_u(s)), np.log(-sol.w[idx[1:]]))
         for k in (0, len(idx) // 2, len(idx) - 2):
             i, j = idx[k], idx[k + 1]
             ref = sum(quad(integrand, sol.r[m], sol.r[m + 1], epsabs=0.0,
                            epsrel=2e-14, limit=100)[0] for m in range(i, j))
-            # the rule returns the integrals relative to e^{v_b} = |w_b|
-            v_b = np.log(-sol.w[idx[1:]])
-            assert abs(solver._flux_integrals(sol, idx, v_b)[k]
-                       - ref / abs(sol.w[j])) <= 1e-12
+            assert abs(got[k] - ref / abs(sol.w[j])) <= 1e-12
 
 
 def test_flux_residual_on_exponential_tail(oscillation):
