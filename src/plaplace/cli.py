@@ -208,20 +208,23 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _add_problem_args(sp, with_q=True):
+def _add_model_args(sp):
+    """--model, --n and --p: the model and the operator."""
     sp.add_argument("--model", required=True,
                     help="model descriptor, e.g. euclidean, hyperbolic, "
                          "exppower:c=1,m=3, powerlike:k=2, expgamma:c=1,gamma=0.5")
     sp.add_argument("--n", type=int, required=True, help="dimension")
     sp.add_argument("--p", type=float, required=True, help="p-Laplacian exponent")
-    if with_q:
-        sp.add_argument("--q", type=float, required=True, help="source power")
-        sp.add_argument("--alpha", type=float, required=True,
-                        help="central value u(0)")
-        sp.add_argument("--rmax", type=float, default=None,
-                        help="integration horizon (default: min(60, safe))")
-        sp.add_argument("--rtol", type=float, default=1e-11)
-        sp.add_argument("--atol", type=float, default=1e-14)
+
+
+def _add_solver_args(sp):
+    """--rmax, --rtol and --atol: the horizon and the solver contract."""
+    sp.add_argument("--rmax", type=float, default=None,
+                    help="integration horizon (default: min(60, safe))")
+    sp.add_argument("--rtol", type=float, default=solver.REL_TOL,
+                    help="relative tolerance")
+    sp.add_argument("--atol", type=float, default=solver.ABS_TOL,
+                    help="absolute tolerance")
 
 
 def build_parser():
@@ -233,22 +236,25 @@ def build_parser():
                         help="output root (default: $PLAPLACE_RUNS or ./runs)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="integrate the radial IVP")
-    _add_problem_args(sp)
-    sp.set_defaults(func=cmd_solve)
+    solve = sub.add_parser("solve", help="integrate the radial IVP")
+    solve.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("classify", help="completeness dichotomy of a model")
-    _add_problem_args(sp, with_q=False)
+    _add_model_args(sp)
     sp.set_defaults(func=cmd_classify)
 
-    sp = sub.add_parser("diagnose", help="functional checks along a solution")
-    _add_problem_args(sp)
-    sp.add_argument("--checks", default="pohozaev",
-                    help="comma list from: " + ", ".join(_CHECK_NAMES))
-    sp.set_defaults(func=cmd_diagnose)
+    diagnose = sub.add_parser("diagnose", help="functional checks along a solution")
+    diagnose.set_defaults(func=cmd_diagnose)
+    for sp in (solve, diagnose):
+        _add_model_args(sp)
+        sp.add_argument("--q", type=float, required=True, help="source power")
+        sp.add_argument("--alpha", type=float, required=True, help="central value u(0)")
+        _add_solver_args(sp)
+    diagnose.add_argument("--checks", default="pohozaev",
+                          help="comma list from: " + ", ".join(_CHECK_NAMES))
 
     sp = sub.add_parser("quotient", help="Sobolev concentration sweep")
-    _add_problem_args(sp, with_q=False)
+    _add_model_args(sp)
     sp.add_argument("--b", required=True,
                     help="decreasing comma list of concentration scales")
     sp.set_defaults(func=cmd_quotient)
@@ -262,14 +268,10 @@ def build_parser():
     sp.set_defaults(func=cmd_oscillate)
 
     sp = sub.add_parser("sweep", help="cartesian product of solve runs")
-    sp.add_argument("--model", required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--alpha", required=True, help="comma list")
-    sp.add_argument("--q", required=True, help="comma list")
-    sp.add_argument("--rmax", type=float, default=None)
-    sp.add_argument("--rtol", type=float, default=1e-11)
-    sp.add_argument("--atol", type=float, default=1e-14)
+    _add_model_args(sp)
+    sp.add_argument("--alpha", required=True, help="comma list of central values")
+    sp.add_argument("--q", required=True, help="comma list of source powers")
+    _add_solver_args(sp)
     sp.set_defaults(func=cmd_sweep)
 
     return parser

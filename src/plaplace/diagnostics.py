@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import extrapolate, runio
-from .models import GeometryOverflow
+from .models import GeometryOverflow, _ladder
 from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
@@ -272,7 +272,8 @@ def q_limit_constant(p, q):
 
 
 def asymptotic_ratio_sc(sol, profile):
-    """Dyadic Q samples, extrapolated limit, deviation from the sharp value.
+    """Q on the dyadic ladder _ladder(R, 3), its extrapolated limit and the
+    deviation from the sharp value; J and u are each one lookup there.
 
     Only meaningful in regimes where the decay law is proven; refuses
     otherwise (in particular whenever the liminf failure condition holds,
@@ -280,15 +281,13 @@ def asymptotic_ratio_sc(sol, profile):
     """
     _check_decay_law(sol, profile, "sharp decay limit")
     p, q = sol.problem.p, sol.problem.q
-    R = sol.r_last
-    radii = [R / 4.0, R / 2.0, R]
-    Qs = [profile.J(r) ** ((p - 1.0) / (q + 1.0 - p)) * sol.eval_u(r)
-          for r in radii]
+    radii = _ladder(sol.r_last, 3)
+    Qs = profile.J(radii) ** ((p - 1.0) / (q + 1.0 - p)) * sol.eval_u(radii)
     limit, err = extrapolate.richardson(Qs)
     const = q_limit_constant(p, q)
     return {
-        "radii": radii,
-        "Q": Qs,
+        "radii": radii.tolist(),
+        "Q": Qs.tolist(),
         "limit": limit,
         "error_bar": err,
         "target": const,
@@ -300,34 +299,36 @@ def asymptotic_ratio_si(sol, profile):
     """Plateau value and refined convergence ratio in the integrable case.
 
     Estimates lambda = lim u by the tail corrector
-    lambda ~ u(R) - tailJ(R) lambda^{q/(p-1)} iterated twice, then reports
-    the refined ratio (u(r) - lambda)/tailJ(r) against lambda^{q/(p-1)}
-    and the universal upper bound on lambda. Refuses (NoPlateau) a
-    solution still falling at R: |u'(R)| R > _PLATEAU_TOL u(R).
+    lambda ~ u(R) - tailJ(R) lambda^{q/(p-1)} iterated three times from
+    u(R), then reports the refined ratio (u(r) - lambda)/tailJ(r) on the
+    dyadic ladder _ladder(R, 3), u, u' and tailJ each one lookup there,
+    against lambda^{q/(p-1)}, and the universal upper bound on lambda.
+    Refuses (NoPlateau) a solution still falling at R:
+    |u'(R)| R > _PLATEAU_TOL u(R).
     """
     _check_pair(sol, profile)
     if not profile.tail_converged:
         raise RegimeMismatch("tail of the geometry does not converge: not pSI")
     p, q = sol.problem.p, sol.problem.q
     R = sol.r_last
-    uR = sol.eval_u(R)
-    duR = sol.eval_du(R)
+    radii = _ladder(R, 3)
+    u, du, _ = sol._state(radii)
+    uR, duR = u[-1], du[-1]
     if abs(duR) * R > _PLATEAU_TOL * uR:
         raise NoPlateau(
             f"|u'(R)| R / u(R) = {abs(duR) * R / uR:.3g} > {_PLATEAU_TOL}"
         )
     ex = q / (p - 1.0)
-    tail = profile.tailJ(R)
-    lam = uR - tail * uR ** ex
-    for _ in range(2):
-        lam = uR - tail * lam ** ex
-    radii = [R / 4.0, R / 2.0, R]
-    ratios = [(sol.eval_u(r) - lam) / profile.tailJ(r) for r in radii]
+    tail = profile.tailJ(radii)
+    lam = uR
+    for _ in range(3):
+        lam = uR - tail[-1] * lam ** ex
+    ratios = (u - lam) / tail
     bound = envelope_constant(p, q) * profile.J_inf ** (-(p - 1.0) / (q + 1.0 - p))
     return {
         "lambda_hat": lam,
-        "radii": radii,
-        "refined_ratio": ratios,
+        "radii": radii.tolist(),
+        "refined_ratio": ratios.tolist(),
         "target": lam ** ex,
         "rel_deviation": abs(ratios[-1] - lam ** ex) / lam ** ex,
         "universal_bound": bound,
@@ -340,11 +341,13 @@ def energy_divergence_probe(sol, profile, report=None):
 
     In the non-integrable (pSC) case fits E against log(1/u) and certifies
     a positive slope; in the integrable (pSI) case certifies E keeps
-    growing across horizon doublings. The single convergent configuration
-    (Euclidean geometry at the critical power) is signaled as an error
-    since the probe would be meaningless there. The model counts as flat
-    where |psi''/psi| < 1e-12 at every row of the solution past the pole,
-    so a glued model that curves anywhere on the solved range is not.
+    growing across horizon doublings; both on the dyadic ladder
+    _ladder(R, 4), u, log I and log psi each one lookup there. The single
+    convergent configuration (Euclidean geometry at the critical power) is
+    signaled as an error since the probe would be meaningless there. The
+    model counts as flat where |psi''/psi| < 1e-12 at every row of the
+    solution past the pole, so a glued model that curves anywhere on the
+    solved range is not.
     """
     _check_pair(sol, profile)
     prob = sol.problem
@@ -355,37 +358,31 @@ def energy_divergence_probe(sol, profile, report=None):
         raise EuclideanCritical(
             "gradient energy converges for flat geometry at the critical power"
         )
-    R = sol.r_last
-    radii = np.array([R / 8.0, R / 4.0, R / 2.0, R])
+    radii = _ladder(sol.r_last, 4)
     E_vals = np.interp(radii, report.r, report.E)
     if profile.tail_converged:
-        ratios = [float(E_vals[i + 1] / E_vals[i]) for i in range(3)]
+        ratios = (E_vals[1:] / E_vals[:-1]).tolist()
         # reference growth trend f^{(2p-1)/(p-1)} / (f')^{p/(p-1)} with
         # f = I, carried in log form since both factors overflow doubles
         mu = (2 * prob.p - 1.0) / (prob.p - 1.0)
         nu = prob.p / (prob.p - 1.0)
-        log_trend = []
-        for r in radii:
-            log_f = profile.logI(r)
-            log_fp = (prob.n - 1) * float(profile.model.log_psi(r))
-            log_trend.append(float(mu * log_f - nu * log_fp))
+        log_trend = mu * profile.logI(radii) - nu * profile._G(radii)
         return {
             "case": "pSI",
             "radii": radii.tolist(),
             "E": E_vals.tolist(),
             "doubling_ratios": ratios,
-            "log_trend_reference": log_trend,
+            "log_trend_reference": log_trend.tolist(),
             "trend_increasing": bool(np.all(np.diff(log_trend) > 0.0)),
             "unbounded": bool(min(ratios) > 1.0),
         }
-    u_vals = np.array([sol.eval_u(r) for r in radii])
-    x = np.log(1.0 / u_vals)
-    slope, intercept = extrapolate.log_slope(np.exp(x), E_vals)
+    inv_u = 1.0 / sol.eval_u(radii)
+    slope, intercept = extrapolate.log_slope(inv_u, E_vals)
     return {
         "case": "pSC",
         "radii": radii.tolist(),
         "E": E_vals.tolist(),
-        "log_inv_u": x.tolist(),
+        "log_inv_u": np.log(inv_u).tolist(),
         "fitted_slope": slope,
         "intercept": intercept,
         "positive_slope": bool(slope > 0.0),
@@ -393,7 +390,8 @@ def energy_divergence_probe(sol, profile, report=None):
 
 
 def lemma_limit_checks(sol, profile):
-    """Convergence diagnostics for the two auxiliary asymptotic limits.
+    """Convergence diagnostics for the two auxiliary asymptotic limits, on
+    the dyadic ladder _ladder(R, 3), u, u' and psi'/psi each one lookup:
 
     ratio_a(r) = u'(r) psi(r) / (u(r) psi'(r))                    -> 0
     ratio_b(r) = (-u') u^{-q/(p-1)} (psi'/psi)^{1/(p-1)}  -> (1/(n-1))^{1/(p-1)}
@@ -401,24 +399,20 @@ def lemma_limit_checks(sol, profile):
     _check_decay_law(sol, profile, "auxiliary limits")
     prob = sol.problem
     n, p, q = prob.n, prob.p, prob.q
-    R = sol.r_last
-    radii = [R / 4.0, R / 2.0, R]
-    a_vals, b_vals = [], []
-    for r in radii:
-        u = sol.eval_u(r)
-        du = sol.eval_du(r)
-        f = float(profile.model.slope_ratio(r))
-        a_vals.append(du / (u * f))
-        b_vals.append((-du) / u ** (q / (p - 1.0)) * f ** (1.0 / (p - 1.0)))
+    radii = _ladder(sol.r_last, 3)
+    u, du, _ = sol._state(radii)
+    f = np.asarray(profile.model.slope_ratio(radii), dtype=float)
+    a_vals = du / (u * f)
+    b_vals = (-du) / u ** (q / (p - 1.0)) * f ** (1.0 / (p - 1.0))
     a_lim, a_err = extrapolate.richardson(a_vals)
     b_lim, b_err = extrapolate.richardson(b_vals)
     target_b = (1.0 / (n - 1.0)) ** (1.0 / (p - 1.0))
     return {
-        "radii": radii,
-        "ratio_a": a_vals,
+        "radii": radii.tolist(),
+        "ratio_a": a_vals.tolist(),
         "ratio_a_limit": a_lim,
         "ratio_a_error_bar": a_err,
-        "ratio_b": b_vals,
+        "ratio_b": b_vals.tolist(),
         "ratio_b_limit": b_lim,
         "ratio_b_error_bar": b_err,
         "ratio_b_target": target_b,

@@ -652,6 +652,11 @@ _QE_RATE = 3e3
 _BLOCK = 512
 
 
+def _ladder(R, rungs):
+    """R/2^(rungs-1), ..., R/2, R: the dyadic radii every limit is sampled on."""
+    return R / 2.0 ** np.arange(rungs - 1, -1, -1)
+
+
 def _log_sum(x):
     """log sum_j exp(x[..., j]); -inf for a row of -inf."""
     top = np.max(x, axis=-1)
@@ -707,10 +712,11 @@ class GeometryProfile:
     quasi-equilibrium (_relax_qe), and J continues by Gauss-Legendre in
     log r on the geometric panels. The tabulated range [r_lo, r_hi]
     extends far beyond the user horizon R so tail convergence of J is
-    decided by direct quadrature: tail_converged compares J(r_hi) with
-    J(r_hi/2), and J_inf is J(r_hi) where it converged. These two lookups
-    are made on the first read of J_hi, J_half, tail_converged or J_inf,
-    not when the profile is built, and kept; so is the asymptotic regime
+    decided by direct quadrature: J_ladder is J on the dyadic ladder
+    _ladder(r_hi, 3), tail_converged compares its last two rungs, and
+    J_inf is J(r_hi) where the tail converged. The ladder is one lookup,
+    made on its first read (of J_ladder, tail_converged or J_inf), not
+    when the profile is built, and kept; so is the asymptotic regime
     (detect_regime), fitted on the first read of `regime`.
 
     Every read (theta, logI, I, J, theta_J, hp_fail_proxy) is one lookup,
@@ -748,14 +754,9 @@ class GeometryProfile:
             raise QuadratureFailure("geometry quadrature: non-finite J beyond the switch")
 
     @functools.cached_property
-    def J_hi(self):
-        """J at r_hi, the end of the tabulated range."""
-        return self.J(self.r_hi)
-
-    @functools.cached_property
-    def J_half(self):
-        """J at r_hi / 2."""
-        return self.J(self.r_hi / 2.0)
+    def J_ladder(self):
+        """J at r_hi/4, r_hi/2 and r_hi (_ladder(r_hi, 3)), from one lookup."""
+        return self.J(_ladder(self.r_hi, 3))
 
     @functools.cached_property
     def regime(self):
@@ -766,12 +767,13 @@ class GeometryProfile:
     @property
     def tail_converged(self):
         """Whether J grows by less than 1e-6 of itself over [r_hi/2, r_hi]."""
-        return bool(self.J_hi - self.J_half < 1e-6 * self.J_hi)
+        J_half, J_end = self.J_ladder[1:]
+        return bool(J_end - J_half < 1e-6 * J_end)
 
     @property
     def J_inf(self):
         """J(r_hi) where the tail converged, else inf."""
-        return self.J_hi if self.tail_converged else math.inf
+        return self.J_ladder[-1] if self.tail_converged else math.inf
 
     # -- tabulation ----------------------------------------------------
 
@@ -1139,12 +1141,12 @@ def classify_completeness(profile):
 
     Convergence is certified by the extended-horizon quadrature stabilizing
     (profile.tail_converged); divergence by a fitted growth law of J over
-    the last two dyadic windows. J at r_hi and r_hi/2 are the profile's
-    kept J_hi and J_half, so only J(R) or J(r_hi/4) is looked up here; the
-    regime is the profile's kept one, "unknown" where none fits.
+    the last two dyadic windows, read off the profile's kept J_ladder. Only
+    J(R) is looked up here; the regime is the profile's kept one, "unknown"
+    where none fits.
     """
     r_hi = profile.r_hi
-    J_end, J_half = profile.J_hi, profile.J_half
+    J_quarter, J_half, J_end = profile.J_ladder
     try:
         regime = profile.regime
     except AmbiguousRegime as exc:
@@ -1156,7 +1158,7 @@ def classify_completeness(profile):
 
     # growth-law fit over the last two dyadic windows
     g1 = math.log(J_end / J_half) / math.log(2.0)
-    g2 = math.log(J_half / profile.J(r_hi / 4.0)) / math.log(2.0)
+    g2 = math.log(J_half / J_quarter) / math.log(2.0)
     if g1 > 0.25 and g2 > 0.25 and J_end >= 1.5 * J_half:
         return CompletenessVerdict("pSC", r_hi, J_end, math.inf, regime)
     return CompletenessVerdict("Inconclusive", r_hi, J_end, math.nan, regime)

@@ -134,19 +134,29 @@ class OscillationCertificate:
                    [dict(s) for s in data["stages"]])
 
 
-def _stage_budget(plan, n, p, q, J_now, r_here):
-    """Radius budget for one stage.
+def _stage_budget(plan, n, p, q, J_now, r_here, u_now):
+    """Radius budget for one stage that starts at r_here with J_now and
+    u_now.
 
     The u < 2^-s trigger needs J to reach roughly
     (C / 2^-s)^{(q+1-p)/(p-1)}, and J accrues at the rate Theta^{1/(p-1)}
     of the current piece, so the radius demand grows geometrically with
     the stage index; the flat 50 (r+1) budget is kept as a floor and the
-    J-based estimate extends it.
+    J-based estimate extends it. An exponential stage also needs Q to pass
+    T_high: with Theta = Theta_inf, u(J) = (u_now^{-1/e} + (J - J_now)/e)^{-e}
+    (e = (p-1)/(q+1-p)), so Q = J^e u passes it at
+    J = (u_now^{-1/e} - J_now/e) / (T_high^{-1/e} - 1/e) where both
+    brackets are positive, and the larger of the two J targets is taken.
     """
     mu = 1.0 / (p - 1.0)
     J_needed = (q_limit_constant(p, q) / plan.u_ceiling) \
         ** ((q + 1.0 - p) / (p - 1.0))
     if plan.kind == "exponential":
+        e = (p - 1.0) / (q + 1.0 - p)
+        start = u_now ** (-1.0 / e) - J_now / e
+        gap = plan.t_high ** (-1.0 / e) - 1.0 / e
+        if start > 0.0 and gap > 0.0:
+            J_needed = max(J_needed, start / gap)
         theta_inf = 1.0 / ((n - 1) * max(plan.rate, 1e-6))
         dr_est = max(J_needed - J_now, 0.0) / theta_inf ** mu
     else:
@@ -192,12 +202,12 @@ def construct(n, p, q, alpha, stages):
 
     began = time.perf_counter()
     model = models.as_glued(models.Euclidean())
-    r_here, J_here = 0.0, 0.0
+    r_here, J_here, u = 0.0, 0.0, alpha
     sol = None
     stage_log = []
     for s_idx in range(stages):
         plan = StagePlan(s_idx, n, p, q)
-        r_stop = r_here + _stage_budget(plan, n, p, q, J_here, r_here)
+        r_stop = r_here + _stage_budget(plan, n, p, q, J_here, r_here, u)
         if s_idx > 0:
             model = model.extended(r_here, r_stop + 10.0, *plan.curvature(),
                                    _BLEND_WIDTH)
@@ -248,6 +258,8 @@ def verify_certificate(cert, sol, profile):
     [r_lo, r_hi] is the same for every horizon from 1 up to the lesser of
     models._R_HI and the model's range, where both horizons lie).
 
+    A certificate without both an even and an odd stage is refused first.
+    u, log psi and J are each read at every trigger with one lookup.
     Checks: t_low, t_high and, at each trigger, Q, u, log psi and the
     threshold (of the certificate's n, p, q) match the logged ones within
     _VERIFY_REL_TOL, the logged kind is the stage's and StagePlan.fires
@@ -255,6 +267,8 @@ def verify_certificate(cert, sol, profile):
     separated; and psi(r_k) e^{-l r_k} increases along the odd stages for
     l in {1, 2}. Any mismatch raises Inconsistent.
     """
+    if {s["index"] % 2 for s in cert.stages} != {0, 1}:
+        raise Inconsistent("certificate lacks an even or an odd stage: no bands to check")
     p, q = cert.p, cert.q
     ex = (p - 1.0) / (q + 1.0 - p)
     for name, value in zip(("t_low", "t_high"), thresholds(cert.n, p, q)):
@@ -264,12 +278,12 @@ def verify_certificate(cert, sol, profile):
                                f"certified {logged:.6g}")
     prev_r = None
     odd_log_growth = {1: [], 2: []}
-    for entry in cert.stages:
+    radii = [entry["r"] for entry in cert.stages]
+    reads = zip(sol.eval_u(radii), profile.model.log_psi(radii), profile.J(radii))
+    for entry, (u_re, lpsi, J) in zip(cert.stages, reads):
         r = entry["r"]
         plan = StagePlan(entry["index"], cert.n, p, q)
-        u_re = sol.eval_u(r)
-        lpsi = float(profile.model.log_psi(r))
-        Q_re = profile.J(r) ** ex * u_re
+        Q_re = J ** ex * u_re
         for name, value in (("Q", Q_re), ("u", u_re), ("log_psi", lpsi),
                             ("threshold", plan.threshold)):
             if not abs(value - entry[name]) <= _VERIFY_REL_TOL * abs(entry[name]):

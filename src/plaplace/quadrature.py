@@ -31,8 +31,9 @@ _BEND = 1e-5
 # (panels, 8) node arrays of one call and the lookups a factor makes on
 # them; 2048 was slower, and held 0.9 MB more at the Pohozaev audit's peak
 _BLOCK = 512
-# most panels one panel_integrals call lays out, 40 MB of nodes; the
-# 6-stage oscillation's flux residual uses 1,742
+# most panels one panel_integrals call or one unit_growth_edges layout
+# lays out, 40 MB of nodes; the 6-stage oscillation's flux residual uses
+# 1,742, and its geometry layout 144,430
 _MAX_PANELS = 2 ** 20
 _LOG_EPS = float(np.log(np.finfo(float).eps))
 
@@ -138,12 +139,16 @@ def unit_growth_edges(exponent, edges, growth=None):
     bounds G's growth across it; None leaves it whole), and every part
     across which G, read at its edges by exponent(r), still grows by more
     than 1 is cut again the same way. Where G reads non-finite the edges
-    and G so far are returned, for the caller to refuse.
+    and G so far are returned, for the caller to refuse. A layout of more
+    than _MAX_PANELS panels is refused (QuadratureFailure) before it is
+    laid out.
     """
     if growth is None:
         growth = np.zeros(len(edges) - 1)
     while True:
         parts = np.maximum(np.ceil(growth), 1).astype(int)
+        if not parts.sum() <= _MAX_PANELS:
+            _refuse(parts.sum())
         first = np.repeat(np.cumsum(parts) - parts, parts)
         step = np.repeat(np.diff(edges) / parts, parts)
         edges = np.append(np.repeat(edges[:-1], parts)

@@ -69,6 +69,8 @@ from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
 # solution.csv contract: linear interpolation of u between neighbouring
 # rows is within ROW_TOL |u| (see _row_radii)
 ROW_TOL = 1e-7
+# the solver contract: SolverConfig's default tolerances, and the CLI's
+REL_TOL, ABS_TOL = 1e-11, 1e-14
 # integration stops where u falls to this fraction of alpha
 _U_FLOOR = 1e-12
 # DOP853 stiffness test (Hairer & Wanner, Solving ODEs II, IV.2): the run
@@ -132,7 +134,7 @@ class Problem:
 class SolverConfig:
     """Integration controls: horizon and tolerances."""
 
-    def __init__(self, r_max, rel_tol=1e-11, abs_tol=1e-14):
+    def __init__(self, r_max, rel_tol=REL_TOL, abs_tol=ABS_TOL):
         if not all(0 < x < math.inf for x in (r_max, rel_tol, abs_tol)):
             raise InvalidParameter("r_max and tolerances must be positive and finite")
         self.r_max = float(r_max)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import plaplace as pl
-from plaplace import diagnostics, models
+from plaplace import diagnostics, models, solver
 
 from conftest import make_run
 
@@ -304,6 +304,83 @@ def test_regime_is_fitted_once_per_profile(hy_run, monkeypatch):
     pl.asymptotic_ratio_sc(hy_run.sol, prof)
     pl.lemma_limit_checks(hy_run.sol, prof)
     assert len(calls) == 1
+
+
+def test_ladder_samples_match_scalar_reads(hy_run, ep_run):
+    """The limit checks' samples on their dyadic ladders equal the reads
+    one radius at a time that they replace: exactly where the arithmetic
+    is the same, and to 4 eps where a power of an array is taken in place
+    of a power of a float (numpy's vector pow may round differently)."""
+    ulp4 = 4 * np.finfo(float).eps
+    sol, prof = hy_run.sol, hy_run.prof
+    R = sol.r_last
+    radii = [R / 4.0, R / 2.0, R]
+    sc = pl.asymptotic_ratio_sc(sol, prof)
+    assert sc["radii"] == radii
+    assert sc["Q"] == pytest.approx([prof.J(r) ** 0.25 * sol.eval_u(r) for r in radii],
+                                    rel=ulp4, abs=0.0)
+    lemma = pl.lemma_limit_checks(sol, prof)
+    u, du = [sol.eval_u(r) for r in radii], [sol.eval_du(r) for r in radii]
+    f = [float(prof.model.slope_ratio(r)) for r in radii]
+    assert lemma["ratio_a"] == [d / (v * g) for v, d, g in zip(u, du, f)]
+    assert lemma["ratio_b"] == pytest.approx([-d / v ** 5.0 * g for v, d, g in zip(u, du, f)],
+                                             rel=ulp4, abs=0.0)
+    energy = pl.energy_divergence_probe(sol, prof)
+    assert energy["radii"] == [R / 8.0] + radii
+    assert energy["log_inv_u"] == [math.log(1.0 / sol.eval_u(r)) for r in energy["radii"]]
+
+    sol, prof = ep_run.sol, ep_run.prof
+    R = sol.r_last
+    radii = [R / 4.0, R / 2.0, R]
+    si = pl.asymptotic_ratio_si(sol, prof)
+    lam = uR = sol.eval_u(R)
+    for _ in range(3):
+        lam = uR - prof.tailJ(R) * lam ** 5.0
+    assert si["lambda_hat"] == lam
+    assert si["refined_ratio"] == [(sol.eval_u(r) - lam) / prof.tailJ(r) for r in radii]
+    energy = pl.energy_divergence_probe(sol, prof)
+    assert energy["log_trend_reference"] == [
+        3.0 * prof.logI(r) - 2.0 * (2 * float(prof.model.log_psi(r))) for r in energy["radii"]]
+
+
+def test_limit_checks_read_each_quantity_once(hy_run, ep_run, oscillation, monkeypatch):
+    """Every limit check samples its dyadic ladder with at most one profile
+    lookup (GeometryProfile._logs) and one read of the solution
+    (RadialSolution._uv), on a profile whose J ladder and regime are kept;
+    so does verify_certificate at its triggers. classify_completeness on a
+    fresh profile looks up the J ladder and the regime's W/J, once each,
+    and J(R) where the tail converged."""
+    hy_reps = pl.functional_traces(hy_run.sol, hy_run.prof)
+    ep_reps = pl.functional_traces(ep_run.sol, ep_run.prof)
+    calls = {}
+    for cls, name in ((models.GeometryProfile, "_logs"), (solver.RadialSolution, "_uv")):
+        def counted(self, *args, _read=getattr(cls, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _read(self, *args, **kwargs)
+        monkeypatch.setattr(cls, name, counted)
+
+    def reads(call):
+        calls.update(_logs=0, _uv=0)
+        call()
+        return calls["_logs"], calls["_uv"]
+
+    profiles = {}
+    for run, counts in ((hy_run, (2, 0)), (ep_run, (3, 0))):
+        prof = profiles[run.model.kind] = pl.geometry_profile(run.model, 3, 2.0,
+                                                              run.sol.r_last)
+        assert reads(lambda: pl.classify_completeness(prof)) == counts
+    for check, run, report, counts in [
+        (pl.asymptotic_ratio_sc, hy_run, None, (1, 1)),
+        (pl.lemma_limit_checks, hy_run, None, (0, 1)),
+        (pl.asymptotic_ratio_si, ep_run, None, (1, 1)),
+        (pl.energy_divergence_probe, hy_run, hy_reps, (0, 1)),
+        (pl.energy_divergence_probe, ep_run, ep_reps, (1, 0)),
+    ]:
+        extra = {} if report is None else {"report": report}
+        prof = profiles[run.model.kind]
+        assert reads(lambda: check(run.sol, prof, **extra)) == counts, check.__name__
+    assert reads(lambda: pl.verify_certificate(oscillation.cert, oscillation.sol,
+                                               oscillation.prof)) == (1, 1)
 
 
 def test_report_export(tmp_path, hy_run):

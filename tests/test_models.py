@@ -803,7 +803,8 @@ def test_classification_inconclusive():
     law is proven; a rule that sees logarithmic growth turns it into pSC."""
     prof = pl.geometry_profile(pl.make_model("exppower:c=1,m=3"), 4, 3.0, 20.0)
     out = pl.classify_completeness(prof)
-    assert prof.J_hi - prof.J_half == pytest.approx(math.log(2.0) / 3.0, rel=1e-3)
+    J_half, J_end = prof.J_ladder[1:]
+    assert J_end - J_half == pytest.approx(math.log(2.0) / 3.0, rel=1e-3)
     assert out.verdict == "Inconclusive"
     assert out.regime.name == "hp-add-2" and out.regime.supports_decay_law()
     assert math.isnan(out.tail_estimate)
@@ -880,7 +881,8 @@ def test_psi_incompleteness_tail():
                                   "powerlike:k=2", "expgamma:c=1,gamma=0.5"])
 def test_profile_reads_its_tail_on_demand(desc, monkeypatch):
     """Building a profile makes no J lookup; tail_converged and J_inf,
-    read later, are the values of J(r_hi) and J(r_hi/2) looked up eagerly,
+    read later, come from one lookup of J on the ladder r_hi/4, r_hi/2,
+    r_hi, whose rungs are the floats of J looked up at each radius alone,
     and a second read looks up nothing. A lookup without W gives the
     floats of one that computes it."""
     lookups = []
@@ -891,13 +893,15 @@ def test_profile_reads_its_tail_on_demand(desc, monkeypatch):
     for n, p in ((3, 2.0), (4, 3.0), (2, 1.5)):
         prof = pl.geometry_profile(model, n, p, min(10.0, pl.safe_horizon(model, n)))
         assert lookups == []
-        J_end, J_half = J(prof, prof.r_hi), J(prof, prof.r_hi / 2.0)
+        rungs = [J(prof, prof.r_hi / k) for k in (4.0, 2.0, 1.0)]
+        J_half, J_end = rungs[1:]
         converged = bool(J_end - J_half < 1e-6 * J_end)
         assert prof.tail_converged is converged
         assert prof.J_inf == (J_end if converged else math.inf)
-        assert len(lookups) == 2
-        prof.tail_converged, prof.J_inf, prof.J_hi, prof.J_half
-        assert len(lookups) == 2
+        assert len(lookups) == 1
+        assert prof.J_ladder.tolist() == rungs
+        prof.tail_converged, prof.J_inf, prof.J_ladder
+        assert len(lookups) == 1
         lookups.clear()
         r = np.geomspace(prof.r_lo, prof.r_switch, 50)
         full = prof._fine(r, moments=2)

@@ -155,6 +155,28 @@ def test_six_stages_verify_without_warnings():
     assert len(cert.stages) == 6
 
 
+@pytest.mark.parametrize("n, p, q, triggers", [
+    (5, 1.5, 1.1428571428571428, (1.045, 212.79, 221.44, 20075.30)),
+    (6, 2.0, 2.0, (1.029, 115.91, 129.45, 1391.40)),
+])
+def test_critical_power_stages_reach_t_high(n, p, q, triggers):
+    """At the critical power u < 2^-s already holds when these exponential
+    stages start, so the u target asks for no radius; the budget's J
+    target for Q = T_high, from u's law on the stage's Theta_inf, reaches
+    the triggers, and both certificates verify."""
+    _, sol, cert, prof = pl.construct(n, p, q, 1.0, 4)
+    assert [s["r"] for s in cert.stages] == pytest.approx(triggers, abs=0.01)
+    assert pl.verify_certificate(cert, sol, prof)["passed"]
+
+
+def test_unfittable_panel_layout_refused():
+    """Eight stages glue a flat stage past the exponential stretch
+    [11,564.5, 4,869,836.6], whose geometry layout would take about 1e8
+    panels; it is refused before it is laid out."""
+    with pytest.raises(pl.QuadratureFailure, match="panels asked for"):
+        pl.construct(3, 2.0, 5.0, 1.0, 8)
+
+
 def test_stage_triggers_are_logged(caplog):
     """Each trigger is logged at INFO as it fires, with the certificate's
     r and Q (as reprs, so the floats are equal)."""
@@ -193,6 +215,13 @@ def test_tampered_certificate_detected(oscillation):
     bad4.t_high = 0.6769
     with pytest.raises(pl.Inconsistent, match="measured bands do not bracket the thresholds"):
         pl.verify_certificate(bad4, oscillation.sol, oscillation.prof)
+
+    # only even stages, only odd stages, no stages: no bands to compare
+    for keep in (0, 1, None):
+        partial = pl.OscillationCertificate.from_dict(oscillation.cert.to_dict())
+        partial.stages = [s for s in partial.stages if s["index"] % 2 == keep]
+        with pytest.raises(pl.Inconsistent, match="lacks an even or an odd stage"):
+            pl.verify_certificate(partial, oscillation.sol, oscillation.prof)
 
 
 @pytest.mark.parametrize("tamper, message", [
