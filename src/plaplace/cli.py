@@ -188,6 +188,9 @@ def cmd_oscillate(args):
 def cmd_sweep(args):
     alphas = _float_list(args.alpha)
     qs = _float_list(args.q)
+    for flag, values in (("--alpha", alphas), ("--q", qs)):
+        if len(set(values)) < len(values):
+            raise models.InvalidParameter(f"sweep {flag} lists a value twice: {values}")
     grid = [(a, q) for a in alphas for q in qs]  # deterministic order
 
     def one(point):

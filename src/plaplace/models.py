@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import quadrature, runio
+from . import dense, quadrature, runio
 from .dense import _DenseTable, solve_ivp
 
 
@@ -66,6 +66,25 @@ def _check_n_p(n, p):
     NaN fails every test, and inf fails before int() could raise."""
     if not (2 <= n < math.inf and int(n) == n and 1.0 < p < n):
         raise InvalidParameter(f"need an integer n >= 2 and p in (1, n), got n={n}, p={p}")
+
+
+def _unique(x):
+    """The sorted distinct values of x: np.unique's, by a sort and a mask,
+    since np.unique imports numpy.ma (about 10 ms) on its first call."""
+    x = np.sort(np.ravel(x))
+    keep = np.ones(x.size, dtype=bool)
+    np.not_equal(x[1:], x[:-1], out=keep[1:])
+    return x[keep]
+
+
+def _median(x):
+    """np.median of x's values as a float, NaN where any is NaN: the mean
+    of the middle one or two sorted values, without np.median's import of
+    numpy.ma."""
+    x = np.sort(np.ravel(x))
+    if np.isnan(x[-1]):  # NaN sorts last
+        return math.nan
+    return float(np.mean(x[(x.size - 1) // 2:x.size // 2 + 1]))
 
 
 def _smoothstep(x):
@@ -429,7 +448,7 @@ class Glued(ModelFunction):
             return getattr(readers[k], name)(r)
         out = np.empty(r.shape)
         idx = np.searchsorted(starts, r, side="right")
-        for k in np.unique(idx):
+        for k in _unique(idx):
             pick = idx == k
             out[pick] = getattr(readers[k], name)(r[pick])
         return out
@@ -648,8 +667,6 @@ _PANELS_PER_DECADE = 64
 # their number grows like G at the switch; at 3e3 the expansion meets the
 # panels to 3e-12 in log Theta on exppower, the worst catalog case.
 _QE_RATE = 3e3
-# Panels per model call while tabulating (8 nodes each).
-_BLOCK = 512
 
 
 def _ladder(R, rungs):
@@ -720,10 +737,12 @@ class GeometryProfile:
     (detect_regime), fitted on the first read of `regime`.
 
     Every read (theta, logI, I, J, theta_J, hp_fail_proxy) is one lookup,
-    _logs. At any number of radii it is one searchsorted into the panel
-    edges, then the same rule on the partial panel from the edge below
-    each radius: a fixed number of model array calls, none per radius.
-    A lookup that returns no W (J, theta_J) skips the U moment.
+    _logs. On each block of at most dense._BLOCK (2,048) radii it is one
+    searchsorted into the panel edges, then the same rule on the partial
+    panel from the edge below each radius: a fixed number of model array
+    calls per block, none per radius, and memory that grows with the
+    number of radii only in the outputs. A lookup that returns no W (J,
+    theta_J) skips the U moment.
     """
 
     def __init__(self, model, n, p, R):
@@ -735,8 +754,8 @@ class GeometryProfile:
         self.r_lo = 1e-8 * min(1.0, self.R)
         self.r_hi = max(min(_R_HI, model.valid_to), self.R)
         num = math.ceil(_PANELS_PER_DECADE * math.log10(self.r_hi / self.r_lo)) + 1
-        grid = np.union1d(np.geomspace(self.r_lo, self.r_hi, num),
-                          [j for j in model.joins() if self.r_lo < j < self.r_hi])
+        grid = _unique(np.append(np.geomspace(self.r_lo, self.r_hi, num),
+                                 [j for j in model.joins() if self.r_lo < j < self.r_hi]))
         slope = (self.n - 1) * np.asarray(model.slope_ratio(grid), dtype=float)
         # the switch follows the last radius below the rate, so a join where
         # the rate falls back (a glued model turning flat) stays on the panels
@@ -793,7 +812,7 @@ class GeometryProfile:
         # the rule runs on blocks of panels, which bounds the memory of each
         # model call and of the (panels, 8) node arrays
         a, b, Ga, Gb = edges[:-1], edges[1:], G[:-1], G[1:]
-        blocks = [slice(i, i + _BLOCK) for i in range(0, len(a), _BLOCK)]
+        blocks = quadrature._blocks(len(a))
         rules = [self._panels(a[k], b[k], Ga[k], Gb[k]) for k in blocks]
         log_theta0, log_J0 = geometry_start(self.r_lo, self.n, self.p)
         theta = _relax(math.exp(log_theta0), np.concatenate([rule[0] for rule in rules]),
@@ -895,7 +914,13 @@ class GeometryProfile:
 
         One range check, which NaN fails (GeometryOverflow), then one split
         of the radii at r_switch: those up to it read the panels (_fine),
-        those beyond the quasi-equilibrium tail (_beyond).
+        those beyond the quasi-equilibrium tail (_beyond). Each side of n
+        radii is read in ceil(n / dense._BLOCK) near-equal blocks written
+        into the outputs: a side of at most dense._BLOCK radii is one call,
+        and a split side's blocks hold at least dense._BLOCK / 2, never the
+        one radius whose (1, 8) product in quadrature.partial_integrals
+        takes another BLAS path than a row of a larger one, and differs
+        from it in the last bit.
         """
         x = np.asarray(r, dtype=float).ravel()
         if not (np.all(x >= self.r_lo * (1 - 1e-9)) and np.all(x <= self.r_hi * (1 + 1e-9))):
@@ -905,10 +930,11 @@ class GeometryProfile:
         x = np.clip(x, self.r_lo, self.r_hi)
         out = np.empty((moments + 1, x.size))
         lo = x <= self.r_switch
-        if np.any(lo):
-            out[:, lo] = self._fine(x[lo], moments)
-        if not np.all(lo):
-            out[:, ~lo] = self._beyond(x[~lo], moments)
+        for side, read in ((lo, self._fine), (~lo, self._beyond)):
+            idx = np.flatnonzero(side)
+            if idx.size:
+                for block in np.array_split(idx, -(-idx.size // dense._BLOCK)):
+                    out[:, block] = read(x[block], moments)
         return [o.reshape(np.shape(r)) if np.ndim(r) else float(o[0]) for o in out]
 
     def _fine(self, r, moments):
@@ -1105,7 +1131,7 @@ def detect_regime(profile):
     f = np.asarray(model.slope_ratio(r), dtype=float)
     logr, logf = np.log(r), np.log(f)
     slopes = -np.gradient(logf, logr)  # local gamma estimate
-    gamma_hat = float(np.median(slopes[len(slopes) // 2 :]))
+    gamma_hat = _median(slopes[len(slopes) // 2 :])
     spread = float(np.ptp(slopes[len(slopes) // 2 :]))
 
     proxy_r = np.geomspace(r_hi / 10**3, r_hi, 24)
@@ -1129,10 +1155,10 @@ def detect_regime(profile):
     if spread > 0.1:
         raise AmbiguousRegime(f"log-log slope of psi'/psi not stabilized: {evidence}")
     if abs(gamma_hat - 1.0) < 0.05:
-        ell = float(np.median(r * f))
+        ell = _median(r * f)
         return RegimeTag("power-like", gamma=1.0, ell=ell, hp_fail=True, evidence=evidence)
     gamma = 0.0 if abs(gamma_hat) < 0.05 else gamma_hat
-    ell = float(np.median(r**gamma * f))
+    ell = _median(r**gamma * f)
     return RegimeTag("hp-add-1", gamma=gamma, ell=ell, hp_fail=hp_fail, evidence=evidence)
 
 

@@ -27,9 +27,12 @@ import numpy as np
 # exponents grow by up to 1e5 across a step and depart from their chords
 # by up to 1e-6.
 _BEND = 1e-5
-# panels fitted and evaluated per call of the integrand: bounds the
-# (panels, 8) node arrays of one call and the lookups a factor makes on
-# them; 2048 was slower, and held 0.9 MB more at the Pohozaev audit's peak
+# panels fitted and evaluated per call of the integrand, and per model
+# call of the geometry tables (models.GeometryProfile._tabulate): bounds
+# the (panels, 8) node arrays of one call; a profile lookup that a factor
+# makes on a block's 4,096 nodes reads them in blocks of dense._BLOCK
+# radii itself. 2048 was slower, and held 0.9 MB more at the Pohozaev
+# audit's peak
 _BLOCK = 512
 # most panels one panel_integrals call or one unit_growth_edges layout
 # lays out, 40 MB of nodes; the 6-stage oscillation's flux residual uses

@@ -16,6 +16,8 @@ import time
 
 import numpy as np
 
+from .dense import _BLOCK
+
 SCHEMA_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
 
@@ -134,17 +136,21 @@ def write_csv(path, header, columns):
 
     Numbers are written with repr(), the shortest decimal that reads back
     exactly (a float column as floats, an int column as ints); a text column
-    is written quoted, since its values may contain commas.
+    is written quoted, since its values may contain commas. Rows are
+    formatted and written dense._BLOCK at a time, from slices of the
+    columns, so the text held at once does not grow with the number of rows.
     """
-    fields = [_format_column(c) for c in columns]
+    columns = [np.asarray(c) for c in columns]
+    rows = min((len(c) for c in columns), default=0)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*fields))
+        for lo in range(0, rows, _BLOCK):
+            fields = [_format_column(c[lo:lo + _BLOCK]) for c in columns]
+            fh.writelines(",".join(row) + "\n" for row in zip(*fields))
     return path
 
 
 def _format_column(column):
-    column = np.asarray(column)
     if column.dtype.kind == "U":
         return ['"%s"' % x for x in column.tolist()]
     return map(repr, column.tolist())

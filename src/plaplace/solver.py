@@ -63,7 +63,7 @@ import math
 import numpy as np
 from . import runio
 from .dense import _DenseTable, _Stepper, solve_ivp
-from .models import _EXP_CAP, GeometryOverflow, InvalidParameter, _bisect, _check_n_p
+from .models import _EXP_CAP, GeometryOverflow, InvalidParameter, _bisect, _check_n_p, _unique
 from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
 
 # solution.csv contract: linear interpolation of u between neighbouring
@@ -363,7 +363,7 @@ class RadialSolution:
     def _sampled_rows(self):
         """The _FLUX_ROWS row indices, evenly spaced from the first row past
         the pole to the last, where the integrated identities are checked."""
-        return np.unique(np.linspace(1, len(self.r) - 1, _FLUX_ROWS).astype(int))
+        return _unique(np.linspace(1, len(self.r) - 1, _FLUX_ROWS).astype(int))
 
     def _integrals(self, x, exponent, shift, factor=None):
         """int f e^{E - shift_k} between consecutive radii x, shift_k the
@@ -373,7 +373,7 @@ class RadialSolution:
         every blend-window end (start + width) of a glued model, where psi
         is not."""
         cuts = np.append(self._dense.ts, [seg.start + seg.width for seg in self.model.segments])
-        edges = np.union1d(x, cuts[(cuts > x[0]) & (cuts < x[-1])])
+        edges = _unique(np.append(x, cuts[(cuts > x[0]) & (cuts < x[-1])]))
         at_x = np.searchsorted(edges, x)
         shift = np.repeat(shift, np.diff(at_x))
         panels = panel_integrals(lambda s, k: exponent(s) - shift[k][:, None],

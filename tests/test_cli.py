@@ -291,6 +291,16 @@ def test_sweep_cartesian_product(tmp_path):
         assert manifest["status"] == "ok"
 
 
+@pytest.mark.parametrize("alpha, q", [("1,1", "5"), ("0.5,1", "5,7,5")])
+def test_sweep_refuses_repeated_point(tmp_path, alpha, q):
+    """A value listed twice would solve one point twice into one run
+    directory; it is refused (exit 2) before any solve runs."""
+    code = run_cli(tmp_path, "sweep", "--model", "hyperbolic", "--n", "3",
+                   "--p", "2", "--alpha", alpha, "--q", q, "--rmax", "5")
+    assert code == 2
+    assert os.listdir(tmp_path) == []
+
+
 def assert_rerun_is_byte_identical(tmp_path, *args):
     """Two runs of one command into one root record the same output hashes
     in every manifest they write (a sweep writes one per solve)."""
@@ -381,3 +391,40 @@ def test_scipy_never_loads():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_numpy_ma_never_loads(tmp_path):
+    """np.unique, np.union1d and np.median import numpy.ma, about 10 ms on
+    a process's first call: in a fresh interpreter, a solve with its rows
+    and flux residual, a profile with its traces, and every subcommand (the
+    classifier, the three limit checks and the 4-stage construction among
+    them) load no numpy.ma."""
+    code = (
+        "import sys\n"
+        "import plaplace as pl\n"
+        "from plaplace import cli\n"
+        "model = pl.make_model('hyperbolic')\n"
+        "sol = pl.integrate(pl.Problem(3, 2.0, 5.0, 1.0), model, pl.SolverConfig(20.0))\n"
+        "assert len(sol.r) > 100\n"
+        "pl.flux_residual(sol)\n"
+        "pl.functional_traces(sol, pl.geometry_profile(model, 3, 2.0, sol.r_last))\n"
+        f"out = ['--out', {str(tmp_path)!r}]\n"
+        "problem = ['--n', '3', '--p', '2', '--q', '5', '--alpha', '1']\n"
+        "for argv in (\n"
+        "        ['solve', '--model', 'hyperbolic', '--rmax', '20'] + problem,\n"
+        "        ['classify', '--model', 'exppower:c=1,m=3', '--n', '3', '--p', '2'],\n"
+        "        ['diagnose', '--model', 'hyperbolic', '--rmax', '20'] + problem\n"
+        "        + ['--checks', 'pohozaev,envelope,ratio-sc,lemma-limits,energy-divergence'],\n"
+        "        ['diagnose', '--model', 'exppower:c=1,m=3'] + problem\n"
+        "        + ['--checks', 'ratio-si'],\n"
+        "        ['quotient', '--model', 'hyperbolic', '--n', '3', '--p', '2', '--b', '1,0.1'],\n"
+        "        ['sweep', '--model', 'hyperbolic', '--n', '3', '--p', '2',\n"
+        "         '--alpha', '0.5,1', '--q', '5', '--rmax', '10'],\n"
+        "        ['oscillate', '--stages', '4'] + problem):\n"
+        "    assert cli.main(out + argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

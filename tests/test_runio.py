@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,25 @@ def test_sweep_csv_reads_back_with_text_column(tmp_path):
     for key in ("n", "p", "b", "quotient", "err", "flagged"):
         assert back[key].dtype == float
         assert np.array_equal(back[key], [row[key] for row in rows])
+
+
+def test_csv_rows_written_in_blocks(tmp_path):
+    """20,000 rows of 4 columns (one of ints) are written a block at a
+    time: the text of one pass over all rows, at a tracemalloc peak under
+    1.2 MB, where formatting every column first peaked at 2.5 MB."""
+    r = np.geomspace(1e-3, 1e3, 20_000)
+    columns = [r, np.sin(r), np.arange(r.size), np.exp(-r)]
+    path = tmp_path / "rows.csv"
+    tracemalloc.start()
+    try:
+        pl.write_csv(path, ["r", "s", "k", "e"], columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2e6
+    text = "".join(",".join(map(repr, row)) + "\n"
+                   for row in zip(*(c.tolist() for c in columns)))
+    assert path.read_text() == "r,s,k,e\n" + text
 
 
 def test_params_hash_deterministic():

@@ -228,6 +228,21 @@ def test_flux_residual_refuses_runaway_panel_count(monkeypatch):
     assert panels == []
 
 
+def test_panel_integrals_refuses_runaway_cut():
+    """A panel whose exponent bends away from its chord over a growth of
+    3e6 would be cut into 12 million parts: the running count of laid-out
+    panels refuses it (QuadratureFailure) before any part is evaluated,
+    at once and without a numerical warning."""
+    x = np.array([1.0, 2.0])
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pl.QuadratureFailure, match="12000000 panels asked for"):
+            quadrature.panel_integrals(lambda s, k: 3e6 * ((s - 1.0) ** 2 - 1.0),
+                                       x, 3e6 * ((x - 1.0) ** 2 - 1.0))
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("c", [500.0, -500.0])
 def test_panel_integrals_straight_exponent(c, monkeypatch):
     """e^{c s} on [1, 2], rising or falling (the falling rule is taken from
