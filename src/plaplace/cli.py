@@ -14,6 +14,7 @@ apply).
 """
 
 import argparse
+import functools
 import sys
 
 from . import diagnostics, models, oscillator, runio, sobolev, solver
@@ -230,7 +231,11 @@ def _add_solver_args(sp):
                     help="absolute tolerance")
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: argparse objects
+    keep no state between parse_args calls, and no argument has a mutable
+    default."""
     parser = argparse.ArgumentParser(
         prog="plaplace",
         description="radial p-Laplace experiments on model manifolds",

@@ -62,6 +62,24 @@ def test_missing_argument_exits_2(tmp_path):
     assert exc.value.code == 2
 
 
+def test_parser_built_once(tmp_path):
+    """main parses every call with one parser per process: two in-process
+    calls with different subcommands each get their own arguments."""
+    assert cli.build_parser() is cli.build_parser()
+    assert run_cli(tmp_path, "classify", "--model", "hyperbolic",
+                   "--n", "4", "--p", "3") == 0
+    manifest = load_json(latest_dir(tmp_path), "manifest.json")
+    assert manifest["command"] == "classify"
+    assert (manifest["params"]["n"], manifest["params"]["p"]) == (4, 3.0)
+    assert run_cli(tmp_path, "solve", "--model", "euclidean", "--n", "3",
+                   "--p", "2", "--q", "5", "--alpha", "0.5", "--rmax", "5") == 0
+    manifest = load_json(latest_dir(tmp_path), "manifest.json")
+    assert manifest["command"] == "solve"
+    params = manifest["params"]
+    assert (params["n"], params["p"], params["q"], params["alpha"]) == (3, 2.0, 5.0, 0.5)
+    assert params["model"] == "euclidean" and params["rmax"] == 5.0
+
+
 def test_bad_model_exits_2(tmp_path):
     code = run_cli(tmp_path, "solve", "--model", "nosuch", "--n", "3",
                    "--p", "2", "--q", "5", "--alpha", "1")

@@ -110,3 +110,24 @@ def test_flat_scaling_symmetry(case, alpha):
     radii = np.array(RADII)
     expected = alpha * _unit_flat_solution(n, p, q).eval_u(radii)
     assert np.max(np.abs(sol.eval_u(radii / lam) - expected) / expected) < 1e-8
+
+
+def test_J_tables_against_closed_forms():
+    """J of the (3, 2) profiles against their closed forms: r^2/6 on the
+    flat model, (r coth r - 1)/2 on the hyperbolic one, read up to r = 200
+    from a profile built to R = 20.
+
+    The hyperbolic bounds record a drift, not a target: J is within 1e-14
+    up to r = 7, then falls behind the closed form (-1.9e-14 at r = 9,
+    -3.0e-13 at 11, -8.9e-11 at 200), while the flat table stays within
+    1e-14 throughout. The 2e-10 bound should be tightened to the flat
+    table's once that drift is mended."""
+    flat = pl.geometry_profile(pl.make_model("euclidean"), 3, 2.0, R)
+    r = np.geomspace(0.01, 200.0, 400)
+    assert np.max(np.abs(flat.J(r) / (r * r / 6.0) - 1.0)) <= 1e-14
+    curved = pl.geometry_profile(pl.make_model("hyperbolic"), 3, 2.0, R)
+    # below r = 0.5 the closed form itself cancels to worse than 1e-14
+    for lo, hi, bound in ((0.5, 7.0, 1e-14), (7.0, 200.0, 2e-10)):
+        r = np.geomspace(lo, hi, 200)
+        exact = (r / np.tanh(r) - 1.0) / 2.0
+        assert np.max(np.abs(curved.J(r) / exact - 1.0)) <= bound

@@ -1057,6 +1057,67 @@ def test_solve_ivp_end_reasons():
     assert at_end.ended == "underflow" and at_end.t == run.t
 
 
+def _still(lp, u, v):
+    """u' = v' = 0: every error estimate is exactly zero."""
+    return 0.0, 0.0
+
+
+def _zero_jacobian(u, du, dv):
+    return (0.0, 0.0), (0.0, 0.0)
+
+
+def _toy_options(kernel, first_step, lpsi=lambda r: 0.0 * np.asarray(r)):
+    return dict(first_step=first_step, lpsi=lpsi, kernel=kernel, rtol=1e-11,
+                atol=1e-14)
+
+
+def test_zero_error_steps_grow_by_the_maximum_factor():
+    """Where the error estimate is exactly zero, each stepper grows the step
+    by _MAX_FACTOR (10): DOP853 takes error norm 0 without dividing by it,
+    Radau's predicted factor is inf and is cut to the cap. DOP853 stops
+    growing at its bound h <= r/10."""
+    run = dense.solve_ivp(solver._RadialDOP853, (1.0, 2.0), (1.0, 0.0),
+                          **_toy_options(_still, 1e-3))
+    assert run.ended == "end" and run.y == (1.0, 0.0)
+    h = np.diff(run.t)
+    assert np.allclose(h[:3] / h[0], [1.0, 10.0, 100.0], rtol=1e-12)
+    assert np.allclose(h[3:-1], 0.1 * np.asarray(run.t[3:-2]), rtol=1e-12)
+    run = dense.solve_ivp(solver._RadialRadau, (1.0, 1e4), (1.0, 0.0),
+                          jacobian=_zero_jacobian, **_toy_options(_still, 1e-3))
+    assert run.ended == "end" and run.y == (1.0, 0.0)
+    h = np.diff(run.t)
+    assert np.allclose(h[1:-1] / h[:-2], 10.0, rtol=1e-12)
+
+
+def test_radau_raises_a_first_step_below_the_float_spacing():
+    """A first trial step shorter than 10 float spacings of t0 is raised to
+    that many: Radau's first step is exactly that long."""
+    run = dense.solve_ivp(solver._RadialRadau, (1.0, 2.0), (1.0, 0.0),
+                          jacobian=_zero_jacobian, **_toy_options(_still, 1e-300))
+    assert run.ended == "end"
+    assert run.t[1] - 1.0 == 10.0 * (math.nextafter(1.0, math.inf) - 1.0)
+
+
+def _wall(lp, u, v):
+    """u' = -1 up to lp = r = 1.5 and inf past it; v' = 0."""
+    return (math.inf if lp > 1.5 else -1.0), 0.0
+
+
+def test_radau_fails_where_newton_meets_non_finite_stages():
+    """Newton gives up on a stage derivative that is not finite, and Radau
+    halves the step: every step that reaches past r = 1.5 is cut down until
+    the step size falls below the float spacing, and the run ends "failed"
+    just short of 1.5, with no warning, u having fallen linearly."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = dense.solve_ivp(solver._RadialRadau, (1.0, 2.0), (1.0, 0.0),
+                              jacobian=_zero_jacobian,
+                              **_toy_options(_wall, 0.1, lpsi=lambda r: r))
+    assert run.ended == "failed"
+    assert 1.5 - 1e-12 < run.t[-1] <= 1.5
+    assert abs(run.y[0] - (2.0 - run.t[-1])) < 1e-14 and run.y[1] == 0.0
+
+
 def test_export_csv_roundtrip(tmp_path, hy_run):
     path = hy_run.sol.export_csv(tmp_path / "solution.csv")
     data = pl.read_csv(path)
