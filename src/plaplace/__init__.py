@@ -23,7 +23,10 @@ from .models import (
     ModelFunction,
     PowerLike,
     QuadratureFailure,
+    RegimeError,
     RegimeTag,
+    SolverError,
+    UsageError,
     audit_model,
     classify_completeness,
     descriptor_string,

@@ -8,9 +8,9 @@ a content-hash-named directory under the output root ($PLAPLACE_RUNS or
 ./runs); the manifest is written even when the run fails, with the error
 recorded.
 
-Exit codes: 0 success, 2 argument errors, 3 solver/quadrature errors,
-4 regime mismatches (a check was requested in a regime where it does not
-apply).
+Exit codes: 0 success; a refusal prints one `error:` line to stderr and exits
+with the code of its kind (see models): 2 UsageError (bad arguments), 3
+SolverError (numerical failure), 4 RegimeError (a check outside its regime).
 """
 
 import argparse
@@ -24,29 +24,6 @@ EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_REGIME = 4
 
-# argument-shaped failures: bad descriptors, parameter-domain violations
-_USAGE_ERRORS = (models.InvalidParameter, models.ConvexityViolation)
-# numerical failures of an otherwise well-posed run
-_SOLVER_ERRORS = (
-    models.QuadratureFailure,
-    models.GeometryOverflow,
-    models.AmbiguousRegime,
-    solver.StartupFailure,
-    solver.StepSizeCollapse,
-    solver.NonMonotone,
-    solver.OutOfRange,
-    oscillator.TriggerTimeout,
-    oscillator.Inconsistent,
-    sobolev.TailDivergence,
-)
-# a check was asked for outside its regime of validity
-_REGIME_ERRORS = (
-    diagnostics.RegimeMismatch,
-    diagnostics.NoPlateau,
-    diagnostics.EuclideanCritical,
-    diagnostics.GridMismatch,
-)
-
 
 def _float_list(text):
     try:
@@ -54,7 +31,7 @@ def _float_list(text):
     except ValueError:
         values = []
     if not values:
-        raise models.InvalidParameter(f"expected a comma list of numbers, got {text!r}")
+        raise models.UsageError(f"expected a comma list of numbers, got {text!r}")
     return values
 
 
@@ -123,7 +100,7 @@ def cmd_diagnose(args):
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     unknown = [c for c in checks if c not in _CHECK_NAMES]
     if unknown:
-        raise models.InvalidParameter(
+        raise models.UsageError(
             f"unknown checks {unknown}; choose from {list(_CHECK_NAMES)}"
         )
     params = _solve_params(args, checks=checks)
@@ -191,7 +168,7 @@ def cmd_sweep(args):
     qs = _float_list(args.q)
     for flag, values in (("--alpha", alphas), ("--q", qs)):
         if len(set(values)) < len(values):
-            raise models.InvalidParameter(f"sweep {flag} lists a value twice: {values}")
+            raise models.UsageError(f"sweep {flag} lists a value twice: {values}")
     grid = [(a, q) for a in alphas for q in qs]  # deterministic order
 
     def one(point):
@@ -290,13 +267,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except models.UsageError as exc:
         print(f"error: argument: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _REGIME_ERRORS as exc:
+    except models.RegimeError as exc:
         print(f"error: regime: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_REGIME
-    except _SOLVER_ERRORS as exc:
+    except models.SolverError as exc:
         print(f"error: solver: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -12,26 +12,26 @@ import math
 import numpy as np
 
 from . import extrapolate, runio
-from .models import GeometryOverflow, _ladder
+from .models import GeometryOverflow, RegimeError, _ladder
 from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
 _PLATEAU_TOL = 0.05  # asymptotic_ratio_si needs |u'(R)| R <= _PLATEAU_TOL u(R)
 
 
-class GridMismatch(Exception):
+class GridMismatch(RegimeError):
     """Solution and geometry profile disagree on model or dimension."""
 
 
-class RegimeMismatch(Exception):
+class RegimeMismatch(RegimeError):
     """Requested limit is proven to fail (or is unproven) in this regime."""
 
 
-class NoPlateau(Exception):
+class NoPlateau(RegimeError):
     """The solution has not flattened by the horizon."""
 
 
-class EuclideanCritical(Exception):
+class EuclideanCritical(RegimeError):
     """Signals the single configuration where the gradient energy converges."""
 
 

@@ -34,23 +34,35 @@ from . import dense, quadrature, runio
 from .dense import _DenseTable, solve_ivp
 
 
-class InvalidParameter(ValueError):
+class UsageError(Exception):
+    """A bad descriptor or a parameter outside its domain (CLI exit 2)."""
+
+
+class SolverError(Exception):
+    """A numerical failure of an otherwise well-posed run (CLI exit 3)."""
+
+
+class RegimeError(Exception):
+    """A check asked for outside its regime of validity (CLI exit 4)."""
+
+
+class InvalidParameter(UsageError, ValueError):
     """Model descriptor parameter outside its admissible range."""
 
 
-class ConvexityViolation(RuntimeError):
+class ConvexityViolation(UsageError, RuntimeError):
     """A candidate model function fails psi'' >= 0 on the audit grid."""
 
 
-class QuadratureFailure(RuntimeError):
+class QuadratureFailure(SolverError, RuntimeError):
     """Geometry quadrature did not reach its error target."""
 
 
-class GeometryOverflow(RuntimeError):
+class GeometryOverflow(SolverError, RuntimeError):
     """psi^(n-1) leaves the representable range before the requested horizon."""
 
 
-class AmbiguousRegime(RuntimeError):
+class AmbiguousRegime(SolverError, RuntimeError):
     """No asymptotic growth regime could be fitted at the horizon."""
 
 
@@ -559,7 +571,10 @@ def parse_descriptor(text):
             key, _, val = item.partition("=")
             if not val or key.strip() in params:
                 raise InvalidParameter(f"malformed or repeated model parameter {item!r}")
-            params[key.strip()] = float(val)
+            try:
+                params[key.strip()] = float(val)
+            except ValueError:
+                raise InvalidParameter(f"model parameter {item!r} is not a number") from None
     else:
         kind, params = text, {}
     return {"kind": kind.strip().lower(), "params": params}

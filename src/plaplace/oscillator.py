@@ -34,7 +34,7 @@ from . import models, runio, solver
 # oscillator.solve_ivp by name, although the construction no longer calls it
 from .dense import solve_ivp  # noqa: F401
 from .diagnostics import q_limit_constant
-from .models import InvalidParameter
+from .models import InvalidParameter, SolverError
 
 # width of the smoothstep that ramps the curvature ratio at each join
 _BLEND_WIDTH = 0.5
@@ -46,11 +46,11 @@ _VERIFY_REL_TOL = 2e-3  # verify_certificate's relative tolerance on each logged
 _log = logging.getLogger(__name__)
 
 
-class TriggerTimeout(Exception):
+class TriggerTimeout(SolverError):
     """A stage trigger did not fire before the per-stage horizon cap."""
 
 
-class Inconsistent(Exception):
+class Inconsistent(SolverError):
     """Certificate recomputation deviates beyond tolerance."""
 
 

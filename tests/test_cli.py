@@ -87,19 +87,26 @@ def test_bad_model_exits_2(tmp_path):
 
 
 def test_every_exception_has_one_exit_code():
-    """Each exception class the package defines belongs to exactly one of
-    the CLI's three groups (exit 2, 3 or 4), so none can escape `main` as
-    a traceback with exit 1; the walk finds every class the groups list."""
-    groups = (cli._USAGE_ERRORS, cli._SOLVER_ERRORS, cli._REGIME_ERRORS)
+    """Each exception class the package defines derives from exactly one of
+    the three kinds the CLI maps to an exit code (2, 3 or 4), so none can
+    escape `main` as a traceback with exit 1; the refusals keep their
+    builtin bases as well."""
+    kinds = (pl.UsageError, pl.SolverError, pl.RegimeError)
     found = set()
     for info in pkgutil.iter_modules(pl.__path__, "plaplace."):
         module = importlib.import_module(info.name)
         found.update(obj for obj in vars(module).values()
                      if isinstance(obj, type) and issubclass(obj, Exception)
                      and obj.__module__ == module.__name__)
-    assert set().union(*groups) <= found
+    # the walk reaches each module that defines a refusal
+    assert {pl.InvalidParameter, pl.StepSizeCollapse, pl.RegimeMismatch,
+            pl.TailDivergence, pl.Inconsistent} <= found
     for exc in found:
-        assert sum(issubclass(exc, group) for group in groups) == 1, exc
+        assert sum(issubclass(exc, kind) for kind in kinds) == 1, exc
+    assert issubclass(pl.InvalidParameter, ValueError)
+    assert all(issubclass(exc, RuntimeError) for exc in (
+        pl.ConvexityViolation, pl.QuadratureFailure, pl.GeometryOverflow,
+        pl.AmbiguousRegime))
 
 
 def test_subcritical_q_exits_2(tmp_path):
@@ -132,6 +139,7 @@ _CLASSIFY = ("classify", "--n", "3", "--p", "2", "--model")
     _CLASSIFY + ("expgamma:c=inf,gamma=0.5",),
     _CLASSIFY + ("powerlike:k=inf",),
     _CLASSIFY + ("hyperbolic:x=1",),
+    _CLASSIFY + ("exppower:c=abc,m=3",),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_non_finite_or_malformed_arguments_exit_2(tmp_path, capsys, argv):
     """Non-finite numbers (model parameters among them), unparsable or

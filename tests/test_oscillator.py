@@ -72,8 +72,8 @@ def test_triggers_match_independent_reference(oscillation):
                 -math.exp(mu * (v - G)), math.exp(G + q * math.log(u) - v)]
 
     start = 1e-6
-    u0, w0 = solver.series_startup(prob, model, start)
-    y = [*pl.models.geometry_start(start, n, p), u0, math.log(-w0)]
+    u0, v0 = solver.series_startup(prob, model, start)
+    y = [*pl.models.geometry_start(start, n, p), u0, v0]
     stages = oscillation.cert.stages
     assert list(model.joins()) == [entry["r"] for entry in stages[:-1]]
     for entry in stages:

@@ -34,7 +34,8 @@ def test_series_startup_leading_order():
     prob = pl.Problem(3, 2.0, 5.0, 1.0)
     eu = pl.make_model("euclidean")
     r0 = 1e-3
-    u0, w0 = pl.series_startup(prob, eu, r0)
+    u0, v0 = pl.series_startup(prob, eu, r0)
+    w0 = -math.exp(v0)
     assert abs(w0 + r0 ** 3 / 3.0) < 1e-3 * r0 ** 3
     du0 = w0 / r0 ** 2  # p = 2: u' = w / psi^{n-1}
     assert abs(du0 + r0 / 3.0) < 1e-3 * r0
@@ -66,10 +67,10 @@ def _pole_series_reference(prob, model, r):
     return u(r), q * math.log(a) + math.log(I)
 
 
-def _assert_matches_series(prob, model, r, u, w):
+def _assert_matches_series(prob, model, r, u, v):
     u_ref, v_ref = _pole_series_reference(prob, model, r)
     assert abs(u - u_ref) <= 1e-14 * u_ref
-    assert abs(math.log(-w) - v_ref) <= 1e-11
+    assert abs(v - v_ref) <= 1e-11
 
 
 def test_series_startup_matches_nested_quadrature():
@@ -79,9 +80,9 @@ def test_series_startup_matches_nested_quadrature():
     for desc, alpha, r in (("hyperbolic", 1.0, 1e-4),
                            ("exppower:c=1,m=3", 0.05, 0.2)):
         prob, model = pl.Problem(4, 3.0, 11.0, alpha), pl.make_model(desc)
-        u, w = pl.series_startup(prob, model, r)
-        assert isinstance(u, float) and isinstance(w, float)
-        _assert_matches_series(prob, model, r, u, w)
+        u, v = pl.series_startup(prob, model, r)
+        assert isinstance(u, float) and isinstance(v, float)
+        _assert_matches_series(prob, model, r, u, v)
 
 
 def test_eval_below_startup_radius_is_the_series():
@@ -91,7 +92,7 @@ def test_eval_below_startup_radius_is_the_series():
     sol = pl.integrate(prob, model, pl.SolverConfig(20.0))
     r1 = sol.r[1]
     for r in (0.1 * r1, 0.5 * r1, 0.9 * r1):
-        _assert_matches_series(prob, model, r, sol.eval_u(r), sol.eval_w(r))
+        _assert_matches_series(prob, model, r, sol.eval_u(r), math.log(-sol.eval_w(r)))
     # u' ~ -(r/n)^{1/(p-1)} alpha^{q/(p-1)} at the pole, however small r is
     assert sol.eval_u(1e-9 * r1) == prob.alpha
     assert sol.eval_du(1e-50) == pytest.approx(-(1e-50 / 4) ** 0.5, rel=1e-12)
@@ -1089,6 +1090,28 @@ def test_zero_error_steps_grow_by_the_maximum_factor():
     assert np.allclose(h[1:-1] / h[:-2], 10.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("e5u", [1e143, 1e160], ids=["blend-inf", "square-raises"])
+def test_error_norm_past_the_double_range_rejects_the_step(monkeypatch, e5u):
+    """A DOP853 error estimate whose norm leaves the double range rejects
+    the step (factor 0.2): with su ~ 1e-11, e5u = 1e143 gives a finite err5
+    ~ 1e308 whose blend overflows to inf (and would read as norm 0), and
+    1e160 a square that raises OverflowError. The next attempt, with the
+    true (zero) estimate, is accepted."""
+    stages = solver._STEP_STAGES
+    calls = []
+
+    def first_estimate_huge(*args):
+        ku, kv, bu, bv, _, e5v, e3u, e3v = stages(*args)
+        calls.append(args)
+        return ku, kv, bu, bv, e5u if len(calls) == 1 else 0.0, e5v, e3u, e3v
+
+    monkeypatch.setattr(solver, "_STEP_STAGES", first_estimate_huge)
+    stepper = solver._RadialDOP853(1.0, (1.0, 0.0), 2.0, **_toy_options(_still, 1e-3))
+    stepper.step()
+    assert len(calls) == 2 and stepper.ended is None
+    assert stepper.t == pytest.approx(1.0 + 0.2e-3, rel=1e-15)
+
+
 def test_radau_raises_a_first_step_below_the_float_spacing():
     """A first trial step shorter than 10 float spacings of t0 is raised to
     that many: Radau's first step is exactly that long."""
@@ -1176,3 +1199,34 @@ def test_rows_meet_interpolation_contract(hy_run, ep_run, oscillation):
         linear = 0.5 * (u[:-1] + u[1:])[keep]
         assert mid.size > 100
         assert np.max(np.abs(linear - exact) / exact) <= solver.ROW_TOL
+
+
+@pytest.mark.parametrize("desc", ["euclidean", "hyperbolic", "exppower:c=1,m=3"])
+def test_central_values_across_the_double_range(desc):
+    """Every finite alpha > 0 is a problem: from 1e-300 to 1e300, at
+    (3,2,5) and (4,3,11), integrate returns a solution (its flux residual
+    resolved) or refuses with one of the three kinds of refusal, never an
+    untyped error and never a warning."""
+    model = pl.make_model(desc)
+    for n, p, q in ((3, 2.0, 5.0), (4, 3.0, 11.0)):
+        config = pl.SolverConfig(min(20.0, pl.safe_horizon(model, n)))
+        for alpha in (1e-300, 1e-100, 1e-30, 1e30, 1e100, 1e200, 1e300):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    sol = pl.integrate(pl.Problem(n, p, q, alpha), model, config)
+                except (pl.UsageError, pl.SolverError, pl.RegimeError):
+                    continue
+                assert pl.flux_residual(sol) < 5e-9, (n, alpha)
+
+
+def test_startup_radius_outside_the_double_range():
+    """A startup scale alpha^(-(q+1-p)/p) past the double range takes the
+    0.01 r_max cap; a startup radius that underflows to 0 is refused with
+    StartupFailure before the pole series runs."""
+    euclidean = pl.make_model("euclidean")
+    prob = pl.Problem(3, 2.0, 5.0, 1e-300)
+    assert pl.default_startup_radius(prob) == math.inf
+    assert pl.integrate(prob, euclidean, pl.SolverConfig(20.0)).r[1] == 0.2
+    with pytest.raises(pl.StartupFailure, match="radius 0 is not a positive normal"):
+        pl.integrate(pl.Problem(3, 2.0, 5.0, 1e200), euclidean, pl.SolverConfig(20.0))
