@@ -56,6 +56,7 @@ from .diagnostics import (
     GridMismatch,
     NoPlateau,
     RegimeMismatch,
+    UnresolvedPlateau,
     asymptotic_ratio_sc,
     asymptotic_ratio_si,
     decay_envelope_check,

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from . import extrapolate, runio
-from .models import GeometryOverflow, RegimeError, _ladder
+from .models import GeometryOverflow, RegimeError, SolverError, _ladder
 from .quadrature import panel_integrals
 
 _ENVELOPE_R_MIN, _ENVELOPE_PER_DECADE = 1.0, 64  # decay_envelope_check's grid
@@ -33,6 +33,10 @@ class NoPlateau(RegimeError):
 
 class EuclideanCritical(RegimeError):
     """Signals the single configuration where the gradient energy converges."""
+
+
+class UnresolvedPlateau(SolverError):
+    """u - lambda is not resolved above the solver's tolerance on u."""
 
 
 def unit_ball_volume(n):
@@ -304,7 +308,8 @@ def asymptotic_ratio_si(sol, profile):
     dyadic ladder _ladder(R, 3), u, u' and tailJ each one lookup there,
     against lambda^{q/(p-1)}, and the universal upper bound on lambda.
     Refuses (NoPlateau) a solution still falling at R:
-    |u'(R)| R > _PLATEAU_TOL u(R).
+    |u'(R)| R > _PLATEAU_TOL u(R); and (UnresolvedPlateau) one whose
+    u - lambda, on some rung, is at most sol.config.rel_tol u: unresolved.
     """
     _check_pair(sol, profile)
     if not profile.tail_converged:
@@ -323,7 +328,12 @@ def asymptotic_ratio_si(sol, profile):
     lam = uR
     for _ in range(3):
         lam = uR - tail[-1] * lam ** ex
-    ratios = (u - lam) / tail
+    excess = u - lam
+    if not np.all(excess > sol.config.rel_tol * u):
+        raise UnresolvedPlateau(
+            f"(u - lambda_hat) / u = {np.min(excess / u):.3g} on the ladder at "
+            f"R = {R:g}, not above rel_tol = {sol.config.rel_tol:g}")
+    ratios = excess / tail
     bound = envelope_constant(p, q) * profile.J_inf ** (-(p - 1.0) / (q + 1.0 - p))
     return {
         "lambda_hat": lam,

@@ -927,9 +927,10 @@ class GeometryProfile:
         moments=2 [log Theta, log J, log W/J]: each of r's shape, a float
         for a scalar r.
 
-        One range check, which NaN fails (GeometryOverflow), then one split
-        of the radii at r_switch: those up to it read the panels (_fine),
-        those beyond the quasi-equilibrium tail (_beyond). Each side of n
+        One range check, (0, r_hi], which NaN fails (GeometryOverflow), then
+        one split of the radii: those below r_lo read the series the table
+        starts from (_start), those up to r_switch the panels (_fine), those
+        beyond the quasi-equilibrium tail (_beyond). Each side of n
         radii is read in ceil(n / dense._BLOCK) near-equal blocks written
         into the outputs: a side of at most dense._BLOCK radii is one call,
         and a split side's blocks hold at least dense._BLOCK / 2, never the
@@ -938,19 +939,24 @@ class GeometryProfile:
         from it in the last bit.
         """
         x = np.asarray(r, dtype=float).ravel()
-        if not (np.all(x >= self.r_lo * (1 - 1e-9)) and np.all(x <= self.r_hi * (1 + 1e-9))):
-            raise GeometryOverflow(
-                f"radius outside tabulated range [{self.r_lo:g}, {self.r_hi:g}]"
-            )
-        x = np.clip(x, self.r_lo, self.r_hi)
+        if not (np.all(x > 0.0) and np.all(x <= self.r_hi * (1 + 1e-9))):
+            raise GeometryOverflow(f"radius outside tabulated range (0, {self.r_hi:g}]")
+        x = np.minimum(x, self.r_hi)
         out = np.empty((moments + 1, x.size))
-        lo = x <= self.r_switch
-        for side, read in ((lo, self._fine), (~lo, self._beyond)):
+        sides = (x < self.r_lo, (x >= self.r_lo) & (x <= self.r_switch), x > self.r_switch)
+        for side, read in zip(sides, (self._start, self._fine, self._beyond)):
             idx = np.flatnonzero(side)
             if idx.size:
                 for block in np.array_split(idx, -(-idx.size // dense._BLOCK)):
                     out[:, block] = read(x[block], moments)
         return [o.reshape(np.shape(r)) if np.ndim(r) else float(o[0]) for o in out]
+
+    def _start(self, r, moments):
+        """_logs at radii r < r_lo, from the series where psi ~ r that
+        _tabulate starts from: geometry_start, and W/J = (1+mu)/(n+1+mu)
+        from the series of U, I and J."""
+        log_WJ = math.log((1.0 + self.mu) / (self.n + 1.0 + self.mu))
+        return [*geometry_start(r, self.n, self.p), np.full(r.shape, log_WJ)][:moments + 1]
 
     def _fine(self, r, moments):
         """_logs at radii r <= r_switch, from the panel edge below each."""
@@ -1067,8 +1073,8 @@ def geometry_start(r, n, p):
     """(log Theta, log J) at small r from the series where psi ~ r:
     Theta ~ r/n and J ~ r^(1+mu) / (n^mu (1+mu)), mu = 1/(p-1)."""
     mu = 1.0 / (p - 1.0)
-    return (math.log(r / n),
-            (1.0 + mu) * math.log(r) - mu * math.log(n) - math.log(1.0 + mu))
+    return (np.log(r / n),
+            (1.0 + mu) * np.log(r) - mu * math.log(n) - math.log(1.0 + mu))
 
 
 def geometry_profile(model, n, p, R):

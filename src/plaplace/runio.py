@@ -8,7 +8,6 @@ outputs byte-identically. Floats are written with repr(), the shortest
 decimal that round-trips exactly.
 """
 
-import csv
 import hashlib
 import json
 import os
@@ -132,11 +131,10 @@ def write_json(path, data):
 
 
 def write_csv(path, header, columns):
-    """Write named columns as CSV, one value of each per row.
+    """Write named numeric columns as CSV, one value of each per row.
 
-    Numbers are written with repr(), the shortest decimal that reads back
-    exactly (a float column as floats, an int column as ints); a text column
-    is written quoted, since its values may contain commas. Rows are
+    Every value is written with repr(), the shortest decimal that reads back
+    exactly (a float column as floats, an int column as ints). Rows are
     formatted and written dense._BLOCK at a time, from slices of the
     columns, so the text held at once does not grow with the number of rows.
     """
@@ -145,44 +143,26 @@ def write_csv(path, header, columns):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, rows, _BLOCK):
-            fields = [_format_column(c[lo:lo + _BLOCK]) for c in columns]
+            fields = [map(repr, c[lo:lo + _BLOCK].tolist()) for c in columns]
             fh.writelines(",".join(row) + "\n" for row in zip(*fields))
     return path
 
 
-def _format_column(column):
-    if column.dtype.kind == "U":
-        return ['"%s"' % x for x in column.tolist()]
-    return map(repr, column.tolist())
-
-
 def read_csv(path):
-    """Read a CSV file with a header row back into a dict of columns.
+    """Read a CSV file with a header row back into a dict of float columns.
 
-    A column is text where write_csv quoted it, as it quotes the model
-    descriptors of a sweep export: the first data row, read with
-    csv.QUOTE_NONNUMERIC, tells the quoted columns from the others. Text
-    columns come back as arrays of str (quotes removed, commas kept), every
-    other column as a float array, exact for write_csv output; a file with
-    no data rows gives empty float columns. The rows go through numpy's C
-    parser, one loadtxt call per kind of column, each column a view of its
-    kind's table, so the memory held peaks at the columns returned plus the
-    parser's chunk: 0.42 MB of tracemalloc for the 0.85 MB solution.csv of
-    a Euclidean (4, 2, 3) solve to R = 40 (0.69 MB with the columns copied
-    contiguous, 5.4 MB with a str per field).
+    The rows go through numpy's C parser in one loadtxt call, and each
+    column is a view of its table, exact for write_csv output, so the memory
+    held peaks at the columns returned plus the parser's chunk: 0.42 MB of
+    tracemalloc for the 0.85 MB solution.csv of a Euclidean (4, 2, 3) solve
+    to R = 40 (0.69 MB with the columns copied contiguous, 5.4 MB with a str
+    per field). A file with no data rows gives empty float columns.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
         start = fh.tell()
-        first = next(csv.reader([fh.readline()], quoting=csv.QUOTE_NONNUMERIC), [])
-        if not first:
+        if not fh.readline():
             return {name: np.array([], dtype=float) for name in header}
-        columns = {}
-        for dtype in (float, str):
-            used = [j for j, x in enumerate(first) if isinstance(x, dtype)]
-            if used:
-                fh.seek(start)
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", quotechar='"',
-                                   comments=None, usecols=used, ndmin=2)
-                columns.update(zip(used, table.T))
-    return {name: columns[j] for j, name in enumerate(header)}
+        fh.seek(start)
+        table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+    return dict(zip(header, table.T))

@@ -191,11 +191,12 @@ def concentration_sweep(model, n, p, b_seq):
 
 
 def export_sweep_csv(sweep, path):
-    """Write sweep rows as CSV: model,n,p,b,quotient,err,flagged (0 or 1)."""
+    """Write sweep rows as CSV: n,p,b,quotient,err,flagged (0 or 1). The
+    model is the same for every row and is named in sweep.json."""
     rows = sweep["rows"]
     floats = ("p", "b", "quotient", "err")
     return runio.write_csv(
-        path, ["model", "n", *floats, "flagged"],
-        [[row["model"] for row in rows], [int(row["n"]) for row in rows],
+        path, ["n", *floats, "flagged"],
+        [[int(row["n"]) for row in rows],
          *([float(row[k]) for row in rows] for k in floats),
          [int(row["flagged"]) for row in rows]])

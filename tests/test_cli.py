@@ -211,6 +211,27 @@ def test_diagnose_ratio_si_on_plateau(tmp_path):
     assert si["bound_slack"] > 0.0
 
 
+def test_diagnose_ratio_si_refuses_unresolved_plateau(tmp_path, capsys):
+    """At alpha = 1e-4, u - lambda_hat is lost to rounding on the ladder:
+    ratio-si refuses (exit 3) where it read ratios of 0."""
+    code = run_cli(tmp_path, "diagnose", "--model", "exppower:c=1,m=3",
+                   "--n", "3", "--p", "2", "--q", "5", "--alpha", "1e-4",
+                   "--checks", "ratio-si")
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solver: UnresolvedPlateau:")
+
+
+@pytest.mark.parametrize("model", ["euclidean", "hyperbolic"])
+def test_diagnose_start_below_the_geometry_table(tmp_path, model):
+    """At alpha = 1e30 the solve starts at r = 1e-64, below the geometry
+    table's first radius; the profile reads its small-r series there."""
+    code = run_cli(tmp_path, "diagnose", "--model", model, "--n", "3",
+                   "--p", "2", "--q", "5", "--alpha", "1e30")
+    assert code == 0
+    assert load_json(latest_dir(tmp_path), "report.json")["pohozaev"]["passed"]
+
+
 def test_diagnose_geometry_overflow_exits_3(tmp_path):
     """A solver-side failure exits 3 with the error in the manifest: on
     exppower:c=1,m=3 the traces leave the double range before R = 20."""
@@ -251,8 +272,9 @@ def test_quotient_rows_above_reference(tmp_path):
     ref = sweep["reference"]["quotient"]
     assert len(sweep["rows"]) == 3
     assert all(row["quotient"] > ref for row in sweep["rows"])
+    assert all(row["model"] == "hyperbolic" for row in sweep["rows"])
     back = pl.read_csv(os.path.join(latest_dir(tmp_path), "quotients.csv"))
-    assert back["model"].tolist() == ["hyperbolic"] * 3
+    assert list(back) == ["n", "p", "b", "quotient", "err", "flagged"]
     assert np.array_equal(back["quotient"], [row["quotient"] for row in sweep["rows"]])
     assert np.array_equal(back["flagged"], [int(row["flagged"]) for row in sweep["rows"]])
     assert back["flagged"].tolist() == [1.0, 0.0, 0.0]

@@ -73,11 +73,14 @@ def test_pohozaev_margin_negative_on_nan(hy_run, monkeypatch):
 
 
 def test_pohozaev_sees_solver_error():
-    """At rel_tol 1e-7 the solver's own error fails the identity."""
-    run = make_run("hyperbolic", 4, 3.0, 11.0, 1.0, rmax=20.0, rel_tol=1e-7)
-    pohozaev = _pohozaev(pl.functional_traces(run.sol, run.prof))
-    assert not pohozaev["passed"]
-    assert pohozaev["max_scaled_defect"] > 1e-9
+    """At rel_tol 1e-7 and 1e-9 the solver's own error fails the identity.
+    At 1e-9 the defects (1.6e-5 relative, 6.95e-9 scaled) sit between the
+    gate and one 100x looser, which would pass them."""
+    for rel_tol in (1e-7, 1e-9):
+        run = make_run("hyperbolic", 4, 3.0, 11.0, 1.0, rmax=20.0, rel_tol=rel_tol)
+        pohozaev = _pohozaev(pl.functional_traces(run.sol, run.prof))
+        assert not pohozaev["passed"]
+        assert pohozaev["max_scaled_defect"] > 1e-9
 
 
 def test_pohozaev_panels_match_quad(hy_run):
@@ -235,6 +238,12 @@ def test_ratio_si_refusals(hy_run):
     assert early.prof.tail_converged
     with pytest.raises(pl.NoPlateau):
         pl.asymptotic_ratio_si(early.sol, early.prof)
+    # small alpha: u - lambda_hat is within rel_tol of u (0 at 1e-4, and
+    # lambda_hat^{q/(p-1)} underflows to 0 at 1e-100)
+    for alpha in (1e-4, 1e-100):
+        low = make_run("exppower:c=1,m=3", 3, 2.0, 5.0, alpha)
+        with pytest.raises(pl.UnresolvedPlateau):
+            pl.asymptotic_ratio_si(low.sol, low.prof)
 
 
 def test_energy_probe_cases(hy_run, ep_run, eu_crit_run):

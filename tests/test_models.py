@@ -553,14 +553,31 @@ def test_euclidean_theta_is_r_over_n():
 
 
 def test_profile_range_guard():
-    """Every read refuses a radius past the tabulated range, and NaN alone
-    or among good radii, without a warning."""
+    """Every read refuses a radius past the tabulated range, r <= 0, and
+    NaN alone or among good radii, without a warning."""
     eu = pl.make_model("euclidean")
     prof = pl.geometry_profile(eu, 3, 2.0, 10.0)
     for read in (prof.theta, prof.J, prof.I, prof.theta_J, prof.hp_fail_proxy):
-        for r in (prof.r_hi * 10.0, math.nan, [0.5, math.nan]):
+        for r in (prof.r_hi * 10.0, math.nan, [0.5, math.nan], 0.0, [-1.0, 0.5]):
             with pytest.raises(pl.GeometryOverflow):
                 read(r)
+
+
+@pytest.mark.parametrize("desc", ["euclidean", "hyperbolic", "exppower:c=1,m=3"])
+def test_profile_reads_below_its_table(desc):
+    """Below r_lo a read takes the small-r series the table starts from:
+    Theta, J and W/J just below and just above r_lo agree to 1e-12, and the
+    series reads on to r = 1e-64."""
+    for n, p in ((3, 2.0), (4, 3.0)):
+        prof = pl.geometry_profile(pl.make_model(desc), n, p, 5.0)
+        below, above = prof.r_lo * (1 - 1e-13), prof.r_lo * (1 + 1e-13)
+        for read in (prof.theta, prof.J, prof.hp_fail_proxy):
+            lo, hi = read(np.array([below, above]))
+            assert lo == pytest.approx(hi, rel=1e-12, abs=0.0)
+        theta, J = prof.theta_J(1e-64)
+        mu = 1.0 / (p - 1.0)
+        assert theta == pytest.approx(1e-64 / n, rel=1e-15)
+        assert J == pytest.approx(1e-64 ** (1 + mu) / (n ** mu * (1 + mu)), rel=1e-14)
 
 
 def test_hyperbolic_theta_saturates():
@@ -973,6 +990,12 @@ def test_psi_incompleteness_tail():
     assert not prof2.tail_converged
     with pytest.raises(pl.QuadratureFailure):
         prof2.tailJ(3.0)
+    # J still grows by 3.8e-5 of itself over [r_hi/2, r_hi]: not converged,
+    # as a 1e-2 rule would call it
+    prof3 = pl.geometry_profile(pl.make_model("exppower:c=1,m=2"), 3, 5.0 / 3.0, 10.0)
+    J_half, J_end = prof3.J_ladder[1:]
+    assert 1e-6 < (J_end - J_half) / J_end < 1e-2
+    assert not prof3.tail_converged
 
 
 @pytest.mark.parametrize("desc", ["euclidean", "hyperbolic", "exppower:c=1,m=3",

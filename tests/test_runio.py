@@ -47,23 +47,6 @@ def test_csv_header_only_reads_back_empty(tmp_path):
     assert all(v.dtype == float and v.shape == (0,) for v in back.values())
 
 
-def test_csv_text_columns_are_the_quoted_ones(tmp_path):
-    """The columns write_csv quotes read back as str, commas kept, and the
-    others as floats, in header order; a one-row file is read the same."""
-    models = np.array(["expgamma:c=1,gamma=0.5", "powerlike:k=2", "hyperbolic"])
-    b = np.array([1.0, 0.1, 0.01])
-    path = pl.write_csv(tmp_path / "mixed.csv", ["b", "model", "n"],
-                        [b, models, np.array([3, 4, 5])])
-    back = pl.read_csv(path)
-    assert list(back) == ["b", "model", "n"]
-    assert back["model"].tolist() == models.tolist()
-    assert back["b"].tobytes() == b.tobytes()
-    assert back["n"].dtype == float and back["n"].tolist() == [3.0, 4.0, 5.0]
-    path = pl.write_csv(tmp_path / "one.csv", ["model", "b"], [models[:1], b[:1]])
-    back = pl.read_csv(path)
-    assert back["model"].tolist() == [models[0]] and back["b"].tolist() == [1.0]
-
-
 def test_csv_read_holds_columns_not_fields(tmp_path):
     """Reading back a 20,000 x 4 write_csv file (one int column) peaks under
     1 MB of tracemalloc, the 0.64 MB of the columns returned (views of
@@ -83,16 +66,15 @@ def test_csv_read_holds_columns_not_fields(tmp_path):
         assert back[name].tobytes() == col.astype(float).tobytes()
 
 
-def test_sweep_csv_reads_back_with_text_column(tmp_path):
-    descs = ["powerlike:k=2", "expgamma:c=1,gamma=0.5"]  # the second has a comma
-    rows = [{"model": pl.descriptor_string(pl.make_model(d)), "n": 3, "p": 2.0,
-             "b": b, "quotient": 4.5 + b, "err": 1e-9 * b, "flagged": b == 1.0}
-            for d, b in zip(descs, (1.0, 0.1))]
+def test_sweep_csv_reads_back_numeric(tmp_path):
+    """quotients.csv holds numbers only (the model is named in sweep.json),
+    so every column, the int columns included, reads back as floats."""
+    rows = [{"model": "hyperbolic", "n": 3, "p": 2.0, "b": b, "quotient": 4.5 + b,
+             "err": 1e-9 * b, "flagged": b == 1.0} for b in (1.0, 0.1)]
     path = sobolev.export_sweep_csv({"rows": rows}, tmp_path / "quotients.csv")
     back = pl.read_csv(path)
-    assert list(back) == ["model", "n", "p", "b", "quotient", "err", "flagged"]
-    assert back["model"].tolist() == descs
-    for key in ("n", "p", "b", "quotient", "err", "flagged"):
+    assert list(back) == ["n", "p", "b", "quotient", "err", "flagged"]
+    for key in back:
         assert back[key].dtype == float
         assert np.array_equal(back[key], [row[key] for row in rows])
 

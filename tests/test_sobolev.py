@@ -196,11 +196,11 @@ def test_export_sweep_csv(tmp_path):
     path = sobolev.export_sweep_csv(sweep, tmp_path / "sweep.csv")
     with open(path) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "model,n,p,b,quotient,err,flagged"
+    assert lines[0] == "n,p,b,quotient,err,flagged"
     assert len(lines) == 3
     for line, row in zip(lines[1:], sweep["rows"]):
         fields = line.split(",")
-        assert fields[0] == '"euclidean"'
-        assert float(fields[3]) == row["b"]
-        assert float(fields[4]) == row["quotient"]
-        assert fields[6] == "0" and not row["flagged"]
+        assert fields[0] == "3"
+        assert float(fields[2]) == row["b"]
+        assert float(fields[3]) == row["quotient"]
+        assert fields[5] == "0" and not row["flagged"]
