@@ -114,17 +114,17 @@ def _energy_exponent(sol, r):
     return E
 
 
-def _pohozaev_identity_defect(sol, profile, IF, wu):
+def _pohozaev_identity_defect(sol, profile, P, scale):
     """Defects of P(b) - P(a) = int_a^b K |u'|^p between the sampled rows.
 
     The identity is checked in integrated form between the rows the flux
-    residual samples (RadialSolution._sampled_rows), P = IF + wu being read
-    from I F and w u/(q+1) on the solution's rows. The integral of
+    residual samples (RadialSolution._sampled_rows), P and its scale
+    |I F| + |w u/(q+1)| being read from the traces' rows. The integral of
     K |u'|^p = bracket w u' is RadialSolution._integrals of
     bracket e^{E - log S}: the fitted rule follows the exponent
     E = log(w u') (_energy_exponent), formed in log space from v, and the
-    bracket is a plain factor. S = max(|I F| + |w u/(q+1)|) over the
-    interval's two ends is its scale. An interval is resolved where the
+    bracket is a plain factor. S, the larger scale of the interval's two
+    ends, is its scale. An interval is resolved where the
     integral exceeds 1e-6 S.
 
     Returns (max_rel_defect, max_scaled_defect, resolved_intervals,
@@ -135,8 +135,7 @@ def _pohozaev_identity_defect(sol, profile, IF, wu):
     n, p, q = sol.problem.n, sol.problem.p, sol.problem.q
     c1 = (p - 1.0) / p + 1.0 / (q + 1.0)
     idx = sol._sampled_rows()
-    IF, wu = IF[idx], wu[idx]
-    scale = np.abs(IF) + np.abs(wu)
+    P, scale = P[idx], scale[idx]
     S = np.maximum(scale[:-1], scale[1:])
 
     def bracket(s):
@@ -146,7 +145,7 @@ def _pohozaev_identity_defect(sol, profile, IF, wu):
     # in units of S
     integral = sol._integrals(sol.r[idx], lambda s: _energy_exponent(sol, s),
                               np.log(S), bracket)
-    err = np.abs(np.diff(IF + wu) / S - integral)
+    err = np.abs(np.diff(P) / S - integral)
     resolved = np.abs(integral) > 1e-6
     rel = err[resolved] / np.abs(integral[resolved])
     worst = float(np.max(rel)) if rel.size else 0.0
@@ -165,60 +164,55 @@ def functional_traces(sol, profile):
     K is assembled through Theta = I/psi^{n-1} so the difference in the
     bracket is computed before any large factor. E is an integral of the
     dense output by quadrature.panel_integrals, one panel per row interval,
-    fitted to the exponent log(w u') = (1 + mu) v - mu (n-1) log psi formed
-    from v = log(-w); the integrated identity P(b) - P(a) = int_a^b K |u'|^p,
-    the "pohozaev-identity" verdict, is checked on the same exponent
+    fitted to the exponent log(w u') = (1 + mu) v - mu G of _energy_exponent,
+    read at the rows from the solution's v = log(-w) and G = (n-1) log psi;
+    the integrated identity P(b) - P(a) = int_a^b K |u'|^p, the
+    "pohozaev-identity" verdict, is checked on the same exponent
     (_pohozaev_identity_defect).
 
-    K, P (through I = Theta psi^{n-1}) and E grow with psi^{n-1}; where
-    one of them leaves the double range the traces are refused with
-    GeometryOverflow, naming the first such radius.
+    K, P (through I = Theta psi^{n-1}) and E are built from psi^{n-1} and
+    can leave the double range either way: a row fails where one is not
+    finite or, past the pole, where P's scale |I F| + |w u/(q+1)| is not a
+    normal double. The first failing row is refused with GeometryOverflow.
     """
     _check_pair(sol, profile)
     prob = sol.problem
     n, p, q = prob.n, prob.p, prob.q
-    r = sol.r
-    u = sol.u
-    du = sol.du
-    w = sol.w
+    r, u, du, w, v, G = sol._rows
 
     F = ((p - 1.0) / p) * np.abs(du) ** p + u ** (q + 1.0) / (q + 1.0)
 
-    rr = np.maximum(r, 1e-300)
-    lpsi_pow = (n - 1) * np.asarray(profile.model.log_psi(rr), dtype=float)
     theta, J = np.zeros_like(r), np.zeros_like(r)
     theta[1:], J[1:] = profile.theta_J(r[1:])
-    slope = np.asarray(profile.model.slope_ratio(rr), dtype=float)
+    slope = np.asarray(profile.model.slope_ratio(np.maximum(r, 1e-300)), dtype=float)
     bracket = (p - 1.0) / p + 1.0 / (q + 1.0) - (n - 1) * slope * theta
     Q = J ** ((p - 1.0) / (q + 1.0 - p)) * u
 
-    # past the double range these turn inf or nan, which is refused below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        psi_pow = np.exp(lpsi_pow)
-        psi_pow[0] = 0.0
+    # past the double range these turn inf, nan or subnormal, refused
+    # below; the pole's exponent, -inf + inf, is never read
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi_pow = np.exp(G)
         I = theta * psi_pow
         IF, wu = I * F, w * u / (q + 1.0)
-        P = IF + wu
+        P, scale = IF + wu, np.abs(IF) + np.abs(wu)
         K = psi_pow * bracket
-        # E only up to the first row where K or P has left the range
-        out = ~(np.isfinite(K) & np.isfinite(P))
-        end = int(np.argmax(out)) + 1 if np.any(out) else len(r)
         mu = 1.0 / (p - 1.0)
-        E_rows = (1.0 + mu) * np.log(-w[:end]) - mu * lpsi_pow[:end]
         E = n * unit_ball_volume(n) * np.concatenate([[0.0], np.cumsum(
-            panel_integrals(lambda x, k: _energy_exponent(sol, x), r[:end], E_rows))])
-    traces = {"K": K[:end], "P": P[:end], "E": E}
-    finite = np.all([np.isfinite(x) for x in traces.values()], axis=0)
-    if not np.all(finite):
-        k = int(np.argmin(finite))
-        names = [name for name, x in traces.items() if not np.isfinite(x[k])]
+            panel_integrals(lambda x, k: _energy_exponent(sol, x), r,
+                            (1.0 + mu) * v - mu * G))])
+    normal = (scale >= np.finfo(float).smallest_normal) | (r == 0.0)
+    held = {"K": np.isfinite(K), "P": np.isfinite(scale) & normal, "E": np.isfinite(E)}
+    row_ok = np.all(list(held.values()), axis=0)
+    if not np.all(row_ok):
+        k = int(np.argmin(row_ok))
+        names = [name for name, ok in held.items() if not ok[k]]
         raise GeometryOverflow(
             f"{', '.join(names)} leave the double range at r = {float(r[k])!r} "
-            f"((n-1) log psi = {lpsi_pow[k]:.6g})")
+            f"((n-1) log psi = {G[k]:.6g})")
 
     report = DiagnosticsReport(sol, profile, r, F, P, K, Q, E)
 
-    defect, scaled, resolved, audited = _pohozaev_identity_defect(sol, profile, IF, wu)
+    defect, scaled, resolved, audited = _pohozaev_identity_defect(sol, profile, P, scale)
     # margin: the share of the tighter of the two gates still unused; a nan
     # defect fails its gate with no margin left
     margin = min(-math.inf if math.isnan(m) else m

@@ -59,7 +59,8 @@ class QuadratureFailure(SolverError, RuntimeError):
 
 
 class GeometryOverflow(SolverError, RuntimeError):
-    """psi^(n-1) leaves the representable range before the requested horizon."""
+    """psi^(n-1), or a quantity built from it, leaves the double range either
+    way (past DBL_MAX, or below the normal doubles) before the horizon."""
 
 
 class AmbiguousRegime(SolverError, RuntimeError):

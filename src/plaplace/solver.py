@@ -283,7 +283,8 @@ class RadialSolution:
     with r = 0), built on the first read of any of them, are values of the
     same evaluation at radii spaced so that linear interpolation of u
     between neighbouring rows is within ROW_TOL |u|; _row_radii reads u and
-    v at each row once, while it places the rows. `_y` and `_h`, the
+    v at each row once, while it places the rows, and `_rows` keeps v and
+    G = (n-1) log psi there too (-inf at the pole). `_y` and `_h`, the
     state (u, v) at r_last and the run's last accepted step, are what
     integrate(carry=) goes on from.
     """
@@ -299,15 +300,16 @@ class RadialSolution:
 
     @functools.cached_property
     def _rows(self):
-        """The rows (r, u, du, w); NonMonotone where u rises along them."""
+        """The rows (r, u, du, w, v, G); NonMonotone where u rises along them."""
         alpha = self.problem.alpha
         rows, u, v = _row_radii(self._dense, self._u_min)
-        du, w = self._derived(rows, v)
-        u = np.concatenate([[alpha], u])
-        if np.any(np.diff(u) > 1e-14 * alpha):
+        du, w, G = self._derived(rows, v)
+        at_pole = (0.0, alpha, 0.0, 0.0, -np.inf, -np.inf)
+        out = tuple(np.concatenate([[x0], x])
+                    for x0, x in zip(at_pole, (rows, u, du, w, v, G)))
+        if np.any(np.diff(out[1]) > 1e-14 * alpha):
             raise NonMonotone("computed u fails to decrease along the grid")
-        return (np.concatenate([[0.0], rows]), u, np.concatenate([[0.0], du]),
-                np.concatenate([[0.0], w]))
+        return out
 
     r = property(lambda self: self._rows[0])
     u = property(lambda self: self._rows[1])
@@ -315,19 +317,20 @@ class RadialSolution:
     w = property(lambda self: self._rows[3])
 
     def _derived(self, r, v):
-        """(u', w) from v = log(-w); psi^{n-1} enters through its logarithm.
+        """(u', w, G) from v = log(-w); psi^{n-1} enters through its
+        logarithm G = (n-1) log psi, a double where psi^{n-1} may not be.
 
         w = -exp(v) wherever that is a double, and -inf where v exceeds
         log(DBL_MAX).
         """
         prob = self.problem
         mu = 1.0 / (prob.p - 1.0)
-        lpsi = (prob.n - 1) * np.asarray(self.model.log_psi(
+        G = (prob.n - 1) * np.asarray(self.model.log_psi(
             np.maximum(r, 1e-300)), dtype=float)
-        du = -np.exp(np.minimum(mu * (v - lpsi), _EXP_CAP))
+        du = -np.exp(np.minimum(mu * (v - G), _EXP_CAP))
         with np.errstate(over="ignore"):
             w = -np.exp(v)
-        return du, w
+        return du, w, G
 
     def _uv(self, r, c=None):
         """(u, v) at radii r in [0, r_last], arrays of the shape of r; with
@@ -360,7 +363,7 @@ class RadialSolution:
         """(u, u', w) at radii r in [0, r_last], arrays of the shape of r."""
         r = np.asarray(r, dtype=float)
         u, v = self._uv(r)
-        du, w = self._derived(r, v)
+        du, w, _ = self._derived(r, v)
         pole = r == 0.0
         return u, np.where(pole, 0.0, du), np.where(pole, 0.0, w)
 

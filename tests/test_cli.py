@@ -245,6 +245,22 @@ def test_diagnose_geometry_overflow_exits_3(tmp_path):
     assert "r = 7.0696" in manifest["error"]
 
 
+@pytest.mark.parametrize("model", ["hyperbolic", "exppower:c=1,m=3"])
+def test_diagnose_refuses_traces_below_the_double_range(tmp_path, capsys, model):
+    """At alpha = 1e-300, 1e-55 and 1e-53 the scale of P at the first row
+    past the pole (F ~ alpha^6) is no normal double: diagnose exits 3 with
+    one error line and no warning. At alpha = 1 the verdict still passes."""
+    argv = ["diagnose", "--model", model, "--n", "3", "--p", "2", "--q", "5", "--alpha"]
+    for alpha in ("1e-300", "1e-55", "1e-53"):
+        assert run_cli(tmp_path, *argv, alpha) == 3, alpha
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: solver: GeometryOverflow: P leave the double range"), err
+    assert run_cli(tmp_path, *argv, "1") == 0
+    assert load_json(latest_dir(tmp_path), "report.json")["pohozaev"]["passed"]
+    assert capsys.readouterr().err == ""
+
+
 def test_diagnose_regime_mismatch_exits_4(tmp_path):
     code = run_cli(tmp_path, "diagnose", "--model", "exppower:c=1,m=3",
                    "--n", "3", "--p", "2", "--q", "5", "--alpha", "1",

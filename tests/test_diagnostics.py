@@ -3,9 +3,11 @@
 import copy
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import plaplace as pl
@@ -61,6 +63,55 @@ def test_traces_refused_past_double_range(oscillation):
     first = float(sol.r[1:][np.argmax(lpsi > math.log(np.finfo(float).max))])
     with pytest.raises(pl.GeometryOverflow, match=re.escape(f"at r = {first!r} ")):
         pl.functional_traces(sol, oscillation.prof)
+
+
+_CATALOG = ["euclidean", "hyperbolic", "exppower:c=1,m=3", "powerlike:k=2",
+            "expgamma:c=1,gamma=0.5"]
+
+
+@settings(max_examples=12, deadline=None)
+@given(desc=st.sampled_from(_CATALOG), log_alpha=st.floats(-300.0, 30.0))
+@example(desc="hyperbolic", log_alpha=-55.0)
+@example(desc="exppower:c=1,m=3", log_alpha=-100.0)
+def test_traces_are_finite_or_refused(desc, log_alpha):
+    """Across the double range of alpha, (3,2,5) to R = min(60, safe
+    horizon): the traces F, P, K, Q, E are finite with finite verdict
+    margins, or refused with GeometryOverflow; nothing else is raised and
+    no warning is emitted (at alpha <= 1e-52, F ~ alpha^6 is no longer a
+    normal double, and P is refused at the first row)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = make_run(desc, 3, 2.0, 5.0, 10.0 ** log_alpha)
+        try:
+            rep = pl.functional_traces(run.sol, run.prof)
+        except pl.GeometryOverflow:
+            return
+    for trace in (rep.F, rep.P, rep.K, rep.Q, rep.E):
+        assert np.all(np.isfinite(trace))
+    assert all(math.isfinite(v["margin"]) for v in rep.verdicts), rep.verdicts
+
+
+def test_energy_on_glued_model_matches_quad():
+    """E on a model flat up to r = 2 and blending into hyperbolic over
+    [2, 2.5], at 60 rows spaced evenly by index, against adaptive quad of
+    n omega_n w u' (u' and w read off the solution), split at the join and
+    at the blend window's end."""
+    model = pl.glue_models([(pl.make_model("euclidean"), 0),
+                            (pl.make_model("hyperbolic"), 2.0)], 0.5, horizon=20)
+    sol = pl.integrate(pl.Problem(3, 2.0, 5.0, 1.0), model, pl.SolverConfig(15.0))
+    rep = pl.functional_traces(sol, pl.geometry_profile(model, 3, 2.0, sol.r_last))
+    rows = np.unique(np.linspace(1, len(sol.r) - 1, 60).astype(int))
+    edges = np.union1d(np.append(sol.r[rows], 0.0), [2.0, 2.5])
+
+    def density(s):
+        _, du, w = sol._state(s)
+        return float(du * w)
+
+    pieces = [quad(density, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+              for a, b in zip(edges[:-1], edges[1:])]
+    at_row = np.searchsorted(edges, sol.r[rows]) - 1
+    E_ref = 3 * pl.unit_ball_volume(3) * np.cumsum(pieces)[at_row]
+    assert np.max(np.abs(rep.E[rows] - E_ref) / E_ref) < 1e-10
 
 
 def test_pohozaev_margin_negative_on_nan(hy_run, monkeypatch):

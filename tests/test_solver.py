@@ -85,6 +85,23 @@ def test_series_startup_matches_nested_quadrature():
         _assert_matches_series(prob, model, r, u, v)
 
 
+def test_series_startup_refuses_past_its_reach():
+    """The pole series refuses (StartupFailure) a radius where it drops u
+    by 1e-3 alpha or more: on Euclidean (3,2,5), alpha = 1, it drops u by
+    r^2/6, so r = 1 is refused. At r = 0.05 it returns u = 1 - r^2/6 and
+    -w = int_0^r s^2 (1 - s^2/6)^5 ds, a polynomial the 8-node rule
+    integrates exactly."""
+    prob, model = pl.Problem(3, 2.0, 5.0, 1.0), pl.make_model("euclidean")
+    with pytest.raises(pl.StartupFailure, match=r"drops u by 0\.166667 alpha"):
+        pl.series_startup(prob, model, 1.0)
+    r = 0.05
+    u, v = pl.series_startup(prob, model, r)
+    assert u == pytest.approx(1.0 - r * r / 6.0, rel=1e-15, abs=0.0)
+    poly = np.polynomial.Polynomial
+    minus_w = (poly([0.0, 0.0, 1.0]) * poly([1.0, 0.0, -1.0 / 6.0]) ** 5).integ()(r)
+    assert v == pytest.approx(math.log(minus_w), rel=1e-14, abs=0.0)
+
+
 def test_eval_below_startup_radius_is_the_series():
     """Below r_1 eval_u and eval_w read the pole series, within the bounds
     of the startup; deep inside r_1 u equals alpha in floating point."""
@@ -872,8 +889,8 @@ _CATALOG_SOLVES = [("euclidean", 4, 2.0, 3.0, 2.0 * 2.0 ** 0.5, 40.0),
 
 
 def test_rows_read_the_dense_output_once():
-    """On five catalog solves the rows, u, du and w are the floats of the
-    two-round builder followed by a read of u and v at every row, and the
+    """On five catalog solves the rows, u, du, w, v and G are the floats of
+    the two-round builder followed by a read of u and v at every row, and the
     dense output is read at no more than the knots, 3 radii per step, the
     rows and mid-rows once, and the rows and mid-rows of raised steps."""
     for desc, n, p, q, alpha, R in _CATALOG_SOLVES:
@@ -881,11 +898,13 @@ def test_rows_read_the_dense_output_once():
                            pl.SolverConfig(R))
         rows, raised = _two_round_row_radii(sol._dense, sol._u_min)
         u, v = sol._dense(rows)
-        du, w = sol._derived(rows, v)
+        du, w, G = sol._derived(rows, v)
         assert np.array_equal(sol.r[1:], rows), desc
         assert np.array_equal(sol.u[1:], np.maximum(u, sol._u_min)), desc
         assert np.array_equal(sol.du[1:], du), desc
         assert np.array_equal(sol.w[1:], w), desc
+        assert np.array_equal(sol._rows[4][1:], v), desc
+        assert np.array_equal(sol._rows[5][1:], G), desc
         counting = _CountingTable(sol._dense)
         got = solver._row_radii(counting, sol._u_min)
         assert all(np.array_equal(a, b) for a, b in zip(got, (sol.r[1:], sol.u[1:], v)))
